@@ -44,7 +44,6 @@ from .stats import (
 )
 from .synth import SynthSpec, generate
 from .tasks import (
-    QuerySet,
     RetrievalResult,
     TaxonomyTags,
     balanced_retrieval,
@@ -73,7 +72,6 @@ __all__ = [
     "accuracy",
     "precision_at_k",
     "recall_at_k",
-    "QuerySet",
     "RetrievalResult",
     "TaxonomyTags",
     "cosine_similarity_matrix",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -23,6 +22,7 @@ import numpy as np
 from . import __version__
 from .core import (
     TRAIN,
+    BinaryLabels,
     EmbeddingMatrix,
     GroupLabels,
     LabeledDataset,
@@ -30,10 +30,11 @@ from .core import (
 )
 from .errors import ConfigError, DataError, FlensError, InvalidK, NumericError
 from .io import (
+    decode_labels,
     read_embeddings,
     read_label_table,
-    read_labels,
     read_transform,
+    render_json,
     write_embeddings,
     write_label_table,
     write_report,
@@ -69,7 +70,6 @@ from .stats import per_query_similarity_tests
 from .synth import SynthSpec, generate
 from .tasks import (
     INDEPENDENCE,
-    QuerySet,
     TaxonomyTags,
     balanced_retrieval,
     cosine_similarity_matrix,
@@ -82,10 +82,27 @@ GROUND_TRUTH = "groundTruth"
 INFERRED = "inferred"
 
 
-def _require(cfg: dict, key: str, context: str = "config") -> Any:
+def _require(cfg: Any, key: str, context: str = "config") -> Any:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     if key not in cfg:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return cfg[key]
+
+
+def _require_list(cfg: Any, key: str, context: str = "config") -> list:
+    value = _require(cfg, key, context)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{context}: {key} must be a non-empty list")
+    return value
+
+
+def _number(cast: Callable[[Any], Any], value: Any, context: str) -> Any:
+    """Cast a config value with int or float; a non-number is a ConfigError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
 
 
 def _load_config(path: str) -> dict:
@@ -102,23 +119,43 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply fn to each item, optionally across threads, preserving order."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _label_columns(cfg: dict) -> list[tuple[str, str]]:
+    """(column, kind) of each label column named by tasks, retrieval queries or probe.
+
+    Entries that are not JSON objects are skipped; the command's own loop
+    rejects them.
+    """
+    specs = _require_list(cfg, "tasks") if "tasks" in cfg else []
+    named = [(spec.get("ground_truth"), "binary") for spec in specs if isinstance(spec, dict)]
+    if "retrieval" in cfg:
+        specs = _require_list(cfg["retrieval"], "queries", "retrieval")
+        named += [(spec.get("relevant"), "binary") for spec in specs if isinstance(spec, dict)]
+    named = [(str(column), kind) for column, kind in named if column]
+    if "probe" in cfg:
+        attributes = _require_list(cfg["probe"], "attributes", "probe")
+        named += [(str(attribute), "group") for attribute in attributes]
+    return list(dict.fromkeys(named))
 
 
-def _load_dataset(cfg: dict) -> LabeledDataset:
+def _load_dataset(
+    cfg: dict,
+) -> tuple[LabeledDataset, dict[tuple[str, str], GroupLabels | BinaryLabels]]:
+    """Read the embeddings and parse the label table exactly once.
+
+    Besides the protected attribute and the split, every label column the
+    config names is decoded here, keyed by (column, kind), so the parsed
+    string table is freed on return.
+    """
     data = _require(cfg, "data")
     embeddings = read_embeddings(_require(data, "embeddings", "data"))
     labels_path = _require(data, "labels", "data")
-    protected = read_labels(labels_path, _require(data, "attribute", "data"), kind="group")
     table = read_label_table(labels_path)
+    protected = decode_labels(table, _require(data, "attribute", "data"), "group", labels_path)
     split_column = data.get("split_column", "split")
     split = np.asarray(table[split_column]) if split_column in table else None
-    return LabeledDataset(embeddings=embeddings, protected=protected, split=split)
+    columns = {key: decode_labels(table, *key, labels_path) for key in _label_columns(cfg)}
+    dataset = LabeledDataset(embeddings=embeddings, protected=protected, split=split)
+    return dataset, columns
 
 
 def _apply_transform(
@@ -149,6 +186,12 @@ def _test_view(dataset: LabeledDataset) -> tuple[np.ndarray, GroupLabels]:
     return idx, dataset.protected.take(idx)
 
 
+def _untagged_record(task_name: str, **fields: Any) -> dict:
+    """Report record for a task outside the audit taxonomy: fits, applies, probes, synth."""
+    base = {"task_name": task_name, "taxonomy": None, "cell": None, "metrics": {}, "performance": {}}
+    return {**base, **fields}
+
+
 def _dataset_block(dataset: LabeledDataset, cfg: dict) -> dict:
     """Provenance echo: attribute name, its category-to-index mapping, sizes."""
     return {
@@ -161,22 +204,21 @@ def _dataset_block(dataset: LabeledDataset, cfg: dict) -> dict:
     }
 
 
-def cmd_classify_audit(cfg: dict, threads: int = 1) -> dict:
+def cmd_classify_audit(cfg: dict) -> dict:
     """Zero-shot classification audit: DDP always, DTPR/accuracy with ground truth."""
-    dataset = _load_dataset(cfg)
+    dataset, columns = _load_dataset(cfg)
     queries = read_embeddings(_require(cfg, "queries"))
-    tasks = _require(cfg, "tasks")
-    if not isinstance(tasks, list) or not tasks:
-        raise ConfigError("tasks must be a non-empty list")
+    tasks = _require_list(cfg, "tasks")
     (items, queries), transform_block = _maybe_transform(cfg, dataset.embeddings, queries)
     test_idx, groups = _test_view(dataset)
     test_items = items.take(test_idx)
-    labels_path = cfg["data"]["labels"]
 
-    def run(task: dict) -> dict:
+    records = []
+    for task in tasks:
         name = str(_require(task, "name", "task"))
-        a = int(_require(task, "class_a", f"task {name!r}"))
-        b = int(_require(task, "class_b", f"task {name!r}"))
+        context = f"task {name!r}"
+        a = _number(int, _require(task, "class_a", context), context)
+        b = _number(int, _require(task, "class_b", context), context)
         if not (0 <= a < queries.rows and 0 <= b < queries.rows):
             raise ConfigError(f"task {name!r}: class row outside the query file")
         tags = TaxonomyTags(
@@ -194,12 +236,10 @@ def cmd_classify_audit(cfg: dict, threads: int = 1) -> dict:
         }
         truth_column = task.get("ground_truth")
         if truth_column:
-            truth = read_labels(labels_path, truth_column, kind="binary").take(test_idx)
+            truth = columns[str(truth_column), "binary"].take(test_idx)
             record["metrics"]["dtpr"] = metric_record(dtpr(predictions, truth, groups))
             record["performance"]["accuracy"] = accuracy(predictions, truth)
-        return record
-
-    records = _map_ordered(run, tasks, threads)
+        records.append(record)
     return build_report(
         "classify-audit",
         cfg,
@@ -235,16 +275,12 @@ def _retrieval_metrics(
     return {"metrics": metrics, "performance": performance}
 
 
-def cmd_retrieve_audit(cfg: dict, threads: int = 1) -> dict:
+def cmd_retrieve_audit(cfg: dict) -> dict:
     """Top-k retrieval audit with per-query equal-means similarity tests."""
-    dataset = _load_dataset(cfg)
+    dataset, columns = _load_dataset(cfg)
     retrieval = _require(cfg, "retrieval")
-    k_list = [int(k) for k in _require(retrieval, "k", "retrieval")]
-    query_specs = _require(retrieval, "queries", "retrieval")
-    if not isinstance(query_specs, list) or not query_specs:
-        raise ConfigError("retrieval.queries must be a non-empty list")
-    if not k_list:
-        raise ConfigError("retrieval.k must be a non-empty list")
+    k_list = [_number(int, k, "retrieval") for k in _require_list(retrieval, "k", "retrieval")]
+    query_specs = _require_list(retrieval, "queries", "retrieval")
     query_matrix = read_embeddings(_require(cfg, "queries"))
     matrices = [dataset.embeddings, query_matrix]
     balanced_cfg = cfg.get("balanced")
@@ -257,11 +293,11 @@ def cmd_retrieve_audit(cfg: dict, threads: int = 1) -> dict:
     test_items = items.take(test_idx)
     n_test = test_items.rows
     p = groups.group_count
-    labels_path = cfg["data"]["labels"]
 
-    def parse_query(spec: dict) -> dict:
+    queries = []
+    for spec in query_specs:
         name = str(_require(spec, "name", "query"))
-        row = int(_require(spec, "row", f"query {name!r}"))
+        row = _number(int, _require(spec, "row", f"query {name!r}"), f"query {name!r}")
         if not 0 <= row < query_matrix.rows:
             raise ConfigError(f"query {name!r}: row outside the query file")
         tags = TaxonomyTags(
@@ -271,65 +307,39 @@ def cmd_retrieve_audit(cfg: dict, threads: int = 1) -> dict:
         )
         relevant = None
         if spec.get("relevant"):
-            relevance = read_labels(labels_path, spec["relevant"], kind="binary").take(test_idx)
+            relevance = columns[str(spec["relevant"]), "binary"].take(test_idx)
             relevant = np.flatnonzero(relevance.labels == 1)
         for k in k_list:
             if not 1 <= k <= n_test:
                 raise InvalidK(f"k={k} outside [1, {n_test}] for query {name!r}")
-        return {"name": name, "row": row, "tags": tags, "relevant": relevant}
+        queries.append((name, row, tags, relevant))
+    query_rows = EmbeddingMatrix(query_matrix.values[[row for _, row, _, _ in queries]])
+    sims = cosine_similarity_matrix(test_items, query_rows)
 
-    parsed = [parse_query(spec) for spec in query_specs]
-    query_set = QuerySet(
-        query_embeddings=EmbeddingMatrix(query_matrix.values[[q["row"] for q in parsed]]),
-        query_names=tuple(q["name"] for q in parsed),
-        taxonomy=tuple(q["tags"] for q in parsed),
-    )
-    sims = cosine_similarity_matrix(test_items, query_set.query_embeddings)
-
-    def run(position_query: tuple[int, dict]) -> tuple[list[dict], list[dict], dict]:
-        position, query = position_query
+    records, balanced_records, similarity_tests = [], [], {}
+    for position, (name, _, tags, relevant) in enumerate(queries):
         row_sims = sims[position][None, :]
-        tags = query["tags"]
-        records, balanced_records = [], []
         for k in k_list:
+            head = {
+                "task_name": f"{name} @ k={k}",
+                "taxonomy": taxonomy_record(tags),
+                "cell": cell_key(tags),
+            }
             result = top_k(row_sims, k)[0]
-            block = _retrieval_metrics(result.ranked_indices, groups, tags, query["relevant"], k)
-            records.append(
-                {
-                    "task_name": f"{query['name']} @ k={k}",
-                    "taxonomy": taxonomy_record(tags),
-                    "cell": cell_key(tags),
-                    **block,
-                }
-            )
+            block = _retrieval_metrics(result.ranked_indices, groups, tags, relevant, k)
+            records.append({**head, **block})
             if balanced_matrix is not None:
                 # p group-specific rows per query, in the order queries are listed
                 group_rows = balanced_matrix.values[position * p : (position + 1) * p]
                 if group_rows.shape[0] != p:
                     raise ConfigError(
-                        f"balanced embeddings need {p} rows per query, query {query['name']!r} overruns"
+                        f"balanced embeddings need {p} rows per query, query {name!r} overruns"
                     )
                 balanced = balanced_retrieval(test_items, EmbeddingMatrix(group_rows), k)
-                bal_block = _retrieval_metrics(
-                    balanced.ranked_indices, groups, tags, query["relevant"], k
-                )
-                balanced_records.append(
-                    {
-                        "task_name": f"{query['name']} @ k={k}",
-                        "taxonomy": taxonomy_record(tags),
-                        "cell": cell_key(tags),
-                        **bal_block,
-                    }
-                )
+                block = _retrieval_metrics(balanced.ranked_indices, groups, tags, relevant, k)
+                balanced_records.append({**head, **block})
         comparison = per_query_similarity_tests(row_sims, groups)[0]
-        return records, balanced_records, {query["name"]: comparison_record(comparison)}
-
-    outputs = _map_ordered(run, list(enumerate(parsed)), threads)
-    records = [rec for out in outputs for rec in out[0]]
-    balanced_records = [rec for out in outputs for rec in out[1]]
-    similarity_tests = {}
-    for out in outputs:
-        similarity_tests.update(out[2])
+        similarity_tests[name] = comparison_record(comparison)
     blocks = []
     if transform_block:
         blocks.append(transform_block)
@@ -347,9 +357,9 @@ def cmd_retrieve_audit(cfg: dict, threads: int = 1) -> dict:
     return build_report("retrieve-audit", cfg, records, blocks, extra)
 
 
-def cmd_debias_fit(cfg: dict, threads: int = 1) -> dict:
+def cmd_debias_fit(cfg: dict) -> dict:
     """Fit a debiasing transform on the train split and serialize it."""
-    dataset = _load_dataset(cfg)
+    dataset, _ = _load_dataset(cfg)
     method = _require(cfg, "method")
     if method not in ("miclip", "fairpca"):
         raise ConfigError(f"method must be 'miclip' or 'fairpca', got {method!r}")
@@ -380,8 +390,8 @@ def cmd_debias_fit(cfg: dict, threads: int = 1) -> dict:
     details: dict[str, Any] = {"train_items": int(train_idx.size)}
     if method == "miclip":
         params = cfg.get("miclip", {})
-        m = int(_require(params, "m", "miclip"))
-        bins = int(params.get("bins", 32))
+        m = _number(int, _require(params, "m", "miclip"), "miclip")
+        bins = _number(int, params.get("bins", 32), "miclip")
         transform = fit_mi_clip(fit_dataset, m=m, bins=bins)
         details.update(
             retained_dims=transform.output_dims,
@@ -389,78 +399,57 @@ def cmd_debias_fit(cfg: dict, threads: int = 1) -> dict:
         )
         metadata.update(m=m, bins=bins)
     else:
-        params = cfg.get("fairpca", {})
-        target_dim = params.get("target_dim")
-        transform = fit_fair_pca(fit_dataset, None if target_dim is None else int(target_dim))
-        centered = train_items.values - transform.mean
-        onehot = np.zeros((train_items.rows, protected.group_count))
-        onehot[np.arange(train_items.rows), protected.labels] = 1.0
-        demeaned = onehot - onehot.mean(axis=0)
-        residual = float(np.max(np.abs(demeaned.T @ centered @ transform.projection)))
-        gram = transform.projection.T @ transform.projection
-        ortho = float(np.max(np.abs(gram - np.eye(transform.target_dim))))
+        target_dim = cfg.get("fairpca", {}).get("target_dim")
+        if target_dim is not None:
+            target_dim = _number(int, target_dim, "fairpca")
+        transform = fit_fair_pca(fit_dataset, target_dim)
         details.update(
             target_dim=transform.target_dim,
-            constraint_residual=residual,
-            orthonormality_residual=ortho,
+            constraint_residual=transform.constraint_residual,
+            orthonormality_residual=transform.orthonormality_residual,
         )
         metadata.update(target_dim=transform.target_dim)
     write_transform(transform, out_path, metadata)
-    record = {
-        "task_name": f"debias-fit:{method}",
-        "taxonomy": None,
-        "cell": None,
-        "metrics": {},
-        "performance": {},
-        "details": sanitize(details),
-    }
+    record = _untagged_record(f"debias-fit:{method}", details=sanitize(details))
     block = {"path": str(out_path), "kind": type(transform).__name__, "metadata": metadata}
     return build_report(
         "debias-fit", cfg, [record], [block], extra={"dataset": _dataset_block(dataset, cfg)}
     )
 
 
-def cmd_apply(cfg: dict, threads: int = 1) -> dict:
+def cmd_apply(cfg: dict) -> dict:
     """Apply a serialized transform to an embeddings file."""
     source = read_embeddings(_require(cfg, "input"))
     transform, meta = read_transform(_require(cfg, "transform"))
     out_path = _require(cfg, "output")
     transformed = _apply_transform(transform, source)
     write_embeddings(transformed, out_path)
-    record = {
-        "task_name": "apply",
-        "taxonomy": None,
-        "cell": None,
-        "metrics": {},
-        "performance": {},
-        "details": {
-            "input_shape": [source.rows, source.dims],
-            "output_shape": [transformed.rows, transformed.dims],
-        },
+    shapes = {
+        "input_shape": [source.rows, source.dims],
+        "output_shape": [transformed.rows, transformed.dims],
     }
+    record = _untagged_record("apply", details=shapes)
     block = {"path": cfg["transform"], "kind": type(transform).__name__, "metadata": meta}
     return build_report("apply", cfg, [record], [block])
 
 
-def cmd_probe(cfg: dict, threads: int = 1) -> dict:
+def cmd_probe(cfg: dict) -> dict:
     """Linear-probe audit: per-attribute accuracy, before and after a transform."""
-    dataset = _load_dataset(cfg)
+    dataset, columns = _load_dataset(cfg)
     probe_cfg = _require(cfg, "probe")
-    attributes = _require(probe_cfg, "attributes", "probe")
-    if not isinstance(attributes, list) or not attributes:
-        raise ConfigError("probe.attributes must be a non-empty list")
-    l2 = float(probe_cfg.get("l2", DEFAULT_L2))
-    max_iter = int(probe_cfg.get("max_iter", DEFAULT_MAX_ITER))
-    tol = float(probe_cfg.get("tol", DEFAULT_TOL))
+    attributes = _require_list(probe_cfg, "attributes", "probe")
+    l2 = _number(float, probe_cfg.get("l2", DEFAULT_L2), "probe")
+    max_iter = _number(int, probe_cfg.get("max_iter", DEFAULT_MAX_ITER), "probe")
+    tol = _number(float, probe_cfg.get("tol", DEFAULT_TOL), "probe")
     (items,), transform_block = _maybe_transform(cfg, dataset.embeddings)
     train_idx = np.flatnonzero(dataset.train_mask)
     test_idx = np.flatnonzero(dataset.test_mask)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError("probe audit needs non-empty train and test splits")
-    labels_path = cfg["data"]["labels"]
 
-    def run(attribute: str) -> dict:
-        labels = read_labels(labels_path, attribute, kind="group")
+    records = []
+    for attribute in (str(a) for a in attributes):
+        labels = columns[attribute, "group"]
         train_labels, test_labels = labels.take(train_idx), labels.take(test_idx)
         counts = test_labels.counts()
         majority = float(counts.max() / counts.sum())
@@ -468,27 +457,22 @@ def cmd_probe(cfg: dict, threads: int = 1) -> dict:
             dataset.embeddings.take(train_idx), train_labels, l2=l2, max_iter=max_iter, tol=tol
         )
         raw_acc = evaluate_probe(raw_model, dataset.embeddings.take(test_idx), test_labels)
-        record = {
-            "task_name": f"probe:{attribute}",
-            "taxonomy": None,
-            "cell": None,
-            "metrics": {},
-            "performance": {
-                "majority_rate": majority,
-                "accuracy_raw": raw_acc,
-                "training_loss_raw": raw_model.training_loss,
-            },
-            "probe_config": {"l2": l2, "max_iter": max_iter, "tol": tol},
+        performance = {
+            "majority_rate": majority,
+            "accuracy_raw": raw_acc,
+            "training_loss_raw": raw_model.training_loss,
         }
+        probe_config = {"l2": l2, "max_iter": max_iter, "tol": tol}
+        record = _untagged_record(
+            f"probe:{attribute}", performance=performance, probe_config=probe_config
+        )
         if transform_block is not None:
             model = fit_probe(items.take(train_idx), train_labels, l2=l2, max_iter=max_iter, tol=tol)
             record["performance"]["accuracy_transformed"] = evaluate_probe(
                 model, items.take(test_idx), test_labels
             )
             record["performance"]["training_loss_transformed"] = model.training_loss
-        return record
-
-    records = _map_ordered(run, [str(a) for a in attributes], threads)
+        records.append(record)
     return build_report(
         "probe",
         cfg,
@@ -498,7 +482,7 @@ def cmd_probe(cfg: dict, threads: int = 1) -> dict:
     )
 
 
-def cmd_synth(cfg: dict, threads: int = 1, seed_override: int | None = None) -> dict:
+def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
     """Generate a synthetic dataset and write its embedding and label files."""
     params = dict(_require(cfg, "synth"))
     if seed_override is not None:
@@ -529,19 +513,13 @@ def cmd_synth(cfg: dict, threads: int = 1, seed_override: int | None = None) -> 
             "split": [str(s) for s in dataset.split],
         },
     )
-    record = {
-        "task_name": "synth",
-        "taxonomy": None,
-        "cell": None,
-        "metrics": {},
-        "performance": {},
-        "details": {
-            "spec": spec.to_dict(),
-            "train_items": int(dataset.train_mask.sum()),
-            "test_items": int(dataset.test_mask.sum()),
-            "files": {"embeddings": str(embeddings_path), "labels": str(labels_path)},
-        },
+    details = {
+        "spec": spec.to_dict(),
+        "train_items": int(dataset.train_mask.sum()),
+        "test_items": int(dataset.test_mask.sum()),
+        "files": {"embeddings": str(embeddings_path), "labels": str(labels_path)},
     }
+    record = _untagged_record("synth", details=details)
     return build_report("synth", cfg, [record])
 
 
@@ -566,8 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="declarative JSON config file")
         cmd.add_argument("--out", default=None, help="report destination (JSON)")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads for task loops")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name == "synth":
+            cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -576,23 +554,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.command == "synth":
-            report = cmd_synth(cfg, threads=args.threads, seed_override=args.seed)
+            report = cmd_synth(cfg, seed_override=args.seed)
         else:
-            report = COMMANDS[args.command](cfg, threads=args.threads)
+            report = COMMANDS[args.command](cfg)
         if args.out:
             write_report(report, args.out)
         else:
-            sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            sys.stdout.write(render_json(report).decode("utf-8"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except (DataError, FlensError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FlensError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     return 0

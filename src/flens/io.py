@@ -161,13 +161,19 @@ def read_label_table(path: str | Path) -> dict[str, list[str]]:
 def read_labels(
     path: str | Path, attribute: str, kind: str = "group"
 ) -> GroupLabels | BinaryLabels:
-    """Read one attribute column as group labels or binary task labels.
+    """Read one attribute column as group labels or binary task labels."""
+    return decode_labels(read_label_table(path), attribute, kind, path)
+
+
+def decode_labels(
+    columns: dict[str, list[str]], attribute: str, kind: str, path: str | Path
+) -> GroupLabels | BinaryLabels:
+    """Decode one column of a parsed label table; path only names it in errors.
 
     Group categories map to dense indices in first-appearance order and the
     category names ride along on the result. Binary columns accept 0/1 or
     -1/+1 and normalize to -1/+1.
     """
-    columns = read_label_table(path)
     if attribute not in columns:
         raise SchemaError(f"{path}: no column named {attribute!r}")
     raw = columns[attribute]
@@ -259,7 +265,11 @@ def deserialize_transform(
         meta = json.loads(data[offset : offset + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError("transform metadata is not valid JSON") from exc
+    if not isinstance(meta, dict):
+        raise FormatError("transform metadata must be a JSON object")
     body = data[offset + meta_len : -4]
+    if len(body) < 8:
+        raise TruncationError(f"transform payload has {len(body)} bytes, short of its header")
     if kind == _KIND_MICLIP:
         d, m = struct.unpack_from("<II", body)
         expected = 8 + d + d * 8

@@ -8,7 +8,6 @@ compare exactly equal in floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -202,7 +201,3 @@ def recall_at_k(
             hits += 1
     return hits / len(per_query_ranked)
 
-
-def skew_is_infinite(result: MetricResult) -> bool:
-    """True when the skew sentinel fired (a group was entirely absent)."""
-    return math.isinf(result.value)

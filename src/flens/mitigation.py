@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class FairPcaTransform:
     mean: np.ndarray
     projection: np.ndarray
     target_dim: int
+    # Max-abs train covariance with the demeaned group indicators, set by fit_fair_pca.
+    constraint_residual: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -89,17 +91,22 @@ class FairPcaTransform:
             raise ShapeError("mean must be length d and projection d x r")
         if proj.shape[1] != self.target_dim:
             raise ShapeError("projection column count must equal target_dim")
-        gram = proj.T @ proj
-        if np.max(np.abs(gram - np.eye(self.target_dim))) > ORTHONORMALITY_TOL:
-            raise ValidationError("projection columns are not orthonormal")
         mean.setflags(write=False)
         proj.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "projection", proj)
+        if self.orthonormality_residual > ORTHONORMALITY_TOL:
+            raise ValidationError("projection columns are not orthonormal")
 
     @property
     def input_dims(self) -> int:
         return int(self.mean.size)
+
+    @property
+    def orthonormality_residual(self) -> float:
+        """Max-abs deviation of the projection's Gram matrix from the identity."""
+        gram = self.projection.T @ self.projection
+        return float(np.max(np.abs(gram - np.eye(self.target_dim))))
 
 
 def _equal_frequency_bins(column: np.ndarray, bins: int) -> np.ndarray:
@@ -247,9 +254,10 @@ def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPc
     flips[flips == 0] = 1.0
     projection = basis @ (components * flips)
     transform = FairPcaTransform(mean=mean, projection=projection, target_dim=r)
-    residual = np.max(np.abs(constraints @ projection)) if constraints.size else 0.0
+    residual = float(np.max(np.abs(constraints @ projection))) if constraints.size else 0.0
     if residual > CONSTRAINT_TOL * max(1.0, float(np.abs(constraints).max(initial=0.0))):
         raise NumericError(f"fair PCA constraint residual {residual:.3e} too large")
+    object.__setattr__(transform, "constraint_residual", residual)
     return transform
 
 

@@ -38,25 +38,6 @@ class TaxonomyTags:
 
 
 @dataclass(frozen=True, eq=False)
-class QuerySet:
-    """Query embeddings plus display names and taxonomy tags."""
-
-    query_embeddings: EmbeddingMatrix
-    query_names: tuple[str, ...]
-    taxonomy: tuple[TaxonomyTags, ...]
-
-    def __post_init__(self) -> None:
-        q = self.query_embeddings.rows
-        if len(self.query_names) != q or len(self.taxonomy) != q:
-            raise ShapeError("names and taxonomy tags must match the query count")
-        object.__setattr__(self, "query_names", tuple(self.query_names))
-        object.__setattr__(self, "taxonomy", tuple(self.taxonomy))
-
-    def __len__(self) -> int:
-        return self.query_embeddings.rows
-
-
-@dataclass(frozen=True, eq=False)
 class RetrievalResult:
     """Ranked item indices for one query with aligned similarities.
 

@@ -275,7 +275,7 @@ class TestClassifyAudit:
         cfg = self._config(workspace, tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["classify-audit", "--config", cfg, "--out", a]) == 0
-        assert run(["classify-audit", "--config", cfg, "--out", b, "--threads", 4]) == 0
+        assert run(["classify-audit", "--config", cfg, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_embeddings_file_is_data_error(self, workspace, tmp_path):
@@ -345,7 +345,7 @@ class TestRetrieveAudit:
         cfg = self._config(workspace, tmp_path)
         a, b = tmp_path / "ra.json", tmp_path / "rb.json"
         assert run(["retrieve-audit", "--config", cfg, "--out", a]) == 0
-        assert run(["retrieve-audit", "--config", cfg, "--out", b, "--threads", 3]) == 0
+        assert run(["retrieve-audit", "--config", cfg, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -456,3 +456,102 @@ class TestApplyAndProbe:
             {"data": workspace["data"], "probe": {"attributes": []}},
         )
         assert run(["probe", "--config", cfg]) == 2
+
+
+class TestConfigShapes:
+    @pytest.mark.parametrize(
+        "command, patch",
+        [
+            ("classify-audit", {"tasks": [1]}),
+            ("retrieve-audit", {"retrieval": {"k": [10], "queries": [1]}}),
+            ("retrieve-audit", {"retrieval": {"k": ["x"], "queries": [{"name": "q", "row": 0}]}}),
+            ("debias-fit", {"method": "miclip", "miclip": {"m": "x"}}),
+        ],
+        ids=["task-not-object", "query-not-object", "k-not-number", "m-not-number"],
+    )
+    def test_wrong_shape_is_config_error(self, workspace, tmp_path, command, patch):
+        payload = {
+            "data": workspace["data"],
+            "queries": str(workspace["queries"]),
+            "transform_out": str(tmp_path / "t.ftfm"),
+            **patch,
+        }
+        cfg = write_config(tmp_path / "shape.json", payload)
+        assert run([command, "--config", cfg]) == 2
+
+    def test_threads_flag_is_gone(self, workspace, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"data": workspace["data"]})
+        with pytest.raises(SystemExit) as exc:
+            run(["classify-audit", "--config", cfg, "--threads", 2])
+        assert exc.value.code == 2
+
+
+def test_stdout_report_matches_out_file(workspace, tmp_path, capsysbinary):
+    cfg = write_config(
+        tmp_path / "clf.json",
+        {
+            "data": workspace["data"],
+            "queries": str(workspace["queries"]),
+            "tasks": [{"name": "t", "class_a": 2, "class_b": 3, "ground_truth": "concept"}],
+        },
+    )
+    out = tmp_path / "report.json"
+    assert run(["classify-audit", "--config", cfg, "--out", out]) == 0
+    capsysbinary.readouterr()
+    assert run(["classify-audit", "--config", cfg]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+class TestOneLabelParse:
+    """Each command parses the label CSV once, however many columns its config names."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        import flens.cli
+        import flens.io
+
+        calls = []
+        parse = flens.io.read_label_table
+
+        def counting(path):
+            calls.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(flens.cli, "read_label_table", counting)
+        monkeypatch.setattr(flens.io, "read_label_table", counting)
+        return calls
+
+    def _run(self, workspace, tmp_path, command, payload):
+        cfg = write_config(tmp_path / f"{command}.json", {"data": workspace["data"], **payload})
+        assert run([command, "--config", cfg, "--out", tmp_path / f"{command}.out"]) == 0
+
+    def test_classify_with_ground_truth_tasks(self, workspace, tmp_path, parses):
+        tasks = [
+            {"name": f"t{i}", "class_a": 2, "class_b": 3, "ground_truth": "concept"}
+            for i in range(3)
+        ]
+        payload = {"queries": str(workspace["queries"]), "tasks": tasks}
+        self._run(workspace, tmp_path, "classify-audit", payload)
+        assert len(parses) == 1
+
+    def test_retrieve_with_relevance(self, workspace, tmp_path, parses):
+        queries = [
+            {"name": f"q{i}", "row": i, "fairness_mode": "diversity", "relevant": "concept"}
+            for i in range(2)
+        ]
+        payload = {
+            "queries": str(workspace["queries"]),
+            "retrieval": {"k": [10], "queries": queries},
+        }
+        self._run(workspace, tmp_path, "retrieve-audit", payload)
+        assert len(parses) == 1
+
+    def test_probe_with_two_attributes(self, workspace, tmp_path, parses):
+        payload = {"probe": {"attributes": ["group", "concept"], "max_iter": 20}}
+        self._run(workspace, tmp_path, "probe", payload)
+        assert len(parses) == 1
+
+    def test_debias_fit(self, workspace, tmp_path, parses):
+        payload = {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")}
+        self._run(workspace, tmp_path, "debias-fit", payload)
+        assert len(parses) == 1

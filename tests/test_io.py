@@ -1,6 +1,8 @@
 """File format tests: round trips, corruption handling, schema validation."""
 
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -214,6 +216,22 @@ class TestTransformContainers:
         data[-4:] = struct.pack("<I", crc)
         with pytest.raises(VersionError):
             deserialize_transform(bytes(data))
+
+    @staticmethod
+    def _container(meta: bytes, body: bytes) -> bytes:
+        """An mi-clip container with a valid checksum around the given metadata and body."""
+        blob = b"FLENSTFM" + struct.pack("<HBI", 1, 1, len(meta)) + meta + body
+        return blob + struct.pack("<I", zlib.crc32(blob[8:]))
+
+    def test_body_shorter_than_dims_header(self):
+        with pytest.raises(TruncationError):
+            deserialize_transform(self._container(b"{}", b"\x04\x00\x00"))
+
+    def test_metadata_must_be_object(self):
+        body = serialize_transform(self._miclip())[len(b"FLENSTFM") + 7 + len(b"{}") : -4]
+        assert deserialize_transform(self._container(b"{}", body))[1] == {}
+        with pytest.raises(FormatError):
+            deserialize_transform(self._container(b"[1]", body))
 
 
 class TestReports:

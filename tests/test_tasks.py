@@ -12,7 +12,6 @@ from flens.errors import (
     ValidationError,
 )
 from flens.tasks import (
-    QuerySet,
     RetrievalResult,
     TaxonomyTags,
     balanced_retrieval,
@@ -230,14 +229,6 @@ class TestTypes:
     def test_taxonomy_rejects_unknown_mode(self):
         with pytest.raises(ValidationError):
             TaxonomyTags(human_centric=True, subjective=False, fairness_mode="other")
-
-    def test_query_set_alignment(self):
-        tags = TaxonomyTags(human_centric=True, subjective=True)
-        matrix = EmbeddingMatrix(np.eye(2))
-        qs = QuerySet(matrix, ("a", "b"), (tags, tags))
-        assert len(qs) == 2
-        with pytest.raises(ShapeError):
-            QuerySet(matrix, ("only",), (tags, tags))
 
     def test_retrieval_result_rejects_duplicates(self):
         with pytest.raises(ValidationError):
