@@ -82,10 +82,14 @@ GROUND_TRUTH = "groundTruth"
 INFERRED = "inferred"
 
 
-def _require(cfg: Any, key: str, context: str = "config") -> Any:
-    if not isinstance(cfg, dict):
+def _object(value: Any, context: str) -> dict:
+    if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    if key not in cfg:
+    return value
+
+
+def _require(cfg: Any, key: str, context: str = "config") -> Any:
+    if key not in _object(cfg, context):
         raise ConfigError(f"{context}: missing required key {key!r}")
     return cfg[key]
 
@@ -313,30 +317,40 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
             if not 1 <= k <= n_test:
                 raise InvalidK(f"k={k} outside [1, {n_test}] for query {name!r}")
         queries.append((name, row, tags, relevant))
+    if balanced_matrix is not None:
+        for k in k_list:
+            if k < p:
+                raise InvalidK(f"k={k} must be at least the group-query count {p}")
+    max_k = max(k_list)
     query_rows = EmbeddingMatrix(query_matrix.values[[row for _, row, _, _ in queries]])
     sims = cosine_similarity_matrix(test_items, query_rows)
 
     records, balanced_records, similarity_tests = [], [], {}
     for position, (name, _, tags, relevant) in enumerate(queries):
         row_sims = sims[position][None, :]
+        # Both rankings are made once at max(k); each smaller k reads a prefix.
+        ranked = top_k(row_sims, max_k)[0].ranked_indices
+        balanced_ranked = None
+        if balanced_matrix is not None:
+            # p group-specific rows per query, in the order queries are listed
+            group_rows = balanced_matrix.values[position * p : (position + 1) * p]
+            if group_rows.shape[0] != p:
+                raise ConfigError(
+                    f"balanced embeddings need {p} rows per query, query {name!r} overruns"
+                )
+            balanced_ranked = balanced_retrieval(
+                test_items, EmbeddingMatrix(group_rows), max_k
+            ).ranked_indices
         for k in k_list:
             head = {
                 "task_name": f"{name} @ k={k}",
                 "taxonomy": taxonomy_record(tags),
                 "cell": cell_key(tags),
             }
-            result = top_k(row_sims, k)[0]
-            block = _retrieval_metrics(result.ranked_indices, groups, tags, relevant, k)
+            block = _retrieval_metrics(ranked[:k], groups, tags, relevant, k)
             records.append({**head, **block})
-            if balanced_matrix is not None:
-                # p group-specific rows per query, in the order queries are listed
-                group_rows = balanced_matrix.values[position * p : (position + 1) * p]
-                if group_rows.shape[0] != p:
-                    raise ConfigError(
-                        f"balanced embeddings need {p} rows per query, query {name!r} overruns"
-                    )
-                balanced = balanced_retrieval(test_items, EmbeddingMatrix(group_rows), k)
-                block = _retrieval_metrics(balanced.ranked_indices, groups, tags, relevant, k)
+            if balanced_ranked is not None:
+                block = _retrieval_metrics(balanced_ranked[:k], groups, tags, relevant, k)
                 balanced_records.append({**head, **block})
         comparison = per_query_similarity_tests(row_sims, groups)[0]
         similarity_tests[name] = comparison_record(comparison)
@@ -399,7 +413,7 @@ def cmd_debias_fit(cfg: dict) -> dict:
         )
         metadata.update(m=m, bins=bins)
     else:
-        target_dim = cfg.get("fairpca", {}).get("target_dim")
+        target_dim = _object(cfg.get("fairpca", {}), "fairpca").get("target_dim")
         if target_dim is not None:
             target_dim = _number(int, target_dim, "fairpca")
         transform = fit_fair_pca(fit_dataset, target_dim)
@@ -484,7 +498,7 @@ def cmd_probe(cfg: dict) -> dict:
 
 def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
     """Generate a synthetic dataset and write its embedding and label files."""
-    params = dict(_require(cfg, "synth"))
+    params = dict(_object(_require(cfg, "synth"), "synth"))
     if seed_override is not None:
         params["seed"] = seed_override
     try:

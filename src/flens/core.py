@@ -7,11 +7,13 @@ marked read-only), so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    DegenerateVector,
     EmptyGroup,
     InvalidSelection,
     ShapeError,
@@ -54,6 +56,19 @@ class EmbeddingMatrix:
 
     def row(self, i: int) -> np.ndarray:
         return self.values[i]
+
+    @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """Rows scaled to unit L2 norm, computed on first use and read-only.
+
+        Raises DegenerateVector naming the first zero-norm row; nothing is
+        cached then, so every later use raises again.
+        """
+        norms = np.linalg.norm(self.values, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DegenerateVector(f"row {int(zero[0])} has zero norm")
+        return _freeze(self.values / norms[:, None])
 
     def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
         """New matrix with the given rows, in the given order."""

@@ -227,7 +227,7 @@ def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPc
             stacklevel=2,
         )
     mean = x.mean(axis=0)
-    centered = x - mean
+    centered = np.subtract(x, mean, out=x)  # x is a copy (fancy indexing)
     demeaned = _demeaned_onehot(groups)
     constraints = demeaned.T @ centered
     _, sing, vt = np.linalg.svd(constraints, full_matrices=True)
@@ -244,8 +244,12 @@ def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPc
         log.info("constraint matrix rank %d < p-1 = %d; dropping dependent constraints", rank, p - 1)
     basis = vt[rank:].T
     projected = centered @ basis
-    # full_matrices so low-variance directions pad the basis when n-1 < r
-    _, _, pc_vt = np.linalg.svd(projected, full_matrices=True)
+    del x, centered  # free the n x d data before the SVD allocates its n x d' copies
+    # Thin SVD: U is n x min(n, d'). Only with fewer rows than columns are full
+    # matrices needed, so that null-space directions pad the basis when n-1 < r;
+    # U is then n x n with n < d', which is small.
+    rows, cols = projected.shape
+    _, _, pc_vt = np.linalg.svd(projected, full_matrices=rows < cols)
     if pc_vt.shape[0] < r:
         raise RankError(f"only {pc_vt.shape[0]} feasible directions for target_dim={r}")
     components = pc_vt[:r].T

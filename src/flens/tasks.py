@@ -67,11 +67,10 @@ class RetrievalResult:
 
 
 def _unit_rows(matrix: EmbeddingMatrix, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix.values, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateVector(f"{what} row {bad} has zero norm")
-    return matrix.values / norms[:, None]
+    try:
+        return matrix.unit_rows
+    except DegenerateVector as exc:
+        raise DegenerateVector(f"{what} {exc}") from None
 
 
 def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -> np.ndarray:
@@ -101,7 +100,10 @@ def zero_shot_classify(
 
 
 def top_k(similarities: np.ndarray, k: int) -> list[RetrievalResult]:
-    """Per query, the k items of largest similarity; ties by ascending item index."""
+    """Per query, the k items of largest similarity; ties by ascending item index.
+
+    The order is one stable sort, so the result for any k' <= k is a prefix.
+    """
     sims = np.asarray(similarities, dtype=np.float64)
     if sims.ndim != 2:
         raise ShapeError(f"similarity matrix must be 2-d, got shape {sims.shape}")
@@ -127,7 +129,8 @@ def balanced_retrieval(
     extra. An item already claimed by an earlier pick is skipped in favor of
     that group's next-best candidate. Picks are made and returned in
     round-robin order by rank, so each group's best item precedes any
-    group's second-best.
+    group's second-best. Quotas fill whole rounds first, so the picks for
+    any k' in [p, k] are the first k' picks for k.
     """
     p = group_queries.rows
     if k < p:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests over temp files: pipelines, determinism, exit codes."""
 
+import functools
 import json
 
 import numpy as np
@@ -348,6 +349,27 @@ class TestRetrieveAudit:
         assert run(["retrieve-audit", "--config", cfg, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def _records(self, workspace, tmp_path, k):
+        out = tmp_path / "multi.json"
+        cfg = self._config(workspace, tmp_path, k)
+        assert run(["retrieve-audit", "--config", cfg, "--out", out]) == 0
+        report = read_report(out)
+        balanced = next(b for b in report["transforms"] if b.get("name") == "balanced-queries")
+        return report["tasks"], balanced["records"]
+
+    def test_k_list_matches_single_k_runs(self, workspace, tmp_path):
+        k_list = (150, 2, 17)
+        tasks, balanced = self._records(workspace, tmp_path, k_list)
+        for k in k_list:
+            single_tasks, single_balanced = self._records(workspace, tmp_path, (k,))
+            assert [t for t in tasks if t["task_name"].endswith(f" @ k={k}")] == single_tasks
+            assert [r for r in balanced if r["task_name"].endswith(f" @ k={k}")] == single_balanced
+
+    def test_k_below_group_count_in_k_list(self, workspace, tmp_path, capsys):
+        cfg = self._config(workspace, tmp_path, k=(10, 1, 20))
+        assert run(["retrieve-audit", "--config", cfg]) == 2
+        assert "k=1 must be at least the group-query count 2" in capsys.readouterr().err
+
 
 class TestQualitativeTrends:
     def test_null_configuration_median_ddp_small(self, tmp_path):
@@ -466,8 +488,17 @@ class TestConfigShapes:
             ("retrieve-audit", {"retrieval": {"k": [10], "queries": [1]}}),
             ("retrieve-audit", {"retrieval": {"k": ["x"], "queries": [{"name": "q", "row": 0}]}}),
             ("debias-fit", {"method": "miclip", "miclip": {"m": "x"}}),
+            ("debias-fit", {"method": "fairpca", "fairpca": [1]}),
+            ("synth", {"synth": 5}),
         ],
-        ids=["task-not-object", "query-not-object", "k-not-number", "m-not-number"],
+        ids=[
+            "task-not-object",
+            "query-not-object",
+            "k-not-number",
+            "m-not-number",
+            "fairpca-not-object",
+            "synth-not-object",
+        ],
     )
     def test_wrong_shape_is_config_error(self, workspace, tmp_path, command, patch):
         payload = {
@@ -555,3 +586,53 @@ class TestOneLabelParse:
         payload = {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")}
         self._run(workspace, tmp_path, "debias-fit", payload)
         assert len(parses) == 1
+
+
+class TestOnePassAudit:
+    """An audit normalises its test items once and ranks each query once, at max(k)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import flens.cli
+
+        calls = {"unit_rows": [], "top_k": 0, "balanced_retrieval": 0}
+        unit_rows = EmbeddingMatrix.unit_rows.func
+
+        def counting_unit_rows(matrix):
+            calls["unit_rows"].append(matrix.rows)
+            return unit_rows(matrix)
+
+        prop = functools.cached_property(counting_unit_rows)
+        prop.__set_name__(EmbeddingMatrix, "unit_rows")
+        monkeypatch.setattr(EmbeddingMatrix, "unit_rows", prop)
+        for name in ("top_k", "balanced_retrieval"):
+
+            def counting(*args, _name=name, _original=getattr(flens.cli, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(flens.cli, name, counting)
+        return calls
+
+    def _run(self, workspace, tmp_path, command, payload):
+        cfg = write_config(tmp_path / f"{command}.json", {"data": workspace["data"], **payload})
+        out = tmp_path / f"{command}.out"
+        assert run([command, "--config", cfg, "--out", out]) == 0
+        return read_report(out)["dataset"]["test_items"]
+
+    def test_classify_with_several_tasks(self, workspace, tmp_path, calls):
+        tasks = [{"name": f"t{i}", "class_a": i % 2, "class_b": 2 + i % 2} for i in range(4)]
+        payload = {"queries": str(workspace["queries"]), "tasks": tasks}
+        n_test = self._run(workspace, tmp_path, "classify-audit", payload)
+        assert calls["unit_rows"].count(n_test) == 1
+
+    def test_retrieve_with_balanced_and_three_k(self, workspace, tmp_path, calls):
+        queries = [{"name": f"q{i}", "row": i} for i in range(2)]
+        payload = {
+            "queries": str(workspace["queries"]),
+            "retrieval": {"k": [10, 40, 20], "queries": queries},
+            "balanced": {"embeddings": str(workspace["balanced"])},
+        }
+        n_test = self._run(workspace, tmp_path, "retrieve-audit", payload)
+        assert calls["unit_rows"].count(n_test) == 1
+        assert calls["top_k"] == calls["balanced_retrieval"] == len(queries)

@@ -1,6 +1,7 @@
 """Mitigation transform tests: MI clipping and fair PCA."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,33 @@ class TestFairPca:
         ds = all_train_dataset(values, labels, 2)
         with pytest.warns(UserWarning):
             fit_fair_pca(ds, target_dim=2)
+
+    def test_fewer_rows_than_dims_pads_the_basis(self):
+        # n - 1 < r: PCA inside the feasible subspace yields only n - 1
+        # variance directions; the rest of the basis comes from its null space.
+        rng = np.random.default_rng(23)
+        values = rng.normal(size=(10, 30))
+        ds = all_train_dataset(values, np.tile([0, 1], 5), 2)
+        with pytest.warns(UserWarning):
+            transform = fit_fair_pca(ds, target_dim=20)
+        projection = transform.projection
+        assert projection.shape == (30, 20)
+        np.testing.assert_allclose(projection.T @ projection, np.eye(20), atol=1e-10)
+        assert transform.constraint_residual < 1e-8
+
+    def test_large_n_fit_memory_is_linear_in_n(self):
+        # A full-matrices SVD would build an n x n U here: 20 GB at n = 50 000.
+        rng = np.random.default_rng(24)
+        n, d = 50_000, 64
+        ds = all_train_dataset(rng.normal(size=(n, d)), np.arange(n) % 3, 3)
+        tracemalloc.start()
+        try:
+            transform = fit_fair_pca(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert transform.target_dim == d - 2
+        assert peak < 256 * 2**20
 
     def test_apply_dimension_mismatch(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=21))

@@ -41,8 +41,12 @@ class TestCosineSimilarity:
         )
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateVector):
+        with pytest.raises(DegenerateVector, match="^item row 0 has zero norm$"):
             cosine_similarity_matrix(EmbeddingMatrix([[0.0, 0.0]]), EmbeddingMatrix([[1.0, 0.0]]))
+        with pytest.raises(DegenerateVector, match="^query row 1 has zero norm$"):
+            cosine_similarity_matrix(
+                EmbeddingMatrix([[1.0, 0.0]]), EmbeddingMatrix([[1.0, 0.0], [0.0, 0.0]])
+            )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -197,6 +201,22 @@ class TestBalancedRetrieval:
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InsufficientItems):
             balanced_retrieval(self._clustered(), queries, 11)
+
+    def test_smaller_k_is_prefix(self):
+        # Three-level items give exact cosine ties; near-identical group
+        # queries contest the same top items, so claimed items get skipped.
+        rng = np.random.default_rng(13)
+        levels = rng.integers(-1, 2, size=(60, 6)).astype(float)
+        items = EmbeddingMatrix(levels + [[5, 0, 0, 0, 0, 0]])
+        queries = EmbeddingMatrix(np.eye(6)[:3] + [[4, 0, 0, 0, 0, 0]])
+        p, big = queries.rows, 40
+        sims = cosine_similarity_matrix(items, queries)
+        assert any(np.unique(row).size < row.size for row in sims)
+        tops = [top_k(sims[g : g + 1], big // p)[0].ranked_indices for g in range(p)]
+        assert np.unique(np.concatenate(tops)).size < big // p * p
+        full = balanced_retrieval(items, queries, big).ranked_indices.tolist()
+        for k in range(p, big + 1):
+            assert balanced_retrieval(items, queries, k).ranked_indices.tolist() == full[:k]
 
 
 class TestInferProtectedAttribute:
