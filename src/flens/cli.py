@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -81,32 +82,41 @@ from .tasks import (
 GROUND_TRUTH = "groundTruth"
 INFERRED = "inferred"
 
+REQUIRED = object()
+_JSON_TYPES = {
+    str: "a string",
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    dict: "a JSON object",
+    list: "a non-empty list",
+}
 
-def _object(value: Any, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context} must be a JSON object")
+
+def _field(obj: dict | list, key: str | int, kind: Any, where: str, default: Any = REQUIRED) -> Any:
+    """Read one config value, checked to be of JSON type ``kind``.
+
+    kind is str, int, float, bool, dict, list or list[<kind>]. A bool is not an
+    int, an int is widened to float, a float must be finite and a list non-empty.
+    A missing key gives ``default``, or is an error without one. ``where`` is the
+    JSON path of ``obj`` ("" at the root); errors name the value's own path.
+    """
+    path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
+    if isinstance(obj, dict) and key not in obj:
+        if default is REQUIRED:
+            raise ConfigError(f"{path}: missing required key")
+        return default
+    value = obj[key]
+    base = get_origin(kind) or kind
+    if base is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)  # a number written as 2 is echoed in reports as 2.0
+    # json.loads builds exact builtin types, so `type(value) is` keeps bools out of int
+    if type(value) is not base or (base is float and not math.isfinite(value)) or value == []:
+        raise ConfigError(f"{path} must be {_JSON_TYPES[base]}, got {json.dumps(value)}")
+    if base is list and kind is not list:
+        (item_kind,) = get_args(kind)
+        return [_field(value, i, item_kind, path) for i in range(len(value))]
     return value
-
-
-def _require(cfg: Any, key: str, context: str = "config") -> Any:
-    if key not in _object(cfg, context):
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return cfg[key]
-
-
-def _require_list(cfg: Any, key: str, context: str = "config") -> list:
-    value = _require(cfg, key, context)
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{context}: {key} must be a non-empty list")
-    return value
-
-
-def _number(cast: Callable[[Any], Any], value: Any, context: str) -> Any:
-    """Cast a config value with int or float; a non-number is a ConfigError."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
 
 
 def _load_config(path: str) -> dict:
@@ -116,50 +126,51 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return cfg
 
 
-def _label_columns(cfg: dict) -> list[tuple[str, str]]:
-    """(column, kind) of each label column named by tasks, retrieval queries or probe.
-
-    Entries that are not JSON objects are skipped; the command's own loop
-    rejects them.
-    """
-    specs = _require_list(cfg, "tasks") if "tasks" in cfg else []
-    named = [(spec.get("ground_truth"), "binary") for spec in specs if isinstance(spec, dict)]
-    if "retrieval" in cfg:
-        specs = _require_list(cfg["retrieval"], "queries", "retrieval")
-        named += [(spec.get("relevant"), "binary") for spec in specs if isinstance(spec, dict)]
-    named = [(str(column), kind) for column, kind in named if column]
-    if "probe" in cfg:
-        attributes = _require_list(cfg["probe"], "attributes", "probe")
-        named += [(str(attribute), "group") for attribute in attributes]
-    return list(dict.fromkeys(named))
+def _tags(spec: dict, where: str, fairness_mode: str = INDEPENDENCE) -> TaxonomyTags:
+    """Taxonomy tags of a task or query spec; both flags default to true."""
+    return TaxonomyTags(
+        human_centric=_field(spec, "human_centric", bool, where, True),
+        subjective=_field(spec, "subjective", bool, where, True),
+        fairness_mode=fairness_mode,
+    )
 
 
 def _load_dataset(
-    cfg: dict,
-) -> tuple[LabeledDataset, dict[tuple[str, str], GroupLabels | BinaryLabels]]:
+    cfg: dict, label_columns: Iterable[tuple[str, str]] = ()
+) -> tuple[LabeledDataset, dict[tuple[str, str], GroupLabels | BinaryLabels], dict]:
     """Read the embeddings and parse the label table exactly once.
 
-    Besides the protected attribute and the split, every label column the
-    config names is decoded here, keyed by (column, kind), so the parsed
-    string table is freed on return.
+    Besides the protected attribute and the split, each (column, kind) in
+    ``label_columns`` is decoded here, so the parsed string table is freed on
+    return. Also returns the report's provenance block: attribute, groups, sizes.
     """
-    data = _require(cfg, "data")
-    embeddings = read_embeddings(_require(data, "embeddings", "data"))
-    labels_path = _require(data, "labels", "data")
+    data = _field(cfg, "data", dict, "")
+    embeddings_path = _field(data, "embeddings", str, "data")
+    labels_path = _field(data, "labels", str, "data")
+    attribute = _field(data, "attribute", str, "data")
+    split_column = _field(data, "split_column", str, "data", "split")
+    embeddings = read_embeddings(embeddings_path)
     table = read_label_table(labels_path)
-    protected = decode_labels(table, _require(data, "attribute", "data"), "group", labels_path)
-    split_column = data.get("split_column", "split")
+    protected = decode_labels(table, attribute, "group", labels_path)
     split = np.asarray(table[split_column]) if split_column in table else None
-    columns = {key: decode_labels(table, *key, labels_path) for key in _label_columns(cfg)}
+    columns = {key: decode_labels(table, *key, labels_path) for key in dict.fromkeys(label_columns)}
     dataset = LabeledDataset(embeddings=embeddings, protected=protected, split=split)
-    return dataset, columns
+    provenance = {
+        "attribute": attribute,
+        "group_names": list(protected.group_names or []),
+        "group_count": protected.group_count,
+        "items": dataset.n,
+        "train_items": int(dataset.train_mask.sum()),
+        "test_items": int(dataset.test_mask.sum()),
+    }
+    return dataset, columns, provenance
 
 
 def _apply_transform(
@@ -170,16 +181,20 @@ def _apply_transform(
     return apply_fair_pca(transform, embeddings)
 
 
+def _transform_block(path: str, transform: MiClipTransform | FairPcaTransform, meta: dict) -> dict:
+    """Report block naming a transform file, its kind and its metadata."""
+    return {"path": path, "kind": type(transform).__name__, "metadata": meta}
+
+
 def _maybe_transform(
-    cfg: dict, *matrices: EmbeddingMatrix
+    path: str | None, *matrices: EmbeddingMatrix
 ) -> tuple[tuple[EmbeddingMatrix, ...], dict | None]:
-    """Apply the configured transform, if any, to every matrix (single shared map)."""
-    path = cfg.get("transform")
+    """Apply the transform at path, if any, to every matrix (single shared map)."""
     if not path:
         return matrices, None
     transform, meta = read_transform(path)
-    block = {"path": path, "kind": type(transform).__name__, "metadata": meta}
-    return tuple(_apply_transform(transform, m) for m in matrices), block
+    transformed = tuple(_apply_transform(transform, m) for m in matrices)
+    return transformed, _transform_block(path, transform, meta)
 
 
 def _test_view(dataset: LabeledDataset) -> tuple[np.ndarray, GroupLabels]:
@@ -196,40 +211,33 @@ def _untagged_record(task_name: str, **fields: Any) -> dict:
     return {**base, **fields}
 
 
-def _dataset_block(dataset: LabeledDataset, cfg: dict) -> dict:
-    """Provenance echo: attribute name, its category-to-index mapping, sizes."""
-    return {
-        "attribute": cfg["data"]["attribute"],
-        "group_names": list(dataset.protected.group_names or []),
-        "group_count": dataset.protected.group_count,
-        "items": dataset.n,
-        "train_items": int(dataset.train_mask.sum()),
-        "test_items": int(dataset.test_mask.sum()),
-    }
-
-
 def cmd_classify_audit(cfg: dict) -> dict:
     """Zero-shot classification audit: DDP always, DTPR/accuracy with ground truth."""
-    dataset, columns = _load_dataset(cfg)
-    queries = read_embeddings(_require(cfg, "queries"))
-    tasks = _require_list(cfg, "tasks")
-    (items, queries), transform_block = _maybe_transform(cfg, dataset.embeddings, queries)
+    tasks = []
+    for i, task in enumerate(_field(cfg, "tasks", list[dict], "")):
+        where = f"tasks[{i}]"
+        tasks.append(
+            (
+                _field(task, "name", str, where),
+                _field(task, "class_a", int, where),
+                _field(task, "class_b", int, where),
+                _tags(task, where),
+                _field(task, "ground_truth", str, where, None),
+            )
+        )
+    queries_path = _field(cfg, "queries", str, "")
+    transform_path = _field(cfg, "transform", str, "", None)
+    dataset, columns, provenance = _load_dataset(cfg, [(t, "binary") for *_, t in tasks if t])
+    (items, queries), transform_block = _maybe_transform(
+        transform_path, dataset.embeddings, read_embeddings(queries_path)
+    )
     test_idx, groups = _test_view(dataset)
     test_items = items.take(test_idx)
 
     records = []
-    for task in tasks:
-        name = str(_require(task, "name", "task"))
-        context = f"task {name!r}"
-        a = _number(int, _require(task, "class_a", context), context)
-        b = _number(int, _require(task, "class_b", context), context)
+    for name, a, b, tags, truth_column in tasks:
         if not (0 <= a < queries.rows and 0 <= b < queries.rows):
             raise ConfigError(f"task {name!r}: class row outside the query file")
-        tags = TaxonomyTags(
-            human_centric=bool(task.get("human_centric", True)),
-            subjective=bool(task.get("subjective", True)),
-            fairness_mode=INDEPENDENCE,
-        )
         predictions = zero_shot_classify(test_items, queries.row(a), queries.row(b))
         record = {
             "task_name": name,
@@ -238,9 +246,8 @@ def cmd_classify_audit(cfg: dict) -> dict:
             "metrics": {"ddp_classification": metric_record(ddp_classification(predictions, groups))},
             "performance": {},
         }
-        truth_column = task.get("ground_truth")
         if truth_column:
-            truth = columns[str(truth_column), "binary"].take(test_idx)
+            truth = columns[truth_column, "binary"].take(test_idx)
             record["metrics"]["dtpr"] = metric_record(dtpr(predictions, truth, groups))
             record["performance"]["accuracy"] = accuracy(predictions, truth)
         records.append(record)
@@ -249,7 +256,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
         cfg,
         records,
         [transform_block] if transform_block else [],
-        extra={"dataset": _dataset_block(dataset, cfg)},
+        extra={"dataset": provenance},
     )
 
 
@@ -281,37 +288,42 @@ def _retrieval_metrics(
 
 def cmd_retrieve_audit(cfg: dict) -> dict:
     """Top-k retrieval audit with per-query equal-means similarity tests."""
-    dataset, columns = _load_dataset(cfg)
-    retrieval = _require(cfg, "retrieval")
-    k_list = [_number(int, k, "retrieval") for k in _require_list(retrieval, "k", "retrieval")]
-    query_specs = _require_list(retrieval, "queries", "retrieval")
-    query_matrix = read_embeddings(_require(cfg, "queries"))
-    matrices = [dataset.embeddings, query_matrix]
-    balanced_cfg = cfg.get("balanced")
-    if balanced_cfg:
-        matrices.append(read_embeddings(_require(balanced_cfg, "embeddings", "balanced")))
-    transformed, transform_block = _maybe_transform(cfg, *matrices)
+    retrieval = _field(cfg, "retrieval", dict, "")
+    k_list = _field(retrieval, "k", list[int], "retrieval")
+    query_specs = []
+    for i, spec in enumerate(_field(retrieval, "queries", list[dict], "retrieval")):
+        where = f"retrieval.queries[{i}]"
+        query_specs.append(
+            (
+                _field(spec, "name", str, where),
+                _field(spec, "row", int, where),
+                _tags(spec, where, _field(spec, "fairness_mode", str, where, INDEPENDENCE)),
+                _field(spec, "relevant", str, where, None),
+            )
+        )
+    queries_path = _field(cfg, "queries", str, "")
+    balanced = _field(cfg, "balanced", dict, "", None)
+    balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
+    transform_path = _field(cfg, "transform", str, "", None)
+    dataset, columns, provenance = _load_dataset(cfg, [(c, "binary") for *_, c in query_specs if c])
+    matrices = [dataset.embeddings, read_embeddings(queries_path)]
+    if balanced_path is not None:
+        matrices.append(read_embeddings(balanced_path))
+    transformed, transform_block = _maybe_transform(transform_path, *matrices)
     items, query_matrix = transformed[0], transformed[1]
-    balanced_matrix = transformed[2] if balanced_cfg else None
+    balanced_matrix = transformed[2] if balanced_path is not None else None
     test_idx, groups = _test_view(dataset)
     test_items = items.take(test_idx)
     n_test = test_items.rows
     p = groups.group_count
 
     queries = []
-    for spec in query_specs:
-        name = str(_require(spec, "name", "query"))
-        row = _number(int, _require(spec, "row", f"query {name!r}"), f"query {name!r}")
+    for name, row, tags, relevant_column in query_specs:
         if not 0 <= row < query_matrix.rows:
             raise ConfigError(f"query {name!r}: row outside the query file")
-        tags = TaxonomyTags(
-            human_centric=bool(spec.get("human_centric", True)),
-            subjective=bool(spec.get("subjective", True)),
-            fairness_mode=str(spec.get("fairness_mode", INDEPENDENCE)),
-        )
         relevant = None
-        if spec.get("relevant"):
-            relevance = columns[str(spec["relevant"]), "binary"].take(test_idx)
+        if relevant_column:
+            relevance = columns[relevant_column, "binary"].take(test_idx)
             relevant = np.flatnonzero(relevance.labels == 1)
         for k in k_list:
             if not 1 <= k <= n_test:
@@ -365,7 +377,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
             }
         )
     extra = {
-        "dataset": _dataset_block(dataset, cfg),
+        "dataset": provenance,
         "similarity_tests": {k: similarity_tests[k] for k in sorted(similarity_tests)},
     }
     return build_report("retrieve-audit", cfg, records, blocks, extra)
@@ -373,25 +385,30 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
 
 def cmd_debias_fit(cfg: dict) -> dict:
     """Fit a debiasing transform on the train split and serialize it."""
-    dataset, _ = _load_dataset(cfg)
-    method = _require(cfg, "method")
+    method = _field(cfg, "method", str, "")
     if method not in ("miclip", "fairpca"):
         raise ConfigError(f"method must be 'miclip' or 'fairpca', got {method!r}")
-    source = cfg.get("attribute_source", GROUND_TRUTH)
+    source = _field(cfg, "attribute_source", str, "", GROUND_TRUTH)
     if source not in (GROUND_TRUTH, INFERRED):
         raise ConfigError(f"attribute_source must be {GROUND_TRUTH!r} or {INFERRED!r}")
-    out_path = _require(cfg, "transform_out")
+    prompts_path = _field(cfg, "prompts", str, "", None) if source == INFERRED else None
+    if source == INFERRED and not prompts_path:
+        raise ConfigError("inferred attribute_source requires a prompts embeddings file")
+    out_path = _field(cfg, "transform_out", str, "")
+    method_cfg = _field(cfg, method, dict, "", {})
+    if method == "miclip":
+        params = {"m": _field(method_cfg, "m", int, method)}
+        params["bins"] = _field(method_cfg, "bins", int, method, 32)
+    else:
+        params = {"target_dim": _field(method_cfg, "target_dim", int, method, None)}
+    dataset, _, provenance = _load_dataset(cfg)
 
     train_idx = np.flatnonzero(dataset.train_mask)
     if train_idx.size == 0:
         raise DataError("train split is empty; nothing to fit on")
     train_items = dataset.embeddings.take(train_idx)
-    if source == INFERRED:
-        prompts_path = cfg.get("prompts")
-        if not prompts_path:
-            raise ConfigError("inferred attribute_source requires a prompts embeddings file")
-        prompts = read_embeddings(prompts_path)
-        protected = infer_protected_attribute(train_items, prompts)
+    if prompts_path:
+        protected = infer_protected_attribute(train_items, read_embeddings(prompts_path))
     else:
         protected = dataset.protected.take(train_idx)
     fit_dataset = LabeledDataset(
@@ -403,20 +420,14 @@ def cmd_debias_fit(cfg: dict) -> dict:
     metadata = {"method": method, "attribute_source": source}
     details: dict[str, Any] = {"train_items": int(train_idx.size)}
     if method == "miclip":
-        params = cfg.get("miclip", {})
-        m = _number(int, _require(params, "m", "miclip"), "miclip")
-        bins = _number(int, params.get("bins", 32), "miclip")
-        transform = fit_mi_clip(fit_dataset, m=m, bins=bins)
+        transform = fit_mi_clip(fit_dataset, **params)
         details.update(
             retained_dims=transform.output_dims,
             cut_dims=[int(i) for i in transform.removed_dims],
         )
-        metadata.update(m=m, bins=bins)
+        metadata.update(params)
     else:
-        target_dim = _object(cfg.get("fairpca", {}), "fairpca").get("target_dim")
-        if target_dim is not None:
-            target_dim = _number(int, target_dim, "fairpca")
-        transform = fit_fair_pca(fit_dataset, target_dim)
+        transform = fit_fair_pca(fit_dataset, **params)
         details.update(
             target_dim=transform.target_dim,
             constraint_residual=transform.constraint_residual,
@@ -425,17 +436,16 @@ def cmd_debias_fit(cfg: dict) -> dict:
         metadata.update(target_dim=transform.target_dim)
     write_transform(transform, out_path, metadata)
     record = _untagged_record(f"debias-fit:{method}", details=sanitize(details))
-    block = {"path": str(out_path), "kind": type(transform).__name__, "metadata": metadata}
-    return build_report(
-        "debias-fit", cfg, [record], [block], extra={"dataset": _dataset_block(dataset, cfg)}
-    )
+    block = _transform_block(out_path, transform, metadata)
+    return build_report("debias-fit", cfg, [record], [block], extra={"dataset": provenance})
 
 
 def cmd_apply(cfg: dict) -> dict:
     """Apply a serialized transform to an embeddings file."""
-    source = read_embeddings(_require(cfg, "input"))
-    transform, meta = read_transform(_require(cfg, "transform"))
-    out_path = _require(cfg, "output")
+    transform_path = _field(cfg, "transform", str, "")
+    out_path = _field(cfg, "output", str, "")
+    source = read_embeddings(_field(cfg, "input", str, ""))
+    transform, meta = read_transform(transform_path)
     transformed = _apply_transform(transform, source)
     write_embeddings(transformed, out_path)
     shapes = {
@@ -443,81 +453,69 @@ def cmd_apply(cfg: dict) -> dict:
         "output_shape": [transformed.rows, transformed.dims],
     }
     record = _untagged_record("apply", details=shapes)
-    block = {"path": cfg["transform"], "kind": type(transform).__name__, "metadata": meta}
-    return build_report("apply", cfg, [record], [block])
+    return build_report("apply", cfg, [record], [_transform_block(transform_path, transform, meta)])
 
 
 def cmd_probe(cfg: dict) -> dict:
     """Linear-probe audit: per-attribute accuracy, before and after a transform."""
-    dataset, columns = _load_dataset(cfg)
-    probe_cfg = _require(cfg, "probe")
-    attributes = _require_list(probe_cfg, "attributes", "probe")
-    l2 = _number(float, probe_cfg.get("l2", DEFAULT_L2), "probe")
-    max_iter = _number(int, probe_cfg.get("max_iter", DEFAULT_MAX_ITER), "probe")
-    tol = _number(float, probe_cfg.get("tol", DEFAULT_TOL), "probe")
-    (items,), transform_block = _maybe_transform(cfg, dataset.embeddings)
+    probe_cfg = _field(cfg, "probe", dict, "")
+    attributes = _field(probe_cfg, "attributes", list[str], "probe")
+    params = {
+        "l2": _field(probe_cfg, "l2", float, "probe", DEFAULT_L2),
+        "max_iter": _field(probe_cfg, "max_iter", int, "probe", DEFAULT_MAX_ITER),
+        "tol": _field(probe_cfg, "tol", float, "probe", DEFAULT_TOL),
+    }
+    transform_path = _field(cfg, "transform", str, "", None)
+    dataset, columns, provenance = _load_dataset(cfg, [(a, "group") for a in attributes])
+    (items,), transform_block = _maybe_transform(transform_path, dataset.embeddings)
     train_idx = np.flatnonzero(dataset.train_mask)
     test_idx = np.flatnonzero(dataset.test_mask)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError("probe audit needs non-empty train and test splits")
+    # Each space's train and test rows are taken once and serve every attribute.
+    spaces = {"raw": dataset.embeddings}
+    if transform_block is not None:
+        spaces["transformed"] = items
+    rows = {space: (m.take(train_idx), m.take(test_idx)) for space, m in spaces.items()}
 
     records = []
-    for attribute in (str(a) for a in attributes):
+    for attribute in attributes:
         labels = columns[attribute, "group"]
         train_labels, test_labels = labels.take(train_idx), labels.take(test_idx)
         counts = test_labels.counts()
-        majority = float(counts.max() / counts.sum())
-        raw_model = fit_probe(
-            dataset.embeddings.take(train_idx), train_labels, l2=l2, max_iter=max_iter, tol=tol
-        )
-        raw_acc = evaluate_probe(raw_model, dataset.embeddings.take(test_idx), test_labels)
-        performance = {
-            "majority_rate": majority,
-            "accuracy_raw": raw_acc,
-            "training_loss_raw": raw_model.training_loss,
-        }
-        probe_config = {"l2": l2, "max_iter": max_iter, "tol": tol}
-        record = _untagged_record(
-            f"probe:{attribute}", performance=performance, probe_config=probe_config
-        )
-        if transform_block is not None:
-            model = fit_probe(items.take(train_idx), train_labels, l2=l2, max_iter=max_iter, tol=tol)
-            record["performance"]["accuracy_transformed"] = evaluate_probe(
-                model, items.take(test_idx), test_labels
-            )
-            record["performance"]["training_loss_transformed"] = model.training_loss
+        performance = {"majority_rate": float(counts.max() / counts.sum())}
+        for space, (train_rows, test_rows) in rows.items():
+            model = fit_probe(train_rows, train_labels, **params)
+            performance[f"accuracy_{space}"] = evaluate_probe(model, test_rows, test_labels)
+            performance[f"training_loss_{space}"] = model.training_loss
+        record = _untagged_record(f"probe:{attribute}", performance=performance, probe_config=params)
         records.append(record)
     return build_report(
         "probe",
         cfg,
         records,
         [transform_block] if transform_block else [],
-        extra={"dataset": _dataset_block(dataset, cfg)},
+        extra={"dataset": provenance},
     )
 
 
 def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
     """Generate a synthetic dataset and write its embedding and label files."""
-    params = dict(_object(_require(cfg, "synth"), "synth"))
-    if seed_override is not None:
-        params["seed"] = seed_override
-    try:
-        spec = SynthSpec(
-            n=int(_require(params, "n", "synth")),
-            d=int(_require(params, "d", "synth")),
-            p=int(_require(params, "p", "synth")),
-            bias_dims=tuple(params.get("bias_dims", ())),
-            bias_strength=float(params.get("bias_strength", 0.0)),
-            concept_dims=tuple(params.get("concept_dims", ())),
-            concept_strength=params.get("concept_strength"),
-            seed=int(params.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synth parameters: {exc}") from exc
+    params = _field(cfg, "synth", dict, "")
+    spec = SynthSpec(
+        n=_field(params, "n", int, "synth"),
+        d=_field(params, "d", int, "synth"),
+        p=_field(params, "p", int, "synth"),
+        bias_dims=tuple(_field(params, "bias_dims", list[int], "synth", [])),
+        bias_strength=_field(params, "bias_strength", float, "synth", 0.0),
+        concept_dims=tuple(_field(params, "concept_dims", list[int], "synth", [])),
+        concept_strength=_field(params, "concept_strength", float, "synth", None),
+        seed=_field(params, "seed", int, "synth", 0) if seed_override is None else seed_override,
+    )
+    output = _field(cfg, "output", dict, "")
+    embeddings_path = _field(output, "embeddings", str, "output")
+    labels_path = _field(output, "labels", str, "output")
     dataset = generate(spec)
-    output = _require(cfg, "output")
-    embeddings_path = _require(output, "embeddings", "output")
-    labels_path = _require(output, "labels", "output")
     write_embeddings(dataset.embeddings, embeddings_path)
     write_label_table(
         labels_path,
@@ -531,7 +529,7 @@ def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
         "spec": spec.to_dict(),
         "train_items": int(dataset.train_mask.sum()),
         "test_items": int(dataset.test_mask.sum()),
-        "files": {"embeddings": str(embeddings_path), "labels": str(labels_path)},
+        "files": {"embeddings": embeddings_path, "labels": labels_path},
     }
     record = _untagged_record("synth", details=details)
     return build_report("synth", cfg, [record])

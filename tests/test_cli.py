@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flens.cli import main
 from flens.io import read_embeddings, read_report, write_embeddings
@@ -480,16 +482,72 @@ class TestApplyAndProbe:
         assert run(["probe", "--config", cfg]) == 2
 
 
+TASK = {"name": "t", "class_a": 0, "class_b": 1}
+# 9999, not a small integer: a regression that opens an integer path opens that file descriptor
+SWAPS = [None, True, 9999, 2.5, "x", [1], {"a": 1}]
+JSON_TYPES = {
+    type(None): "null",
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+}
+
+
+def _json_fields(node, where=""):
+    """(container, key, JSON path) of every value nested in a config."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        path = f"{where}[{key}]" if isinstance(node, list) else f"{where}.{key}" if where else key
+        yield node, key, path
+        if isinstance(value, (dict, list)):
+            yield from _json_fields(value, path)
+
+
 class TestConfigShapes:
+    """A config value of the wrong JSON type exits 2 and the message names its JSON path."""
+
     @pytest.mark.parametrize(
-        "command, patch",
+        "command, patch, path",
         [
-            ("classify-audit", {"tasks": [1]}),
-            ("retrieve-audit", {"retrieval": {"k": [10], "queries": [1]}}),
-            ("retrieve-audit", {"retrieval": {"k": ["x"], "queries": [{"name": "q", "row": 0}]}}),
-            ("debias-fit", {"method": "miclip", "miclip": {"m": "x"}}),
-            ("debias-fit", {"method": "fairpca", "fairpca": [1]}),
-            ("synth", {"synth": 5}),
+            ("classify-audit", {"tasks": [1]}, "tasks[0]"),
+            ("retrieve-audit", {"retrieval": {"k": [10], "queries": [1]}}, "retrieval.queries[0]"),
+            (
+                "retrieve-audit",
+                {"retrieval": {"k": ["x"], "queries": [{"name": "q", "row": 0}]}},
+                "retrieval.k[0]",
+            ),
+            ("debias-fit", {"method": "miclip", "miclip": {"m": "x"}}, "miclip.m"),
+            ("debias-fit", {"method": "fairpca", "fairpca": [1]}, "fairpca"),
+            ("synth", {"synth": 5}, "synth"),
+            ("classify-audit", {"data": {"embeddings": 5}}, "data.embeddings"),
+            ("classify-audit", {"queries": 5}, "queries"),
+            ("classify-audit", {"transform": 5}, "transform"),
+            ("debias-fit", {"method": "fairpca", "transform_out": 5}, "transform_out"),
+            (
+                "debias-fit",
+                {"method": "fairpca", "attribute_source": "inferred", "prompts": 5},
+                "prompts",
+            ),
+            ("apply", {"input": 5, "transform": "t.ftfm", "output": "o.femb"}, "input"),
+            (
+                "synth",
+                {"synth": {"n": 600, "d": 16, "p": 2}, "output": {"embeddings": 5, "labels": "l"}},
+                "output.embeddings",
+            ),
+            ("classify-audit", {"data": {"attribute": ["group"]}}, "data.attribute"),
+            ("classify-audit", {"data": {"split_column": ["split"]}}, "data.split_column"),
+            # 5, not 0: a regression that reaches open() must not block on stdin
+            ("classify-audit", {"data": {"labels": 5}}, "data.labels"),
+            ("classify-audit", {"tasks": [{**TASK, "human_centric": "no"}]}, "tasks[0].human_centric"),
+            (
+                "retrieve-audit",
+                {"retrieval": {"k": [5.7], "queries": [{"name": "q", "row": 0}]}},
+                "retrieval.k[0]",
+            ),
+            ("probe", {"probe": {"attributes": ["group"], "tol": "nan"}}, "probe.tol"),
         ],
         ids=[
             "task-not-object",
@@ -498,17 +556,100 @@ class TestConfigShapes:
             "m-not-number",
             "fairpca-not-object",
             "synth-not-object",
+            "embeddings-path-int",
+            "queries-path-int",
+            "transform-path-int",
+            "transform-out-int",
+            "prompts-path-int",
+            "apply-input-int",
+            "synth-output-int",
+            "attribute-list",
+            "split-column-list",
+            "labels-path-int",
+            "human-centric-string",
+            "k-fraction",
+            "tol-string",
         ],
     )
-    def test_wrong_shape_is_config_error(self, workspace, tmp_path, command, patch):
+    def test_wrong_shape_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
         payload = {
-            "data": workspace["data"],
             "queries": str(workspace["queries"]),
+            "tasks": [TASK],
             "transform_out": str(tmp_path / "t.ftfm"),
             **patch,
+            "data": {**workspace["data"], **patch.get("data", {})},
         }
         cfg = write_config(tmp_path / "shape.json", payload)
         assert run([command, "--config", cfg]) == 2
+        assert f"config error: {path} " in capsys.readouterr().err
+
+    def test_integer_literal_too_long_for_json(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"k": ' + "9" * 5000 + "}")
+        assert run(["classify-audit", "--config", path]) == 2
+
+    @staticmethod
+    def _valid_configs(workspace, transform):
+        """One config per command in which every key present is a key the command reads."""
+        d = workspace["dir"]
+        data = {**workspace["data"], "split_column": "split"}
+        prompts = np.zeros((2, 16))
+        prompts[:, 0] = [-1.0, 1.0]
+        write_embeddings(EmbeddingMatrix(prompts), d / "prompts.femb")
+        return {
+            "synth": {
+                "synth": {"n": 40, "d": 8, "p": 2, "bias_dims": [0], "bias_strength": 1.5,
+                          "concept_dims": [2, 3], "concept_strength": 1.0, "seed": 3},
+                "output": {"embeddings": str(d / "s.femb"), "labels": str(d / "s.csv")},
+            },
+            "debias-fit": {
+                "data": data, "method": "miclip", "attribute_source": "inferred",
+                "prompts": str(d / "prompts.femb"), "miclip": {"m": 12, "bins": 8},
+                "transform_out": str(d / "mi.ftfm"),
+            },
+            "apply": {"input": str(workspace["embeddings"]), "transform": str(transform),
+                      "output": str(d / "applied.femb")},
+            "classify-audit": {
+                "data": data, "queries": str(workspace["queries"]), "transform": str(transform),
+                "tasks": [{**TASK, "human_centric": True, "subjective": False,
+                           "ground_truth": "concept"}],
+            },
+            "retrieve-audit": {
+                "data": data, "queries": str(workspace["queries"]), "transform": str(transform),
+                "retrieval": {"k": [4, 10], "queries": [
+                    {"name": "q", "row": 1, "fairness_mode": "diversity", "relevant": "concept",
+                     "human_centric": True, "subjective": True}]},
+                "balanced": {"embeddings": str(workspace["balanced"])},
+            },
+            "probe": {
+                "data": data, "transform": str(transform),
+                "probe": {"attributes": ["group"], "l2": 0.001, "max_iter": 5, "tol": 1e-6},
+            },
+        }
+
+    def test_valid_configs_run(self, workspace, fitted_transform):
+        for command, cfg in self._valid_configs(workspace, fitted_transform).items():
+            path = write_config(workspace["dir"] / "valid.json", cfg)
+            assert run([command, "--config", path]) == 0, command
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_any_field_of_another_json_type_exits_2(
+        self, workspace, fitted_transform, capsys, data
+    ):
+        configs = self._valid_configs(workspace, fitted_transform)
+        command = data.draw(st.sampled_from(sorted(configs)))
+        cfg = configs[command]
+        parent, key, path = data.draw(st.sampled_from(list(_json_fields(cfg))))
+        other = [v for v in SWAPS if JSON_TYPES[type(v)] != JSON_TYPES[type(parent[key])]]
+        parent[key] = data.draw(st.sampled_from(other))
+        capsys.readouterr()
+        assert run([command, "--config", write_config(workspace["dir"] / "swap.json", cfg)]) == 2
+        assert f"config error: {path} " in capsys.readouterr().err
 
     def test_threads_flag_is_gone(self, workspace, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"data": workspace["data"]})
