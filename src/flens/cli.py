@@ -70,6 +70,7 @@ from .report import (
 from .stats import per_query_similarity_tests
 from .synth import SynthSpec, generate
 from .tasks import (
+    DIVERSITY,
     INDEPENDENCE,
     TaxonomyTags,
     balanced_retrieval,
@@ -293,11 +294,15 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     query_specs = []
     for i, spec in enumerate(_field(retrieval, "queries", list[dict], "retrieval")):
         where = f"retrieval.queries[{i}]"
+        mode = _field(spec, "fairness_mode", str, where, INDEPENDENCE)
+        if mode not in (INDEPENDENCE, DIVERSITY):
+            expected = f"{INDEPENDENCE!r} or {DIVERSITY!r}"
+            raise ConfigError(f"{where}.fairness_mode must be {expected}, got {json.dumps(mode)}")
         query_specs.append(
             (
                 _field(spec, "name", str, where),
                 _field(spec, "row", int, where),
-                _tags(spec, where, _field(spec, "fairness_mode", str, where, INDEPENDENCE)),
+                _tags(spec, where, mode),
                 _field(spec, "relevant", str, where, None),
             )
         )
@@ -512,6 +517,13 @@ def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
         concept_strength=_field(params, "concept_strength", float, "synth", None),
         seed=_field(params, "seed", int, "synth", 0) if seed_override is None else seed_override,
     )
+    if spec.seed < 0:
+        source = "synth.seed" if seed_override is None else "--seed"
+        raise ConfigError(f"{source} must be a non-negative integer, got {spec.seed}")
+    # numpy cannot address an n x d float64 array of more bytes than intp can count
+    max_n = np.iinfo(np.intp).max // (8 * spec.d)
+    if spec.n > max_n:
+        raise ConfigError(f"synth.n must be at most {max_n} for d={spec.d}, got {spec.n}")
     output = _field(cfg, "output", dict, "")
     embeddings_path = _field(output, "embeddings", str, "output")
     labels_path = _field(output, "labels", str, "output")

@@ -256,7 +256,7 @@ def partition_by_group(selected: Sequence[int] | np.ndarray, groups: GroupLabels
     if sel.size:
         if sel.min() < 0 or sel.max() >= n:
             raise InvalidSelection("selection index out of range")
-        if np.unique(sel).size != sel.size:
+        if np.bincount(sel, minlength=n).max() > 1:
             raise InvalidSelection("selection contains duplicate indices")
     per_group = np.bincount(groups.labels[sel], minlength=groups.group_count)
     population = groups.counts()

@@ -179,9 +179,12 @@ def precision_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> fl
         raise InvalidK(f"k={k} outside [1, {ranked_arr.size}]")
     if np.unique(ranked_arr).size != ranked_arr.size:
         raise InvalidSelection("ranked list contains duplicate indices")
-    relevant_set = set(int(i) for i in relevant)
-    hits = sum(1 for i in ranked_arr[:k] if int(i) in relevant_set)
-    return hits / k
+    if isinstance(relevant, np.ndarray):
+        relevant_arr = relevant.astype(np.int64, copy=False)
+    else:
+        relevant_arr = np.fromiter((int(i) for i in relevant), dtype=np.int64)
+    hits = np.count_nonzero(np.isin(ranked_arr[:k], relevant_arr))
+    return int(hits) / k
 
 
 def recall_at_k(

@@ -139,27 +139,31 @@ def balanced_retrieval(
     if k > n:
         raise InsufficientItems(f"need {k} distinct items but only {n} exist")
     sims = cosine_similarity_matrix(items, group_queries)
-    orders = [np.argsort(-sims[g], kind="stable") for g in range(p)]
-    quotas = [k // p + (1 if g < k % p else 0) for g in range(p)]
+    # Fewer than k items are claimed before any pick, so no group's cursor
+    # passes index k-1 of its order: the first k columns of each order suffice.
+    orders = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    # Scalar reads through memoryviews give Python ints without the numpy
+    # scalar overhead, and without the memory of a .tolist() copy.
+    rows = [memoryview(orders[g]) for g in range(p)]
     cursors = [0] * p
-    claimed: set[int] = set()
-    picked_idx: list[int] = []
-    picked_sim: list[float] = []
-    for rank in range(max(quotas)):
-        for g in range(p):
-            if rank >= quotas[g]:
-                continue
-            while int(orders[g][cursors[g]]) in claimed:
-                cursors[g] += 1
-            item = int(orders[g][cursors[g]])
-            claimed.add(item)
-            picked_idx.append(item)
-            picked_sim.append(float(sims[g, item]))
-            cursors[g] += 1
+    claimed = bytearray(n)
+    picked = np.empty(k, dtype=np.int64)
+    out = memoryview(picked)
+    # Pick t belongs to group t % p: quotas fill whole rounds first.
+    for t in range(k):
+        g = t % p
+        row, cursor = rows[g], cursors[g]
+        item = row[cursor]
+        while claimed[item]:
+            cursor += 1
+            item = row[cursor]
+        claimed[item] = 1
+        out[t] = item
+        cursors[g] = cursor + 1
     return RetrievalResult(
         query_index=query_index,
-        ranked_indices=np.asarray(picked_idx, dtype=np.int64),
-        similarities=np.asarray(picked_sim, dtype=np.float64),
+        ranked_indices=picked,
+        similarities=sims[np.arange(k) % p, picked],
     )
 
 

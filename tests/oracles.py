@@ -86,6 +86,30 @@ def oracle_ddp_rep(positive_counts: list[int]) -> float:
     return best
 
 
+def oracle_balanced_retrieval(sims: list[list[float]], k: int) -> tuple[list[int], list[float]]:
+    """Round-robin picks of k items over p rows of similarities, one row per group.
+
+    Group g's quota is k // p, plus one when g < k % p. Picks go in rounds by
+    rank, groups in index order, and each pick takes the group's best item,
+    by (-similarity, index), that no earlier pick claimed. Returns the picked
+    items and each one's similarity to the group that picked it.
+    """
+    p = len(sims)
+    orders = [sorted(range(len(row)), key=lambda i: (-row[i], i)) for row in sims]
+    quotas = [k // p + (1 if g < k % p else 0) for g in range(p)]
+    claimed: set[int] = set()
+    picked: list[int] = []
+    values: list[float] = []
+    for rank in range(max(quotas)):
+        for g in range(p):
+            if rank < quotas[g]:
+                item = next(i for i in orders[g] if i not in claimed)
+                claimed.add(item)
+                picked.append(item)
+                values.append(sims[g][item])
+    return picked, values
+
+
 def oracle_probe_loss(x, y, classes: int, l2: float, max_iter: int, tol: float) -> float:
     """Reference fit of the probe objective with the same optimizer recipe.
 

@@ -548,6 +548,25 @@ class TestConfigShapes:
                 "retrieval.k[0]",
             ),
             ("probe", {"probe": {"attributes": ["group"], "tol": "nan"}}, "probe.tol"),
+            (
+                "retrieve-audit",
+                {"retrieval": {"k": [10], "queries": [
+                    {"name": "q", "row": 0, "fairness_mode": "fairness"}]}},
+                "retrieval.queries[0].fairness_mode",
+            ),
+            (
+                "synth",
+                {"synth": {"n": 600, "d": 16, "p": 2, "seed": -1},
+                 "output": {"embeddings": "e.femb", "labels": "l.csv"}},
+                "synth.seed",
+            ),
+            # fails the size check before anything is allocated
+            (
+                "synth",
+                {"synth": {"n": 100000000000000000000, "d": 16, "p": 2},
+                 "output": {"embeddings": "e.femb", "labels": "l.csv"}},
+                "synth.n",
+            ),
         ],
         ids=[
             "task-not-object",
@@ -569,6 +588,9 @@ class TestConfigShapes:
             "human-centric-string",
             "k-fraction",
             "tol-string",
+            "fairness-mode-unknown",
+            "synth-seed-negative",
+            "synth-n-too-large",
         ],
     )
     def test_wrong_shape_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
@@ -582,6 +604,18 @@ class TestConfigShapes:
         cfg = write_config(tmp_path / "shape.json", payload)
         assert run([command, "--config", cfg]) == 2
         assert f"config error: {path} " in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "synth.json",
+            {
+                "synth": {"n": 600, "d": 16, "p": 2, "seed": 11},
+                "output": {"embeddings": str(tmp_path / "e.femb"), "labels": str(tmp_path / "l.csv")},
+            },
+        )
+        assert run(["synth", "--config", cfg, "--seed", -1]) == 2
+        assert "config error: --seed " in capsys.readouterr().err
+        assert not (tmp_path / "e.femb").exists()
 
     def test_integer_literal_too_long_for_json(self, tmp_path):
         path = tmp_path / "long.json"

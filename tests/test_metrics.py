@@ -195,6 +195,26 @@ class TestPerformanceMetrics:
         ranked = list(range(10))
         assert precision_at_k(ranked, set(range(9)), 10) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize(
+        "relevant, expected",
+        [
+            ({0, 2, 9}, 0.5),
+            ([9, 2, 0], 0.5),
+            (np.array([0, 2, 9]), 0.5),
+            (np.array([0, 2, 9], dtype=np.int32), 0.5),
+            ((i for i in (0, 2, 9)), 0.5),
+            ([0.0, 2.0, 9.0], 0.5),
+            ([], 0.0),
+            (np.array([], dtype=np.int64), 0.0),
+            ([2, 2, 0, 0, 2], 0.5),
+            (np.array([7, 7, 7]), 0.25),
+        ],
+        ids=["set", "list", "ndarray", "ndarray-int32", "generator", "floats", "empty",
+             "empty-ndarray", "duplicates", "ndarray-duplicates"],
+    )
+    def test_precision_relevant_forms(self, relevant, expected):
+        assert precision_at_k([4, 0, 7, 2, 9], relevant, 4) == expected
+
     def test_precision_invalid_k(self):
         with pytest.raises(InvalidK):
             precision_at_k([1, 2], {1}, 0)

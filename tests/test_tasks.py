@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flens.core import EmbeddingMatrix
 from flens.errors import (
@@ -20,6 +22,14 @@ from flens.tasks import (
     top_k,
     zero_shot_classify,
 )
+
+from .oracles import oracle_balanced_retrieval
+
+
+def _level_rows(count: int):
+    """count rows of four entries, each -1, 0 or 1."""
+    row = st.lists(st.integers(-1, 1), min_size=4, max_size=4)
+    return st.lists(row, min_size=count, max_size=count)
 
 
 class TestCosineSimilarity:
@@ -217,6 +227,27 @@ class TestBalancedRetrieval:
         full = balanced_retrieval(items, queries, big).ranked_indices.tolist()
         for k in range(p, big + 1):
             assert balanced_retrieval(items, queries, k).ranked_indices.tolist() == full[:k]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_for_every_k(self, data):
+        p = data.draw(st.integers(2, 4), label="p")
+        n = data.draw(st.integers(p, 14), label="n")
+        items = np.array(data.draw(_level_rows(n - 1), label="items"), dtype=float)
+        queries = np.array(data.draw(_level_rows(p), label="queries"), dtype=float)
+        # A shared large first coordinate keeps every row non-zero and pulls
+        # all group queries toward the same top items. The repeated item gives
+        # an exact cosine tie, the repeated query a contested top item.
+        items = np.vstack([items, items[:1]]) + [5, 0, 0, 0]
+        queries[-1] = queries[0]
+        queries = queries + [4, 0, 0, 0]
+        item_matrix, query_matrix = EmbeddingMatrix(items), EmbeddingMatrix(queries)
+        sims = cosine_similarity_matrix(item_matrix, query_matrix).tolist()
+        for k in range(p, n + 1):
+            result = balanced_retrieval(item_matrix, query_matrix, k)
+            picked, values = oracle_balanced_retrieval(sims, k)
+            assert result.ranked_indices.tolist() == picked
+            assert result.similarities.tolist() == values
 
 
 class TestInferProtectedAttribute:
