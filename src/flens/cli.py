@@ -47,7 +47,6 @@ from .metrics import (
     ddp_rep,
     ddp_retrieval,
     dtpr,
-    precision_at_k,
     skew_at_k,
 )
 from .mitigation import (
@@ -125,10 +124,14 @@ def _load_config(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         cfg = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return cfg
@@ -283,7 +286,8 @@ def _retrieval_metrics(
                 metrics["ddp_rep"] = metric_record(
                     ddp_rep(tuple(int(c) for c in per_group), int(hits.size))
                 )
-            performance["precision_at_k"] = precision_at_k(retrieved, relevant, k)
+            # partition_by_group has checked `retrieved` for duplicates
+            performance["precision_at_k"] = hits.size / k
     return {"metrics": metrics, "performance": performance}
 
 
@@ -489,11 +493,19 @@ def cmd_probe(cfg: dict) -> dict:
         train_labels, test_labels = labels.take(train_idx), labels.take(test_idx)
         counts = test_labels.counts()
         performance = {"majority_rate": float(counts.max() / counts.sum())}
+        details = {}
         for space, (train_rows, test_rows) in rows.items():
             model = fit_probe(train_rows, train_labels, **params)
             performance[f"accuracy_{space}"] = evaluate_probe(model, test_rows, test_labels)
             performance[f"training_loss_{space}"] = model.training_loss
-        record = _untagged_record(f"probe:{attribute}", performance=performance, probe_config=params)
+            details[space] = {
+                "iterations": model.iterations,
+                "grad_max": model.grad_max,
+                "converged": model.converged,
+            }
+        record = _untagged_record(
+            f"probe:{attribute}", performance=performance, probe_config=params, details=details
+        )
         records.append(record)
     return build_report(
         "probe",

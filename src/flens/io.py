@@ -128,31 +128,36 @@ def read_label_table(path: str | Path) -> dict[str, list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty label file") from None
-        if not header or header[0] != "item_id":
-            raise SchemaError(f"{path}: first column must be item_id")
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names")
-        columns: dict[str, list[str]] = {name: [] for name in header}
-        expected_id = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{lineno}: expected {len(header)} cells")
-            if any(cell == "" for cell in row):
-                raise SchemaError(f"{path}:{lineno}: missing value")
             try:
-                item_id = int(row[0])
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: item_id must be an integer") from None
-            if item_id != expected_id:
-                raise SchemaError(
-                    f"{path}:{lineno}: item_id {item_id} breaks the dense 0..n-1 order"
-                )
-            expected_id += 1
-            for name, cell in zip(header, row):
-                columns[name].append(cell)
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty label file") from None
+            if not header or header[0] != "item_id":
+                raise SchemaError(f"{path}: first column must be item_id")
+            if len(set(header)) != len(header):
+                raise SchemaError(f"{path}: duplicate column names")
+            columns: dict[str, list[str]] = {name: [] for name in header}
+            expected_id = 0
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise SchemaError(f"{path}:{lineno}: expected {len(header)} cells")
+                if any(cell == "" for cell in row):
+                    raise SchemaError(f"{path}:{lineno}: missing value")
+                try:
+                    item_id = int(row[0])
+                except ValueError:
+                    raise SchemaError(f"{path}:{lineno}: item_id must be an integer") from None
+                if item_id != expected_id:
+                    raise SchemaError(
+                        f"{path}:{lineno}: item_id {item_id} breaks the dense 0..n-1 order"
+                    )
+                expected_id += 1
+                for name, cell in zip(header, row):
+                    columns[name].append(cell)
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: label file is not UTF-8 text") from None
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     if expected_id == 0:
         raise SchemaError(f"{path}: no data rows")
     return columns

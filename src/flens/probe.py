@@ -1,9 +1,9 @@
 """Linear probes: logistic-regression classifiers on frozen embeddings.
 
 A probe measures how much attribute information a representation retains,
-so fitting must be reproducible: deterministic full-batch gradient descent
-from zero initialization with an Armijo backtracking line search. No
-stochasticity anywhere.
+so fitting must be reproducible: deterministic full-batch L-BFGS (Liu and
+Nocedal 1989) from zero initialization, with an Armijo backtracking line
+search. No stochasticity anywhere.
 
 Multiclass probes use reference coding: one weight vector per class with
 the last class pinned at zero logits.
@@ -11,6 +11,7 @@ the last class pinned at zero logits.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +26,25 @@ DEFAULT_MAX_ITER = 1000
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
+_HISTORY = 10  # (s, y) pairs kept for the L-BFGS direction
 
 
 @dataclass(frozen=True, eq=False)
 class ProbeModel:
-    """Fitted probe: (classes-1) x d weights, per-class bias, final data loss."""
+    """Fitted probe: (classes-1) x d weights, per-class bias, final data loss.
+
+    iterations is the number of L-BFGS steps taken, grad_max the objective's
+    gradient max-norm where the fit stopped, and converged whether that
+    max-norm fell below the fit's tol.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
     classes: int
     training_loss: float
+    iterations: int
+    grad_max: float
+    converged: bool
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -60,8 +70,7 @@ class ProbeModel:
         """Argmax class index per row; ties go to the lowest class index."""
         if embeddings.dims != self.dims:
             raise ShapeError(f"probe expects d={self.dims}, got d={embeddings.dims}")
-        logits = _full_logits(embeddings.values, self.weights, self.bias)
-        return np.argmax(logits, axis=1)
+        return np.argmax(_logits(embeddings.values, self.weights, self.bias), axis=0)
 
 
 def _class_indices(labels: GroupLabels | BinaryLabels) -> tuple[np.ndarray, int]:
@@ -73,10 +82,12 @@ def _class_indices(labels: GroupLabels | BinaryLabels) -> tuple[np.ndarray, int]
     raise ShapeError("labels must be GroupLabels or BinaryLabels")
 
 
-def _full_logits(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """n x classes logit matrix with the reference class's zero column appended."""
-    free = x @ w.T + b
-    return np.hstack([free, np.zeros((x.shape[0], 1))])
+def _logits(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """classes x n logit matrix; the reference class's last row stays zero."""
+    logits = np.zeros((w.shape[0] + 1, x.shape[0]))
+    np.matmul(w, x.T, out=logits[:-1])
+    logits[:-1] += b[:, None]
+    return logits
 
 
 def loss_and_gradient(
@@ -93,18 +104,38 @@ def loss_and_gradient(
     not penalized. Returns (objective, mean cross-entropy, grad_w, grad_b).
     """
     n = x.shape[0]
-    logits = _full_logits(x, w, b)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-    log_probs = shifted - log_norm[:, None]
-    data_loss = float(-np.mean(log_probs[np.arange(n), y]))
+    columns = np.arange(n)
+    log_probs = _logits(x, w, b)
+    log_probs -= log_probs.max(axis=0)
+    log_probs -= np.log(np.sum(np.exp(log_probs), axis=0))
+    data_loss = float(-np.mean(log_probs[y, columns]))
     objective = data_loss + 0.5 * l2 * float(np.sum(w * w))
-    residual = np.exp(log_probs)
-    residual[np.arange(n), y] -= 1.0
-    free = residual[:, : classes - 1]
-    grad_w = free.T @ x / n + l2 * w
-    grad_b = free.sum(axis=0) / n
+    residual = np.exp(log_probs, out=log_probs)
+    residual[y, columns] -= 1.0
+    free = residual[: classes - 1]
+    grad_w = free @ x / n + l2 * w
+    grad_b = free.sum(axis=1) / n
     return objective, data_loss, grad_w, grad_b
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H grad, for H the L-BFGS inverse-Hessian estimate from (s, y, 1/sᵀy) pairs.
+
+    The two-loop recursion, with the initial estimate scaled by sᵀy/yᵀy of
+    the newest pair; with no pairs it is the steepest-descent direction.
+    """
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
 
 
 def fit_probe(
@@ -114,10 +145,12 @@ def fit_probe(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> ProbeModel:
-    """Fit by full-batch gradient descent with backtracking line search.
+    """Fit by full-batch L-BFGS with a backtracking line search.
 
     Starts from zero parameters and stops when the gradient max-norm drops
-    below tol or max_iter steps were taken, whichever comes first.
+    below tol or max_iter L-BFGS steps were taken, whichever comes first.
+    A (s, y) pair of non-positive curvature is not stored; a direction that
+    does not descend is replaced by steepest descent, with the pairs dropped.
     """
     y, classes = _class_indices(labels)
     if y.size != train.rows:
@@ -127,30 +160,52 @@ def fit_probe(
     if l2 < 0.0:
         raise ValidationError("l2 penalty must be nonnegative")
     x = train.values
-    w = np.zeros((classes - 1, train.dims))
-    b = np.zeros(classes - 1)
-    value, data_loss, grad_w, grad_b = loss_and_gradient(w, b, x, y, classes, l2)
-    for _ in range(max_iter):
-        grad_norm = max(
-            float(np.max(np.abs(grad_w))) if grad_w.size else 0.0,
-            float(np.max(np.abs(grad_b))) if grad_b.size else 0.0,
-        )
-        if grad_norm < tol:
-            break
-        sq_norm = float(np.sum(grad_w**2) + np.sum(grad_b**2))
+    split = (classes - 1) * train.dims  # theta holds w row-major, then b
+
+    def evaluate(theta: np.ndarray) -> tuple[float, float, np.ndarray]:
+        w = theta[:split].reshape(classes - 1, train.dims)
+        value, data_loss, grad_w, grad_b = loss_and_gradient(w, theta[split:], x, y, classes, l2)
+        return value, data_loss, np.concatenate([grad_w.ravel(), grad_b])
+
+    theta = np.zeros(split + classes - 1)
+    value, data_loss, grad = evaluate(theta)
+    grad_max = float(np.max(np.abs(grad)))
+    pairs: deque = deque(maxlen=_HISTORY)
+    iterations = 0
+    while iterations < max_iter and grad_max >= tol:
+        direction = _lbfgs_direction(grad, pairs)
+        slope = float(grad @ direction)
+        if not slope < 0.0:
+            pairs.clear()
+            direction = -grad
+            slope = -float(grad @ grad)
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            trial = loss_and_gradient(w_new, b_new, x, y, classes, l2)
-            if trial[0] <= value - _ARMIJO_C1 * step * sq_norm:
+            trial_theta = theta + step * direction
+            trial = evaluate(trial_theta)
+            if trial[0] <= value + _ARMIJO_C1 * step * slope:
                 break
             step *= _BACKTRACK
         else:
             raise LineSearchError("no descent step found; gradient may be inconsistent")
-        w, b = w_new, b_new
-        value, data_loss, grad_w, grad_b = trial
-    return ProbeModel(weights=w, bias=b, classes=classes, training_loss=data_loss)
+        s = trial_theta - theta
+        grad_change = trial[2] - grad
+        curvature = float(s @ grad_change)
+        if curvature > 0.0:
+            pairs.append((s, grad_change, 1.0 / curvature))
+        theta = trial_theta
+        value, data_loss, grad = trial
+        grad_max = float(np.max(np.abs(grad)))
+        iterations += 1
+    return ProbeModel(
+        weights=theta[:split].reshape(classes - 1, train.dims),
+        bias=theta[split:],
+        classes=classes,
+        training_loss=data_loss,
+        iterations=iterations,
+        grad_max=grad_max,
+        converged=grad_max < tol,
+    )
 
 
 def evaluate_probe(

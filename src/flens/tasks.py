@@ -7,7 +7,7 @@ first class, ranking ties go to the lower item index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -43,19 +43,21 @@ class RetrievalResult:
 
     top_k emits indices in non-increasing similarity order;
     balanced_retrieval emits round-robin rank order across group queries,
-    so its similarity vector is not globally monotone.
+    so its similarity vector is not globally monotone. Both build their
+    indices unique and pass built_unique=True, which skips that check.
     """
 
     query_index: int
     ranked_indices: np.ndarray
     similarities: np.ndarray
+    built_unique: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, built_unique: bool) -> None:
         idx = np.asarray(self.ranked_indices, dtype=np.int64)
         sims = np.asarray(self.similarities, dtype=np.float64)
         if idx.shape != sims.shape or idx.ndim != 1:
             raise ShapeError("indices and similarities must be aligned 1-d vectors")
-        if np.unique(idx).size != idx.size:
+        if not built_unique and np.unique(idx).size != idx.size:
             raise ValidationError("ranked indices must be unique")
         idx.setflags(write=False)
         sims.setflags(write=False)
@@ -113,7 +115,10 @@ def top_k(similarities: np.ndarray, k: int) -> list[RetrievalResult]:
     results = []
     for j in range(sims.shape[0]):
         order = np.argsort(-sims[j], kind="stable")[:k]
-        results.append(RetrievalResult(query_index=j, ranked_indices=order, similarities=sims[j, order]))
+        # a prefix of a permutation holds each index once
+        results.append(
+            RetrievalResult(j, ranked_indices=order, similarities=sims[j, order], built_unique=True)
+        )
     return results
 
 
@@ -164,6 +169,7 @@ def balanced_retrieval(
         query_index=query_index,
         ranked_indices=picked,
         similarities=sims[np.arange(k) % p, picked],
+        built_unique=True,  # `claimed` lets each item be picked once
     )
 
 

@@ -2,6 +2,10 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,62 @@ class TestClassifyAudit:
         assert run(["classify-audit", "--config", path]) == 2
 
 
+class TestUndecodableInputs:
+    """Bytes that no parser can read end as a typed error that names the file."""
+
+    def _config(self, workspace, tmp_path, labels):
+        payload = {
+            "data": dict(workspace["data"], labels=str(labels)),
+            "probe": {"attributes": ["group"]},
+        }
+        return write_config(tmp_path / "probe.json", payload)
+
+    def _label_text(self, workspace):
+        return workspace["labels"].read_text(encoding="utf-8")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert run(["classify-audit", "--config", path]) == 2
+        assert f"config error: config {path} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert run(["classify-audit", "--config", path]) == 2
+        assert f"config error: config {path} nests too deeply" in capsys.readouterr().err
+
+    def test_label_cell_not_utf8(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "latin1.csv"
+        text = self._label_text(workspace)
+        header, first, rest = text.split("\n", 2)
+        cells = first.split(",")
+        cells[-1] += "\xe9"
+        labels.write_bytes(f"{header}\n{','.join(cells)}\n{rest}".encode("latin-1"))
+        assert run(["probe", "--config", self._config(workspace, tmp_path, labels)]) == 3
+        assert f"data error: {labels}: label file is not UTF-8 text" in capsys.readouterr().err
+
+    def test_label_cell_over_field_limit(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "long.csv"
+        header, rest = self._label_text(workspace).split("\n", 1)
+        labels.write_text(f"{header}\n0,{'x' * 131_073}\n{rest}", encoding="utf-8")
+        assert run(["probe", "--config", self._config(workspace, tmp_path, labels)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {labels}:2: field larger than field limit" in err
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about a third of a second to import, on every CLI start
+    import flens
+
+    src = str(Path(flens.__file__).resolve().parents[1])
+    code = "import sys, flens.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 class TestRetrieveAudit:
     def _config(self, workspace, tmp_path, k=(10,), balanced=True):
         payload = {
@@ -473,6 +533,34 @@ class TestApplyAndProbe:
         assert group["accuracy_raw"] > 0.9
         assert group["accuracy_transformed"] < 0.65
         assert abs(concept["accuracy_transformed"] - concept["accuracy_raw"]) < 0.1
+
+    def _probe_details(self, workspace, fitted_transform, tmp_path, max_iter):
+        cfg = write_config(
+            tmp_path / "probe.json",
+            {
+                "data": workspace["data"],
+                "transform": str(fitted_transform),
+                "probe": {"attributes": ["group", "concept"], "max_iter": max_iter},
+            },
+        )
+        out = tmp_path / "probe-report.json"
+        assert run(["probe", "--config", cfg, "--out", out]) == 0
+        return {t["task_name"]: t["details"] for t in read_report(out)["tasks"]}
+
+    def test_probe_reports_convergence(self, workspace, fitted_transform, tmp_path):
+        details = self._probe_details(workspace, fitted_transform, tmp_path, 1000)
+        for per_space in details.values():
+            assert set(per_space) == {"raw", "transformed"}
+            for fit in per_space.values():
+                assert fit["converged"] is True
+                assert fit["grad_max"] < 1e-6
+                assert 0 <= fit["iterations"] < 1000
+
+    def test_capped_probe_reports_not_converged(self, workspace, fitted_transform, tmp_path):
+        details = self._probe_details(workspace, fitted_transform, tmp_path, 2)
+        raw = details["probe:group"]["raw"]
+        assert raw == {"converged": False, "grad_max": raw["grad_max"], "iterations": 2}
+        assert raw["grad_max"] >= 1e-6
 
     def test_probe_requires_attributes(self, workspace, tmp_path):
         cfg = write_config(
@@ -800,6 +888,25 @@ class TestOnePassAudit:
         payload = {"queries": str(workspace["queries"]), "tasks": tasks}
         n_test = self._run(workspace, tmp_path, "classify-audit", payload)
         assert calls["unit_rows"].count(n_test) == 1
+
+    def test_ranked_lists_skip_np_unique(self, workspace, tmp_path, monkeypatch):
+        # partition_by_group's bincount is the one duplicate check on the CLI path
+        sizes = []
+        unique = np.unique
+
+        def recording(array, *args, **kwargs):
+            sizes.append(np.size(array))
+            return unique(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        queries = [{"name": "q", "row": 2, "fairness_mode": "diversity", "relevant": "concept"}]
+        payload = {
+            "queries": str(workspace["queries"]),
+            "retrieval": {"k": [10, 40, 20], "queries": queries},
+            "balanced": {"embeddings": str(workspace["balanced"])},
+        }
+        self._run(workspace, tmp_path, "retrieve-audit", payload)
+        assert sizes and not {10, 20, 40} & set(sizes)
 
     def test_retrieve_with_balanced_and_three_k(self, workspace, tmp_path, calls):
         queries = [{"name": f"q{i}", "row": i} for i in range(2)]

@@ -15,6 +15,7 @@ from flens.errors import (
     EmptyPositiveSet,
     EmptySelection,
     InvalidK,
+    InvalidSelection,
     ShapeError,
     ValidationError,
 )
@@ -214,6 +215,10 @@ class TestPerformanceMetrics:
     )
     def test_precision_relevant_forms(self, relevant, expected):
         assert precision_at_k([4, 0, 7, 2, 9], relevant, 4) == expected
+
+    def test_precision_rejects_duplicates(self):
+        with pytest.raises(InvalidSelection):
+            precision_at_k([4, 0, 4], {4}, 2)
 
     def test_precision_invalid_k(self):
         with pytest.raises(InvalidK):

@@ -44,11 +44,46 @@ class TestFitProbe:
         y = rng.integers(0, classes, size=n)
         y[:classes] = np.arange(classes)
         x[np.arange(n), y % d] += 1.5
+        # the oracle is steepest descent: it needs thousands of steps to reach tol
         model = fit_probe(
-            EmbeddingMatrix(x), GroupLabels(y, classes), l2=1e-3, max_iter=300, tol=1e-8
+            EmbeddingMatrix(x), GroupLabels(y, classes), l2=1e-3, max_iter=3000, tol=1e-8
         )
-        reference = oracle_probe_loss(x, y, classes, l2=1e-3, max_iter=300, tol=1e-8)
+        assert model.converged
+        reference = oracle_probe_loss(x, y, classes, l2=1e-3, max_iter=3000, tol=1e-8)
         assert model.training_loss == pytest.approx(reference, abs=1e-6)
+
+    def test_converges_to_tol(self):
+        embeddings, labels = two_clusters(n=120, seed=9)
+        model = fit_probe(embeddings, labels, tol=1e-7)
+        assert model.converged
+        assert model.grad_max < 1e-7
+        assert 0 < model.iterations < 1000
+        x, y = embeddings.values, labels.labels
+        grad_w, grad_b = loss_and_gradient(model.weights, model.bias, x, y, 2, 1e-4)[2:]
+        assert max(np.abs(grad_w).max(), np.abs(grad_b).max()) == model.grad_max
+
+    def test_capped_fit_reports_not_converged(self):
+        embeddings, labels = two_clusters(n=120, seed=9)
+        model = fit_probe(embeddings, labels, max_iter=3)
+        assert (model.iterations, model.converged) == (3, False)
+        assert model.grad_max >= 1e-6
+
+    def test_fewer_loss_evaluations_than_gradient_descent(self, monkeypatch):
+        import flens.probe
+
+        evaluations = []
+
+        def counting(*args):
+            evaluations.append(1)
+            return loss_and_gradient(*args)
+
+        monkeypatch.setattr(flens.probe, "loss_and_gradient", counting)
+        ds = generate(SynthSpec(n=1000, d=24, p=3, bias_dims=(0, 1), bias_strength=3.0, seed=4))
+        train = np.flatnonzero(ds.train_mask)
+        model = fit_probe(ds.embeddings.take(train), ds.protected.take(train), max_iter=200)
+        # steepest descent with the same line search ends these 200 steps at max-norm 6.7e-3
+        assert model.converged
+        assert len(evaluations) < 200
 
     def test_binary_labels_accepted(self):
         embeddings, groups = two_clusters()
