@@ -83,6 +83,9 @@ GROUND_TRUTH = "groundTruth"
 INFERRED = "inferred"
 
 REQUIRED = object()
+# Configs nest a few levels deep. The report echoes the config recursively, with at
+# least one stack frame per level, so deeper nesting must stop before any command runs.
+MAX_CONFIG_NESTING = 100
 _JSON_TYPES = {
     str: "a string",
     int: "an integer",
@@ -134,7 +137,18 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} nests too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    if _nesting(cfg) > MAX_CONFIG_NESTING:
+        raise ConfigError(f"config {path} nests deeper than {MAX_CONFIG_NESTING} levels")
     return cfg
+
+
+def _nesting(value: Any) -> int:
+    """How many arrays and objects deep a parsed JSON value nests, counted without recursion."""
+    depth, level = 0, [value]
+    while level := [v for v in level if isinstance(v, (dict, list))]:
+        depth += 1
+        level = [child for v in level for child in (v.values() if isinstance(v, dict) else v)]
+    return depth
 
 
 def _tags(spec: dict, where: str, fairness_mode: str = INDEPENDENCE) -> TaxonomyTags:

@@ -170,12 +170,13 @@ class LabeledDataset:
         if self.split is None:
             split = np.full(n, TEST, dtype="<U5")
         else:
-            split = np.asarray(self.split, dtype="<U5")
+            split = np.asarray(self.split, dtype=str)  # full width: "training" is not "train"
             if split.shape != (n,):
                 raise ShapeError("split tags length differs from embedding rows")
             bad = ~np.isin(split, (TRAIN, TEST))
             if np.any(bad):
-                raise ValidationError(f"unknown split tag {split[bad][0]!r}")
+                raise ValidationError(f"unknown split tag {str(split[bad][0])!r}")
+            split = split.astype("<U5")
         object.__setattr__(self, "split", _freeze(split))
         for tag in (TRAIN, TEST):
             mask = self.split == tag

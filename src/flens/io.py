@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import struct
 import zlib
 from pathlib import Path
@@ -123,8 +124,13 @@ def read_label_table(path: str | Path) -> dict[str, list[str]]:
     """Parse a label file into columns, enforcing the item_id schema.
 
     item_id must be the first column and run densely 0..n-1 in order;
-    every cell must be non-empty.
+    every cell must be non-empty. One csv pass gathers the cells row-major
+    into a flat list and checks only each row's width; the other checks run
+    over whole columns. An error names the first bad row, and within it the
+    first check it fails: width, missing value, integer item_id, dense order.
     """
+    cells: list[str] = []
+    stop = None  # the error that ended the pass early; an earlier bad row goes first
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -136,31 +142,49 @@ def read_label_table(path: str | Path) -> dict[str, list[str]]:
                 raise SchemaError(f"{path}: first column must be item_id")
             if len(set(header)) != len(header):
                 raise SchemaError(f"{path}: duplicate column names")
-            columns: dict[str, list[str]] = {name: [] for name in header}
-            expected_id = 0
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise SchemaError(f"{path}:{lineno}: expected {len(header)} cells")
-                if any(cell == "" for cell in row):
-                    raise SchemaError(f"{path}:{lineno}: missing value")
-                try:
-                    item_id = int(row[0])
-                except ValueError:
-                    raise SchemaError(f"{path}:{lineno}: item_id must be an integer") from None
-                if item_id != expected_id:
-                    raise SchemaError(
-                        f"{path}:{lineno}: item_id {item_id} breaks the dense 0..n-1 order"
-                    )
-                expected_id += 1
-                for name, cell in zip(header, row):
-                    columns[name].append(cell)
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    stop = f"{path}:{len(cells) // width + 2}: expected {width} cells"
+                    break
+                cells.extend(row)
         except UnicodeDecodeError:
-            raise SchemaError(f"{path}: label file is not UTF-8 text") from None
+            stop = f"{path}: label file is not UTF-8 text"
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-    if expected_id == 0:
+            stop = f"{path}:{reader.line_num}: {exc}"
+    if cells:
+        bad = _first_bad_row(cells, width)
+        if bad is not None:
+            raise SchemaError(f"{path}:{bad[0] + 2}: {bad[1]}")
+    if stop is not None:
+        raise SchemaError(stop)
+    if not cells:
         raise SchemaError(f"{path}: no data rows")
-    return columns
+    return {name: cells[j::width] for j, name in enumerate(header)}
+
+
+def _first_bad_row(cells: list[str], width: int) -> tuple[int, str] | None:
+    """Index and fault of the first full-width row that breaks the schema.
+
+    Only an item_id whose text differs from its row index, such as "007",
+    goes through int(); the scans for empty cells and for those ids run in C.
+    """
+    ids = cells[::width]
+    rows = cells.index("") // width if "" in cells else len(ids)
+    matches = list(map(operator.eq, ids[:rows], map(str, range(rows))))
+    row = -1
+    while True:
+        try:
+            row = matches.index(False, row + 1)
+        except ValueError:
+            break
+        try:
+            item_id = int(ids[row])
+        except ValueError:
+            return row, "item_id must be an integer"
+        if item_id != row:
+            return row, f"item_id {item_id} breaks the dense 0..n-1 order"
+    return (rows, "missing value") if rows < len(ids) else None
 
 
 def read_labels(
@@ -183,18 +207,15 @@ def decode_labels(
         raise SchemaError(f"{path}: no column named {attribute!r}")
     raw = columns[attribute]
     if kind == "group":
-        order: dict[str, int] = {}
-        for cell in raw:
-            if cell not in order:
-                order[cell] = len(order)
+        order = {cell: code for code, cell in enumerate(dict.fromkeys(raw))}
         if len(order) < 2:
             raise SchemaError(f"{path}: column {attribute!r} has fewer than 2 categories")
-        labels = np.array([order[cell] for cell in raw], dtype=np.int64)
+        labels = np.fromiter(map(order.__getitem__, raw), np.int64, len(raw))
         return GroupLabels(labels, group_count=len(order), group_names=tuple(order))
     if kind == "binary":
         mapping = {"0": -1, "1": 1, "-1": -1, "+1": 1}
         try:
-            labels = np.array([mapping[cell] for cell in raw], dtype=np.int64)
+            labels = np.fromiter(map(mapping.__getitem__, raw), np.int64, len(raw))
         except KeyError as exc:
             raise SchemaError(
                 f"{path}: column {attribute!r} has non-binary value {exc.args[0]!r}"

@@ -148,7 +148,9 @@ def fit_probe(
     """Fit by full-batch L-BFGS with a backtracking line search.
 
     Starts from zero parameters and stops when the gradient max-norm drops
-    below tol or max_iter L-BFGS steps were taken, whichever comes first.
+    below tol, when max_iter L-BFGS steps were taken, or when the step the
+    line search accepts does not strictly lower the objective, which leaves
+    the fit where it was and unconverged.
     A (s, y) pair of non-positive curvature is not stored; a direction that
     does not descend is replaced by steepest descent, with the pairs dropped.
     """
@@ -188,6 +190,8 @@ def fit_probe(
             step *= _BACKTRACK
         else:
             raise LineSearchError("no descent step found; gradient may be inconsistent")
+        if not trial[0] < value:
+            break  # stagnated: float64 cannot lower the objective any further
         s = trial_theta - theta
         grad_change = trial[2] - grad
         curvature = float(s @ grad_change)

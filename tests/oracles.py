@@ -7,6 +7,7 @@ with it. Each oracle stands alone so a bug cannot hide in common code.
 
 from __future__ import annotations
 
+import csv
 import math
 
 
@@ -154,3 +155,55 @@ def oracle_probe_loss(x, y, classes: int, l2: float, max_iter: int, tol: float) 
         full_b = full_b - step * grad_b
         value, ce, probs = trial
     return ce
+
+
+class OracleSchemaError(ValueError):
+    """A label table that breaks the schema; the message names file and row."""
+
+
+def oracle_read_label_table(path) -> dict[str, list[str]]:
+    """Row-by-row reference parse of a label CSV into columns.
+
+    Each row is checked as soon as csv yields it, in this order: width, no
+    empty cell, an integer item_id, and item_id equal to the row's index.
+    Row messages count the header as line 1 and one line per row; a csv
+    error names the reader's physical line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise OracleSchemaError(f"{path}: empty label file") from None
+            if not header or header[0] != "item_id":
+                raise OracleSchemaError(f"{path}: first column must be item_id")
+            if len(set(header)) != len(header):
+                raise OracleSchemaError(f"{path}: duplicate column names")
+            columns = {name: [] for name in header}
+            rows = 0
+            for row in reader:
+                line = rows + 2
+                if len(row) != len(header):
+                    raise OracleSchemaError(f"{path}:{line}: expected {len(header)} cells")
+                for cell in row:
+                    if cell == "":
+                        raise OracleSchemaError(f"{path}:{line}: missing value")
+                try:
+                    item_id = int(row[0])
+                except ValueError:
+                    raise OracleSchemaError(f"{path}:{line}: item_id must be an integer") from None
+                if item_id != rows:
+                    raise OracleSchemaError(
+                        f"{path}:{line}: item_id {item_id} breaks the dense 0..n-1 order"
+                    )
+                for name, cell in zip(header, row):
+                    columns[name].append(cell)
+                rows += 1
+        except UnicodeDecodeError:
+            raise OracleSchemaError(f"{path}: label file is not UTF-8 text") from None
+        except csv.Error as exc:
+            raise OracleSchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    if rows == 0:
+        raise OracleSchemaError(f"{path}: no data rows")
+    return columns

@@ -325,6 +325,21 @@ class TestUndecodableInputs:
         assert run(["classify-audit", "--config", path]) == 2
         assert f"config error: config {path} nests too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra_depth, code", [(99, 0), (100, 2), (600, 2)])
+    def test_config_parses_but_nests_too_deeply_to_echo(self, tmp_path, capsys, extra_depth, code):
+        """The report echoes the config, so nesting is bounded before any command runs."""
+        payload = {
+            "synth": {"n": 600, "d": 16, "p": 2},
+            "output": {"embeddings": str(tmp_path / "e.femb"), "labels": str(tmp_path / "l.csv")},
+        }
+        path = tmp_path / "deep.json"
+        nested = "[" * extra_depth + "]" * extra_depth
+        path.write_text(json.dumps(payload)[:-1] + f', "x": {nested}}}')
+        assert run(["synth", "--config", path, "--out", tmp_path / "r.json"]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"config error: config {path} nests deeper than 100 levels" in err
+
     def test_label_cell_not_utf8(self, workspace, tmp_path, capsys):
         labels = tmp_path / "latin1.csv"
         text = self._label_text(workspace)
@@ -569,8 +584,21 @@ class TestApplyAndProbe:
         )
         assert run(["probe", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("tag, written", [("train", "training"), ("test", "testXY")])
+    def test_split_tag_longer_than_a_known_one(self, workspace, tmp_path, capsys, tag, written):
+        """A tag is compared in full: "training" is not read as "train"."""
+        labels = tmp_path / "long-tags.csv"
+        text = workspace["labels"].read_text(encoding="utf-8")
+        labels.write_text(text.replace(f",{tag}\n", f",{written}\n"), encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "probe.json",
+            {"data": dict(workspace["data"], labels=str(labels)), "probe": {"attributes": ["group"]}},
+        )
+        assert run(["probe", "--config", cfg]) == 3
+        assert f"data error: unknown split tag '{written}'" in capsys.readouterr().err
 
-TASK = {"name": "t", "class_a": 0, "class_b": 1}
+
+TASK ={"name": "t", "class_a": 0, "class_b": 1}
 # 9999, not a small integer: a regression that opens an integer path opens that file descriptor
 SWAPS = [None, True, 9999, 2.5, "x", [1], {"a": 1}]
 JSON_TYPES = {

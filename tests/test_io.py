@@ -1,11 +1,14 @@
 """File format tests: round trips, corruption handling, schema validation."""
 
+import csv
 import hashlib
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from flens.core import BinaryLabels, EmbeddingMatrix
 from flens.errors import (
@@ -33,6 +36,8 @@ from flens.io import (
 )
 from flens.mitigation import FairPcaTransform, MiClipTransform, apply_fair_pca, apply_mi_clip
 from flens.report import sanitize
+
+from .oracles import OracleSchemaError, oracle_read_label_table
 
 
 @pytest.fixture
@@ -135,20 +140,30 @@ class TestLabelFiles:
     def test_missing_column(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("item_id,a\n0,x\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as raised:
             read_labels(path, "b")
+        assert str(raised.value) == f"{path}: no column named 'b'"
 
     def test_item_id_gap(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("item_id,a\n0,x\n2,y\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as raised:
             read_label_table(path)
+        assert str(raised.value) == f"{path}:3: item_id 2 breaks the dense 0..n-1 order"
 
     def test_missing_value(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("item_id,a\n0,x\n1,\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as raised:
             read_label_table(path)
+        assert str(raised.value) == f"{path}:3: missing value"
+
+    def test_non_binary_value(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("item_id,task\n0,1\n1,yes\n")
+        with pytest.raises(SchemaError) as raised:
+            read_labels(path, "task", kind="binary")
+        assert str(raised.value) == f"{path}: column 'task' has non-binary value 'yes'"
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -156,6 +171,105 @@ class TestLabelFiles:
         table = read_label_table(path)
         assert table["group"] == ["a", "b", "a"]
         assert table["split"] == ["train", "test", "train"]
+
+
+_CELLS = st.sampled_from(["a", "b7", 'q"r', "x,y", "l1\nl2", "c\rd", "", "z" * 20])
+
+
+@st.composite
+def label_csv(draw) -> bytes:
+    """Label CSV bytes mixing valid rows with every fault the parser reports."""
+    width = draw(st.integers(1, 3))
+    header = ["item_id", *(f"c{j}" for j in range(1, width))]
+    fault = draw(st.sampled_from([None] * 8 + ["duplicate", "first", "blank", "absent"]))
+    if fault == "duplicate":
+        header.append(header[-1])
+    elif fault == "first":
+        header[0] = "id"
+    elif fault == "blank":
+        header = []
+    rows = [] if fault == "absent" else [header]
+    for i in range(draw(st.integers(0, 6))):
+        faults = [f"00{i}", f"+{i}", f" {i}", str(i + 1), "x", ""]
+        item_id = draw(st.sampled_from([str(i)] * 12 + faults))
+        row = [item_id, *(draw(_CELLS) for _ in range(width - 1))]
+        spread = draw(st.sampled_from([0] * 8 + [1, -1]))
+        if spread > 0:
+            row.append(draw(_CELLS))
+        elif spread < 0:
+            row.pop()
+        rows.append(row)
+    lines = []
+    quote = st.sampled_from([True, True, True, False])
+    for row in rows:
+        # an unquoted cell may hold a comma, quote or line break: csv splits it its own way
+        quoted = ('"' + cell.replace('"', '""') + '"' if draw(quote) else cell for cell in row)
+        lines.append(",".join(quoted))
+        if draw(st.sampled_from([False] * 9 + [True])):
+            lines.append("")
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if text and draw(st.booleans()):
+        text = text[:-1]  # no line ending after the last line
+    data = text.encode("utf-8")
+    if data and draw(st.sampled_from([False] * 9 + [True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _assert_parses_like_oracle(path):
+    """read_label_table returns the oracle's columns or raises its message."""
+    try:
+        expected = oracle_read_label_table(path)
+    except OracleSchemaError as exc:
+        with pytest.raises(SchemaError) as raised:
+            read_label_table(path)
+        assert type(raised.value) is SchemaError
+        assert str(raised.value) == str(exc)
+    else:
+        assert read_label_table(path) == expected
+
+
+@pytest.fixture
+def small_field_limit():
+    """Cells over 16 characters raise csv.Error, so the csv-error path is cheap to reach."""
+    limit = csv.field_size_limit(16)
+    yield
+    csv.field_size_limit(limit)
+
+
+class TestLabelParserOracle:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=label_csv())
+    @example(data=b'item_id,a\r\n0,"x,\ny"\r\n1,"q""r"\r\n')  # quoting, CRLF
+    @example(data=b"item_id,a\r0,x\r1,y")  # bare CR, no final line ending
+    @example(data=b"item_id,a\n0,x\n\n1,y\n")  # a blank line is a row of 0 cells
+    @example(data=b"item_id,a\n0,x\n1,x\n2,x\n+3,x\n4,x\n5,x\n6,x\n007,x\n")  # int() ids
+    @example(data=b"item_id,a\n0,x\n2,y\n3,\n4\n")  # several bad rows: the first wins
+    @example(data=b"item_id,a\n0,\n1,x,y\n")  # missing value before a width error
+    @example(data=b"item_id,a\n0,x\n1,x\n3,x\n3," + b"z" * 20 + b"\n")  # bad row, then csv.Error
+    @example(data=b"item_id,a\n0,x\n1," + b"z" * 20 + b"\n3,x\n")  # csv.Error before the bad row
+    @example(data=b"item_id,a,b\n")  # header only
+    @example(data=b"item_id,a,a\n0,x,y\n")  # duplicate column names
+    @example(data=b"")
+    def test_matches_row_by_row_oracle(self, tmp_path, small_field_limit, data):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(data)
+        _assert_parses_like_oracle(path)
+
+    @pytest.mark.parametrize("bad_row", ["9,x\n", ""])
+    def test_decode_error_after_a_bad_row(self, tmp_path, bad_row):
+        """Undecodable bytes past the first text chunk: an earlier bad row is named first."""
+        path = tmp_path / "labels.csv"
+        rows = "".join(f"{i},x\n" for i in range(2, 4000))
+        path.write_bytes(f"item_id,a\n0,x\n1,x\n{bad_row}{rows}".encode() + b"\xff\n")
+        _assert_parses_like_oracle(path)
+        with pytest.raises(SchemaError) as raised:
+            read_label_table(path)
+        expected = ":4: item_id 9 breaks the dense" if bad_row else ": label file is not UTF-8"
+        assert expected in str(raised.value)
 
 
 class TestTransformContainers:

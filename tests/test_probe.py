@@ -85,6 +85,24 @@ class TestFitProbe:
         assert model.converged
         assert len(evaluations) < 200
 
+    def test_stagnation_stops_the_fit_unconverged(self, monkeypatch):
+        """A tol float64 cannot reach ends the fit once a step no longer lowers the objective."""
+        import flens.probe
+
+        evaluations = []
+
+        def counting(*args):
+            evaluations.append(1)
+            return loss_and_gradient(*args)
+
+        monkeypatch.setattr(flens.probe, "loss_and_gradient", counting)
+        ds = generate(SynthSpec(n=300, d=8, p=3, seed=5))
+        model = fit_probe(ds.embeddings, ds.protected, tol=0.0, max_iter=300)
+        # without the stop, this fit runs all 300 iterations in 3 730 evaluations
+        assert not model.converged
+        assert model.iterations < 300
+        assert len(evaluations) < 100
+
     def test_binary_labels_accepted(self):
         embeddings, groups = two_clusters()
         binary = BinaryLabels(np.where(groups.labels == 0, -1, 1))
