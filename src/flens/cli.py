@@ -29,7 +29,14 @@ from .core import (
     LabeledDataset,
     partition_by_group,
 )
-from .errors import ConfigError, DataError, FlensError, InvalidK, NumericError
+from .errors import (
+    ConfigError,
+    DataError,
+    DegenerateVector,
+    FlensError,
+    InvalidK,
+    NumericError,
+)
 from .io import (
     decode_labels,
     read_embeddings,
@@ -215,12 +222,44 @@ def _maybe_transform(
     return transformed, _transform_block(path, transform, meta)
 
 
-def _test_view(dataset: LabeledDataset) -> tuple[np.ndarray, GroupLabels]:
-    """Indices and protected labels of the evaluation (test) split."""
+def _load_test_split(
+    cfg: dict, label_columns: Iterable[tuple[str, str]] = ()
+) -> tuple[EmbeddingMatrix, GroupLabels, dict[tuple[str, str], GroupLabels | BinaryLabels], dict]:
+    """The evaluation (test) split: its raw embedding rows, protected labels and
+    decoded ``label_columns``, plus the report's provenance block.
+
+    Audits read no train row, so the full item matrix is freed on return,
+    before any transform or similarity pass.
+    """
+    dataset, columns, provenance = _load_dataset(cfg, label_columns)
     idx = np.flatnonzero(dataset.test_mask)
     if idx.size == 0:
         raise DataError("no test items to evaluate")
-    return idx, dataset.protected.take(idx)
+    columns = {key: labels.take(idx) for key, labels in columns.items()}
+    return dataset.embeddings.take(idx), dataset.protected.take(idx), columns, provenance
+
+
+def _query_similarities(
+    transform_path: str | None,
+    test_items: EmbeddingMatrix,
+    sources: Sequence[tuple[str, str, EmbeddingMatrix, np.ndarray]],
+) -> tuple[np.ndarray, dict | None]:
+    """Score the named rows of each query file against the test items in one pass.
+
+    Each source is (kind, file path, query file, row numbers in that file); the
+    transform at ``transform_path``, if any, is applied to the test items and
+    to those rows only. The similarity rows follow the sources in order. A
+    zero-norm row is reported by its kind and its row number in its own file.
+    """
+    (items, *blocks), transform_block = _maybe_transform(
+        transform_path, test_items, *(matrix.take(rows) for _, _, matrix, rows in sources)
+    )
+    for block, (kind, path, _, rows) in zip(blocks, sources):
+        zero = np.flatnonzero(np.linalg.norm(block.values, axis=1) == 0.0)
+        if zero.size:
+            raise DegenerateVector(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm")
+    queries = EmbeddingMatrix(np.vstack([block.values for block in blocks]))
+    return cosine_similarity_matrix(items, queries), transform_block
 
 
 def _untagged_record(task_name: str, **fields: Any) -> dict:
@@ -245,18 +284,23 @@ def cmd_classify_audit(cfg: dict) -> dict:
         )
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
-    dataset, columns, provenance = _load_dataset(cfg, [(t, "binary") for *_, t in tasks if t])
-    (items, queries), transform_block = _maybe_transform(
-        transform_path, dataset.embeddings, read_embeddings(queries_path)
+    test_items, groups, columns, provenance = _load_test_split(
+        cfg, [(t, "binary") for *_, t in tasks if t]
     )
-    test_idx, groups = _test_view(dataset)
-    test_items = items.take(test_idx)
+    queries = read_embeddings(queries_path)
+    for name, a, b, *_ in tasks:
+        if not (0 <= a < queries.rows and 0 <= b < queries.rows):
+            raise ConfigError(f"task {name!r}: class row outside the query file")
+    # Only the class rows the tasks name are transformed and scored, each once.
+    class_rows = np.unique([row for _, a, b, *_ in tasks for row in (a, b)])
+    sims, transform_block = _query_similarities(
+        transform_path, test_items, [("class", queries_path, queries, class_rows)]
+    )
+    position = {int(row): i for i, row in enumerate(class_rows)}
 
     records = []
     for name, a, b, tags, truth_column in tasks:
-        if not (0 <= a < queries.rows and 0 <= b < queries.rows):
-            raise ConfigError(f"task {name!r}: class row outside the query file")
-        predictions = zero_shot_classify(test_items, queries.row(a), queries.row(b))
+        predictions = zero_shot_classify(sims[position[a]], sims[position[b]])
         record = {
             "task_name": name,
             "taxonomy": taxonomy_record(tags),
@@ -265,7 +309,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
             "performance": {},
         }
         if truth_column:
-            truth = columns[truth_column, "binary"].take(test_idx)
+            truth = columns[truth_column, "binary"]
             record["metrics"]["dtpr"] = metric_record(dtpr(predictions, truth, groups))
             record["performance"]["accuracy"] = accuracy(predictions, truth)
         records.append(record)
@@ -328,54 +372,51 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
     transform_path = _field(cfg, "transform", str, "", None)
-    dataset, columns, provenance = _load_dataset(cfg, [(c, "binary") for *_, c in query_specs if c])
-    matrices = [dataset.embeddings, read_embeddings(queries_path)]
-    if balanced_path is not None:
-        matrices.append(read_embeddings(balanced_path))
-    transformed, transform_block = _maybe_transform(transform_path, *matrices)
-    items, query_matrix = transformed[0], transformed[1]
-    balanced_matrix = transformed[2] if balanced_path is not None else None
-    test_idx, groups = _test_view(dataset)
-    test_items = items.take(test_idx)
-    n_test = test_items.rows
-    p = groups.group_count
+    test_items, groups, columns, provenance = _load_test_split(
+        cfg, [(c, "binary") for *_, c in query_specs if c]
+    )
+    n_test, p = test_items.rows, groups.group_count
+    query_file = read_embeddings(queries_path)
+    balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
 
     queries = []
     for name, row, tags, relevant_column in query_specs:
-        if not 0 <= row < query_matrix.rows:
+        if not 0 <= row < query_file.rows:
             raise ConfigError(f"query {name!r}: row outside the query file")
         relevant = None
         if relevant_column:
-            relevance = columns[relevant_column, "binary"].take(test_idx)
-            relevant = np.flatnonzero(relevance.labels == 1)
+            relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
         for k in k_list:
             if not 1 <= k <= n_test:
                 raise InvalidK(f"k={k} outside [1, {n_test}] for query {name!r}")
-        queries.append((name, row, tags, relevant))
-    if balanced_matrix is not None:
+        queries.append((name, tags, relevant))
+    # The query rows, then p group-specific balanced rows per query in the order
+    # queries are listed: one similarity pass scores them all.
+    query_rows = np.array([row for _, row, _, _ in query_specs])
+    sources = [("query", queries_path, query_file, query_rows)]
+    if balanced_file is not None:
         for k in k_list:
             if k < p:
                 raise InvalidK(f"k={k} must be at least the group-query count {p}")
-    max_k = max(k_list)
-    query_rows = EmbeddingMatrix(query_matrix.values[[row for _, row, _, _ in queries]])
-    sims = cosine_similarity_matrix(test_items, query_rows)
+        if balanced_file.rows < len(queries) * p:
+            name = queries[balanced_file.rows // p][0]
+            raise ConfigError(
+                f"balanced embeddings need {p} rows per query, query {name!r} overruns"
+            )
+        sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
+    sims, transform_block = _query_similarities(transform_path, test_items, sources)
 
+    q, max_k = len(queries), max(k_list)
+    # Each row is ranked once, at max(k); each smaller k reads a prefix.
+    ranked_lists = top_k(sims[:q], max_k)
+    comparisons = per_query_similarity_tests(sims[:q], groups)
     records, balanced_records, similarity_tests = [], [], {}
-    for position, (name, _, tags, relevant) in enumerate(queries):
-        row_sims = sims[position][None, :]
-        # Both rankings are made once at max(k); each smaller k reads a prefix.
-        ranked = top_k(row_sims, max_k)[0].ranked_indices
+    for position, (name, tags, relevant) in enumerate(queries):
+        ranked = ranked_lists[position].ranked_indices
         balanced_ranked = None
-        if balanced_matrix is not None:
-            # p group-specific rows per query, in the order queries are listed
-            group_rows = balanced_matrix.values[position * p : (position + 1) * p]
-            if group_rows.shape[0] != p:
-                raise ConfigError(
-                    f"balanced embeddings need {p} rows per query, query {name!r} overruns"
-                )
-            balanced_ranked = balanced_retrieval(
-                test_items, EmbeddingMatrix(group_rows), max_k
-            ).ranked_indices
+        if balanced_file is not None:
+            group_sims = sims[q + position * p : q + (position + 1) * p]
+            balanced_ranked = balanced_retrieval(group_sims, max_k).ranked_indices
         for k in k_list:
             head = {
                 "task_name": f"{name} @ k={k}",
@@ -387,8 +428,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
             if balanced_ranked is not None:
                 block = _retrieval_metrics(balanced_ranked[:k], groups, tags, relevant, k)
                 balanced_records.append({**head, **block})
-        comparison = per_query_similarity_tests(row_sims, groups)[0]
-        similarity_tests[name] = comparison_record(comparison)
+        similarity_tests[name] = comparison_record(comparisons[position])
     blocks = []
     if transform_block:
         blocks.append(transform_block)

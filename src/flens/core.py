@@ -54,9 +54,6 @@ class EmbeddingMatrix:
     def dims(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     @cached_property
     def unit_rows(self) -> np.ndarray:
         """Rows scaled to unit L2 norm, computed on first use and read-only.

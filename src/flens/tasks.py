@@ -82,23 +82,51 @@ def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -
     item_unit = _unit_rows(items, "item")
     query_unit = _unit_rows(queries, "query")
     sims = query_unit @ item_unit.T
-    return np.clip(sims, -1.0, 1.0)
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
-def zero_shot_classify(
-    items: EmbeddingMatrix, class_a: np.ndarray, class_b: np.ndarray
-) -> BinaryLabels:
+def _as_rows(similarities: np.ndarray) -> np.ndarray:
+    sims = np.asarray(similarities, dtype=np.float64)
+    if sims.ndim != 2:
+        raise ShapeError(f"similarity matrix must be 2-d, got shape {sims.shape}")
+    if np.isnan(sims).any():  # NaN has no rank: it would break _ranked_prefix's threshold
+        raise ValidationError("similarity matrix contains NaN")
+    return sims
+
+
+def _ranked_prefix(similarities: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the first k of ``np.argsort(-row, kind="stable")``: a rows x k index array.
+
+    When 2k <= n, np.partition finds each row's k-th largest value and only
+    the items at or above it, boundary ties included, are sorted. Items come
+    in ascending index order into that stable sort, so ties still go to the
+    lower index. Otherwise a full stable argsort of the rows is the cheaper way.
+    """
+    rows, n = similarities.shape
+    if 2 * k > n:
+        return np.argsort(-similarities, axis=1, kind="stable")[:, :k]
+    threshold = np.partition(similarities, n - k, axis=1)[:, n - k]
+    row, item = np.nonzero(similarities >= threshold[:, None])
+    # lexsort is stable and sorts by row first, so each row's candidates stay where
+    # np.nonzero put them, starting at the row's first index in `row`
+    order = item[np.lexsort((-similarities[row, item], row))]
+    starts = np.searchsorted(row, np.arange(rows))
+    return order[starts[:, None] + np.arange(k)]
+
+
+def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> BinaryLabels:
     """Label each item +1 for class A or -1 for class B by nearest class embedding.
 
-    Cosine ties go to class A. Picking the larger cosine is equivalent to
-    picking the larger softmax probability over the two similarities at any
-    temperature, so no temperature parameter exists.
+    ``sims_a`` and ``sims_b`` are the items' cosine similarities to the class A
+    and class B embeddings: two rows of a cosine_similarity_matrix. Cosine ties
+    go to class A. Picking the larger cosine is equivalent to picking the larger
+    softmax probability over the two similarities at any temperature, so no
+    temperature parameter exists.
     """
-    pair = EmbeddingMatrix(np.vstack([np.asarray(class_a, dtype=np.float64),
-                                      np.asarray(class_b, dtype=np.float64)]))
-    sims = cosine_similarity_matrix(items, pair)
-    labels = np.where(sims[0] >= sims[1], 1, -1)
-    return BinaryLabels(labels)
+    a, b = np.asarray(sims_a, dtype=np.float64), np.asarray(sims_b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ShapeError(f"class similarities must be two equal 1-d rows, got {a.shape}, {b.shape}")
+    return BinaryLabels(np.where(a >= b, 1, -1))
 
 
 def top_k(similarities: np.ndarray, k: int) -> list[RetrievalResult]:
@@ -106,47 +134,41 @@ def top_k(similarities: np.ndarray, k: int) -> list[RetrievalResult]:
 
     The order is one stable sort, so the result for any k' <= k is a prefix.
     """
-    sims = np.asarray(similarities, dtype=np.float64)
-    if sims.ndim != 2:
-        raise ShapeError(f"similarity matrix must be 2-d, got shape {sims.shape}")
+    sims = _as_rows(similarities)
     n = sims.shape[1]
     if k < 1 or k > n:
         raise InvalidK(f"k={k} outside [1, {n}]")
-    results = []
-    for j in range(sims.shape[0]):
-        order = np.argsort(-sims[j], kind="stable")[:k]
-        # a prefix of a permutation holds each index once
-        results.append(
-            RetrievalResult(j, ranked_indices=order, similarities=sims[j, order], built_unique=True)
-        )
-    return results
+    orders = _ranked_prefix(sims, k)
+    values = np.take_along_axis(sims, orders, axis=1)
+    # a prefix of a permutation holds each index once
+    return [
+        RetrievalResult(j, ranked_indices=orders[j], similarities=values[j], built_unique=True)
+        for j in range(sims.shape[0])
+    ]
 
 
 def balanced_retrieval(
-    items: EmbeddingMatrix,
-    group_queries: EmbeddingMatrix,
-    k: int,
-    query_index: int = 0,
+    similarities: np.ndarray, k: int, query_index: int = 0
 ) -> RetrievalResult:
     """Retrieve k items split as evenly as possible across p group-specific queries.
 
-    Each group query gets floor(k/p) picks and the first k mod p groups one
-    extra. An item already claimed by an earlier pick is skipped in favor of
-    that group's next-best candidate. Picks are made and returned in
-    round-robin order by rank, so each group's best item precedes any
-    group's second-best. Quotas fill whole rounds first, so the picks for
+    ``similarities`` holds one row per group query: p rows of a
+    cosine_similarity_matrix. Each group query gets floor(k/p) picks and the
+    first k mod p groups one extra. An item already claimed by an earlier pick
+    is skipped in favor of that group's next-best candidate. Picks are made and
+    returned in round-robin order by rank, so each group's best item precedes
+    any group's second-best. Quotas fill whole rounds first, so the picks for
     any k' in [p, k] are the first k' picks for k.
     """
-    p = group_queries.rows
+    sims = _as_rows(similarities)
+    p, n = sims.shape
     if k < p:
         raise InvalidK(f"k={k} must be at least the group-query count {p}")
-    n = items.rows
     if k > n:
         raise InsufficientItems(f"need {k} distinct items but only {n} exist")
-    sims = cosine_similarity_matrix(items, group_queries)
     # Fewer than k items are claimed before any pick, so no group's cursor
     # passes index k-1 of its order: the first k columns of each order suffice.
-    orders = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    orders = _ranked_prefix(sims, k)
     # Scalar reads through memoryviews give Python ints without the numpy
     # scalar overhead, and without the memory of a .tolist() copy.
     rows = [memoryview(orders[g]) for g in range(p)]

@@ -48,7 +48,7 @@ from flens.mitigation import (
 from flens.probe import evaluate_probe, fit_probe, loss_and_gradient
 from flens.stats import alexander_govern
 from flens.synth import SynthSpec, generate
-from flens.tasks import balanced_retrieval
+from flens.tasks import balanced_retrieval, cosine_similarity_matrix
 
 from .oracles import (
     oracle_ddp_classification,
@@ -314,7 +314,8 @@ def test_balanced_retrieval_zero_skew():
         values = rng.normal(scale=0.2, size=(n, p))
         values[np.arange(n), labels] += 10.0
         queries = np.eye(p)
-        result = balanced_retrieval(EmbeddingMatrix(values), EmbeddingMatrix(queries), k)
+        sims = cosine_similarity_matrix(EmbeddingMatrix(values), EmbeddingMatrix(queries))
+        result = balanced_retrieval(sims, k)
         partition = partition_by_group(result.ranked_indices, GroupLabels(labels, p))
         assert partition.selected_per_group == tuple([per_round] * p)
         assert skew_at_k(partition).value == 0.0

@@ -1,5 +1,6 @@
 """End-to-end CLI tests over temp files: pipelines, determinism, exit codes."""
 
+import csv
 import functools
 import json
 import os
@@ -880,13 +881,15 @@ class TestOneLabelParse:
 
 
 class TestOnePassAudit:
-    """An audit normalises its test items once and ranks each query once, at max(k)."""
+    """An audit normalises its test items once, scores every query row in one
+    similarity pass and ranks each row once, at max(k)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import flens.cli
 
-        calls = {"unit_rows": [], "top_k": 0, "balanced_retrieval": 0}
+        calls = {"unit_rows": [], "cosine_similarity_matrix": 0, "top_k": 0}
+        calls["balanced_retrieval"] = 0
         unit_rows = EmbeddingMatrix.unit_rows.func
 
         def counting_unit_rows(matrix):
@@ -896,7 +899,7 @@ class TestOnePassAudit:
         prop = functools.cached_property(counting_unit_rows)
         prop.__set_name__(EmbeddingMatrix, "unit_rows")
         monkeypatch.setattr(EmbeddingMatrix, "unit_rows", prop)
-        for name in ("top_k", "balanced_retrieval"):
+        for name in ("cosine_similarity_matrix", "top_k", "balanced_retrieval"):
 
             def counting(*args, _name=name, _original=getattr(flens.cli, name), **kwargs):
                 calls[_name] += 1
@@ -916,6 +919,7 @@ class TestOnePassAudit:
         payload = {"queries": str(workspace["queries"]), "tasks": tasks}
         n_test = self._run(workspace, tmp_path, "classify-audit", payload)
         assert calls["unit_rows"].count(n_test) == 1
+        assert calls["cosine_similarity_matrix"] == 1
 
     def test_ranked_lists_skip_np_unique(self, workspace, tmp_path, monkeypatch):
         # partition_by_group's bincount is the one duplicate check on the CLI path
@@ -945,4 +949,126 @@ class TestOnePassAudit:
         }
         n_test = self._run(workspace, tmp_path, "retrieve-audit", payload)
         assert calls["unit_rows"].count(n_test) == 1
-        assert calls["top_k"] == calls["balanced_retrieval"] == len(queries)
+        assert calls["cosine_similarity_matrix"] == calls["top_k"] == 1
+        assert calls["balanced_retrieval"] == len(queries)
+
+    def test_transform_reads_test_and_named_rows_only(
+        self, workspace, fitted_transform, tmp_path, monkeypatch
+    ):
+        import flens.cli
+
+        rows = []
+        apply = flens.cli.apply_fair_pca
+
+        def recording(transform, embeddings):
+            rows.append(embeddings.rows)
+            return apply(transform, embeddings)
+
+        monkeypatch.setattr(flens.cli, "apply_fair_pca", recording)
+        tasks = [{"name": n, "class_a": a, "class_b": 4 - a} for n, a in (("t", 3), ("u", 1))]
+        payload = {"queries": str(workspace["queries"]), "transform": str(fitted_transform)}
+        n_test = self._run(workspace, tmp_path, "classify-audit", {**payload, "tasks": tasks})
+        assert rows == [n_test, 2]
+        rows.clear()
+        retrieval = {"k": [10], "queries": [{"name": "q", "row": 2}]}
+        balanced = {"embeddings": str(workspace["balanced"])}
+        self._run(workspace, tmp_path, "retrieve-audit",
+                  {**payload, "retrieval": retrieval, "balanced": balanced})
+        assert rows == [n_test, 1, 2]
+
+
+class TestAuditRows:
+    """Audits read only the test rows, and only the query rows a task or query names."""
+
+    @pytest.fixture
+    def query_files(self, workspace, tmp_path):
+        # rows 5 and 7 of the class file, row 3 of the query file and the rows
+        # past the two balanced blocks are zero-norm
+        classes = np.vstack([read_embeddings(workspace["queries"]).values, np.eye(4, 16)])
+        classes[[5, 7]] = 0.0
+        queries = np.eye(4, 16)
+        queries[3] = 0.0
+        balanced = np.vstack([read_embeddings(workspace["balanced"]).values, np.zeros((2, 16))])
+        paths = {}
+        for name, values in (("classes", classes), ("queries", queries), ("balanced", balanced)):
+            paths[name] = tmp_path / f"{name}.femb"
+            write_embeddings(EmbeddingMatrix(values), paths[name])
+        return paths
+
+    def _classify(self, workspace, tmp_path, query_files, class_b, transform=None):
+        payload = {
+            "data": workspace["data"],
+            "queries": str(query_files["classes"]),
+            "tasks": [{"name": "t", "class_a": 2, "class_b": class_b, "ground_truth": "concept"}],
+        }
+        if transform:
+            payload["transform"] = str(transform)
+        cfg = write_config(tmp_path / "classify.json", payload)
+        return run(["classify-audit", "--config", cfg, "--out", tmp_path / "classify.out"])
+
+    def _retrieve(self, workspace, tmp_path, query_files, rows, balanced, transform=None):
+        payload = {
+            "data": workspace["data"],
+            "queries": str(query_files["queries"]),
+            "retrieval": {
+                "k": [10, 30],
+                "queries": [
+                    {"name": f"q{row}", "row": row, "fairness_mode": "diversity",
+                     "relevant": "concept"}
+                    for row in rows
+                ],
+            },
+            "balanced": {"embeddings": str(balanced)},
+        }
+        if transform:
+            payload["transform"] = str(transform)
+        cfg = write_config(tmp_path / "retrieve.json", payload)
+        return run(["retrieve-audit", "--config", cfg, "--out", tmp_path / "retrieve.out"])
+
+    def test_zero_norm_class_row_named_by_file_row(self, workspace, tmp_path, query_files, capsys):
+        assert self._classify(workspace, tmp_path, query_files, class_b=7) == 3
+        assert f"class row 7 of {query_files['classes']} has zero norm" in capsys.readouterr().err
+
+    def test_zero_norm_query_row_named_by_file_row(self, workspace, tmp_path, query_files, capsys):
+        code = self._retrieve(workspace, tmp_path, query_files, [0, 3], workspace["balanced"])
+        assert code == 3
+        assert f"query row 3 of {query_files['queries']} has zero norm" in capsys.readouterr().err
+
+    def test_zero_norm_balanced_row_named_by_file_row(
+        self, workspace, tmp_path, query_files, capsys
+    ):
+        balanced = read_embeddings(workspace["balanced"]).values.copy()
+        balanced[2] = 0.0
+        path = tmp_path / "balanced_zero.femb"
+        write_embeddings(EmbeddingMatrix(balanced), path)
+        assert self._retrieve(workspace, tmp_path, query_files, [0, 1], path) == 3
+        assert f"balanced row 2 of {path} has zero norm" in capsys.readouterr().err
+
+    def test_zero_norm_rows_nothing_names_are_not_read(self, workspace, tmp_path, query_files):
+        assert self._classify(workspace, tmp_path, query_files, class_b=4) == 0
+        code = self._retrieve(workspace, tmp_path, query_files, [0, 1], query_files["balanced"])
+        assert code == 0
+
+    @pytest.mark.parametrize("transformed", [False, True], ids=["raw", "transformed"])
+    def test_train_rows_do_not_change_reports(
+        self, workspace, fitted_transform, tmp_path, query_files, transformed
+    ):
+        transform = fitted_transform if transformed else None
+        outs = [tmp_path / "classify.out", tmp_path / "retrieve.out"]
+
+        def reports():
+            assert self._classify(workspace, tmp_path, query_files, 3, transform) == 0
+            balanced = query_files["balanced"]
+            code = self._retrieve(workspace, tmp_path, query_files, [0, 1], balanced, transform)
+            assert code == 0
+            return [out.read_bytes() for out in outs]
+
+        before = reports()
+        values = read_embeddings(workspace["embeddings"]).values.copy()
+        with open(workspace["labels"], newline="") as fh:
+            split = np.array([row["split"] for row in csv.DictReader(fh)])
+        train = split == "train"
+        assert train.any() and not train.all()
+        values[train] = np.random.default_rng(5).normal(size=(int(train.sum()), values.shape[1]))
+        write_embeddings(EmbeddingMatrix(values), workspace["embeddings"])
+        assert reports() == before

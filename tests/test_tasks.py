@@ -16,6 +16,7 @@ from flens.errors import (
 from flens.tasks import (
     RetrievalResult,
     TaxonomyTags,
+    _ranked_prefix,
     balanced_retrieval,
     cosine_similarity_matrix,
     infer_protected_attribute,
@@ -26,10 +27,29 @@ from flens.tasks import (
 from .oracles import oracle_balanced_retrieval
 
 
+def _classify(items: EmbeddingMatrix, class_a, class_b):
+    sims = cosine_similarity_matrix(items, EmbeddingMatrix(np.vstack([class_a, class_b])))
+    return zero_shot_classify(sims[0], sims[1])
+
+
+def _balanced(items: EmbeddingMatrix, group_queries: EmbeddingMatrix, k: int):
+    return balanced_retrieval(cosine_similarity_matrix(items, group_queries), k)
+
+
 def _level_rows(count: int):
     """count rows of four entries, each -1, 0 or 1."""
     row = st.lists(st.integers(-1, 1), min_size=4, max_size=4)
     return st.lists(row, min_size=count, max_size=count)
+
+
+# Similarities on a 1/16 grid, with both signed zeros: rows of a few dozen
+# entries hold many exact ties, at the k-th largest value too.
+_GRID = [-0.0] + [i / 16 for i in range(-16, 17)]
+
+
+def _grid_rows(rows: int, n: int):
+    row = st.lists(st.sampled_from(_GRID), min_size=n, max_size=n)
+    return st.lists(row, min_size=rows, max_size=rows).map(np.array)
 
 
 class TestCosineSimilarity:
@@ -73,12 +93,12 @@ class TestCosineSimilarity:
 class TestZeroShotClassify:
     def test_identical_to_class_a(self):
         items = EmbeddingMatrix([[1.0, 0.0]])
-        labels = zero_shot_classify(items, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+        labels = _classify(items, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
         assert labels.labels.tolist() == [1]
 
     def test_tie_goes_to_class_a(self):
         items = EmbeddingMatrix([[1.0, 1.0]])
-        labels = zero_shot_classify(items, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        labels = _classify(items, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert labels.labels.tolist() == [1]
 
     def test_fan_flips_at_bisector(self):
@@ -86,7 +106,7 @@ class TestZeroShotClassify:
         # count keeps the exact bisector (the documented tie) out of the fan
         angles = np.linspace(0.05, np.pi / 2 - 0.05, 36)
         items = EmbeddingMatrix(np.column_stack([np.cos(angles), np.sin(angles)]))
-        labels = zero_shot_classify(items, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        labels = _classify(items, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         expected = np.where(angles < np.pi / 4, 1, -1)
         assert labels.labels.tolist() == expected.tolist()
 
@@ -94,9 +114,9 @@ class TestZeroShotClassify:
         rng = np.random.default_rng(3)
         values = rng.normal(size=(30, 6))
         a, b = rng.normal(size=6), rng.normal(size=6)
-        base = zero_shot_classify(EmbeddingMatrix(values), a, b)
+        base = _classify(EmbeddingMatrix(values), a, b)
         scales = rng.uniform(0.1, 10.0, size=30)
-        rescaled = zero_shot_classify(EmbeddingMatrix(values * scales[:, None]), 3.0 * a, 0.25 * b)
+        rescaled = _classify(EmbeddingMatrix(values * scales[:, None]), 3.0 * a, 0.25 * b)
         assert base.labels.tolist() == rescaled.labels.tolist()
 
     def test_softmax_argmax_equivalence(self):
@@ -105,7 +125,7 @@ class TestZeroShotClassify:
         rng = np.random.default_rng(4)
         items = EmbeddingMatrix(rng.normal(size=(50, 5)))
         a, b = rng.normal(size=5), rng.normal(size=5)
-        labels = zero_shot_classify(items, a, b)
+        labels = _classify(items, a, b)
         sims = cosine_similarity_matrix(
             items, EmbeddingMatrix(np.vstack([a, b]))
         )
@@ -115,6 +135,10 @@ class TestZeroShotClassify:
             softmax /= softmax.sum(axis=0)
             via_softmax = np.where(softmax[0] >= softmax[1], 1, -1)
             assert via_softmax.tolist() == labels.labels.tolist()
+
+    def test_rows_must_match(self):
+        with pytest.raises(ShapeError):
+            zero_shot_classify(np.zeros(3), np.zeros(4))
 
 
 class TestTopK:
@@ -151,6 +175,25 @@ class TestTopK:
         with pytest.raises(InvalidK):
             top_k(sims, 5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            top_k(np.array([[0.5, np.nan, 0.1, 0.2]]), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ranked_prefix_is_stable_argsort_prefix(self, data):
+        # every k from 1 to n: both sides of the 2k <= n partition rule, and k = n
+        rows = data.draw(st.integers(1, 4), label="rows")
+        n = data.draw(st.integers(1, 40), label="n")
+        sims = data.draw(_grid_rows(rows, n), label="sims")
+        full = np.argsort(-sims, axis=1, kind="stable")
+        for k in range(1, n + 1):
+            assert _ranked_prefix(sims, k).tolist() == full[:, :k].tolist()
+            for result in top_k(sims, k):
+                order = full[result.query_index, :k]
+                assert result.ranked_indices.tolist() == order.tolist()
+                assert result.similarities.tolist() == sims[result.query_index, order].tolist()
+
 
 class TestBalancedRetrieval:
     def _clustered(self):
@@ -164,7 +207,7 @@ class TestBalancedRetrieval:
 
     def test_even_split(self):
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-        result = balanced_retrieval(self._clustered(), queries, 10)
+        result = _balanced(self._clustered(), queries, 10)
         picked = set(result.ranked_indices.tolist())
         assert len(picked & {0, 1, 2, 3, 4}) == 5
         assert len(picked & {5, 6, 7, 8, 9}) == 5
@@ -172,7 +215,7 @@ class TestBalancedRetrieval:
     def test_remainder_goes_to_lower_group(self):
         values = np.vstack([self._clustered().values, [[1.0, 0.05]]])
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-        result = balanced_retrieval(EmbeddingMatrix(values), queries, 11)
+        result = _balanced(EmbeddingMatrix(values), queries, 11)
         group0 = {0, 1, 2, 3, 4, 10}
         picked = result.ranked_indices.tolist()
         assert sum(1 for i in picked if i in group0) == 6
@@ -181,7 +224,7 @@ class TestBalancedRetrieval:
     def test_disjoint_top_lists_equal_union(self):
         items = self._clustered()
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-        result = balanced_retrieval(items, queries, 4)
+        result = _balanced(items, queries, 4)
         sims = cosine_similarity_matrix(items, queries)
         top0 = top_k(sims[0:1], 2)[0].ranked_indices.tolist()
         top1 = top_k(sims[1:2], 2)[0].ranked_indices.tolist()
@@ -189,7 +232,7 @@ class TestBalancedRetrieval:
 
     def test_round_robin_order(self):
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-        result = balanced_retrieval(self._clustered(), queries, 4)
+        result = _balanced(self._clustered(), queries, 4)
         # group 0's best, group 1's best, then each second-best
         assert result.ranked_indices.tolist() == [0, 5, 1, 6]
 
@@ -197,7 +240,7 @@ class TestBalancedRetrieval:
         # item 0 is the top hit for both queries
         values = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.8, 0.2], [0.2, 0.8]])
         queries = EmbeddingMatrix([[1.0, 0.9], [0.9, 1.0]])
-        result = balanced_retrieval(EmbeddingMatrix(values), queries, 4)
+        result = _balanced(EmbeddingMatrix(values), queries, 4)
         picked = result.ranked_indices.tolist()
         # group 0 claims the contested item; group 1 falls back to its next best
         assert picked == [0, 4, 3, 2]
@@ -205,12 +248,12 @@ class TestBalancedRetrieval:
     def test_k_below_group_count(self):
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidK):
-            balanced_retrieval(self._clustered(), queries, 1)
+            _balanced(self._clustered(), queries, 1)
 
     def test_insufficient_items(self):
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InsufficientItems):
-            balanced_retrieval(self._clustered(), queries, 11)
+            _balanced(self._clustered(), queries, 11)
 
     def test_smaller_k_is_prefix(self):
         # Three-level items give exact cosine ties; near-identical group
@@ -224,9 +267,9 @@ class TestBalancedRetrieval:
         assert any(np.unique(row).size < row.size for row in sims)
         tops = [top_k(sims[g : g + 1], big // p)[0].ranked_indices for g in range(p)]
         assert np.unique(np.concatenate(tops)).size < big // p * p
-        full = balanced_retrieval(items, queries, big).ranked_indices.tolist()
+        full = _balanced(items, queries, big).ranked_indices.tolist()
         for k in range(p, big + 1):
-            assert balanced_retrieval(items, queries, k).ranked_indices.tolist() == full[:k]
+            assert _balanced(items, queries, k).ranked_indices.tolist() == full[:k]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -244,8 +287,22 @@ class TestBalancedRetrieval:
         item_matrix, query_matrix = EmbeddingMatrix(items), EmbeddingMatrix(queries)
         sims = cosine_similarity_matrix(item_matrix, query_matrix).tolist()
         for k in range(p, n + 1):
-            result = balanced_retrieval(item_matrix, query_matrix, k)
+            result = _balanced(item_matrix, query_matrix, k)
             picked, values = oracle_balanced_retrieval(sims, k)
+            assert result.ranked_indices.tolist() == picked
+            assert result.similarities.tolist() == values
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_on_tied_similarities(self, data):
+        # every k from p to n: both sides of the 2k <= n partition rule
+        p = data.draw(st.integers(2, 4), label="p")
+        n = data.draw(st.integers(p, 40), label="n")
+        sims = data.draw(_grid_rows(p, n), label="sims")
+        for k in range(p, n + 1):
+            result = balanced_retrieval(sims, k)
+            picked, values = oracle_balanced_retrieval(sims.tolist(), k)
             assert result.ranked_indices.tolist() == picked
             assert result.similarities.tolist() == values
 
