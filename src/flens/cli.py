@@ -22,12 +22,14 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    TEST,
     TRAIN,
     BinaryLabels,
     EmbeddingMatrix,
     GroupLabels,
     LabeledDataset,
     partition_by_group,
+    split_tags,
 )
 from .errors import (
     ConfigError,
@@ -88,6 +90,7 @@ from .tasks import (
 
 GROUND_TRUTH = "groundTruth"
 INFERRED = "inferred"
+_EMPTY_SPLIT = {TEST: "no test items to evaluate", TRAIN: "train split is empty; nothing to fit on"}
 
 REQUIRED = object()
 # Configs nest a few levels deep. The report echoes the config recursively, with at
@@ -168,34 +171,48 @@ def _tags(spec: dict, where: str, fairness_mode: str = INDEPENDENCE) -> Taxonomy
 
 
 def _load_dataset(
-    cfg: dict, label_columns: Iterable[tuple[str, str]] = ()
-) -> tuple[LabeledDataset, dict[tuple[str, str], GroupLabels | BinaryLabels], dict]:
-    """Read the embeddings and parse the label table exactly once.
+    cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
+) -> tuple[
+    LabeledDataset, np.ndarray, dict[tuple[str, str], GroupLabels | BinaryLabels], dict
+]:
+    """Parse the label table exactly once, then read the embeddings rows of split ``keep``.
 
     Besides the protected attribute and the split, each (column, kind) in
-    ``label_columns`` is decoded here, so the parsed string table is freed on
-    return. Also returns the report's provenance block: attribute, groups, sizes.
+    ``label_columns`` is decoded, so the parsed string table is freed on
+    return. Every label check runs on the full table before the embeddings
+    are read; then only the rows of split ``keep`` (every row when None) are
+    widened. Returns the dataset of those rows, their row numbers in the
+    embeddings file, the decoded columns at those rows, and the report's
+    provenance block: attribute, groups, sizes.
     """
     data = _field(cfg, "data", dict, "")
     embeddings_path = _field(data, "embeddings", str, "data")
     labels_path = _field(data, "labels", str, "data")
     attribute = _field(data, "attribute", str, "data")
     split_column = _field(data, "split_column", str, "data", "split")
-    embeddings = read_embeddings(embeddings_path)
     table = read_label_table(labels_path)
     protected = decode_labels(table, attribute, "group", labels_path)
-    split = np.asarray(table[split_column]) if split_column in table else None
     columns = {key: decode_labels(table, *key, labels_path) for key in dict.fromkeys(label_columns)}
-    dataset = LabeledDataset(embeddings=embeddings, protected=protected, split=split)
+    split = split_tags(np.asarray(table[split_column]) if split_column in table else None, protected)
+    del table  # freed before the embeddings are read
     provenance = {
         "attribute": attribute,
         "group_names": list(protected.group_names or []),
         "group_count": protected.group_count,
-        "items": dataset.n,
-        "train_items": int(dataset.train_mask.sum()),
-        "test_items": int(dataset.test_mask.sum()),
+        "items": len(protected),
+        "train_items": int(np.count_nonzero(split == TRAIN)),
+        "test_items": int(np.count_nonzero(split == TEST)),
     }
-    return dataset, columns, provenance
+    if keep is None:
+        dataset = LabeledDataset(read_embeddings(embeddings_path), protected, split=split)
+        return dataset, np.arange(dataset.n), columns, provenance
+    mask = split == keep
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        raise DataError(_EMPTY_SPLIT[keep])
+    embeddings = read_embeddings(embeddings_path, mask)
+    dataset = LabeledDataset(embeddings, protected.take(rows), split=split[rows])
+    return dataset, rows, {key: labels.take(rows) for key, labels in columns.items()}, provenance
 
 
 def _apply_transform(
@@ -224,42 +241,57 @@ def _maybe_transform(
 
 def _load_test_split(
     cfg: dict, label_columns: Iterable[tuple[str, str]] = ()
-) -> tuple[EmbeddingMatrix, GroupLabels, dict[tuple[str, str], GroupLabels | BinaryLabels], dict]:
-    """The evaluation (test) split: its raw embedding rows, protected labels and
-    decoded ``label_columns``, plus the report's provenance block.
-
-    Audits read no train row, so the full item matrix is freed on return,
-    before any transform or similarity pass.
+) -> tuple[
+    tuple[str, EmbeddingMatrix, np.ndarray],
+    GroupLabels,
+    dict[tuple[str, str], GroupLabels | BinaryLabels],
+    dict,
+]:
+    """The evaluation (test) split: (embeddings file path, its raw test rows,
+    their row numbers in that file), its protected labels and decoded
+    ``label_columns``, plus the report's provenance block. Audits read no
+    train row: only the test rows are widened to float64.
     """
-    dataset, columns, provenance = _load_dataset(cfg, label_columns)
-    idx = np.flatnonzero(dataset.test_mask)
-    if idx.size == 0:
-        raise DataError("no test items to evaluate")
-    columns = {key: labels.take(idx) for key, labels in columns.items()}
-    return dataset.embeddings.take(idx), dataset.protected.take(idx), columns, provenance
+    dataset, rows, columns, provenance = _load_dataset(cfg, label_columns, keep=TEST)
+    items = (cfg["data"]["embeddings"], dataset.embeddings, rows)  # checked by _load_dataset
+    return items, dataset.protected, columns, provenance
+
+
+def _require_nonzero(kind: str, path: str, block: EmbeddingMatrix, rows: np.ndarray) -> None:
+    """Raise DegenerateVector naming block's first zero-norm row by its row in its own file.
+
+    The unit rows are cached, so the similarity pass reuses them.
+    """
+    try:
+        block.unit_rows
+    except DegenerateVector:
+        zero = np.flatnonzero(np.linalg.norm(block.values, axis=1) == 0.0)
+        raise DegenerateVector(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm") from None
 
 
 def _query_similarities(
     transform_path: str | None,
-    test_items: EmbeddingMatrix,
+    items: tuple[str, EmbeddingMatrix, np.ndarray],
     sources: Sequence[tuple[str, str, EmbeddingMatrix, np.ndarray]],
 ) -> tuple[np.ndarray, dict | None]:
     """Score the named rows of each query file against the test items in one pass.
 
-    Each source is (kind, file path, query file, row numbers in that file); the
-    transform at ``transform_path``, if any, is applied to the test items and
-    to those rows only. The similarity rows follow the sources in order. A
-    zero-norm row is reported by its kind and its row number in its own file.
+    ``items`` is (embeddings file path, test rows, their row numbers in that
+    file). Each source is (kind, file path, query file, row numbers in that
+    file); the transform at ``transform_path``, if any, is applied to the test
+    items and to those rows only. The similarity rows follow the sources in
+    order. A zero-norm row, query rows first, is reported by its kind and its
+    row number in its own file.
     """
-    (items, *blocks), transform_block = _maybe_transform(
+    items_path, test_items, item_rows = items
+    (test_items, *blocks), transform_block = _maybe_transform(
         transform_path, test_items, *(matrix.take(rows) for _, _, matrix, rows in sources)
     )
     for block, (kind, path, _, rows) in zip(blocks, sources):
-        zero = np.flatnonzero(np.linalg.norm(block.values, axis=1) == 0.0)
-        if zero.size:
-            raise DegenerateVector(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm")
-    queries = EmbeddingMatrix(np.vstack([block.values for block in blocks]))
-    return cosine_similarity_matrix(items, queries), transform_block
+        _require_nonzero(kind, path, block, rows)
+    _require_nonzero("item", items_path, test_items, item_rows)
+    queries = EmbeddingMatrix(np.vstack([block.values for block in blocks]), finite=True)
+    return cosine_similarity_matrix(test_items, queries), transform_block
 
 
 def _untagged_record(task_name: str, **fields: Any) -> dict:
@@ -284,7 +316,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
         )
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
-    test_items, groups, columns, provenance = _load_test_split(
+    items, groups, columns, provenance = _load_test_split(
         cfg, [(t, "binary") for *_, t in tasks if t]
     )
     queries = read_embeddings(queries_path)
@@ -294,7 +326,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
     # Only the class rows the tasks name are transformed and scored, each once.
     class_rows = np.unique([row for _, a, b, *_ in tasks for row in (a, b)])
     sims, transform_block = _query_similarities(
-        transform_path, test_items, [("class", queries_path, queries, class_rows)]
+        transform_path, items, [("class", queries_path, queries, class_rows)]
     )
     position = {int(row): i for i, row in enumerate(class_rows)}
 
@@ -372,10 +404,10 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
     transform_path = _field(cfg, "transform", str, "", None)
-    test_items, groups, columns, provenance = _load_test_split(
+    items, groups, columns, provenance = _load_test_split(
         cfg, [(c, "binary") for *_, c in query_specs if c]
     )
-    n_test, p = test_items.rows, groups.group_count
+    n_test, p = len(groups), groups.group_count
     query_file = read_embeddings(queries_path)
     balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
 
@@ -404,7 +436,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
                 f"balanced embeddings need {p} rows per query, query {name!r} overruns"
             )
         sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
-    sims, transform_block = _query_similarities(transform_path, test_items, sources)
+    sims, transform_block = _query_similarities(transform_path, items, sources)
 
     q, max_k = len(queries), max(k_list)
     # Each row is ranked once, at max(k); each smaller k reads a prefix.
@@ -464,24 +496,14 @@ def cmd_debias_fit(cfg: dict) -> dict:
         params["bins"] = _field(method_cfg, "bins", int, method, 32)
     else:
         params = {"target_dim": _field(method_cfg, "target_dim", int, method, None)}
-    dataset, _, provenance = _load_dataset(cfg)
-
-    train_idx = np.flatnonzero(dataset.train_mask)
-    if train_idx.size == 0:
-        raise DataError("train split is empty; nothing to fit on")
-    train_items = dataset.embeddings.take(train_idx)
+    fit_dataset, _, _, provenance = _load_dataset(cfg, keep=TRAIN)
     if prompts_path:
+        train_items = fit_dataset.embeddings
         protected = infer_protected_attribute(train_items, read_embeddings(prompts_path))
-    else:
-        protected = dataset.protected.take(train_idx)
-    fit_dataset = LabeledDataset(
-        embeddings=train_items,
-        protected=protected,
-        split=np.full(train_items.rows, TRAIN, dtype="<U5"),
-    )
+        fit_dataset = LabeledDataset(train_items, protected, split=fit_dataset.split)
 
     metadata = {"method": method, "attribute_source": source}
-    details: dict[str, Any] = {"train_items": int(train_idx.size)}
+    details: dict[str, Any] = {"train_items": fit_dataset.n}
     if method == "miclip":
         transform = fit_mi_clip(fit_dataset, **params)
         details.update(
@@ -529,7 +551,7 @@ def cmd_probe(cfg: dict) -> dict:
         "tol": _field(probe_cfg, "tol", float, "probe", DEFAULT_TOL),
     }
     transform_path = _field(cfg, "transform", str, "", None)
-    dataset, columns, provenance = _load_dataset(cfg, [(a, "group") for a in attributes])
+    dataset, _, columns, provenance = _load_dataset(cfg, [(a, "group") for a in attributes])
     (items,), transform_block = _maybe_transform(transform_path, dataset.embeddings)
     train_idx = np.flatnonzero(dataset.train_mask)
     test_idx = np.flatnonzero(dataset.test_mask)

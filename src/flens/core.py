@@ -6,7 +6,7 @@ marked read-only), so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -32,17 +32,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
-    """Dense n x d matrix of embedding vectors, held as float64 in memory."""
+    """Dense n x d matrix of embedding vectors, held as float64 in memory.
+
+    ``finite=True`` skips the NaN/Inf scan, for values whose source was
+    already scanned: a file's float32 payload, or rows of another matrix.
+    """
 
     values: np.ndarray
+    finite: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, finite: bool) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ShapeError(f"embedding matrix must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValidationError("embedding matrix needs at least one row and one column")
-        if not np.all(np.isfinite(values)):
+        if not finite and not np.all(np.isfinite(values)):
             raise ValidationError("embedding matrix contains NaN or Inf")
         object.__setattr__(self, "values", _freeze(values))
 
@@ -69,7 +74,7 @@ class EmbeddingMatrix:
 
     def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
         """New matrix with the given rows, in the given order."""
-        return EmbeddingMatrix(self.values[np.asarray(indices)])
+        return EmbeddingMatrix(self.values[np.asarray(indices)], finite=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +149,34 @@ class BinaryLabels:
         return BinaryLabels(self.labels[np.asarray(indices)])
 
 
+def split_tags(split: np.ndarray | None, protected: GroupLabels) -> np.ndarray:
+    """Checked, read-only split tags, one per item that ``protected`` labels.
+
+    None tags every item as test data. Every tag must be train or test, and
+    a non-empty split must contain every protected group.
+    """
+    n = len(protected)
+    if split is None:
+        tags = np.full(n, TEST, dtype="<U5")
+    else:
+        tags = np.asarray(split, dtype=str)  # full width: "training" is not "train"
+        if tags.shape != (n,):
+            raise ShapeError("split tags length differs from embedding rows")
+        bad = ~np.isin(tags, (TRAIN, TEST))
+        if np.any(bad):
+            raise ValidationError(f"unknown split tag {str(tags[bad][0])!r}")
+        tags = tags.astype("<U5")
+    for tag in (TRAIN, TEST):
+        mask = tags == tag
+        if not np.any(mask):
+            continue
+        present = np.bincount(protected.labels[mask], minlength=protected.group_count)
+        if np.any(present == 0):
+            missing = int(np.flatnonzero(present == 0)[0])
+            raise EmptyGroup(f"group {missing} absent from the {tag} split")
+    return _freeze(tags)
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Embeddings joined with protected labels, optional task labels, and split tags.
@@ -164,25 +197,7 @@ class LabeledDataset:
             raise ShapeError("protected labels length differs from embedding rows")
         if self.ground_truth is not None and len(self.ground_truth) != n:
             raise ShapeError("ground-truth labels length differs from embedding rows")
-        if self.split is None:
-            split = np.full(n, TEST, dtype="<U5")
-        else:
-            split = np.asarray(self.split, dtype=str)  # full width: "training" is not "train"
-            if split.shape != (n,):
-                raise ShapeError("split tags length differs from embedding rows")
-            bad = ~np.isin(split, (TRAIN, TEST))
-            if np.any(bad):
-                raise ValidationError(f"unknown split tag {str(split[bad][0])!r}")
-            split = split.astype("<U5")
-        object.__setattr__(self, "split", _freeze(split))
-        for tag in (TRAIN, TEST):
-            mask = self.split == tag
-            if not np.any(mask):
-                continue
-            present = np.bincount(self.protected.labels[mask], minlength=self.protected.group_count)
-            if np.any(present == 0):
-                missing = int(np.flatnonzero(present == 0)[0])
-                raise EmptyGroup(f"group {missing} absent from the {tag} split")
+        object.__setattr__(self, "split", split_tags(self.split, self.protected))
 
     @property
     def n(self) -> int:

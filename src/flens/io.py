@@ -1,9 +1,10 @@
 """Durable file formats: embeddings, label tables, transforms, reports.
 
-Embeddings travel as 32-bit little-endian floats behind a fixed header and
-are widened to float64 in memory; statistics never run on float32. A
-comma-separated text twin exists for interoperability. Transforms live in
-a versioned, checksummed binary container. Reports are canonical JSON.
+Embeddings travel as 32-bit little-endian floats behind a fixed header;
+the rows a command keeps are widened to float64 in memory, and statistics
+never run on float32. A comma-separated text twin exists for
+interoperability. Transforms live in a versioned, checksummed binary
+container. Reports are canonical JSON.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -24,6 +26,7 @@ from .errors import (
     DataError,
     FormatError,
     SchemaError,
+    ShapeError,
     TruncationError,
     ValidationError,
     VersionError,
@@ -52,35 +55,51 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     Path(path).write_bytes(header + payload.tobytes())
 
 
-def read_embeddings(path: str | Path) -> EmbeddingMatrix:
+def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> EmbeddingMatrix:
     """Read a binary embeddings file, falling back to comma-separated text.
+
+    The payload is read once into one float32 buffer, sized from the header
+    and checked against the file size before anything is allocated. The whole
+    buffer is checked for NaN/Inf, but only the rows where the boolean mask
+    ``keep`` is true (every row when it is None) are widened to float64.
 
     The text fallback parses through float32 so a text file written by
     write_embeddings_text decodes to exactly the same matrix as its
     binary twin.
     """
-    data = Path(path).read_bytes()
-    if not data.startswith(EMBEDDING_MAGIC):
-        return _read_embeddings_text(data, path)
-    if len(data) < _EMBEDDING_HEADER.size:
-        raise TruncationError(f"{path}: header truncated")
-    magic, version, n, d, dtype = _EMBEDDING_HEADER.unpack_from(data)
-    if magic != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != EMBEDDING_VERSION:
-        raise VersionError(f"{path}: unsupported version {version}")
-    if dtype != _DTYPE_F32_LE:
-        raise FormatError(f"{path}: unknown dtype code {dtype}")
-    expected = n * d * 4
-    payload = data[_EMBEDDING_HEADER.size :]
-    if len(payload) < expected:
-        raise TruncationError(f"{path}: payload has {len(payload)} of {expected} bytes")
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} bytes of trailing data")
-    values = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: payload contains NaN or Inf")
-    return EmbeddingMatrix(values.astype(np.float64))
+    with open(path, "rb") as fh:
+        header = fh.read(_EMBEDDING_HEADER.size)
+        if not header.startswith(EMBEDDING_MAGIC):
+            return _read_embeddings_text(header + fh.read(), path, keep)
+        if len(header) < _EMBEDDING_HEADER.size:
+            raise TruncationError(f"{path}: header truncated")
+        _, version, n, d, dtype = _EMBEDDING_HEADER.unpack(header)
+        if version != EMBEDDING_VERSION:
+            raise VersionError(f"{path}: unsupported version {version}")
+        if dtype != _DTYPE_F32_LE:
+            raise FormatError(f"{path}: unknown dtype code {dtype}")
+        expected = n * d * 4
+        size = os.fstat(fh.fileno()).st_size - _EMBEDDING_HEADER.size
+        if size < expected:
+            raise TruncationError(f"{path}: payload has {size} of {expected} bytes")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} bytes of trailing data")
+        values = np.empty((n, d), dtype="<f4")
+        got = fh.readinto(values)
+        if got < expected:  # the file shrank after it was sized
+            raise TruncationError(f"{path}: payload has {got} of {expected} bytes")
+    return _kept_rows(values, keep, f"{path}: payload")
+
+
+def _kept_rows(values: np.ndarray, keep: np.ndarray | None, what: str) -> EmbeddingMatrix:
+    """Check a whole float32 payload for NaN/Inf, then widen the rows ``keep`` marks."""
+    if not np.isfinite(values).all():
+        raise DataError(f"{what} contains NaN or Inf")
+    if keep is None:
+        return EmbeddingMatrix(values, finite=True)
+    if np.shape(keep) != values.shape[:1]:
+        raise ShapeError("protected labels length differs from embedding rows")
+    return EmbeddingMatrix(values[keep], finite=True)
 
 
 def write_embeddings_text(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -93,7 +112,9 @@ def write_embeddings_text(matrix: EmbeddingMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _read_embeddings_text(data: bytes, path: str | Path) -> EmbeddingMatrix:
+def _read_embeddings_text(
+    data: bytes, path: str | Path, keep: np.ndarray | None
+) -> EmbeddingMatrix:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -114,10 +135,7 @@ def _read_embeddings_text(data: bytes, path: str | Path) -> EmbeddingMatrix:
         rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no rows")
-    values = np.asarray(rows, dtype=np.float32).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: text payload contains NaN or Inf")
-    return EmbeddingMatrix(values)
+    return _kept_rows(np.asarray(rows, dtype=np.float32), keep, f"{path}: text payload")
 
 
 def read_label_table(path: str | Path) -> dict[str, list[str]]:

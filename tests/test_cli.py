@@ -4,8 +4,10 @@ import csv
 import functools
 import json
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flens.cli import main
+from flens.cli import _load_test_split, main
 from flens.io import read_embeddings, read_report, write_embeddings
 from flens.core import EmbeddingMatrix
 
@@ -25,6 +27,11 @@ def run(args):
 def write_config(path, payload):
     path.write_text(json.dumps(payload, indent=2))
     return path
+
+
+def split_column(labels_path):
+    with open(labels_path, newline="") as fh:
+        return np.array([row["split"] for row in csv.DictReader(fh)])
 
 
 @pytest.fixture
@@ -1044,6 +1051,46 @@ class TestAuditRows:
         assert self._retrieve(workspace, tmp_path, query_files, [0, 1], path) == 3
         assert f"balanced row 2 of {path} has zero norm" in capsys.readouterr().err
 
+    def _audit(self, command, workspace, tmp_path, query_files):
+        if command == "classify-audit":
+            return self._classify(workspace, tmp_path, query_files, class_b=3)
+        return self._retrieve(workspace, tmp_path, query_files, [0, 1], query_files["balanced"])
+
+    @pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit"])
+    def test_zero_norm_item_row_named_by_file_row(
+        self, workspace, tmp_path, query_files, capsys, command
+    ):
+        test_rows = np.flatnonzero(split_column(workspace["labels"]) == "test")
+        row = int(test_rows[-1])
+        assert row != test_rows.size - 1  # its file row is not its place in the test split
+        values = read_embeddings(workspace["embeddings"]).values.copy()
+        values[row] = 0.0
+        write_embeddings(EmbeddingMatrix(values), workspace["embeddings"])
+        assert self._audit(command, workspace, tmp_path, query_files) == 3
+        expected = f"item row {row} of {workspace['embeddings']} has zero norm"
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit"])
+    def test_nan_in_a_train_row_is_data_error(
+        self, workspace, tmp_path, query_files, capsys, command
+    ):
+        """Audits widen only test rows, but every row of the file is checked."""
+        row = int(np.flatnonzero(split_column(workspace["labels"]) == "train")[-1])
+        data = bytearray(workspace["embeddings"].read_bytes())
+        offset = 23 + row * 16 * 4
+        data[offset : offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        workspace["embeddings"].write_bytes(bytes(data))
+        assert self._audit(command, workspace, tmp_path, query_files) == 3
+        expected = f"data error: {workspace['embeddings']}: payload contains NaN or Inf"
+        assert expected in capsys.readouterr().err
+
+    def test_header_claiming_huge_n_is_data_error(self, workspace, tmp_path, query_files, capsys):
+        header = struct.pack("<8sHQIB", b"FLENSEMB", 1, 2**40, 16, 1)
+        workspace["embeddings"].write_bytes(header + bytes(64))
+        assert self._audit("classify-audit", workspace, tmp_path, query_files) == 3
+        expected = f"{workspace['embeddings']}: payload has 64 of {2**40 * 64} bytes"
+        assert expected in capsys.readouterr().err
+
     def test_zero_norm_rows_nothing_names_are_not_read(self, workspace, tmp_path, query_files):
         assert self._classify(workspace, tmp_path, query_files, class_b=4) == 0
         code = self._retrieve(workspace, tmp_path, query_files, [0, 1], query_files["balanced"])
@@ -1065,10 +1112,47 @@ class TestAuditRows:
 
         before = reports()
         values = read_embeddings(workspace["embeddings"]).values.copy()
-        with open(workspace["labels"], newline="") as fh:
-            split = np.array([row["split"] for row in csv.DictReader(fh)])
-        train = split == "train"
+        train = split_column(workspace["labels"]) == "train"
         assert train.any() and not train.all()
         values[train] = np.random.default_rng(5).normal(size=(int(train.sum()), values.shape[1]))
         write_embeddings(EmbeddingMatrix(values), workspace["embeddings"])
         assert reports() == before
+
+
+class TestInputFaultOrder:
+    """Every check of the label table runs before the embeddings file is read."""
+
+    @pytest.mark.parametrize("command", ["classify-audit", "debias-fit", "probe"])
+    def test_label_fault_reported_before_embeddings_fault(
+        self, workspace, tmp_path, capsys, command
+    ):
+        labels = tmp_path / "bad-tags.csv"
+        text = workspace["labels"].read_text(encoding="utf-8")
+        labels.write_text(text.replace(",train\n", ",training\n", 1), encoding="utf-8")
+        workspace["embeddings"].write_bytes(workspace["embeddings"].read_bytes()[:-1])
+        payload = {
+            "classify-audit": {"queries": str(workspace["queries"]), "tasks": [TASK]},
+            "debias-fit": {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")},
+            "probe": {"probe": {"attributes": ["group"]}},
+        }[command]
+        data = dict(workspace["data"], labels=str(labels))
+        cfg = write_config(tmp_path / "faults.json", {"data": data, **payload})
+        assert run([command, "--config", cfg]) == 3
+        assert "data error: unknown split tag 'training'" in capsys.readouterr().err
+
+
+def test_test_split_read_memory(tmp_path):
+    """An audit's read holds the float32 payload and the widened test rows, not n x d float64."""
+    paths = {"embeddings": str(tmp_path / "big.femb"), "labels": str(tmp_path / "big.csv")}
+    synth = {"synth": {"n": 20_000, "d": 256, "p": 2, "seed": 5}, "output": paths}
+    assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
+    cfg = {"data": {**paths, "attribute": "group"}}
+    tracemalloc.start()
+    try:
+        (_, items, rows), groups, _, provenance = _load_test_split(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert items.rows == rows.size == len(groups) == provenance["test_items"] == 6000
+    # 20.5 MB float32 payload + 12.3 MB of widened test rows + the mask and label table
+    assert peak < 48e6

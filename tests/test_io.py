@@ -16,7 +16,9 @@ from flens.errors import (
     DataError,
     FormatError,
     SchemaError,
+    ShapeError,
     TruncationError,
+    ValidationError,
     VersionError,
 )
 from flens.io import (
@@ -112,6 +114,77 @@ class TestEmbeddingFormat:
         path.write_bytes(b"\x00\x01\xff not embeddings")
         with pytest.raises(FormatError):
             read_embeddings(path)
+
+
+class TestEmbeddingRead:
+    """One float32 read per file: sized before any allocation, checked whole, rows kept by mask."""
+
+    def test_header_claiming_huge_n_is_truncation(self, tmp_path):
+        path = tmp_path / "huge.femb"
+        header = struct.pack("<8sHQIB", b"FLENSEMB", 1, 2**40, 4, 1)
+        path.write_bytes(header + np.zeros(8, dtype="<f4").tobytes())
+        with pytest.raises(TruncationError, match=f"payload has 32 of {2**40 * 16} bytes"):
+            read_embeddings(path)
+
+    def test_empty_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.femb"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="no rows"):
+            read_embeddings(path)
+
+    def test_file_shorter_than_header(self, tmp_path, matrix):
+        path = tmp_path / "m.femb"
+        write_embeddings(matrix, path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(TruncationError, match="header truncated"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("writer", [write_embeddings, write_embeddings_text])
+    def test_nan_in_a_dropped_row_still_rejected(self, tmp_path, matrix, writer):
+        path = tmp_path / "m.femb"
+        writer(matrix, path)
+        if writer is write_embeddings:
+            data = bytearray(path.read_bytes())
+            data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last value of the last row
+            path.write_bytes(bytes(data))
+        else:
+            lines = path.read_text().splitlines()
+            lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="payload contains NaN or Inf"):
+            read_embeddings(path, keep=np.array([True, False, False]))
+
+    @pytest.mark.parametrize("writer", [write_embeddings, write_embeddings_text])
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_mask_of_wrong_length(self, tmp_path, matrix, writer, rows):
+        path = tmp_path / "m.femb"
+        writer(matrix, path)
+        with pytest.raises(ShapeError, match="protected labels length differs from embedding"):
+            read_embeddings(path, keep=np.ones(rows, dtype=bool))
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.sampled_from([None, False, True]),
+        text=st.booleans(),
+    )
+    def test_kept_rows_equal_rows_taken_after_a_full_read(self, tmp_path, shape, seed, fill, text):
+        rng = np.random.default_rng(seed)
+        matrix = EmbeddingMatrix(rng.normal(size=shape).astype(np.float32))
+        path = tmp_path / ("m.csv" if text else "m.femb")
+        (write_embeddings_text if text else write_embeddings)(matrix, path)
+        keep = rng.random(shape[0]) < 0.5 if fill is None else np.full(shape[0], fill)
+        if not keep.any():
+            with pytest.raises(ValidationError):
+                read_embeddings(path, keep)
+            return
+        kept = read_embeddings(path, keep).values
+        taken = read_embeddings(path).take(np.flatnonzero(keep)).values
+        assert kept.dtype == taken.dtype == np.float64
+        assert kept.tobytes() == taken.tobytes()
 
 
 class TestLabelFiles:
