@@ -496,10 +496,12 @@ def cmd_debias_fit(cfg: dict) -> dict:
         params["bins"] = _field(method_cfg, "bins", int, method, 32)
     else:
         params = {"target_dim": _field(method_cfg, "target_dim", int, method, None)}
-    fit_dataset, _, _, provenance = _load_dataset(cfg, keep=TRAIN)
+    fit_dataset, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
     if prompts_path:
-        train_items = fit_dataset.embeddings
-        protected = infer_protected_attribute(train_items, read_embeddings(prompts_path))
+        train_items, prompts = fit_dataset.embeddings, read_embeddings(prompts_path)
+        _require_nonzero("prompt", prompts_path, prompts, np.arange(prompts.rows))
+        _require_nonzero("item", cfg["data"]["embeddings"], train_items, rows)
+        protected = infer_protected_attribute(train_items, prompts)
         fit_dataset = LabeledDataset(train_items, protected, split=fit_dataset.split)
 
     metadata = {"method": method, "attribute_source": source}

@@ -40,6 +40,8 @@ log = logging.getLogger(__name__)
 RANK_RTOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 CONSTRAINT_TOL = 1e-8
+# Values per block of columns binned together by estimate_mi_per_dimension.
+_MI_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,21 +111,9 @@ class FairPcaTransform:
         return float(np.max(np.abs(gram - np.eye(self.target_dim))))
 
 
-def _equal_frequency_bins(column: np.ndarray, bins: int) -> np.ndarray:
-    """Assign each value a bin index using interior quantile edges.
-
-    Duplicate edges collapse, so heavily tied columns land in fewer
-    effective bins and a constant column lands in exactly one.
-    """
-    probs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    edges = np.unique(np.quantile(column, probs))
-    return np.searchsorted(edges, column, side="right")
-
-
-def _plugin_mi(binned: np.ndarray, labels: np.ndarray, n_bins: int, n_groups: int) -> float:
-    """Maximum-likelihood mutual information (nats) of a binned contingency table."""
-    joint = np.bincount(binned * n_groups + labels, minlength=n_bins * n_groups)
-    joint = joint.reshape(n_bins, n_groups).astype(np.float64)
+def _plugin_mi(joint: np.ndarray) -> float:
+    """Maximum-likelihood mutual information (nats) of an integer bins x groups table."""
+    joint = joint.astype(np.float64)
     n = joint.sum()
     row = joint.sum(axis=1, keepdims=True)
     col = joint.sum(axis=0, keepdims=True)
@@ -140,6 +130,12 @@ def estimate_mi_per_dimension(
     Returns nonnegative estimates in nats. The estimate carries the usual
     plug-in positive bias of roughly (bins-1)(p-1)/(2n); that bias is shared
     across dimensions so the ranking it feeds is unaffected.
+
+    A value's bin counts the interior quantile edges at or below it. Columns
+    go in blocks of about ``_MI_BLOCK_ELEMENTS`` values (O(n) scratch), rows
+    in group order; a block is sorted whole for the edges, and per group for
+    binary searches that count the values below each edge. Table rows are
+    their differences; a repeated edge only adds an empty row, worth no MI.
     """
     if bins < 2:
         raise InvalidBins(f"need at least 2 bins, got {bins}")
@@ -148,14 +144,35 @@ def estimate_mi_per_dimension(
         raise InvalidBins(f"need at least as many items ({n}) as bins ({bins})")
     if len(groups) != n:
         raise ShapeError("group labels length differs from embedding rows")
-    if np.any(groups.counts() == 0):
+    counts = groups.counts()
+    if np.any(counts == 0):
         raise EmptyGroup("every group must be present to estimate MI")
     p = groups.group_count
-    labels = groups.labels
+    # Edges at np.quantile's default ("linear", Hyndman-Fan type 7) positions,
+    # read off the sorted column with numpy's interpolation, to the last bit.
+    h = (n - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    low = np.floor(h).astype(np.intp)
+    t = (h - low)[:, None]
+    ends = np.cumsum(counts)
+    segments = list(zip(ends - counts, ends))  # each group's rows, once in group order
+    by_group = np.argsort(groups.labels, kind="stable")
+    width = max(1, _MI_BLOCK_ELEMENTS // n)
     scores = np.empty(train.dims, dtype=np.float64)
-    for dim in range(train.dims):
-        binned = _equal_frequency_bins(train.values[:, dim], bins)
-        scores[dim] = _plugin_mi(binned, labels, bins + 1, p)
+    for start in range(0, train.dims, width):
+        block = np.ascontiguousarray(train.values[by_group, start : start + width].T)
+        whole = np.sort(block, axis=1)
+        left, right = whole[:, low].T, whole[:, low + 1].T
+        step = right - left
+        edges = np.where(t >= 0.5, right - step * (1 - t), left + step * t)
+        edges.sort(axis=0)  # so each group's counts below the edges never decrease
+        below = np.zeros((block.shape[0], bins + 1, p), dtype=np.int64)
+        below[:, -1] = counts
+        for g, (first, stop) in enumerate(segments):
+            block[:, first:stop].sort(axis=1)
+            for i, column in enumerate(block[:, first:stop]):
+                below[i, 1:-1, g] = np.searchsorted(column, edges[:, i], side="left")
+        for i, table in enumerate(np.diff(below, axis=1), start):
+            scores[i] = _plugin_mi(table)
     return scores
 
 
@@ -171,9 +188,10 @@ def fit_mi_clip(train: LabeledDataset, m: int, bins: int = 32) -> MiClipTransfor
     idx = np.flatnonzero(train.train_mask)
     if idx.size == 0:
         raise EmptyGroup("train split is empty")
-    scores = estimate_mi_per_dimension(
-        train.embeddings.take(idx), train.protected.take(idx), bins=bins
-    )
+    embeddings, protected = train.embeddings, train.protected
+    if idx.size < train.n:  # an all-train dataset is scored without a copy
+        embeddings, protected = embeddings.take(idx), protected.take(idx)
+    scores = estimate_mi_per_dimension(embeddings, protected, bins=bins)
     cut_order = np.lexsort((np.arange(d), -scores))
     keep = np.ones(d, dtype=bool)
     keep[cut_order[: d - m]] = False

@@ -207,3 +207,33 @@ def oracle_read_label_table(path) -> dict[str, list[str]]:
     if rows == 0:
         raise OracleSchemaError(f"{path}: no data rows")
     return columns
+
+
+def oracle_mi_per_dimension(values, labels, p: int, bins: int):
+    """Column-by-column reference of the plug-in MI estimator, in nats.
+
+    Each column gets interior equal-frequency edges from ``np.quantile``;
+    duplicate edges collapse, and a value's bin is the number of edges at or
+    below it (``searchsorted`` with side="right"). The (bins + 1) x p
+    contingency table then gives sum_ij P_ij log(P_ij / (P_i P_j)), clipped
+    at 0.
+    """
+    import numpy as np
+
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    probs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    scores = np.empty(values.shape[1], dtype=np.float64)
+    for dim in range(values.shape[1]):
+        column = values[:, dim]
+        edges = np.unique(np.quantile(column, probs))
+        binned = np.searchsorted(edges, column, side="right")
+        joint = np.bincount(binned * p + labels, minlength=(bins + 1) * p)
+        joint = joint.reshape(bins + 1, p).astype(np.float64)
+        n = joint.sum()
+        row = joint.sum(axis=1, keepdims=True)
+        col = joint.sum(axis=0, keepdims=True)
+        nonzero = joint > 0
+        mi = np.sum(joint[nonzero] / n * np.log(joint[nonzero] * n / (row @ col)[nonzero]))
+        scores[dim] = max(float(mi), 0.0)
+    return scores

@@ -206,6 +206,44 @@ class TestDebiasFit:
         report = read_report(out)
         assert report["transforms"][0]["metadata"]["attribute_source"] == "inferred"
 
+    @staticmethod
+    def _fit_inferred(workspace, tmp_path, prompts):
+        prompts_path = tmp_path / "prompts.femb"
+        write_embeddings(EmbeddingMatrix(prompts), prompts_path)
+        cfg = write_config(
+            tmp_path / "fit-inf3.json",
+            {
+                "data": workspace["data"],
+                "method": "miclip",
+                "miclip": {"m": 8},
+                "attribute_source": "inferred",
+                "prompts": str(prompts_path),
+                "transform_out": str(tmp_path / "inf3.ftfm"),
+            },
+        )
+        return run(["debias-fit", "--config", cfg]), prompts_path
+
+    def test_inferred_zero_item_named_by_file_row(self, workspace, tmp_path, capsys):
+        train_rows = np.flatnonzero(split_column(workspace["labels"]) == "train")
+        row = int(train_rows[-1])
+        assert row != train_rows.size - 1  # its file row is not its place in the train split
+        values = read_embeddings(workspace["embeddings"]).values.copy()
+        values[row] = 0.0
+        write_embeddings(EmbeddingMatrix(values), workspace["embeddings"])
+        prompts = np.zeros((2, 16))
+        prompts[:, 0] = [-1.0, 1.0]
+        code, _ = self._fit_inferred(workspace, tmp_path, prompts)
+        assert code == 3
+        expected = f"item row {row} of {workspace['embeddings']} has zero norm"
+        assert expected in capsys.readouterr().err
+
+    def test_inferred_zero_prompt_named_by_file_row(self, workspace, tmp_path, capsys):
+        prompts = np.zeros((3, 16))
+        prompts[[0, 2], 0] = [-1.0, 1.0]
+        code, prompts_path = self._fit_inferred(workspace, tmp_path, prompts)
+        assert code == 3
+        assert f"prompt row 1 of {prompts_path} has zero norm" in capsys.readouterr().err
+
 
 @pytest.fixture
 def fitted_transform(workspace, tmp_path):

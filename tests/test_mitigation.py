@@ -2,11 +2,15 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flens.core import TRAIN, EmbeddingMatrix, GroupLabels, LabeledDataset
+from flens import mitigation
+from flens.core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, LabeledDataset
 from flens.errors import EmptyGroup, InvalidBins, RankError, ShapeError
 from flens.mitigation import (
     apply_fair_pca,
@@ -16,6 +20,8 @@ from flens.mitigation import (
     fit_mi_clip,
 )
 from flens.synth import SynthSpec, generate
+
+from .oracles import oracle_mi_per_dimension
 
 
 def all_train_dataset(values: np.ndarray, labels: np.ndarray, p: int) -> LabeledDataset:
@@ -64,6 +70,75 @@ class TestMiEstimation:
             estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2), bins=1)
         with pytest.raises(InvalidBins):
             estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2), bins=51)
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Coarse grid: many ties, and both signs of zero.
+GRID = [-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def mi_case(draw):
+    """(values, labels, p, bins, block budget): tied, constant and ±0 columns, every group present."""
+    p = draw(st.integers(2, 7))
+    n = draw(st.integers(p, 90))
+    bins = draw(st.integers(2, min(n, 64)))
+    labels = np.array(draw(st.permutations([i % p for i in range(n)])), dtype=np.int64)
+    columns = []
+    kinds = st.sampled_from(["grid", "constant", "zeros", "wide"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=7)):
+        if kind == "grid":
+            column = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+        elif kind == "constant":
+            column = [draw(st.sampled_from(GRID))] * n
+        elif kind == "zeros":
+            column = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+        else:
+            finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+            column = draw(st.lists(finite, min_size=n, max_size=n))
+        columns.append(column)
+    # Budget below n: one column per block; 2n + 1: two, so odd widths end in a short block.
+    budget = draw(st.sampled_from([1, 2 * n + 1, 3 * n, 2**15]))
+    return np.array(columns).T, labels, p, bins, budget
+
+
+class TestMiEstimatorMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=mi_case())
+    def test_bitwise_equal_to_per_column_oracle(self, case):
+        values, labels, p, bins, budget = case
+        with mock.patch.object(mitigation, "_MI_BLOCK_ELEMENTS", budget):
+            scores = estimate_mi_per_dimension(
+                EmbeddingMatrix(values), GroupLabels(labels, p), bins=bins
+            )
+        assert bitwise_equal(scores, oracle_mi_per_dimension(values, labels, p, bins))
+
+    @pytest.mark.parametrize("n, d, p", [(4200, 256, 4), (40_000, 3, 3)])
+    def test_bitwise_equal_at_fit_and_long_shapes(self, n, d, p):
+        rng = np.random.default_rng(n + d)
+        values = rng.normal(size=(n, d))
+        values[:, ::5] = np.round(values[:, ::5] * 4) / 4  # tied columns
+        values[:, 1] = 0.0
+        labels = rng.permutation(np.arange(n) % p)
+        scores = estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, p))
+        assert bitwise_equal(scores, oracle_mi_per_dimension(values, labels, p, 32))
+
+    def test_scratch_memory_is_bounded_by_block(self):
+        # Binning all 256 columns at once would hold several 8.6 MB n x d copies.
+        rng = np.random.default_rng(31)
+        n, d = 4200, 256
+        train = EmbeddingMatrix(rng.normal(size=(n, d)))
+        groups = GroupLabels(np.arange(n) % 4, 4)
+        tracemalloc.start()
+        try:
+            estimate_mi_per_dimension(train, groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMiClip:
@@ -124,6 +199,29 @@ class TestMiClip:
         transform = fit_mi_clip(ds, m=8)
         with pytest.raises(ShapeError):
             apply_mi_clip(transform, EmbeddingMatrix(np.ones((3, 5))))
+
+    @pytest.mark.parametrize("split", ["all-train", "mixed"])
+    def test_train_rows_copied_only_for_mixed_split(self, monkeypatch, split):
+        rng = np.random.default_rng(32)
+        n, d = 200, 6
+        values, labels = rng.normal(size=(n, d)), np.arange(n) % 2
+        tags = np.full(n, TRAIN, dtype="<U5")
+        if split == "mixed":
+            tags[::3] = TEST
+        ds = LabeledDataset(EmbeddingMatrix(values), GroupLabels(labels, 2), split=tags)
+        takes = []
+        original = EmbeddingMatrix.take
+
+        def counting_take(self, indices):
+            takes.append(len(indices))
+            return original(self, indices)
+
+        monkeypatch.setattr(EmbeddingMatrix, "take", counting_take)
+        transform = fit_mi_clip(ds, m=3)
+        assert len(takes) == (0 if split == "all-train" else 1)
+        train = tags == TRAIN
+        expected = oracle_mi_per_dimension(values[train], labels[train], 2, 32)
+        assert bitwise_equal(transform.mi_scores, expected)
 
     def test_kept_mi_below_removed_mi(self):
         ds = self._planted()
