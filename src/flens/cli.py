@@ -324,7 +324,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
         if not (0 <= a < queries.rows and 0 <= b < queries.rows):
             raise ConfigError(f"task {name!r}: class row outside the query file")
     # Only the class rows the tasks name are transformed and scored, each once.
-    class_rows = np.unique([row for _, a, b, *_ in tasks for row in (a, b)])
+    class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
     sims, transform_block = _query_similarities(
         transform_path, items, [("class", queries_path, queries, class_rows)]
     )
@@ -560,10 +560,13 @@ def cmd_probe(cfg: dict) -> dict:
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError("probe audit needs non-empty train and test splits")
     # Each space's train and test rows are taken once and serve every attribute.
-    spaces = {"raw": dataset.embeddings}
+    # Each full matrix is dropped as soon as its rows are taken, so no dead
+    # n x d copy sits under the next space's takes.
+    rows = {"raw": (dataset.embeddings.take(train_idx), dataset.embeddings.take(test_idx))}
+    del dataset
     if transform_block is not None:
-        spaces["transformed"] = items
-    rows = {space: (m.take(train_idx), m.take(test_idx)) for space, m in spaces.items()}
+        rows["transformed"] = (items.take(train_idx), items.take(test_idx))
+    del items
 
     records = []
     for attribute in attributes:

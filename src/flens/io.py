@@ -47,12 +47,15 @@ _KIND_FAIRPCA = 2
 def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Write the canonical binary layout; identical matrices give identical bytes."""
     payload = np.ascontiguousarray(matrix.values, dtype="<f4")
-    if not np.all(np.isfinite(payload)):
+    # min and max carry any NaN or Inf, with no mask the size of the payload
+    if not (np.isfinite(payload.min()) and np.isfinite(payload.max())):
         raise DataError("values overflow 32-bit floats")
     header = _EMBEDDING_HEADER.pack(
         EMBEDDING_MAGIC, EMBEDDING_VERSION, matrix.rows, matrix.dims, _DTYPE_F32_LE
     )
-    Path(path).write_bytes(header + payload.tobytes())
+    with open(path, "wb") as fh:  # the payload's own buffer, not a bytes copy of it
+        fh.write(header)
+        fh.write(payload.data)
 
 
 def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> EmbeddingMatrix:

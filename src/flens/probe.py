@@ -157,7 +157,7 @@ def fit_probe(
     y, classes = _class_indices(labels)
     if y.size != train.rows:
         raise ShapeError("labels length differs from embedding rows")
-    if np.unique(y).size < 2:
+    if y.min() == y.max():
         raise DegenerateLabels("training labels contain fewer than two classes")
     if l2 < 0.0:
         raise ValidationError("l2 penalty must be nonnegative")

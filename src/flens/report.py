@@ -99,13 +99,37 @@ def taxonomy_record(tags: TaxonomyTags) -> dict:
     }
 
 
+_QUARTILE_LEVELS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, [0, .25, .5, .75, 1])`` for finite values, to the last bit.
+
+    The same partition at the same indexes and the same "linear" interpolation
+    as numpy, so even a zero's sign matches, but without np.quantile's
+    ``np.unique`` call, whose first use in a process imports ``numpy.ma``.
+    """
+    n = values.size
+    h = (n - 1) * _QUARTILE_LEVELS
+    low = np.floor(h)
+    last = h >= n - 1
+    low[last] = -1.0  # numpy reads the last value here, with weight h + 1
+    high = np.where(last, -1.0, low + 1.0).astype(np.intp)
+    t = h - low
+    low = low.astype(np.intp)
+    ordered = np.partition(values, sorted({0, -1, *low.tolist(), *high.tolist()}))
+    a, b = ordered[low], ordered[high]
+    step = b - a
+    return np.where(t >= 0.5, b - step * (1 - t), a + step * t)
+
+
 def five_number_summary(values: Iterable[float]) -> dict:
     """Box-plot data as a quartile record; infinities are excluded up front."""
     arr = np.asarray([v for v in values], dtype=np.float64)
     finite = arr[np.isfinite(arr)]
     record: dict[str, Any] = {"count": int(arr.size), "non_finite": int(arr.size - finite.size)}
     if finite.size:
-        q = np.quantile(finite, [0.0, 0.25, 0.5, 0.75, 1.0])
+        q = _quartiles(finite)
         record.update(
             min=q[0], q1=q[1], median=q[2], q3=q[3], max=q[4],
             mean=finite.mean(), std=float(np.std(finite)),

@@ -10,11 +10,11 @@ group variances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .core import GroupLabels
 from .errors import (
@@ -73,12 +73,30 @@ class TestResult:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper-tail chi-square probability via the regularized incomplete gamma."""
+    """Upper-tail chi-square probability for an integer df, in closed form.
+
+    With h = x/2 the tail is exp(-h)·Σ_{i<df/2} hⁱ/i! for even df and
+    erfc(√h) + exp(-h)·Σ_{j<(df-1)/2} h^{j+½}/Γ(j+3/2) for odd df. Each term
+    is built in log space and scaled by the largest, so exp(-h) never
+    underflows ahead of the sum; every term is positive, so nothing cancels.
+    """
     if df < 1:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    h = x / 2.0
+    if h == 0.0:  # x is 0, or so small that the tail rounds to 1
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+    if df % 2:
+        head, powers = math.erfc(math.sqrt(h)), [j + 0.5 for j in range((df - 1) // 2)]
+    else:
+        head, powers = 0.0, [float(i) for i in range(df // 2)]
+    logs = [k * log_h - h - math.lgamma(k + 1.0) for k in powers]
+    top = max(logs, default=0.0)
+    return min(1.0, head + math.exp(top) * sum(math.exp(v - top) for v in logs))
 
 
 def alexander_govern(samples: GroupSamples | Sequence[Sequence[float]]) -> TestResult:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -37,7 +38,7 @@ from flens.io import (
     write_transform,
 )
 from flens.mitigation import FairPcaTransform, MiClipTransform, apply_fair_pca, apply_mi_clip
-from flens.report import sanitize
+from flens.report import _quartiles, sanitize
 
 from .oracles import OracleSchemaError, oracle_read_label_table
 
@@ -101,6 +102,34 @@ class TestEmbeddingFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(DataError):
             read_embeddings(path)
+
+    def test_layout_is_header_then_float32_rows(self, tmp_path, matrix):
+        path = tmp_path / "m.femb"
+        write_embeddings(matrix, path)
+        header = struct.pack("<8sHQIB", b"FLENSEMB", 1, 3, 2, 1)
+        assert path.read_bytes() == header + matrix.values.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_value_beyond_float32_rejected(self, tmp_path, value):
+        path = tmp_path / "m.femb"
+        values = np.zeros((4, 3))
+        values[2, 1] = value
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflow 32-bit"):
+            write_embeddings(EmbeddingMatrix(values), path)
+        assert not path.exists()
+
+    def test_write_holds_one_payload_copy(self, tmp_path):
+        matrix = EmbeddingMatrix(np.random.default_rng(1).normal(size=(4000, 64)))
+        payload_bytes = 4 * 4000 * 64
+        tracemalloc.start()
+        try:
+            write_embeddings(matrix, tmp_path / "m.femb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 payload itself; no bytes copy of it and no concatenation
+        assert peak <= 1.25 * payload_bytes
+        assert (tmp_path / "m.femb").stat().st_size == 23 + payload_bytes
 
     def test_text_twin_parses_identically(self, tmp_path, matrix):
         binary = tmp_path / "m.femb"
@@ -422,6 +451,20 @@ class TestTransformContainers:
 
 
 class TestReports:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, 5e-324]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_quartiles_equal_np_quantile_bitwise(self, values):
+        values = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # b - a can overflow, in both
+            expected = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+            assert _quartiles(values).tobytes() == expected.tobytes()
+
     def test_round_trip(self, tmp_path):
         report = {"schema_version": 1, "value": 0.25, "skew": sanitize(float("inf"))}
         path = tmp_path / "report.json"

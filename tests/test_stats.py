@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 from scipy.stats import alexandergovern as scipy_alexandergovern
 
 from flens.core import GroupLabels
@@ -19,6 +20,12 @@ from flens.stats import (
     chi_square_sf,
     per_query_similarity_tests,
 )
+
+# chi_square_sf against the regularized upper incomplete gamma: relative error
+# where the oracle is a normal double, absolute error where it is (sub)zero.
+ORACLE_FLOOR = 1e-300
+REL_TOL = 1e-12
+DFS = range(1, 65)
 
 # Frozen from the independently coded scipy reference on the fixed instance
 FROZEN_STATISTIC = 28.116217566937287
@@ -46,6 +53,47 @@ class TestChiSquareSf:
     def test_bad_df(self):
         with pytest.raises(DomainError):
             chi_square_sf(1.0, 0)
+
+    def _assert_matches_oracle(self, xs, df):
+        xs = np.asarray(xs, dtype=np.float64)
+        ref = gammaincc(df / 2.0, xs / 2.0)
+        got = np.array([chi_square_sf(float(x), df) for x in xs])
+        assert np.all((got >= 0.0) & (got <= 1.0)), f"df={df}: result outside [0, 1]"
+        normal = ref >= ORACLE_FLOOR
+        rel = np.abs(got[normal] - ref[normal]) / ref[normal]
+        assert rel.max(initial=0.0) <= REL_TOL, f"df={df} x={xs[normal][rel.argmax()]}"
+        assert np.abs(got[~normal] - ref[~normal]).max(initial=0.0) <= ORACLE_FLOOR, f"df={df}"
+
+    def test_exactly_one_at_zero_for_every_df(self):
+        for df in DFS:
+            assert chi_square_sf(0.0, df) == 1.0
+
+    def test_tiny_statistics_match_oracle(self):
+        xs = np.geomspace(5e-324, 1e-3, 400)
+        for df in DFS:
+            self._assert_matches_oracle(xs, df)
+
+    def test_grid_to_underflow_matches_oracle(self):
+        # up to x = 2000 every df <= 64 has underflowed to zero in float64
+        xs = np.linspace(1e-3, 2000.0, 1201)
+        for df in DFS:
+            self._assert_matches_oracle(xs, df)
+        assert gammaincc(64 / 2.0, 2000.0 / 2.0) == 0.0
+
+    def test_large_statistics_where_exp_minus_h_underflows(self):
+        # A strongly biased audit gives such statistics; exp(-x/2) alone is
+        # below the smallest double here, so the terms must be summed in logs.
+        xs = np.linspace(1400.0, 1700.0, 601)
+        for df in DFS:
+            self._assert_matches_oracle(xs, df)
+
+    def test_infinite_statistic_has_zero_tail(self):
+        assert chi_square_sf(math.inf, 1) == 0.0
+        assert chi_square_sf(math.inf, 4) == 0.0
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            chi_square_sf(math.nan, 2)
 
     def test_complements_reference_cdf(self):
         from scipy.stats import chi2
