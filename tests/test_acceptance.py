@@ -26,7 +26,6 @@ from flens.io import (
     deserialize_transform,
     read_embeddings,
     read_label_table,
-    read_report,
     serialize_transform,
     write_embeddings,
     write_label_table,
@@ -50,6 +49,7 @@ from flens.stats import alexander_govern
 from flens.synth import SynthSpec, generate
 from flens.tasks import balanced_retrieval, cosine_similarity_matrix
 
+from .helpers import read_report
 from .oracles import (
     oracle_ddp_classification,
     oracle_ddp_rep,

@@ -16,8 +16,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flens.cli import _load_test_split, main
-from flens.io import read_embeddings, read_report, write_embeddings
-from flens.core import EmbeddingMatrix
+from flens.core import EmbeddingMatrix, partition_by_group
+from flens.io import (
+    decode_labels,
+    read_embeddings,
+    read_label_table,
+    read_transform,
+    write_embeddings,
+    write_embeddings_text,
+)
+from flens.metrics import ddp_classification, ddp_retrieval
+from flens.mitigation import apply_mi_clip
+from flens.probe import evaluate_probe, fit_probe
+from flens.report import comparison_record, metric_record
+from flens.stats import per_query_similarity_tests
+from flens.tasks import cosine_similarity_matrix, zero_shot_classify
+
+from .helpers import read_report
 
 
 def run(args):
@@ -449,10 +464,11 @@ def test_commands_import_no_numpy_ma(workspace, tmp_path):
     assert out.stdout.strip() == "[0, 0, 0] False"
 
 
-def test_python_m_flens_prints_version():
+@pytest.mark.parametrize("module", ["flens", "flens.cli"])
+def test_python_m_flens_prints_version(module):
     from flens import __version__
 
-    out = _run_python("-m", "flens", "--version")
+    out = _run_python("-m", module, "--version")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["flens", __version__]
 
@@ -682,6 +698,137 @@ class TestApplyAndProbe:
         )
         assert run(["probe", "--config", cfg]) == 3
         assert f"data error: unknown split tag '{written}'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def miclip_transform(workspace, tmp_path):
+    """An MI-clip transform fitted through the CLI: it keeps 14 of the 16 dimensions."""
+    transform_path = tmp_path / "miclip.ftfm"
+    cfg = write_config(
+        tmp_path / "fit-miclip.json",
+        {
+            "data": workspace["data"],
+            "method": "miclip",
+            "miclip": {"m": 14},
+            "transform_out": str(transform_path),
+        },
+    )
+    assert run(["debias-fit", "--config", cfg, "--out", tmp_path / "fit-miclip.json.out"]) == 0
+    return transform_path
+
+
+class TestMiClipTransform:
+    """Each command that reads an MI-clip .ftfm agrees with apply_mi_clip and the
+    library call on the same rows."""
+
+    def _test_split(self, workspace, transform_path):
+        """The transformed test items and their protected groups, read without the CLI."""
+        transform, _ = read_transform(transform_path)
+        items = apply_mi_clip(transform, read_embeddings(workspace["embeddings"]))
+        test_rows = np.flatnonzero(split_column(workspace["labels"]) == "test")
+        labels = workspace["labels"]
+        groups = decode_labels(read_label_table(labels), "group", "group", labels)
+        return transform, items.take(test_rows), groups.take(test_rows)
+
+    def _report(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path / f"{command}-miclip.json", payload)
+        out = tmp_path / f"{command}-miclip.out"
+        assert run([command, "--config", cfg, "--out", out]) == 0
+        return read_report(out)
+
+    def test_apply(self, workspace, miclip_transform, tmp_path):
+        out = tmp_path / "clipped.femb"
+        payload = {"input": str(workspace["embeddings"]), "transform": str(miclip_transform),
+                   "output": str(out)}
+        report = self._report(tmp_path, "apply", payload)
+        transform, _ = read_transform(miclip_transform)
+        expected = tmp_path / "expected.femb"
+        write_embeddings(apply_mi_clip(transform, read_embeddings(workspace["embeddings"])), expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert report["tasks"][0]["details"]["output_shape"] == [600, 14]
+        assert report["transforms"][0]["kind"] == "MiClipTransform"
+
+    def test_classify_audit(self, workspace, miclip_transform, tmp_path):
+        payload = {"data": workspace["data"], "queries": str(workspace["queries"]),
+                   "transform": str(miclip_transform),
+                   "tasks": [{"name": "concept", "class_a": 2, "class_b": 3}]}
+        report = self._report(tmp_path, "classify-audit", payload)
+        transform, items, groups = self._test_split(workspace, miclip_transform)
+        # rows 0 and 1 lie in the two cut dimensions, so they would have zero norm
+        classes = apply_mi_clip(transform, read_embeddings(workspace["queries"]).take([2, 3]))
+        sims = cosine_similarity_matrix(items, classes)
+        expected = ddp_classification(zero_shot_classify(sims[0], sims[1]), groups)
+        assert report["tasks"][0]["metrics"]["ddp_classification"] == metric_record(expected)
+
+    def test_retrieve_audit(self, workspace, miclip_transform, tmp_path):
+        retrieval = {"k": [10, 40], "queries": [{"name": "q", "row": 2}]}
+        payload = {"data": workspace["data"], "queries": str(workspace["queries"]),
+                   "transform": str(miclip_transform), "retrieval": retrieval}
+        report = self._report(tmp_path, "retrieve-audit", payload)
+        transform, items, groups = self._test_split(workspace, miclip_transform)
+        query = apply_mi_clip(transform, read_embeddings(workspace["queries"]).take([2]))
+        sims = cosine_similarity_matrix(items, query)
+        order = np.argsort(-sims[0], kind="stable")
+        by_name = {t["task_name"]: t for t in report["tasks"]}
+        for k in (10, 40):
+            expected = ddp_retrieval(partition_by_group(order[:k], groups))
+            assert by_name[f"q @ k={k}"]["metrics"]["ddp_retrieval"] == metric_record(expected)
+        expected_test = comparison_record(per_query_similarity_tests(sims, groups)[0])
+        assert report["similarity_tests"]["q"] == expected_test
+
+    def test_probe(self, workspace, miclip_transform, tmp_path):
+        payload = {"data": workspace["data"], "transform": str(miclip_transform),
+                   "probe": {"attributes": ["group"], "max_iter": 300}}
+        report = self._report(tmp_path, "probe", payload)
+        transform, _ = read_transform(miclip_transform)
+        items = apply_mi_clip(transform, read_embeddings(workspace["embeddings"]))
+        split = split_column(workspace["labels"])
+        train, test = np.flatnonzero(split == "train"), np.flatnonzero(split == "test")
+        labels = workspace["labels"]
+        groups = decode_labels(read_label_table(labels), "group", "group", labels)
+        model = fit_probe(items.take(train), groups.take(train), max_iter=300)
+        performance = report["tasks"][0]["performance"]
+        assert performance["training_loss_transformed"] == model.training_loss
+        expected = evaluate_probe(model, items.take(test), groups.take(test))
+        assert performance["accuracy_transformed"] == expected
+        # the two planted bias dimensions are the ones cut
+        assert performance["accuracy_transformed"] < performance["accuracy_raw"]
+
+
+@pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit", "debias-fit", "apply",
+                                     "probe"])
+def test_text_embeddings_twin(workspace, fitted_transform, tmp_path, command):
+    """A command reads the comma-separated twin of a .femb as it reads the binary file."""
+    text_items = tmp_path / "items.txt"
+    write_embeddings_text(read_embeddings(workspace["embeddings"]), text_items)
+    queries = str(workspace["queries"])
+    outputs = {}
+
+    def report_for(items, tag):
+        data = dict(workspace["data"], embeddings=str(items))
+        outputs[tag] = tmp_path / f"{command}-{tag}.out.bin"
+        payload = {
+            "classify-audit": {"data": data, "queries": queries, "tasks": [TASK],
+                               "transform": str(fitted_transform)},
+            "retrieve-audit": {"data": data, "queries": queries,
+                               "retrieval": {"k": [10], "queries": [{"name": "q", "row": 0}]},
+                               "transform": str(fitted_transform)},
+            "debias-fit": {"data": data, "method": "fairpca", "transform_out": str(outputs[tag])},
+            "apply": {"input": str(items), "transform": str(fitted_transform),
+                      "output": str(outputs[tag])},
+            "probe": {"data": data, "transform": str(fitted_transform),
+                      "probe": {"attributes": ["group"], "max_iter": 50}},
+        }[command]
+        cfg = write_config(tmp_path / f"{command}-{tag}.json", payload)
+        out = tmp_path / f"{command}-{tag}.report.json"
+        assert run([command, "--config", cfg, "--out", out]) == 0
+        return read_report(out)
+
+    binary = report_for(workspace["embeddings"], "binary")
+    text = report_for(text_items, "text")
+    assert text["tasks"] == binary["tasks"]
+    if command in ("debias-fit", "apply"):
+        assert outputs["text"].read_bytes() == outputs["binary"].read_bytes()
 
 
 TASK ={"name": "t", "class_a": 0, "class_b": 1}

@@ -27,7 +27,6 @@ from flens.io import (
     read_embeddings,
     read_label_table,
     read_labels,
-    read_report,
     read_transform,
     render_json,
     serialize_transform,
@@ -40,6 +39,7 @@ from flens.io import (
 from flens.mitigation import FairPcaTransform, MiClipTransform, apply_fair_pca, apply_mi_clip
 from flens.report import _quartiles, sanitize
 
+from .helpers import read_report
 from .oracles import OracleSchemaError, oracle_read_label_table
 
 
