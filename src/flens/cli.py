@@ -58,14 +58,7 @@ from .metrics import (
     dtpr,
     skew_at_k,
 )
-from .mitigation import (
-    FairPcaTransform,
-    MiClipTransform,
-    apply_fair_pca,
-    apply_mi_clip,
-    fit_fair_pca,
-    fit_mi_clip,
-)
+from .mitigation import Transform, fit_fair_pca, fit_mi_clip
 from .probe import DEFAULT_L2, DEFAULT_MAX_ITER, DEFAULT_TOL, evaluate_probe, fit_probe
 from .report import (
     build_report,
@@ -215,46 +208,20 @@ def _load_dataset(
     return dataset, rows, {key: labels.take(rows) for key, labels in columns.items()}, provenance
 
 
-def _apply_transform(
-    transform: MiClipTransform | FairPcaTransform, embeddings: EmbeddingMatrix
-) -> EmbeddingMatrix:
-    if isinstance(transform, MiClipTransform):
-        return apply_mi_clip(transform, embeddings)
-    return apply_fair_pca(transform, embeddings)
-
-
-def _transform_block(path: str, transform: MiClipTransform | FairPcaTransform, meta: dict) -> dict:
+def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
     """Report block naming a transform file, its kind and its metadata."""
     return {"path": path, "kind": type(transform).__name__, "metadata": meta}
 
 
 def _maybe_transform(
     path: str | None, *matrices: EmbeddingMatrix
-) -> tuple[tuple[EmbeddingMatrix, ...], dict | None]:
-    """Apply the transform at path, if any, to every matrix (single shared map)."""
+) -> tuple[tuple[EmbeddingMatrix, ...], list[dict]]:
+    """Apply the transform at path, if any, to every matrix; also its report blocks (0 or 1)."""
     if not path:
-        return matrices, None
+        return matrices, []
     transform, meta = read_transform(path)
-    transformed = tuple(_apply_transform(transform, m) for m in matrices)
-    return transformed, _transform_block(path, transform, meta)
-
-
-def _load_test_split(
-    cfg: dict, label_columns: Iterable[tuple[str, str]] = ()
-) -> tuple[
-    tuple[str, EmbeddingMatrix, np.ndarray],
-    GroupLabels,
-    dict[tuple[str, str], GroupLabels | BinaryLabels],
-    dict,
-]:
-    """The evaluation (test) split: (embeddings file path, its raw test rows,
-    their row numbers in that file), its protected labels and decoded
-    ``label_columns``, plus the report's provenance block. Audits read no
-    train row: only the test rows are widened to float64.
-    """
-    dataset, rows, columns, provenance = _load_dataset(cfg, label_columns, keep=TEST)
-    items = (cfg["data"]["embeddings"], dataset.embeddings, rows)  # checked by _load_dataset
-    return items, dataset.protected, columns, provenance
+    transformed = tuple(transform.apply(m) for m in matrices)
+    return transformed, [_transform_block(path, transform, meta)]
 
 
 def _require_nonzero(kind: str, path: str, block: EmbeddingMatrix, rows: np.ndarray) -> None:
@@ -273,7 +240,7 @@ def _query_similarities(
     transform_path: str | None,
     items: tuple[str, EmbeddingMatrix, np.ndarray],
     sources: Sequence[tuple[str, str, EmbeddingMatrix, np.ndarray]],
-) -> tuple[np.ndarray, dict | None]:
+) -> tuple[np.ndarray, list[dict]]:
     """Score the named rows of each query file against the test items in one pass.
 
     ``items`` is (embeddings file path, test rows, their row numbers in that
@@ -284,14 +251,14 @@ def _query_similarities(
     row number in its own file.
     """
     items_path, test_items, item_rows = items
-    (test_items, *blocks), transform_block = _maybe_transform(
+    (test_items, *blocks), transform_blocks = _maybe_transform(
         transform_path, test_items, *(matrix.take(rows) for _, _, matrix, rows in sources)
     )
     for block, (kind, path, _, rows) in zip(blocks, sources):
         _require_nonzero(kind, path, block, rows)
     _require_nonzero("item", items_path, test_items, item_rows)
     queries = EmbeddingMatrix(np.vstack([block.values for block in blocks]), finite=True)
-    return cosine_similarity_matrix(test_items, queries), transform_block
+    return cosine_similarity_matrix(test_items, queries), transform_blocks
 
 
 def _untagged_record(task_name: str, **fields: Any) -> dict:
@@ -316,16 +283,18 @@ def cmd_classify_audit(cfg: dict) -> dict:
         )
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
-    items, groups, columns, provenance = _load_test_split(
-        cfg, [(t, "binary") for *_, t in tasks if t]
+    dataset, rows, columns, provenance = _load_dataset(
+        cfg, [(t, "binary") for *_, t in tasks if t], keep=TEST
     )
+    groups = dataset.protected
+    items = (cfg["data"]["embeddings"], dataset.embeddings, rows)  # checked by _load_dataset
     queries = read_embeddings(queries_path)
     for name, a, b, *_ in tasks:
         if not (0 <= a < queries.rows and 0 <= b < queries.rows):
             raise ConfigError(f"task {name!r}: class row outside the query file")
     # Only the class rows the tasks name are transformed and scored, each once.
     class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
-    sims, transform_block = _query_similarities(
+    sims, transform_blocks = _query_similarities(
         transform_path, items, [("class", queries_path, queries, class_rows)]
     )
     position = {int(row): i for i, row in enumerate(class_rows)}
@@ -349,7 +318,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
         "classify-audit",
         cfg,
         records,
-        [transform_block] if transform_block else [],
+        transform_blocks,
         extra={"dataset": provenance},
     )
 
@@ -373,9 +342,7 @@ def _retrieval_metrics(
             hits = retrieved[np.isin(retrieved, relevant)]
             if hits.size:
                 per_group = np.bincount(groups.labels[hits], minlength=groups.group_count)
-                metrics["ddp_rep"] = metric_record(
-                    ddp_rep(tuple(int(c) for c in per_group), int(hits.size))
-                )
+                metrics["ddp_rep"] = metric_record(ddp_rep(per_group))
             # partition_by_group has checked `retrieved` for duplicates
             performance["precision_at_k"] = hits.size / k
     return {"metrics": metrics, "performance": performance}
@@ -404,9 +371,11 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
     transform_path = _field(cfg, "transform", str, "", None)
-    items, groups, columns, provenance = _load_test_split(
-        cfg, [(c, "binary") for *_, c in query_specs if c]
+    dataset, rows, columns, provenance = _load_dataset(
+        cfg, [(c, "binary") for *_, c in query_specs if c], keep=TEST
     )
+    groups = dataset.protected
+    items = (cfg["data"]["embeddings"], dataset.embeddings, rows)  # checked by _load_dataset
     n_test, p = len(groups), groups.group_count
     query_file = read_embeddings(queries_path)
     balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
@@ -436,7 +405,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
                 f"balanced embeddings need {p} rows per query, query {name!r} overruns"
             )
         sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
-    sims, transform_block = _query_similarities(transform_path, items, sources)
+    sims, blocks = _query_similarities(transform_path, items, sources)
 
     q, max_k = len(queries), max(k_list)
     # Each row is ranked once, at max(k); each smaller k reads a prefix.
@@ -444,11 +413,11 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     comparisons = per_query_similarity_tests(sims[:q], groups)
     records, balanced_records, similarity_tests = [], [], {}
     for position, (name, tags, relevant) in enumerate(queries):
-        ranked = ranked_lists[position].ranked_indices
+        ranked = ranked_lists[position]
         balanced_ranked = None
         if balanced_file is not None:
             group_sims = sims[q + position * p : q + (position + 1) * p]
-            balanced_ranked = balanced_retrieval(group_sims, max_k).ranked_indices
+            balanced_ranked = balanced_retrieval(group_sims, max_k)
         for k in k_list:
             head = {
                 "task_name": f"{name} @ k={k}",
@@ -461,9 +430,6 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
                 block = _retrieval_metrics(balanced_ranked[:k], groups, tags, relevant, k)
                 balanced_records.append({**head, **block})
         similarity_tests[name] = comparison_record(comparisons[position])
-    blocks = []
-    if transform_block:
-        blocks.append(transform_block)
     if balanced_records:
         blocks.append(
             {
@@ -480,8 +446,14 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
 
 def cmd_debias_fit(cfg: dict) -> dict:
     """Fit a debiasing transform on the train split and serialize it."""
+    # method -> its fit function and integer parameters with their defaults. Built
+    # per call, so a rebound fit function (a tracer, a test double) is the one run.
+    methods = {
+        "miclip": (fit_mi_clip, {"m": REQUIRED, "bins": 32}),
+        "fairpca": (fit_fair_pca, {"target_dim": None}),
+    }
     method = _field(cfg, "method", str, "")
-    if method not in ("miclip", "fairpca"):
+    if method not in methods:
         raise ConfigError(f"method must be 'miclip' or 'fairpca', got {method!r}")
     source = _field(cfg, "attribute_source", str, "", GROUND_TRUTH)
     if source not in (GROUND_TRUTH, INFERRED):
@@ -491,11 +463,8 @@ def cmd_debias_fit(cfg: dict) -> dict:
         raise ConfigError("inferred attribute_source requires a prompts embeddings file")
     out_path = _field(cfg, "transform_out", str, "")
     method_cfg = _field(cfg, method, dict, "", {})
-    if method == "miclip":
-        params = {"m": _field(method_cfg, "m", int, method)}
-        params["bins"] = _field(method_cfg, "bins", int, method, 32)
-    else:
-        params = {"target_dim": _field(method_cfg, "target_dim", int, method, None)}
+    fit, defaults = methods[method]
+    params = {key: _field(method_cfg, key, int, method, value) for key, value in defaults.items()}
     fit_dataset, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
     if prompts_path:
         train_items, prompts = fit_dataset.embeddings, read_embeddings(prompts_path)
@@ -504,23 +473,11 @@ def cmd_debias_fit(cfg: dict) -> dict:
         protected = infer_protected_attribute(train_items, prompts)
         fit_dataset = LabeledDataset(train_items, protected, split=fit_dataset.split)
 
+    transform = fit(fit_dataset, **params)
+    details = {"train_items": fit_dataset.n, **transform.details()}
+    # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
-    details: dict[str, Any] = {"train_items": fit_dataset.n}
-    if method == "miclip":
-        transform = fit_mi_clip(fit_dataset, **params)
-        details.update(
-            retained_dims=transform.output_dims,
-            cut_dims=[int(i) for i in transform.removed_dims],
-        )
-        metadata.update(params)
-    else:
-        transform = fit_fair_pca(fit_dataset, **params)
-        details.update(
-            target_dim=transform.target_dim,
-            constraint_residual=transform.constraint_residual,
-            orthonormality_residual=transform.orthonormality_residual,
-        )
-        metadata.update(target_dim=transform.target_dim)
+    metadata.update({key: details.get(key, value) for key, value in params.items()})
     write_transform(transform, out_path, metadata)
     record = _untagged_record(f"debias-fit:{method}", details=sanitize(details))
     block = _transform_block(out_path, transform, metadata)
@@ -533,7 +490,7 @@ def cmd_apply(cfg: dict) -> dict:
     out_path = _field(cfg, "output", str, "")
     source = read_embeddings(_field(cfg, "input", str, ""))
     transform, meta = read_transform(transform_path)
-    transformed = _apply_transform(transform, source)
+    transformed = transform.apply(source)
     write_embeddings(transformed, out_path)
     shapes = {
         "input_shape": [source.rows, source.dims],
@@ -554,7 +511,7 @@ def cmd_probe(cfg: dict) -> dict:
     }
     transform_path = _field(cfg, "transform", str, "", None)
     dataset, _, columns, provenance = _load_dataset(cfg, [(a, "group") for a in attributes])
-    (items,), transform_block = _maybe_transform(transform_path, dataset.embeddings)
+    (items,), transform_blocks = _maybe_transform(transform_path, dataset.embeddings)
     train_idx = np.flatnonzero(dataset.train_mask)
     test_idx = np.flatnonzero(dataset.test_mask)
     if train_idx.size == 0 or test_idx.size == 0:
@@ -564,7 +521,7 @@ def cmd_probe(cfg: dict) -> dict:
     # n x d copy sits under the next space's takes.
     rows = {"raw": (dataset.embeddings.take(train_idx), dataset.embeddings.take(test_idx))}
     del dataset
-    if transform_block is not None:
+    if transform_blocks:
         rows["transformed"] = (items.take(train_idx), items.take(test_idx))
     del items
 
@@ -592,7 +549,7 @@ def cmd_probe(cfg: dict) -> dict:
         "probe",
         cfg,
         records,
-        [transform_block] if transform_block else [],
+        transform_blocks,
         extra={"dataset": provenance},
     )
 

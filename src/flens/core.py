@@ -211,45 +211,19 @@ class LabeledDataset:
     def test_mask(self) -> np.ndarray:
         return self.split == TEST
 
-    def subset(self, tag: str) -> "LabeledDataset":
-        """Dataset restricted to one split; the subset keeps its tag."""
-        if tag not in (TRAIN, TEST):
-            raise ValidationError(f"unknown split tag {tag!r}")
-        idx = np.flatnonzero(self.split == tag)
-        if idx.size == 0:
-            raise EmptyGroup(f"the {tag} split is empty")
-        return LabeledDataset(
-            embeddings=self.embeddings.take(idx),
-            protected=self.protected.take(idx),
-            ground_truth=None if self.ground_truth is None else self.ground_truth.take(idx),
-            split=self.split[idx],
-        )
-
 
 @dataclass(frozen=True)
 class GroupPartition:
     """Counts of selected items per group against the full population.
 
     selected_per_group holds |K_i|, population_per_group holds |Z_i|.
+    partition_by_group, its one builder, makes the counts consistent.
     """
 
     selected_per_group: tuple[int, ...]
     total_selected: int
     population_per_group: tuple[int, ...]
     total_population: int
-
-    def __post_init__(self) -> None:
-        if len(self.selected_per_group) != len(self.population_per_group):
-            raise ShapeError("per-group count vectors differ in length")
-        if sum(self.selected_per_group) != self.total_selected:
-            raise ValidationError("selected counts do not sum to total_selected")
-        if sum(self.population_per_group) != self.total_population:
-            raise ValidationError("population counts do not sum to total_population")
-        for k_i, z_i in zip(self.selected_per_group, self.population_per_group):
-            if k_i < 0 or z_i < 0:
-                raise ValidationError("negative group count")
-            if k_i > z_i:
-                raise ValidationError("selected more items than a group contains")
 
     @property
     def group_count(self) -> int:

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     VersionError,
 )
-from .mitigation import FairPcaTransform, MiClipTransform
+from .mitigation import TRANSFORMS, Transform
 
 EMBEDDING_MAGIC = b"FLENSEMB"
 EMBEDDING_VERSION = 1
@@ -40,8 +40,6 @@ _DTYPE_F32_LE = 1
 
 TRANSFORM_MAGIC = b"FLENSTFM"
 TRANSFORM_VERSION = 1
-_KIND_MICLIP = 1
-_KIND_FAIRPCA = 2
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -208,13 +206,6 @@ def _first_bad_row(cells: list[str], width: int) -> tuple[int, str] | None:
     return (rows, "missing value") if rows < len(ids) else None
 
 
-def read_labels(
-    path: str | Path, attribute: str, kind: str = "group"
-) -> GroupLabels | BinaryLabels:
-    """Read one attribute column as group labels or binary task labels."""
-    return decode_labels(read_label_table(path), attribute, kind, path)
-
-
 def decode_labels(
     columns: dict[str, list[str]], attribute: str, kind: str, path: str | Path
 ) -> GroupLabels | BinaryLabels:
@@ -263,39 +254,18 @@ def write_label_table(path: str | Path, columns: dict[str, list]) -> None:
             writer.writerow([i] + [columns[name][i] for name in names])
 
 
-def _pack_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def serialize_transform(transform: Transform, metadata: dict[str, Any] | None = None) -> bytes:
+    """Versioned binary container with a trailing CRC32 over header and payload.
 
-
-def serialize_transform(
-    transform: MiClipTransform | FairPcaTransform, metadata: dict[str, Any] | None = None
-) -> bytes:
-    """Versioned binary container with a trailing CRC32 over header and payload."""
+    The header names the transform's kind code; the transform writes the body.
+    """
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
-    if isinstance(transform, MiClipTransform):
-        kind = _KIND_MICLIP
-        body = struct.pack("<II", transform.input_dims, transform.output_dims)
-        body += transform.keep_mask.astype(np.uint8).tobytes()
-        body += _pack_array(transform.mi_scores)
-    elif isinstance(transform, FairPcaTransform):
-        kind = _KIND_FAIRPCA
-        body = struct.pack("<II", transform.input_dims, transform.target_dim)
-        body += _pack_array(transform.mean)
-        body += _pack_array(transform.projection)
-    else:
-        raise ValidationError(f"cannot serialize {type(transform).__name__}")
-    blob = (
-        TRANSFORM_MAGIC
-        + struct.pack("<HBI", TRANSFORM_VERSION, kind, len(meta))
-        + meta
-        + body
-    )
+    header = struct.pack("<HBI", TRANSFORM_VERSION, transform.KIND, len(meta))
+    blob = TRANSFORM_MAGIC + header + meta + transform.to_bytes()
     return blob + struct.pack("<I", zlib.crc32(blob[len(TRANSFORM_MAGIC) :]))
 
 
-def deserialize_transform(
-    data: bytes,
-) -> tuple[MiClipTransform | FairPcaTransform, dict[str, Any]]:
+def deserialize_transform(data: bytes) -> tuple[Transform, dict[str, Any]]:
     """Inverse of serialize_transform; returns the transform and its metadata."""
     if len(data) < len(TRANSFORM_MAGIC) + 11:
         raise TruncationError("transform container truncated")
@@ -317,37 +287,16 @@ def deserialize_transform(
     body = data[offset + meta_len : -4]
     if len(body) < 8:
         raise TruncationError(f"transform payload has {len(body)} bytes, short of its header")
-    if kind == _KIND_MICLIP:
-        d, m = struct.unpack_from("<II", body)
-        expected = 8 + d + d * 8
-        if len(body) != expected:
-            raise TruncationError(f"mi-clip payload has {len(body)} of {expected} bytes")
-        mask = np.frombuffer(body, dtype=np.uint8, count=d, offset=8).astype(bool)
-        scores = np.frombuffer(body, dtype="<f8", count=d, offset=8 + d)
-        transform = MiClipTransform(keep_mask=mask, mi_scores=scores)
-        if transform.output_dims != m:
-            raise FormatError("mask cardinality disagrees with the header")
-        return transform, meta
-    if kind == _KIND_FAIRPCA:
-        d, r = struct.unpack_from("<II", body)
-        expected = 8 + d * 8 + d * r * 8
-        if len(body) != expected:
-            raise TruncationError(f"fair-pca payload has {len(body)} of {expected} bytes")
-        mean = np.frombuffer(body, dtype="<f8", count=d, offset=8)
-        proj = np.frombuffer(body, dtype="<f8", count=d * r, offset=8 + d * 8).reshape(d, r)
-        return FairPcaTransform(mean=mean, projection=proj, target_dim=r), meta
-    raise FormatError(f"unknown transform kind {kind}")
+    if kind not in TRANSFORMS:
+        raise FormatError(f"unknown transform kind {kind}")
+    return TRANSFORMS[kind].from_bytes(body), meta
 
 
-def write_transform(
-    transform: MiClipTransform | FairPcaTransform,
-    path: str | Path,
-    metadata: dict[str, Any] | None = None,
-) -> None:
+def write_transform(transform: Transform, path: str | Path, metadata: dict | None = None) -> None:
     Path(path).write_bytes(serialize_transform(transform, metadata))
 
 
-def read_transform(path: str | Path) -> tuple[MiClipTransform | FairPcaTransform, dict[str, Any]]:
+def read_transform(path: str | Path) -> tuple[Transform, dict[str, Any]]:
     return deserialize_transform(Path(path).read_bytes())
 
 
@@ -360,8 +309,3 @@ def render_json(payload: dict) -> bytes:
 
 def write_report(payload: dict, path: str | Path) -> None:
     Path(path).write_bytes(render_json(payload))
-
-
-def read_report(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

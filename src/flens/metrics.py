@@ -9,7 +9,7 @@ compare exactly equal in floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,10 +20,7 @@ from .errors import (
     EmptyInput,
     EmptyPositiveSet,
     EmptySelection,
-    InvalidK,
-    InvalidSelection,
     ShapeError,
-    ValidationError,
 )
 
 
@@ -34,13 +31,6 @@ class MetricResult:
     value: float
     arg_pair: tuple[int, int]
     per_group_rates: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.value >= 0.0:
-            raise ValidationError("metric value must be nonnegative")
-        rates = np.asarray(self.per_group_rates, dtype=np.float64)
-        rates.setflags(write=False)
-        object.__setattr__(self, "per_group_rates", rates)
 
 
 def _max_pairwise(rates: np.ndarray) -> MetricResult:
@@ -113,46 +103,30 @@ def dtpr(predictions: BinaryLabels, truth: BinaryLabels, groups: GroupLabels) ->
     return _max_pairwise(rates)
 
 
-def skew_at_k(
-    partition: GroupPartition, desired_fractions: Sequence[float] | None = None
-) -> MetricResult:
-    """Largest absolute log-ratio of retrieved vs desired group fractions.
+def skew_at_k(partition: GroupPartition) -> MetricResult:
+    """Largest absolute log-ratio of retrieved vs the uniform 1/p group fractions.
 
-    desired_fractions defaults to the uniform 1/p. A group entirely absent
-    from the selection yields the +inf sentinel rather than an error: it is
-    the extreme of the quantity being measured, not an invalid input.
+    A group entirely absent from the selection yields the +inf sentinel rather
+    than an error: it is the extreme of the quantity being measured, not an
+    invalid input.
     """
-    p = partition.group_count
+    desired = 1.0 / partition.group_count
     k = partition.total_selected
     if k == 0:
         raise EmptySelection("cannot score an empty selection")
-    if desired_fractions is None:
-        df = np.full(p, 1.0 / p)
-    else:
-        df = np.asarray(desired_fractions, dtype=np.float64)
-        if df.shape != (p,):
-            raise ShapeError("desired_fractions length must equal the group count")
-        if np.any(df <= 0.0):
-            raise ValidationError("desired fractions must be strictly positive")
-        if abs(df.sum() - 1.0) > 1e-9:
-            raise ValidationError("desired fractions must sum to 1")
     k_i = np.asarray(partition.selected_per_group, dtype=np.int64)
-    log_ratios = np.where(k_i > 0, np.log(np.maximum(k_i, 1) / k / df), -np.inf)
+    log_ratios = np.where(k_i > 0, np.log(np.maximum(k_i, 1) / k / desired), -np.inf)
     i = int(np.argmax(np.abs(log_ratios)))
     return MetricResult(value=float(abs(log_ratios[i])), arg_pair=(i, i), per_group_rates=log_ratios)
 
 
-def ddp_rep(positives_per_group: Sequence[int], total_positives: int) -> MetricResult:
+def ddp_rep(positives_per_group: Sequence[int]) -> MetricResult:
     """Largest pairwise gap in group shares among retrieved positives."""
     counts = np.asarray(positives_per_group, dtype=np.int64)
-    if np.any(counts < 0):
-        raise ValidationError("negative positive count")
+    total_positives = int(counts.sum())
     if total_positives <= 0:
         raise EmptySelection("no retrieved positives to compare")
-    if int(counts.sum()) != total_positives:
-        raise ValidationError("per-group positives do not sum to the total")
-    shares = counts / total_positives
-    return _max_pairwise(shares)
+    return _max_pairwise(counts / total_positives)
 
 
 def accuracy(predictions, truth) -> float:
@@ -170,37 +144,3 @@ def _as_label_array(labels) -> np.ndarray:
     if isinstance(labels, (BinaryLabels, GroupLabels)):
         return labels.labels
     return np.asarray(labels)
-
-
-def precision_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
-    """Share of the top k ranked indices that are relevant."""
-    ranked_arr = np.asarray(ranked, dtype=np.int64)
-    if k < 1 or k > ranked_arr.size:
-        raise InvalidK(f"k={k} outside [1, {ranked_arr.size}]")
-    if np.unique(ranked_arr).size != ranked_arr.size:
-        raise InvalidSelection("ranked list contains duplicate indices")
-    if isinstance(relevant, np.ndarray):
-        relevant_arr = relevant.astype(np.int64, copy=False)
-    else:
-        relevant_arr = np.fromiter((int(i) for i in relevant), dtype=np.int64)
-    hits = np.count_nonzero(np.isin(ranked_arr[:k], relevant_arr))
-    return int(hits) / k
-
-
-def recall_at_k(
-    per_query_ranked: Sequence[Sequence[int]], targets: Sequence[int], k: int
-) -> float:
-    """Fraction of queries whose target item appears in their top k."""
-    if len(per_query_ranked) == 0:
-        raise EmptyInput("no queries")
-    if len(per_query_ranked) != len(targets):
-        raise ShapeError("one target per query required")
-    if k < 1:
-        raise InvalidK("k must be at least 1")
-    hits = 0
-    for ranked, target in zip(per_query_ranked, targets):
-        head = np.asarray(ranked, dtype=np.int64)[:k]
-        if int(target) in head:
-            hits += 1
-    return hits / len(per_query_ranked)
-

@@ -12,12 +12,14 @@ Two families:
 The fitted map is a single shared transform: apply it unchanged to both
 item and query embeddings. Transformed vectors are fed to cosine
 similarity directly; no renormalization step is needed because cosine
-normalizes per vector anyway.
+normalizes per vector anyway. Each transform class applies itself and
+reads and writes its own body of a ``.ftfm`` container, under its KIND code.
 """
 
 from __future__ import annotations
 
 import logging
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,10 +28,12 @@ import numpy as np
 from .core import EmbeddingMatrix, GroupLabels, LabeledDataset
 from .errors import (
     EmptyGroup,
+    FormatError,
     InvalidBins,
     NumericError,
     RankError,
     ShapeError,
+    TruncationError,
     ValidationError,
 )
 
@@ -44,9 +48,15 @@ CONSTRAINT_TOL = 1e-8
 _MI_BLOCK_ELEMENTS = 2**15
 
 
+def _le_f8(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
 @dataclass(frozen=True, eq=False)
 class MiClipTransform:
     """Boolean keep-mask over embedding dimensions plus the MI scores behind it."""
+
+    KIND = 1  # its code in a .ftfm container
 
     keep_mask: np.ndarray
     mi_scores: np.ndarray
@@ -75,10 +85,36 @@ class MiClipTransform:
     def removed_dims(self) -> np.ndarray:
         return np.flatnonzero(~self.keep_mask)
 
+    def apply(self, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
+        return apply_mi_clip(self, embeddings)
+
+    def details(self) -> dict:
+        """What a fit report says about the transform."""
+        return {"retained_dims": self.output_dims, "cut_dims": self.removed_dims.tolist()}
+
+    def to_bytes(self) -> bytes:
+        """Container body: d and m as <II, the keep mask as d bytes, then the d MI scores."""
+        head = struct.pack("<II", self.input_dims, self.output_dims)
+        return head + self.keep_mask.astype(np.uint8).tobytes() + _le_f8(self.mi_scores)
+
+    @classmethod
+    def from_bytes(cls, body: bytes) -> "MiClipTransform":
+        d, m = struct.unpack_from("<II", body)
+        expected = 8 + d + d * 8
+        if len(body) != expected:
+            raise TruncationError(f"mi-clip payload has {len(body)} of {expected} bytes")
+        mask = np.frombuffer(body, dtype=np.uint8, count=d, offset=8).astype(bool)
+        transform = cls(mask, np.frombuffer(body, dtype="<f8", count=d, offset=8 + d))
+        if transform.output_dims != m:
+            raise FormatError("mask cardinality disagrees with the header")
+        return transform
+
 
 @dataclass(frozen=True, eq=False)
 class FairPcaTransform:
     """Centering vector and orthonormal-column projection matrix."""
+
+    KIND = 2  # its code in a .ftfm container
 
     mean: np.ndarray
     projection: np.ndarray
@@ -109,6 +145,37 @@ class FairPcaTransform:
         """Max-abs deviation of the projection's Gram matrix from the identity."""
         gram = self.projection.T @ self.projection
         return float(np.max(np.abs(gram - np.eye(self.target_dim))))
+
+    def apply(self, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
+        return apply_fair_pca(self, embeddings)
+
+    def details(self) -> dict:
+        """What a fit report says about the transform."""
+        return {
+            "target_dim": self.target_dim,
+            "constraint_residual": self.constraint_residual,
+            "orthonormality_residual": self.orthonormality_residual,
+        }
+
+    def to_bytes(self) -> bytes:
+        """Container body: d and r as <II, the d-vector mean, then the d x r projection."""
+        head = struct.pack("<II", self.input_dims, self.target_dim)
+        return head + _le_f8(self.mean) + _le_f8(self.projection)
+
+    @classmethod
+    def from_bytes(cls, body: bytes) -> "FairPcaTransform":
+        d, r = struct.unpack_from("<II", body)
+        expected = 8 + d * 8 + d * r * 8
+        if len(body) != expected:
+            raise TruncationError(f"fair-pca payload has {len(body)} of {expected} bytes")
+        mean = np.frombuffer(body, dtype="<f8", count=d, offset=8)
+        proj = np.frombuffer(body, dtype="<f8", count=d * r, offset=8 + d * 8).reshape(d, r)
+        return cls(mean=mean, projection=proj, target_dim=r)
+
+
+Transform = MiClipTransform | FairPcaTransform
+# The transform kinds by their .ftfm code.
+TRANSFORMS = {cls.KIND: cls for cls in (MiClipTransform, FairPcaTransform)}
 
 
 def _plugin_mi(joint: np.ndarray) -> float:

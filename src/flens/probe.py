@@ -49,13 +49,7 @@ class ProbeModel:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
         b = np.asarray(self.bias, dtype=np.float64)
-        if self.classes < 2:
-            raise ValidationError("probe needs at least two classes")
-        if w.ndim != 2 or w.shape[0] != self.classes - 1:
-            raise ShapeError("weights must be (classes-1) x d")
-        if b.shape != (self.classes - 1,):
-            raise ShapeError("bias must have classes-1 entries")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):  # a fit that diverged
             raise ValidationError("probe parameters must be finite")
         w.setflags(write=False)
         b.setflags(write=False)

@@ -1,8 +1,10 @@
 """Audit report assembly.
 
 Reports are plain dictionaries rendered to canonical JSON so identical
-inputs always produce identical bytes. Non-finite sentinels become the
-strings "inf"/"-inf"/"nan" because strict JSON has no spelling for them.
+inputs always produce identical bytes. A metric, test or taxonomy record
+holds its dataclass's fields under their own names. Non-finite sentinels
+become the strings "inf"/"-inf"/"nan" because strict JSON has no spelling
+for them.
 
 Category summaries are keyed by taxonomy cell. Exactly four cells are ever
 evaluated: human-centric tasks crossed with objective/subjective and
@@ -14,6 +16,7 @@ performance metrics only and appear in per-task records, not in a cell.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from typing import Any, Iterable
 
 import numpy as np
@@ -62,23 +65,11 @@ def sanitize(value: Any) -> Any:
 
 
 def metric_record(result: MetricResult) -> dict:
-    return sanitize(
-        {
-            "value": result.value,
-            "arg_pair": list(result.arg_pair),
-            "per_group_rates": result.per_group_rates,
-        }
-    )
+    return sanitize(asdict(result))
 
 
 def test_record(result: TestResult) -> dict:
-    return sanitize(
-        {
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "degrees_of_freedom": result.degrees_of_freedom,
-        }
-    )
+    return sanitize(asdict(result))
 
 
 def comparison_record(comparison: QueryGroupComparison) -> dict:
@@ -92,11 +83,7 @@ def comparison_record(comparison: QueryGroupComparison) -> dict:
 
 
 def taxonomy_record(tags: TaxonomyTags) -> dict:
-    return {
-        "human_centric": tags.human_centric,
-        "subjective": tags.subjective,
-        "fairness_mode": tags.fairness_mode,
-    }
+    return asdict(tags)
 
 
 _QUARTILE_LEVELS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])

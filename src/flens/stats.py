@@ -27,36 +27,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class GroupSamples:
-    """Per-group lists of real observations for one query."""
-
-    groups: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.groups) < 2:
-            raise EmptyInput("need at least two groups of observations")
-        frozen = []
-        for g, sample in enumerate(self.groups):
-            arr = np.asarray(sample, dtype=np.float64)
-            if arr.ndim != 1:
-                raise ShapeError(f"group {g} sample must be 1-d")
-            if arr.size < 2:
-                raise InsufficientSamples(f"group {g} has fewer than 2 observations")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"group {g} sample contains non-finite values")
-            if np.var(arr) == 0.0:
-                raise DegenerateVariance(f"group {g} sample has zero variance")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "groups", tuple(frozen))
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
-
-
 @dataclass(frozen=True)
 class TestResult:
     """Test statistic, its p-value, and the chi-square degrees of freedom."""
@@ -64,12 +34,6 @@ class TestResult:
     statistic: float
     p_value: float
     degrees_of_freedom: int
-
-    def __post_init__(self) -> None:
-        if not self.statistic >= 0.0:
-            raise ValidationError("statistic must be nonnegative")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValidationError("p-value must lie in [0, 1]")
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -99,18 +63,28 @@ def chi_square_sf(x: float, df: int) -> float:
     return min(1.0, head + math.exp(top) * sum(math.exp(v - top) for v in logs))
 
 
-def alexander_govern(samples: GroupSamples | Sequence[Sequence[float]]) -> TestResult:
+def alexander_govern(samples: Sequence[Sequence[float]]) -> TestResult:
     """Equal-means test across groups allowing unequal variances.
 
-    Returns the statistic A (sum of squared normalized scores) and its
-    p-value from the chi-square distribution with p-1 degrees of freedom.
+    ``samples`` holds each group's real observations: at least two groups of
+    at least two finite values each, none of zero variance. Returns the
+    statistic A (sum of squared normalized scores) and its p-value from the
+    chi-square distribution with p-1 degrees of freedom.
     """
-    if not isinstance(samples, GroupSamples):
-        samples = GroupSamples(tuple(np.asarray(s, dtype=np.float64) for s in samples))
-    sizes = np.array([s.size for s in samples.groups], dtype=np.float64)
-    means = np.array([s.mean() for s in samples.groups])
+    if len(samples) < 2:
+        raise EmptyInput("need at least two groups of observations")
+    groups = [np.asarray(sample, dtype=np.float64) for sample in samples]
+    for g, sample in enumerate(groups):
+        if sample.size < 2:
+            raise InsufficientSamples(f"group {g} has fewer than 2 observations")
+        if not np.all(np.isfinite(sample)):
+            raise ValidationError(f"group {g} sample contains non-finite values")
+        if np.var(sample) == 0.0:
+            raise DegenerateVariance(f"group {g} sample has zero variance")
+    sizes = np.array([s.size for s in groups], dtype=np.float64)
+    means = np.array([s.mean() for s in groups])
     # Squared standard errors of the group means (sample variance / n).
-    se_sq = np.array([s.var(ddof=1) / s.size for s in samples.groups])
+    se_sq = np.array([s.var(ddof=1) / s.size for s in groups])
     weights = (1.0 / se_sq) / np.sum(1.0 / se_sq)
     grand_mean = np.sum(weights * means)
     t = (means - grand_mean) / np.sqrt(se_sq)
@@ -124,7 +98,7 @@ def alexander_govern(samples: GroupSamples | Sequence[Sequence[float]]) -> TestR
         / (10.0 * b**2 + 8.0 * b * c**4 + 1000.0 * b)
     )
     statistic = float(np.sum(z**2))
-    df = samples.group_count - 1
+    df = len(groups) - 1
     return TestResult(statistic=statistic, p_value=chi_square_sf(statistic, df), degrees_of_freedom=df)
 
 
@@ -136,20 +110,9 @@ class QueryGroupComparison:
     convention used for similarity-gap heatmaps.
     """
 
-    query_index: int
     test: TestResult
     group_means: np.ndarray
     abs_mean_diff_x100: np.ndarray
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.group_means, dtype=np.float64)
-        diffs = np.asarray(self.abs_mean_diff_x100, dtype=np.float64)
-        if diffs.shape != (means.size, means.size):
-            raise ShapeError("pairwise matrix must be p x p")
-        means.setflags(write=False)
-        diffs.setflags(write=False)
-        object.__setattr__(self, "group_means", means)
-        object.__setattr__(self, "abs_mean_diff_x100", diffs)
 
 
 def per_query_similarity_tests(
@@ -170,9 +133,5 @@ def per_query_similarity_tests(
         result = alexander_govern(per_group)
         means = np.array([g.mean() for g in per_group])
         diffs = np.abs(means[:, None] - means[None, :]) * 100.0
-        out.append(
-            QueryGroupComparison(
-                query_index=j, test=result, group_means=means, abs_mean_diff_x100=diffs
-            )
-        )
+        out.append(QueryGroupComparison(test=result, group_means=means, abs_mean_diff_x100=diffs))
     return out

@@ -19,8 +19,6 @@ import numpy as np
 from .core import TEST, TRAIN, BinaryLabels, EmbeddingMatrix, GroupLabels, LabeledDataset
 from .errors import TooSmall, ValidationError
 
-TRAIN_FRACTION = 0.7
-
 
 @dataclass(frozen=True)
 class SynthSpec:

@@ -7,18 +7,12 @@ first class, ranking ties go to the lower item index.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BinaryLabels, EmbeddingMatrix, GroupLabels
-from .errors import (
-    DegenerateVector,
-    InsufficientItems,
-    InvalidK,
-    ShapeError,
-    ValidationError,
-)
+from .errors import InsufficientItems, InvalidK, ShapeError, ValidationError
 
 INDEPENDENCE = "independence"
 DIVERSITY = "diversity"
@@ -32,56 +26,12 @@ class TaxonomyTags:
     subjective: bool
     fairness_mode: str = INDEPENDENCE
 
-    def __post_init__(self) -> None:
-        if self.fairness_mode not in (INDEPENDENCE, DIVERSITY):
-            raise ValidationError(f"unknown fairness mode {self.fairness_mode!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class RetrievalResult:
-    """Ranked item indices for one query with aligned similarities.
-
-    top_k emits indices in non-increasing similarity order;
-    balanced_retrieval emits round-robin rank order across group queries,
-    so its similarity vector is not globally monotone. Both build their
-    indices unique and pass built_unique=True, which skips that check.
-    """
-
-    query_index: int
-    ranked_indices: np.ndarray
-    similarities: np.ndarray
-    built_unique: InitVar[bool] = False
-
-    def __post_init__(self, built_unique: bool) -> None:
-        idx = np.asarray(self.ranked_indices, dtype=np.int64)
-        sims = np.asarray(self.similarities, dtype=np.float64)
-        if idx.shape != sims.shape or idx.ndim != 1:
-            raise ShapeError("indices and similarities must be aligned 1-d vectors")
-        if not built_unique and np.unique(idx).size != idx.size:
-            raise ValidationError("ranked indices must be unique")
-        idx.setflags(write=False)
-        sims.setflags(write=False)
-        object.__setattr__(self, "ranked_indices", idx)
-        object.__setattr__(self, "similarities", sims)
-
-    def __len__(self) -> int:
-        return int(self.ranked_indices.size)
-
-
-def _unit_rows(matrix: EmbeddingMatrix, what: str) -> np.ndarray:
-    try:
-        return matrix.unit_rows
-    except DegenerateVector as exc:
-        raise DegenerateVector(f"{what} {exc}") from None
-
 
 def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -> np.ndarray:
     """q x n matrix of cosine similarities; entry (j, i) pairs query j with item i."""
     if items.dims != queries.dims:
         raise ShapeError(f"dimension mismatch: items d={items.dims}, queries d={queries.dims}")
-    item_unit = _unit_rows(items, "item")
-    query_unit = _unit_rows(queries, "query")
-    sims = query_unit @ item_unit.T
+    sims = queries.unit_rows @ items.unit_rows.T
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
@@ -129,27 +79,20 @@ def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> BinaryLabels:
     return BinaryLabels(np.where(a >= b, 1, -1))
 
 
-def top_k(similarities: np.ndarray, k: int) -> list[RetrievalResult]:
-    """Per query, the k items of largest similarity; ties by ascending item index.
+def top_k(similarities: np.ndarray, k: int) -> np.ndarray:
+    """Per query row, the k items of largest similarity: a rows x k index array.
 
-    The order is one stable sort, so the result for any k' <= k is a prefix.
+    Ties go to the lower item index. The order is one stable sort, so the
+    result for any k' <= k is a prefix.
     """
     sims = _as_rows(similarities)
     n = sims.shape[1]
     if k < 1 or k > n:
         raise InvalidK(f"k={k} outside [1, {n}]")
-    orders = _ranked_prefix(sims, k)
-    values = np.take_along_axis(sims, orders, axis=1)
-    # a prefix of a permutation holds each index once
-    return [
-        RetrievalResult(j, ranked_indices=orders[j], similarities=values[j], built_unique=True)
-        for j in range(sims.shape[0])
-    ]
+    return _ranked_prefix(sims, k)
 
 
-def balanced_retrieval(
-    similarities: np.ndarray, k: int, query_index: int = 0
-) -> RetrievalResult:
+def balanced_retrieval(similarities: np.ndarray, k: int) -> np.ndarray:
     """Retrieve k items split as evenly as possible across p group-specific queries.
 
     ``similarities`` holds one row per group query: p rows of a
@@ -187,12 +130,7 @@ def balanced_retrieval(
         claimed[item] = 1
         out[t] = item
         cursors[g] = cursor + 1
-    return RetrievalResult(
-        query_index=query_index,
-        ranked_indices=picked,
-        similarities=sims[np.arange(k) % p, picked],
-        built_unique=True,  # `claimed` lets each item be picked once
-    )
+    return picked
 
 
 def infer_protected_attribute(

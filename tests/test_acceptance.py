@@ -116,7 +116,7 @@ def test_metric_oracle_suite():
         pos = rng.integers(0, 40, size=p)
         if pos.sum() == 0:
             pos[0] = 1
-        ours = ddp_rep(pos.tolist(), int(pos.sum())).value
+        ours = ddp_rep(pos.tolist()).value
         ref = oracle_ddp_rep(pos.tolist())
         assert abs(ours - ref) <= 1e-12
     elapsed = time.perf_counter() - start
@@ -315,8 +315,7 @@ def test_balanced_retrieval_zero_skew():
         values[np.arange(n), labels] += 10.0
         queries = np.eye(p)
         sims = cosine_similarity_matrix(EmbeddingMatrix(values), EmbeddingMatrix(queries))
-        result = balanced_retrieval(sims, k)
-        partition = partition_by_group(result.ranked_indices, GroupLabels(labels, p))
+        partition = partition_by_group(balanced_retrieval(sims, k), GroupLabels(labels, p))
         assert partition.selected_per_group == tuple([per_round] * p)
         assert skew_at_k(partition).value == 0.0
     _pass("balanced retrieval zero skew on 100 instances")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flens.cli import _load_test_split, main
+from flens.cli import _load_dataset, main
 from flens.core import EmbeddingMatrix, partition_by_group
 from flens.io import (
     decode_labels,
@@ -1189,16 +1189,16 @@ class TestOnePassAudit:
     def test_transform_reads_test_and_named_rows_only(
         self, workspace, fitted_transform, tmp_path, monkeypatch
     ):
-        import flens.cli
+        import flens.mitigation
 
         rows = []
-        apply = flens.cli.apply_fair_pca
+        apply = flens.mitigation.apply_fair_pca
 
         def recording(transform, embeddings):
             rows.append(embeddings.rows)
             return apply(transform, embeddings)
 
-        monkeypatch.setattr(flens.cli, "apply_fair_pca", recording)
+        monkeypatch.setattr(flens.mitigation, "apply_fair_pca", recording)
         tasks = [{"name": n, "class_a": a, "class_b": 4 - a} for n, a in (("t", 3), ("u", 1))]
         payload = {"queries": str(workspace["queries"]), "transform": str(fitted_transform)}
         n_test = self._run(workspace, tmp_path, "classify-audit", {**payload, "tasks": tasks})
@@ -1376,11 +1376,11 @@ def test_test_split_read_memory(tmp_path):
     cfg = {"data": {**paths, "attribute": "group"}}
     tracemalloc.start()
     try:
-        (_, items, rows), groups, _, provenance = _load_test_split(cfg)
+        dataset, rows, _, provenance = _load_dataset(cfg, keep="test")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert items.rows == rows.size == len(groups) == provenance["test_items"] == 6000
+    assert dataset.n == rows.size == len(dataset.protected) == provenance["test_items"] == 6000
     # 20.5 MB float32 payload + 12.3 MB of widened test rows + the mask and label table
     assert peak < 48e6
 

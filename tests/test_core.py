@@ -11,7 +11,6 @@ from flens.core import (
     BinaryLabels,
     EmbeddingMatrix,
     GroupLabels,
-    GroupPartition,
     LabeledDataset,
     partition_by_group,
 )
@@ -124,12 +123,6 @@ class TestLabeledDataset:
         )
         assert ds.test_mask.all()
 
-    def test_subset_keeps_alignment(self):
-        ds = self._dataset([TRAIN, TRAIN, TEST, TEST, TRAIN, TEST])
-        sub = ds.subset(TEST)
-        assert sub.n == 3
-        assert sub.protected.labels.tolist() == [0, 1, 1]
-
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             LabeledDataset(
@@ -187,13 +180,3 @@ class TestPartitionByGroup:
         selected = data.draw(st.permutations(range(len(labels))))[:4]
         shuffled = data.draw(st.permutations(selected))
         assert partition_by_group(selected, groups) == partition_by_group(list(shuffled), groups)
-
-
-class TestGroupPartitionInvariants:
-    def test_sum_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            GroupPartition((1, 1), 3, (2, 2), 4)
-
-    def test_selected_exceeding_population_rejected(self):
-        with pytest.raises(ValidationError):
-            GroupPartition((3, 0), 3, (2, 2), 4)

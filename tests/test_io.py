@@ -23,10 +23,10 @@ from flens.errors import (
     VersionError,
 )
 from flens.io import (
+    decode_labels,
     deserialize_transform,
     read_embeddings,
     read_label_table,
-    read_labels,
     read_transform,
     render_json,
     serialize_transform,
@@ -214,6 +214,11 @@ class TestEmbeddingRead:
         taken = read_embeddings(path).take(np.flatnonzero(keep)).values
         assert kept.dtype == taken.dtype == np.float64
         assert kept.tobytes() == taken.tobytes()
+
+
+def read_labels(path, attribute, kind="group"):
+    """One column of a label file, decoded as the commands decode it."""
+    return decode_labels(read_label_table(path), attribute, kind, path)
 
 
 class TestLabelFiles:

@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flens.cli import _retrieval_metrics
 from flens.core import BinaryLabels, GroupLabels, GroupPartition
 from flens.errors import (
     DegenerateDenominator,
     EmptyGroup,
-    EmptyInput,
     EmptyPositiveSet,
     EmptySelection,
-    InvalidK,
     InvalidSelection,
     ShapeError,
-    ValidationError,
 )
 from flens.metrics import (
     accuracy,
@@ -25,10 +23,9 @@ from flens.metrics import (
     ddp_rep,
     ddp_retrieval,
     dtpr,
-    precision_at_k,
-    recall_at_k,
     skew_at_k,
 )
+from flens.tasks import DIVERSITY, TaxonomyTags
 
 from .oracles import (
     oracle_ddp_classification,
@@ -37,6 +34,20 @@ from .oracles import (
     oracle_dtpr,
     oracle_skew,
 )
+
+
+def precision_at_k(ranked, relevant, k):
+    """precision@k of a ranked list as retrieve-audit reports it for a diversity query.
+
+    As in a label file's relevance column, the items of ``relevant`` are marked
+    +1 and every other item -1.
+    """
+    marks = np.full(10, -1)
+    marks[[int(i) for i in relevant]] = 1
+    tags = TaxonomyTags(human_centric=True, subjective=False, fairness_mode=DIVERSITY)
+    groups = GroupLabels(np.arange(10) % 2, 2)
+    block = _retrieval_metrics(np.asarray(ranked[:k]), groups, tags, np.flatnonzero(marks == 1), k)
+    return block["performance"]["precision_at_k"]
 
 
 def partition_from_counts(k_counts, z_counts) -> GroupPartition:
@@ -134,7 +145,7 @@ class TestSkewAtK:
 
     def test_direct_arithmetic(self):
         part = partition_from_counts([8, 2], [50, 50])
-        result = skew_at_k(part, desired_fractions=(0.5, 0.5))
+        result = skew_at_k(part)
         assert result.value == pytest.approx(math.log(2.5), abs=1e-12)
 
     def test_absent_group_sentinel(self):
@@ -147,29 +158,22 @@ class TestSkewAtK:
         with pytest.raises(EmptySelection):
             skew_at_k(partition_from_counts([0, 0], [5, 5]))
 
-    def test_bad_desired_fractions(self):
-        part = partition_from_counts([5, 5], [50, 50])
-        with pytest.raises(ValidationError):
-            skew_at_k(part, desired_fractions=(0.9, 0.3))
-        with pytest.raises(ValidationError):
-            skew_at_k(part, desired_fractions=(1.0, 0.0))
-
 
 class TestDdpRep:
     def test_equal_representation(self):
-        assert ddp_rep((5, 5), 10).value == 0.0
+        assert ddp_rep((5, 5)).value == 0.0
 
     def test_direct_arithmetic(self):
-        assert ddp_rep((7, 3), 10).value == pytest.approx(0.4, abs=1e-15)
+        assert ddp_rep((7, 3)).value == pytest.approx(0.4, abs=1e-15)
 
     def test_pairwise_enumeration(self):
-        result = ddp_rep((10, 0, 0), 10)
+        result = ddp_rep((10, 0, 0))
         assert result.value == 1.0
         assert result.arg_pair == (0, 1)
 
     def test_empty(self):
         with pytest.raises(EmptySelection):
-            ddp_rep((0, 0), 0)
+            ddp_rep((0, 0))
 
 
 class TestPerformanceMetrics:
@@ -218,30 +222,7 @@ class TestPerformanceMetrics:
 
     def test_precision_rejects_duplicates(self):
         with pytest.raises(InvalidSelection):
-            precision_at_k([4, 0, 4], {4}, 2)
-
-    def test_precision_invalid_k(self):
-        with pytest.raises(InvalidK):
-            precision_at_k([1, 2], {1}, 0)
-        with pytest.raises(InvalidK):
-            precision_at_k([1, 2], {1}, 3)
-
-    def test_recall_rank_one(self):
-        assert recall_at_k([[7, 1], [3, 2]], [7, 3], 1) == 1.0
-
-    def test_recall_rank_threshold(self):
-        ranked = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]
-        assert recall_at_k(ranked, [5], 5) == 0.0
-        assert recall_at_k(ranked, [5], 10) == 1.0
-
-    def test_recall_three_of_five(self):
-        ranked = [[i] for i in range(5)]
-        targets = [0, 1, 2, 9, 9]
-        assert recall_at_k(ranked, targets, 5) == pytest.approx(0.6)
-
-    def test_recall_empty(self):
-        with pytest.raises(EmptyInput):
-            recall_at_k([], [], 3)
+            precision_at_k([4, 0, 4], {4}, 3)
 
 
 def random_instance(rng: np.random.Generator):
@@ -315,7 +296,7 @@ class TestOracleEquivalence:
             counts = rng.integers(0, 25, size=p)
             if counts.sum() == 0:
                 counts[0] = 1
-            ours = ddp_rep(counts.tolist(), int(counts.sum())).value
+            ours = ddp_rep(counts.tolist()).value
             ref = oracle_ddp_rep(counts.tolist())
             assert abs(ours - ref) <= 1e-12
 

@@ -15,7 +15,6 @@ from flens.errors import (
     InsufficientSamples,
 )
 from flens.stats import (
-    GroupSamples,
     alexander_govern,
     chi_square_sf,
     per_query_similarity_tests,
@@ -162,7 +161,8 @@ class TestAlexanderGovern:
             alexander_govern([[1.0, 1.0, 1.0], [2.0, 3.0, 4.0]])
 
     def test_group_samples_type(self):
-        samples = GroupSamples((np.array([1.0, 2.0]), np.array([2.0, 4.0])))
+        # a tuple of arrays, as per_query_similarity_tests passes each query's groups
+        samples = (np.array([1.0, 2.0]), np.array([2.0, 4.0]))
         result = alexander_govern(samples)
         assert result.degrees_of_freedom == 1
 
