@@ -24,7 +24,6 @@ from . import __version__
 from .core import (
     TEST,
     TRAIN,
-    BinaryLabels,
     EmbeddingMatrix,
     GroupLabels,
     LabeledDataset,
@@ -38,6 +37,7 @@ from .errors import (
     FlensError,
     InvalidK,
     NumericError,
+    ShapeError,
 )
 from .io import (
     decode_labels,
@@ -51,6 +51,7 @@ from .io import (
     write_transform,
 )
 from .metrics import (
+    MetricResult,
     accuracy,
     ddp_classification,
     ddp_rep,
@@ -60,14 +61,7 @@ from .metrics import (
 )
 from .mitigation import Transform, fit_fair_pca, fit_mi_clip
 from .probe import DEFAULT_L2, DEFAULT_MAX_ITER, DEFAULT_TOL, evaluate_probe, fit_probe
-from .report import (
-    build_report,
-    cell_key,
-    comparison_record,
-    metric_record,
-    sanitize,
-    taxonomy_record,
-)
+from .report import build_report, complete_records
 from .stats import per_query_similarity_tests
 from .synth import SynthSpec, generate
 from .tasks import (
@@ -165,16 +159,15 @@ def _tags(spec: dict, where: str, fairness_mode: str = INDEPENDENCE) -> Taxonomy
 
 def _load_dataset(
     cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
-) -> tuple[
-    LabeledDataset, np.ndarray, dict[tuple[str, str], GroupLabels | BinaryLabels], dict
-]:
+) -> tuple[EmbeddingMatrix, GroupLabels, np.ndarray, np.ndarray, dict, dict]:
     """Parse the label table exactly once, then read the embeddings rows of split ``keep``.
 
     Besides the protected attribute and the split, each (column, kind) in
     ``label_columns`` is decoded, so the parsed string table is freed on
-    return. Every label check runs on the full table before the embeddings
-    are read; then only the rows of split ``keep`` (every row when None) are
-    widened. Returns the dataset of those rows, their row numbers in the
+    return. Every label check, the split's included, runs once on the full
+    table before the embeddings are read; then only the rows of split
+    ``keep`` (every row when None) are widened. Returns those rows'
+    embeddings, protected groups and split tags, their row numbers in the
     embeddings file, the decoded columns at those rows, and the report's
     provenance block: attribute, groups, sizes.
     """
@@ -197,15 +190,17 @@ def _load_dataset(
         "test_items": int(np.count_nonzero(split == TEST)),
     }
     if keep is None:
-        dataset = LabeledDataset(read_embeddings(embeddings_path), protected, split=split)
-        return dataset, np.arange(dataset.n), columns, provenance
+        embeddings = read_embeddings(embeddings_path)
+        if embeddings.rows != len(protected):
+            raise ShapeError("protected labels length differs from embedding rows")
+        return embeddings, protected, split, np.arange(len(split)), columns, provenance
     mask = split == keep
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise DataError(_EMPTY_SPLIT[keep])
     embeddings = read_embeddings(embeddings_path, mask)
-    dataset = LabeledDataset(embeddings, protected.take(rows), split=split[rows])
-    return dataset, rows, {key: labels.take(rows) for key, labels in columns.items()}, provenance
+    columns = {key: labels.take(rows) for key, labels in columns.items()}
+    return embeddings, protected.take(rows), split[rows], rows, columns, provenance
 
 
 def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
@@ -261,12 +256,6 @@ def _query_similarities(
     return cosine_similarity_matrix(test_items, queries), transform_blocks
 
 
-def _untagged_record(task_name: str, **fields: Any) -> dict:
-    """Report record for a task outside the audit taxonomy: fits, applies, probes, synth."""
-    base = {"task_name": task_name, "taxonomy": None, "cell": None, "metrics": {}, "performance": {}}
-    return {**base, **fields}
-
-
 def cmd_classify_audit(cfg: dict) -> dict:
     """Zero-shot classification audit: DDP always, DTPR/accuracy with ground truth."""
     tasks = []
@@ -283,11 +272,10 @@ def cmd_classify_audit(cfg: dict) -> dict:
         )
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
-    dataset, rows, columns, provenance = _load_dataset(
+    test_items, groups, _, rows, columns, provenance = _load_dataset(
         cfg, [(t, "binary") for *_, t in tasks if t], keep=TEST
     )
-    groups = dataset.protected
-    items = (cfg["data"]["embeddings"], dataset.embeddings, rows)  # checked by _load_dataset
+    items = (cfg["data"]["embeddings"], test_items, rows)  # checked by _load_dataset
     queries = read_embeddings(queries_path)
     for name, a, b, *_ in tasks:
         if not (0 <= a < queries.rows and 0 <= b < queries.rows):
@@ -304,14 +292,13 @@ def cmd_classify_audit(cfg: dict) -> dict:
         predictions = zero_shot_classify(sims[position[a]], sims[position[b]])
         record = {
             "task_name": name,
-            "taxonomy": taxonomy_record(tags),
-            "cell": cell_key(tags),
-            "metrics": {"ddp_classification": metric_record(ddp_classification(predictions, groups))},
+            "taxonomy": tags,
+            "metrics": {"ddp_classification": ddp_classification(predictions, groups)},
             "performance": {},
         }
         if truth_column:
             truth = columns[truth_column, "binary"]
-            record["metrics"]["dtpr"] = metric_record(dtpr(predictions, truth, groups))
+            record["metrics"]["dtpr"] = dtpr(predictions, truth, groups)
             record["performance"]["accuracy"] = accuracy(predictions, truth)
         records.append(record)
     return build_report(
@@ -332,17 +319,17 @@ def _retrieval_metrics(
 ) -> dict:
     """Metric block for one query at one k, routed by fairness mode."""
     partition = partition_by_group(retrieved, groups)
-    metrics: dict[str, dict] = {}
+    metrics: dict[str, MetricResult] = {}
     performance: dict[str, float] = {}
     if tags.fairness_mode == INDEPENDENCE:
-        metrics["ddp_retrieval"] = metric_record(ddp_retrieval(partition))
+        metrics["ddp_retrieval"] = ddp_retrieval(partition)
     else:
-        metrics["skew_at_k"] = metric_record(skew_at_k(partition))
+        metrics["skew_at_k"] = skew_at_k(partition)
         if relevant is not None:
             hits = retrieved[np.isin(retrieved, relevant)]
             if hits.size:
                 per_group = np.bincount(groups.labels[hits], minlength=groups.group_count)
-                metrics["ddp_rep"] = metric_record(ddp_rep(per_group))
+                metrics["ddp_rep"] = ddp_rep(per_group)
             # partition_by_group has checked `retrieved` for duplicates
             performance["precision_at_k"] = hits.size / k
     return {"metrics": metrics, "performance": performance}
@@ -371,11 +358,10 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
     transform_path = _field(cfg, "transform", str, "", None)
-    dataset, rows, columns, provenance = _load_dataset(
+    test_items, groups, _, rows, columns, provenance = _load_dataset(
         cfg, [(c, "binary") for *_, c in query_specs if c], keep=TEST
     )
-    groups = dataset.protected
-    items = (cfg["data"]["embeddings"], dataset.embeddings, rows)  # checked by _load_dataset
+    items = (cfg["data"]["embeddings"], test_items, rows)  # checked by _load_dataset
     n_test, p = len(groups), groups.group_count
     query_file = read_embeddings(queries_path)
     balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
@@ -419,22 +405,18 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
             group_sims = sims[q + position * p : q + (position + 1) * p]
             balanced_ranked = balanced_retrieval(group_sims, max_k)
         for k in k_list:
-            head = {
-                "task_name": f"{name} @ k={k}",
-                "taxonomy": taxonomy_record(tags),
-                "cell": cell_key(tags),
-            }
+            head = {"task_name": f"{name} @ k={k}", "taxonomy": tags}
             block = _retrieval_metrics(ranked[:k], groups, tags, relevant, k)
             records.append({**head, **block})
             if balanced_ranked is not None:
                 block = _retrieval_metrics(balanced_ranked[:k], groups, tags, relevant, k)
                 balanced_records.append({**head, **block})
-        similarity_tests[name] = comparison_record(comparisons[position])
+        similarity_tests[name] = comparisons[position]
     if balanced_records:
         blocks.append(
             {
                 "name": "balanced-queries",
-                "records": sorted(balanced_records, key=lambda r: r["task_name"]),
+                "records": complete_records(balanced_records),
             }
         )
     extra = {
@@ -465,21 +447,20 @@ def cmd_debias_fit(cfg: dict) -> dict:
     method_cfg = _field(cfg, method, dict, "", {})
     fit, defaults = methods[method]
     params = {key: _field(method_cfg, key, int, method, value) for key, value in defaults.items()}
-    fit_dataset, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
+    train_items, protected, split, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
     if prompts_path:
-        train_items, prompts = fit_dataset.embeddings, read_embeddings(prompts_path)
+        prompts = read_embeddings(prompts_path)
         _require_nonzero("prompt", prompts_path, prompts, np.arange(prompts.rows))
         _require_nonzero("item", cfg["data"]["embeddings"], train_items, rows)
         protected = infer_protected_attribute(train_items, prompts)
-        fit_dataset = LabeledDataset(train_items, protected, split=fit_dataset.split)
-
+    fit_dataset = LabeledDataset(train_items, protected, split=split)
     transform = fit(fit_dataset, **params)
     details = {"train_items": fit_dataset.n, **transform.details()}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
     metadata.update({key: details.get(key, value) for key, value in params.items()})
     write_transform(transform, out_path, metadata)
-    record = _untagged_record(f"debias-fit:{method}", details=sanitize(details))
+    record = {"task_name": f"debias-fit:{method}", "details": details}
     block = _transform_block(out_path, transform, metadata)
     return build_report("debias-fit", cfg, [record], [block], extra={"dataset": provenance})
 
@@ -496,7 +477,7 @@ def cmd_apply(cfg: dict) -> dict:
         "input_shape": [source.rows, source.dims],
         "output_shape": [transformed.rows, transformed.dims],
     }
-    record = _untagged_record("apply", details=shapes)
+    record = {"task_name": "apply", "details": shapes}
     return build_report("apply", cfg, [record], [_transform_block(transform_path, transform, meta)])
 
 
@@ -509,18 +490,23 @@ def cmd_probe(cfg: dict) -> dict:
         "max_iter": _field(probe_cfg, "max_iter", int, "probe", DEFAULT_MAX_ITER),
         "tol": _field(probe_cfg, "tol", float, "probe", DEFAULT_TOL),
     }
+    for key, value in params.items():
+        if value < 0:
+            raise ConfigError(f"probe.{key} must be non-negative, got {value}")
     transform_path = _field(cfg, "transform", str, "", None)
-    dataset, _, columns, provenance = _load_dataset(cfg, [(a, "group") for a in attributes])
-    (items,), transform_blocks = _maybe_transform(transform_path, dataset.embeddings)
-    train_idx = np.flatnonzero(dataset.train_mask)
-    test_idx = np.flatnonzero(dataset.test_mask)
+    embeddings, _, split, _, columns, provenance = _load_dataset(
+        cfg, [(a, "group") for a in attributes]
+    )
+    (items,), transform_blocks = _maybe_transform(transform_path, embeddings)
+    train_idx = np.flatnonzero(split == TRAIN)
+    test_idx = np.flatnonzero(split == TEST)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError("probe audit needs non-empty train and test splits")
     # Each space's train and test rows are taken once and serve every attribute.
     # Each full matrix is dropped as soon as its rows are taken, so no dead
     # n x d copy sits under the next space's takes.
-    rows = {"raw": (dataset.embeddings.take(train_idx), dataset.embeddings.take(test_idx))}
-    del dataset
+    rows = {"raw": (embeddings.take(train_idx), embeddings.take(test_idx))}
+    del embeddings
     if transform_blocks:
         rows["transformed"] = (items.take(train_idx), items.take(test_idx))
     del items
@@ -541,10 +527,10 @@ def cmd_probe(cfg: dict) -> dict:
                 "grad_max": model.grad_max,
                 "converged": model.converged,
             }
-        record = _untagged_record(
-            f"probe:{attribute}", performance=performance, probe_config=params, details=details
+        records.append(
+            {"task_name": f"probe:{attribute}", "performance": performance,
+             "probe_config": params, "details": details}
         )
-        records.append(record)
     return build_report(
         "probe",
         cfg,
@@ -593,8 +579,7 @@ def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
         "test_items": int(dataset.test_mask.sum()),
         "files": {"embeddings": embeddings_path, "labels": labels_path},
     }
-    record = _untagged_record("synth", details=details)
-    return build_report("synth", cfg, [record])
+    return build_report("synth", cfg, [{"task_name": "synth", "details": details}])
 
 
 COMMANDS: dict[str, Callable[..., dict]] = {

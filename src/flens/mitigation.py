@@ -335,8 +335,6 @@ def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPc
     # U is then n x n with n < d', which is small.
     rows, cols = projected.shape
     _, _, pc_vt = np.linalg.svd(projected, full_matrices=rows < cols)
-    if pc_vt.shape[0] < r:
-        raise RankError(f"only {pc_vt.shape[0]} feasible directions for target_dim={r}")
     components = pc_vt[:r].T
     # Deterministic sign: largest-magnitude entry of each component positive.
     flips = np.sign(components[np.argmax(np.abs(components), axis=0), np.arange(r)])

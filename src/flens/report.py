@@ -1,10 +1,12 @@
 """Audit report assembly.
 
 Reports are plain dictionaries rendered to canonical JSON so identical
-inputs always produce identical bytes. A metric, test or taxonomy record
-holds its dataclass's fields under their own names. Non-finite sentinels
-become the strings "inf"/"-inf"/"nan" because strict JSON has no spelling
-for them.
+inputs always produce identical bytes. Commands hand over records that hold
+result objects (metrics, tests, similarity comparisons, taxonomy tags), and
+build_report makes the whole report JSON-safe in one sanitize pass: a
+dataclass becomes its fields under their own names, an array a list, and a
+non-finite float the string "inf", "-inf" or "nan", because strict JSON has
+no spelling for them.
 
 Category summaries are keyed by taxonomy cell. Exactly four cells are ever
 evaluated: human-centric tasks crossed with objective/subjective and
@@ -16,13 +18,12 @@ performance metrics only and appear in per-task records, not in a cell.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
-from .metrics import MetricResult
-from .stats import QueryGroupComparison, TestResult
+from . import __version__
 from .tasks import TaxonomyTags
 
 SCHEMA_VERSION = 1
@@ -35,16 +36,18 @@ EVALUATED_CELLS = (
 )
 
 
-def cell_key(tags: TaxonomyTags) -> str | None:
+def cell_key(tags: TaxonomyTags | None) -> str | None:
     """Taxonomy cell for a task, or None when the task has no fairness cell."""
-    if not tags.human_centric:
+    if tags is None or not tags.human_centric:
         return None
     consistency = "subjective" if tags.subjective else "objective"
     return f"human-centric/{consistency}/{tags.fairness_mode}"
 
 
 def sanitize(value: Any) -> Any:
-    """Make a value JSON-safe and deterministic."""
+    """Make a value JSON-safe and deterministic; a dataclass maps its fields by name."""
+    if is_dataclass(value):
+        return {f.name: sanitize(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -62,28 +65,6 @@ def sanitize(value: Any) -> Any:
             return "inf" if value > 0 else "-inf"
         return value
     return value
-
-
-def metric_record(result: MetricResult) -> dict:
-    return sanitize(asdict(result))
-
-
-def test_record(result: TestResult) -> dict:
-    return sanitize(asdict(result))
-
-
-def comparison_record(comparison: QueryGroupComparison) -> dict:
-    return sanitize(
-        {
-            "test": test_record(comparison.test),
-            "group_mean_similarity": comparison.group_means,
-            "abs_mean_diff_x100": comparison.abs_mean_diff_x100,
-        }
-    )
-
-
-def taxonomy_record(tags: TaxonomyTags) -> dict:
-    return asdict(tags)
 
 
 _QUARTILE_LEVELS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -121,21 +102,18 @@ def five_number_summary(values: Iterable[float]) -> dict:
             min=q[0], q1=q[1], median=q[2], q3=q[3], max=q[4],
             mean=finite.mean(), std=float(np.std(finite)),
         )
-    return sanitize(record)
+    return record
 
 
 def category_summary(task_records: list[dict]) -> dict:
     """Aggregate per-task metric values into the four evaluated taxonomy cells."""
     summary: dict[str, dict] = {}
     for key in EVALUATED_CELLS:
-        tasks = [t for t in task_records if t.get("cell") == key]
+        tasks = [t for t in task_records if t["cell"] == key]
         metric_values: dict[str, list[float]] = {}
         for task in tasks:
-            for name, record in task.get("metrics", {}).items():
-                value = record["value"]
-                metric_values.setdefault(name, []).append(
-                    float("inf") if value == "inf" else value
-                )
+            for name, result in task["metrics"].items():
+                metric_values.setdefault(name, []).append(result.value)
         summary[key] = {
             "tasks": sorted(t["task_name"] for t in tasks),
             "metric_summary": {
@@ -145,6 +123,14 @@ def category_summary(task_records: list[dict]) -> dict:
     return summary
 
 
+def complete_records(records: Iterable[dict]) -> list[dict]:
+    """Records in task-name order, each with its defaults filled and its taxonomy cell."""
+    full = [{"taxonomy": None, "metrics": {}, "performance": {}, **r} for r in records]
+    for record in full:
+        record["cell"] = cell_key(record["taxonomy"])
+    return sorted(full, key=lambda r: r["task_name"])
+
+
 def build_report(
     command: str,
     config: dict,
@@ -152,19 +138,16 @@ def build_report(
     transform_blocks: list[dict] | None = None,
     extra: dict | None = None,
 ) -> dict:
-    """Assemble the full report dictionary, ordered by task name."""
-    from . import __version__
-
-    tasks = sorted(task_records, key=lambda t: t["task_name"])
+    """Assemble the full report, ordered by task name, and make it JSON-safe in one pass."""
+    tasks = complete_records(task_records)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "config": sanitize(config),
-        "tasks": sanitize(tasks),
-        "transforms": sanitize(transform_blocks or []),
+        "config": config,
+        "tasks": tasks,
+        "transforms": transform_blocks or [],
         "category_summary": category_summary(tasks),
+        **(extra or {}),
     }
-    if extra:
-        report.update(sanitize(extra))
-    return report
+    return sanitize(report)

@@ -111,7 +111,7 @@ class QueryGroupComparison:
     """
 
     test: TestResult
-    group_means: np.ndarray
+    group_mean_similarity: np.ndarray
     abs_mean_diff_x100: np.ndarray
 
 
@@ -133,5 +133,5 @@ def per_query_similarity_tests(
         result = alexander_govern(per_group)
         means = np.array([g.mean() for g in per_group])
         diffs = np.abs(means[:, None] - means[None, :]) * 100.0
-        out.append(QueryGroupComparison(test=result, group_means=means, abs_mean_diff_x100=diffs))
+        out.append(QueryGroupComparison(result, means, diffs))
     return out

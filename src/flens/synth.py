@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TEST, TRAIN, BinaryLabels, EmbeddingMatrix, GroupLabels, LabeledDataset
-from .errors import TooSmall, ValidationError
+from .errors import ConfigError, TooSmall
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,26 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        """Range checks, each naming the config key of the bad value."""
         if self.p < 2:
-            raise ValidationError("need at least two groups")
+            raise ConfigError(f"synth.p must be at least 2, got {self.p}")
         if self.n < 2 * self.p:
-            raise TooSmall(f"n={self.n} is below the minimum 2p={2 * self.p}")
+            raise TooSmall(f"synth.n must be at least 2p = {2 * self.p}, got {self.n}")
         if self.d < 1:
-            raise ValidationError("need at least one dimension")
+            raise ConfigError(f"synth.d must be at least 1, got {self.d}")
         bias = tuple(int(i) for i in self.bias_dims)
         concept = tuple(int(i) for i in self.concept_dims)
-        if set(bias) & set(concept):
-            raise ValidationError("bias and concept dimensions must be disjoint")
-        for dim in bias + concept:
-            if not 0 <= dim < self.d:
-                raise ValidationError(f"planted dimension {dim} outside [0, {self.d})")
-        if self.bias_strength < 0.0:
-            raise ValidationError("bias strength must be nonnegative")
-        if self.concept_strength is not None and self.concept_strength < 0.0:
-            raise ValidationError("concept strength must be nonnegative")
+        for key, dims in (("bias_dims", bias), ("concept_dims", concept)):
+            for i, dim in enumerate(dims):
+                if not 0 <= dim < self.d:
+                    raise ConfigError(f"synth.{key}[{i}] must be in [0, {self.d}), got {dim}")
+        shared = sorted(set(bias) & set(concept))
+        if shared:
+            raise ConfigError(f"synth.concept_dims shares dimension {shared[0]} with synth.bias_dims")
+        for key in ("bias_strength", "concept_strength"):
+            value = getattr(self, key)
+            if value is not None and value < 0.0:
+                raise ConfigError(f"synth.{key} must be non-negative, got {value}")
         object.__setattr__(self, "bias_dims", bias)
         object.__setattr__(self, "concept_dims", concept)
 

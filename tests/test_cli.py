@@ -28,7 +28,7 @@ from flens.io import (
 from flens.metrics import ddp_classification, ddp_retrieval
 from flens.mitigation import apply_mi_clip
 from flens.probe import evaluate_probe, fit_probe
-from flens.report import comparison_record, metric_record
+from flens.report import sanitize
 from flens.stats import per_query_similarity_tests
 from flens.tasks import cosine_similarity_matrix, zero_shot_classify
 
@@ -758,7 +758,7 @@ class TestMiClipTransform:
         classes = apply_mi_clip(transform, read_embeddings(workspace["queries"]).take([2, 3]))
         sims = cosine_similarity_matrix(items, classes)
         expected = ddp_classification(zero_shot_classify(sims[0], sims[1]), groups)
-        assert report["tasks"][0]["metrics"]["ddp_classification"] == metric_record(expected)
+        assert report["tasks"][0]["metrics"]["ddp_classification"] == sanitize(expected)
 
     def test_retrieve_audit(self, workspace, miclip_transform, tmp_path):
         retrieval = {"k": [10, 40], "queries": [{"name": "q", "row": 2}]}
@@ -772,8 +772,8 @@ class TestMiClipTransform:
         by_name = {t["task_name"]: t for t in report["tasks"]}
         for k in (10, 40):
             expected = ddp_retrieval(partition_by_group(order[:k], groups))
-            assert by_name[f"q @ k={k}"]["metrics"]["ddp_retrieval"] == metric_record(expected)
-        expected_test = comparison_record(per_query_similarity_tests(sims, groups)[0])
+            assert by_name[f"q @ k={k}"]["metrics"]["ddp_retrieval"] == sanitize(expected)
+        expected_test = sanitize(per_query_similarity_tests(sims, groups)[0])
         assert report["similarity_tests"]["q"] == expected_test
 
     def test_probe(self, workspace, miclip_transform, tmp_path):
@@ -916,6 +916,21 @@ class TestConfigShapes:
                  "output": {"embeddings": "e.femb", "labels": "l.csv"}},
                 "synth.n",
             ),
+            ("probe", {"probe": {"attributes": ["group"], "l2": -1}}, "probe.l2"),
+            ("probe", {"probe": {"attributes": ["group"], "max_iter": -3}}, "probe.max_iter"),
+            ("probe", {"probe": {"attributes": ["group"], "tol": -1e-6}}, "probe.tol"),
+            *(
+                ("synth", {"synth": {"n": 600, "d": 8, "p": 2, **spec},
+                           "output": {"embeddings": "e.femb", "labels": "l.csv"}}, path)
+                for spec, path in [
+                    ({"p": 1}, "synth.p"),
+                    ({"d": 0}, "synth.d"),
+                    ({"bias_strength": -1}, "synth.bias_strength"),
+                    ({"concept_strength": -2}, "synth.concept_strength"),
+                    ({"bias_dims": [9]}, "synth.bias_dims[0]"),
+                    ({"bias_dims": [0, 1], "concept_dims": [1, 2]}, "synth.concept_dims"),
+                ]
+            ),
         ],
         ids=[
             "task-not-object",
@@ -940,6 +955,15 @@ class TestConfigShapes:
             "fairness-mode-unknown",
             "synth-seed-negative",
             "synth-n-too-large",
+            "probe-l2-negative",
+            "probe-max-iter-negative",
+            "probe-tol-negative",
+            "synth-p-one",
+            "synth-d-zero",
+            "synth-bias-strength-negative",
+            "synth-concept-strength-negative",
+            "synth-bias-dim-outside",
+            "synth-dims-overlap",
         ],
     )
     def test_wrong_shape_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
@@ -1110,6 +1134,72 @@ class TestOneLabelParse:
         payload = {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")}
         self._run(workspace, tmp_path, "debias-fit", payload)
         assert len(parses) == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("classify-audit", {"tasks": [{**TASK, "ground_truth": "concept"}]}),
+        ("retrieve-audit", {"retrieval": {"k": [10], "queries": [{"name": "q", "row": 0}]}}),
+        ("probe", {"probe": {"attributes": ["group"], "max_iter": 20}}),
+    ],
+)
+def test_split_tags_checked_once(workspace, tmp_path, monkeypatch, command, payload):
+    """The split is checked once, on the full label table, and not again on the kept rows."""
+    import flens.cli
+    import flens.core
+
+    calls = []
+    check = flens.core.split_tags
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(flens.cli, "split_tags", counting)
+    monkeypatch.setattr(flens.core, "split_tags", counting)
+    payload = {"data": workspace["data"], "queries": str(workspace["queries"]), **payload}
+    cfg = write_config(tmp_path / f"{command}.json", payload)
+    assert run([command, "--config", cfg, "--out", tmp_path / f"{command}.out"]) == 0
+    assert len(calls) == 1
+
+
+def test_report_keys_are_pinned(workspace, tmp_path):
+    """Report keys, spelled out: a result field rename cannot change the schema unseen."""
+    metric_keys = {"value", "arg_pair", "per_group_rates"}
+    record_keys = {"task_name", "taxonomy", "cell", "metrics", "performance"}
+    classify = {"data": workspace["data"], "queries": str(workspace["queries"]),
+                "tasks": [{**TASK, "ground_truth": "concept"}]}
+    cfg = write_config(tmp_path / "classify.json", classify)
+    assert run(["classify-audit", "--config", cfg, "--out", tmp_path / "classify.out"]) == 0
+    (record,) = read_report(tmp_path / "classify.out")["tasks"]
+    assert set(record) == record_keys
+    assert set(record["taxonomy"]) == {"human_centric", "subjective", "fairness_mode"}
+    assert set(record["metrics"]) == {"ddp_classification", "dtpr"}
+    assert all(set(metric) == metric_keys for metric in record["metrics"].values())
+    assert set(record["performance"]) == {"accuracy"}
+
+    # row 0 follows the planted bias, so its top 10 hold one group: skew is infinite
+    queries = [{"name": name, "row": row, "fairness_mode": "diversity", "relevant": "concept"}
+               for name, row in (("biased", 0), ("concept", 2))]
+    retrieve = {"data": workspace["data"], "queries": str(workspace["queries"]),
+                "retrieval": {"k": [10], "queries": queries}}
+    cfg = write_config(tmp_path / "retrieve.json", retrieve)
+    assert run(["retrieve-audit", "--config", cfg, "--out", tmp_path / "retrieve.out"]) == 0
+    report = read_report(tmp_path / "retrieve.out")
+    record = {t["task_name"]: t for t in report["tasks"]}["concept @ k=10"]
+    assert set(record) == record_keys
+    assert set(record["metrics"]) == {"skew_at_k", "ddp_rep"}
+    assert all(set(metric) == metric_keys for metric in record["metrics"].values())
+    assert set(record["performance"]) == {"precision_at_k"}
+    comparison = report["similarity_tests"]["biased"]
+    assert set(comparison) == {"test", "group_mean_similarity", "abs_mean_diff_x100"}
+    assert set(comparison["test"]) == {"statistic", "p_value", "degrees_of_freedom"}
+    cell = report["category_summary"]["human-centric/subjective/diversity"]
+    assert set(cell) == {"tasks", "metric_summary"}
+    skew = cell["metric_summary"]["skew_at_k"]
+    assert set(skew) == {"count", "non_finite", "min", "q1", "median", "q3", "max", "mean", "std"}
+    assert (skew["count"], skew["non_finite"]) == (2, 1)
 
 
 class TestOnePassAudit:
@@ -1367,6 +1457,21 @@ class TestInputFaultOrder:
         assert run([command, "--config", cfg]) == 3
         assert "data error: unknown split tag 'training'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify-audit", "debias-fit", "probe"])
+    def test_label_rows_differ_from_embedding_rows(self, workspace, tmp_path, capsys, command):
+        short = tmp_path / "short.femb"
+        write_embeddings(read_embeddings(workspace["embeddings"]).take(np.arange(599)), short)
+        payload = {
+            "classify-audit": {"queries": str(workspace["queries"]), "tasks": [TASK]},
+            "debias-fit": {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")},
+            "probe": {"probe": {"attributes": ["group"]}},
+        }[command]
+        data = dict(workspace["data"], embeddings=str(short))
+        cfg = write_config(tmp_path / "short.json", {"data": data, **payload})
+        assert run([command, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "data error: protected labels length differs from embedding rows" in err
+
 
 def test_test_split_read_memory(tmp_path):
     """An audit's read holds the float32 payload and the widened test rows, not n x d float64."""
@@ -1376,11 +1481,11 @@ def test_test_split_read_memory(tmp_path):
     cfg = {"data": {**paths, "attribute": "group"}}
     tracemalloc.start()
     try:
-        dataset, rows, _, provenance = _load_dataset(cfg, keep="test")
+        items, groups, _, rows, _, provenance = _load_dataset(cfg, keep="test")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dataset.n == rows.size == len(dataset.protected) == provenance["test_items"] == 6000
+    assert items.rows == rows.size == len(groups) == provenance["test_items"] == 6000
     # 20.5 MB float32 payload + 12.3 MB of widened test rows + the mask and label table
     assert peak < 48e6
 

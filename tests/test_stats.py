@@ -193,8 +193,8 @@ class TestPerQueryTests:
         sims = np.array([[0.20, 0.22, 0.17, 0.19]])
         groups = GroupLabels([0, 0, 1, 1], 2)
         comparison = per_query_similarity_tests(sims, groups)[0]
-        assert comparison.group_means[0] == pytest.approx(0.21)
-        assert comparison.group_means[1] == pytest.approx(0.18)
+        assert comparison.group_mean_similarity[0] == pytest.approx(0.21)
+        assert comparison.group_mean_similarity[1] == pytest.approx(0.18)
         assert comparison.abs_mean_diff_x100[0, 1] == pytest.approx(3.0, abs=1e-12)
         assert comparison.abs_mean_diff_x100[1, 0] == pytest.approx(3.0, abs=1e-12)
         assert comparison.abs_mean_diff_x100[0, 0] == 0.0
