@@ -21,19 +21,12 @@ from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .core import (
-    TEST,
-    TRAIN,
-    EmbeddingMatrix,
-    GroupLabels,
-    LabeledDataset,
-    partition_by_group,
-    split_tags,
-)
+from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, split_tags
 from .errors import (
     ConfigError,
     DataError,
     DegenerateVector,
+    EmptyGroup,
     FlensError,
     InvalidK,
     NumericError,
@@ -313,24 +306,28 @@ def cmd_classify_audit(cfg: dict) -> dict:
 def _retrieval_metrics(
     retrieved: np.ndarray,
     groups: GroupLabels,
+    population: np.ndarray,
     tags: TaxonomyTags,
     relevant: np.ndarray | None,
     k: int,
 ) -> dict:
-    """Metric block for one query at one k, routed by fairness mode."""
-    partition = partition_by_group(retrieved, groups)
+    """Metric block for one query at one k, routed by fairness mode.
+
+    ``retrieved`` holds k distinct item indices, as top_k and balanced_retrieval
+    return them; ``population`` is ``groups.counts()``.
+    """
+    selected = np.bincount(groups.labels[retrieved], minlength=groups.group_count)
     metrics: dict[str, MetricResult] = {}
     performance: dict[str, float] = {}
     if tags.fairness_mode == INDEPENDENCE:
-        metrics["ddp_retrieval"] = ddp_retrieval(partition)
+        metrics["ddp_retrieval"] = ddp_retrieval(selected, population)
     else:
-        metrics["skew_at_k"] = skew_at_k(partition)
+        metrics["skew_at_k"] = skew_at_k(selected)
         if relevant is not None:
             hits = retrieved[np.isin(retrieved, relevant)]
             if hits.size:
                 per_group = np.bincount(groups.labels[hits], minlength=groups.group_count)
                 metrics["ddp_rep"] = ddp_rep(per_group)
-            # partition_by_group has checked `retrieved` for duplicates
             performance["precision_at_k"] = hits.size / k
     return {"metrics": metrics, "performance": performance}
 
@@ -397,6 +394,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     # Each row is ranked once, at max(k); each smaller k reads a prefix.
     ranked_lists = top_k(sims[:q], max_k)
     comparisons = per_query_similarity_tests(sims[:q], groups)
+    population = groups.counts()
     records, balanced_records, similarity_tests = [], [], {}
     for position, (name, tags, relevant) in enumerate(queries):
         ranked = ranked_lists[position]
@@ -406,10 +404,12 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
             balanced_ranked = balanced_retrieval(group_sims, max_k)
         for k in k_list:
             head = {"task_name": f"{name} @ k={k}", "taxonomy": tags}
-            block = _retrieval_metrics(ranked[:k], groups, tags, relevant, k)
+            block = _retrieval_metrics(ranked[:k], groups, population, tags, relevant, k)
             records.append({**head, **block})
             if balanced_ranked is not None:
-                block = _retrieval_metrics(balanced_ranked[:k], groups, tags, relevant, k)
+                block = _retrieval_metrics(
+                    balanced_ranked[:k], groups, population, tags, relevant, k
+                )
                 balanced_records.append({**head, **block})
         similarity_tests[name] = comparisons[position]
     if balanced_records:
@@ -447,15 +447,19 @@ def cmd_debias_fit(cfg: dict) -> dict:
     method_cfg = _field(cfg, method, dict, "", {})
     fit, defaults = methods[method]
     params = {key: _field(method_cfg, key, int, method, value) for key, value in defaults.items()}
-    train_items, protected, split, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
+    train_items, protected, _, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
     if prompts_path:
         prompts = read_embeddings(prompts_path)
         _require_nonzero("prompt", prompts_path, prompts, np.arange(prompts.rows))
         _require_nonzero("item", cfg["data"]["embeddings"], train_items, rows)
         protected = infer_protected_attribute(train_items, prompts)
-    fit_dataset = LabeledDataset(train_items, protected, split=split)
-    transform = fit(fit_dataset, **params)
-    details = {"train_items": fit_dataset.n, **transform.details()}
+        empty = np.flatnonzero(protected.counts() == 0)
+        if empty.size:
+            raise EmptyGroup(
+                f"inferred group {empty[0]} is empty: no train item is nearest to its prompt"
+            )
+    transform = fit(train_items, protected, **params)
+    details = {"train_items": train_items.rows, **transform.details()}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
     metadata.update({key: details.get(key, value) for key, value in params.items()})

@@ -1,4 +1,4 @@
-"""Shared data model: embeddings, labels, splits, and group partitions.
+"""Shared data model: embeddings, group and binary labels, and split tags.
 
 Every container here is immutable after construction (numpy buffers are
 marked read-only), so instances can be shared freely across threads.
@@ -8,17 +8,10 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateVector,
-    EmptyGroup,
-    InvalidSelection,
-    ShapeError,
-    ValidationError,
-)
+from .errors import DegenerateVector, EmptyGroup, ShapeError, ValidationError
 
 TRAIN = "train"
 TEST = "test"
@@ -175,81 +168,3 @@ def split_tags(split: np.ndarray | None, protected: GroupLabels) -> np.ndarray:
             missing = int(np.flatnonzero(present == 0)[0])
             raise EmptyGroup(f"group {missing} absent from the {tag} split")
     return _freeze(tags)
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledDataset:
-    """Embeddings joined with protected labels, optional task labels, and split tags.
-
-    A non-empty split must contain every protected group; datasets violating
-    this are rejected here rather than failing later inside a pairwise max.
-    When ``split`` is omitted every item is tagged as test data.
-    """
-
-    embeddings: EmbeddingMatrix
-    protected: GroupLabels
-    ground_truth: BinaryLabels | None = None
-    split: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        n = self.embeddings.rows
-        if len(self.protected) != n:
-            raise ShapeError("protected labels length differs from embedding rows")
-        if self.ground_truth is not None and len(self.ground_truth) != n:
-            raise ShapeError("ground-truth labels length differs from embedding rows")
-        object.__setattr__(self, "split", split_tags(self.split, self.protected))
-
-    @property
-    def n(self) -> int:
-        return self.embeddings.rows
-
-    @property
-    def train_mask(self) -> np.ndarray:
-        return self.split == TRAIN
-
-    @property
-    def test_mask(self) -> np.ndarray:
-        return self.split == TEST
-
-
-@dataclass(frozen=True)
-class GroupPartition:
-    """Counts of selected items per group against the full population.
-
-    selected_per_group holds |K_i|, population_per_group holds |Z_i|.
-    partition_by_group, its one builder, makes the counts consistent.
-    """
-
-    selected_per_group: tuple[int, ...]
-    total_selected: int
-    population_per_group: tuple[int, ...]
-    total_population: int
-
-    @property
-    def group_count(self) -> int:
-        return len(self.selected_per_group)
-
-
-def partition_by_group(selected: Sequence[int] | np.ndarray, groups: GroupLabels) -> GroupPartition:
-    """Tally a selection of item indices into per-group counts.
-
-    Raises InvalidSelection on duplicate or out-of-range indices. The order
-    of ``selected`` is irrelevant.
-    """
-    sel = np.asarray(selected, dtype=np.int64)
-    if sel.ndim != 1:
-        raise InvalidSelection(f"selection must be 1-d, got shape {sel.shape}")
-    n = len(groups)
-    if sel.size:
-        if sel.min() < 0 or sel.max() >= n:
-            raise InvalidSelection("selection index out of range")
-        if np.bincount(sel, minlength=n).max() > 1:
-            raise InvalidSelection("selection contains duplicate indices")
-    per_group = np.bincount(groups.labels[sel], minlength=groups.group_count)
-    population = groups.counts()
-    return GroupPartition(
-        selected_per_group=tuple(int(c) for c in per_group),
-        total_selected=int(sel.size),
-        population_per_group=tuple(int(c) for c in population),
-        total_population=n,
-    )

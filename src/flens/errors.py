@@ -48,10 +48,6 @@ class ShapeError(DataError):
     """Mismatched lengths or dimensions."""
 
 
-class InvalidSelection(DataError):
-    """Selection contains duplicate or out-of-range indices."""
-
-
 class EmptyGroup(DataError):
     """A protected group has no members where one is required."""
 

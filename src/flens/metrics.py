@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinaryLabels, GroupLabels, GroupPartition
+from .core import BinaryLabels, GroupLabels
 from .errors import (
     DegenerateDenominator,
     EmptyGroup,
@@ -62,24 +62,27 @@ def ddp_classification(predictions: BinaryLabels, groups: GroupLabels) -> Metric
     return _max_pairwise(rates)
 
 
-def ddp_retrieval(partition: GroupPartition) -> MetricResult:
-    """Demographic disparity of a top-k selection.
+def ddp_retrieval(
+    selected_per_group: Sequence[int], population_per_group: Sequence[int]
+) -> MetricResult:
+    """Demographic disparity of a top-k selection, from per-group counts.
 
-    For each group the rate is the share of the selection it received minus
-    the share of the remainder it received; the metric is the largest
-    pairwise gap between those rates. Requires a non-empty selection and a
-    non-empty remainder.
+    ``selected_per_group`` holds |K_i|, the selected items of group i, and
+    ``population_per_group`` holds |Z_i|, all of group i's items. For each
+    group the rate is the share of the selection it received minus the share
+    of the remainder it received; the metric is the largest pairwise gap
+    between those rates. Requires a non-empty selection and a non-empty
+    remainder.
     """
-    k = partition.total_selected
-    z = partition.total_population
+    k_i = np.asarray(selected_per_group, dtype=np.int64)
+    z_i = np.asarray(population_per_group, dtype=np.int64)
+    k, z = int(k_i.sum()), int(z_i.sum())
     if k == 0:
         raise EmptySelection("cannot score an empty selection")
     if z <= k:
         raise DegenerateDenominator("selection must leave at least one item unselected")
-    if any(z_i == 0 for z_i in partition.population_per_group):
+    if np.any(z_i == 0):
         raise EmptyGroup("every group must have population")
-    k_i = np.asarray(partition.selected_per_group, dtype=np.int64)
-    z_i = np.asarray(partition.population_per_group, dtype=np.int64)
     rates = k_i / k - (z_i - k_i) / (z - k)
     return _max_pairwise(rates)
 
@@ -103,18 +106,19 @@ def dtpr(predictions: BinaryLabels, truth: BinaryLabels, groups: GroupLabels) ->
     return _max_pairwise(rates)
 
 
-def skew_at_k(partition: GroupPartition) -> MetricResult:
+def skew_at_k(selected_per_group: Sequence[int]) -> MetricResult:
     """Largest absolute log-ratio of retrieved vs the uniform 1/p group fractions.
 
-    A group entirely absent from the selection yields the +inf sentinel rather
-    than an error: it is the extreme of the quantity being measured, not an
-    invalid input.
+    ``selected_per_group`` holds the selected item count of each of the p
+    groups. A group entirely absent from the selection yields the +inf
+    sentinel rather than an error: it is the extreme of the quantity being
+    measured, not an invalid input.
     """
-    desired = 1.0 / partition.group_count
-    k = partition.total_selected
+    k_i = np.asarray(selected_per_group, dtype=np.int64)
+    desired = 1.0 / k_i.size
+    k = int(k_i.sum())
     if k == 0:
         raise EmptySelection("cannot score an empty selection")
-    k_i = np.asarray(partition.selected_per_group, dtype=np.int64)
     log_ratios = np.where(k_i > 0, np.log(np.maximum(k_i, 1) / k / desired), -np.inf)
     i = int(np.argmax(np.abs(log_ratios)))
     return MetricResult(value=float(abs(log_ratios[i])), arg_pair=(i, i), per_group_rates=log_ratios)

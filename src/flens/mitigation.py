@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmbeddingMatrix, GroupLabels, LabeledDataset
+from .core import EmbeddingMatrix, GroupLabels
 from .errors import (
     EmptyGroup,
     FormatError,
@@ -243,22 +243,18 @@ def estimate_mi_per_dimension(
     return scores
 
 
-def fit_mi_clip(train: LabeledDataset, m: int, bins: int = 32) -> MiClipTransform:
-    """Rank dimensions by MI on the train split and cut the d-m most informative.
+def fit_mi_clip(
+    train: EmbeddingMatrix, groups: GroupLabels, m: int, bins: int = 32
+) -> MiClipTransform:
+    """Rank dimensions by MI on the train rows and cut the d-m most informative.
 
     Ties cut the lower dimension index first, which makes the family of
     masks over different m nested.
     """
-    d = train.embeddings.dims
+    d = train.dims
     if not 1 <= m < d:
         raise RankError(f"retained dimension count m={m} must satisfy 1 <= m < d={d}")
-    idx = np.flatnonzero(train.train_mask)
-    if idx.size == 0:
-        raise EmptyGroup("train split is empty")
-    embeddings, protected = train.embeddings, train.protected
-    if idx.size < train.n:  # an all-train dataset is scored without a copy
-        embeddings, protected = embeddings.take(idx), protected.take(idx)
-    scores = estimate_mi_per_dimension(embeddings, protected, bins=bins)
+    scores = estimate_mi_per_dimension(train, groups, bins=bins)
     cut_order = np.lexsort((np.arange(d), -scores))
     keep = np.ones(d, dtype=bool)
     keep[cut_order[: d - m]] = False
@@ -280,8 +276,10 @@ def _demeaned_onehot(groups: GroupLabels) -> np.ndarray:
     return onehot - onehot.mean(axis=0)
 
 
-def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPcaTransform:
-    """Fit a group-uncorrelated PCA projection on the train split.
+def fit_fair_pca(
+    train: EmbeddingMatrix, groups: GroupLabels, target_dim: int | None = None
+) -> FairPcaTransform:
+    """Fit a group-uncorrelated PCA projection on the train rows.
 
     Steps: center the data, build the demeaned one-hot group matrix (rank
     p-1), take an orthonormal basis R of the null space of its cross-product
@@ -292,13 +290,10 @@ def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPc
     target_dim defaults to d - (p-1), the maximal feasible rank. Numerically
     rank-deficient constraints are dropped (logged), never inflated.
     """
-    idx = np.flatnonzero(train.train_mask)
-    if idx.size == 0:
-        raise EmptyGroup("train split is empty")
-    x = train.embeddings.values[idx]
-    groups = train.protected.take(idx)
+    if len(groups) != train.rows:
+        raise ShapeError("group labels length differs from embedding rows")
     groups.require_all_groups()
-    n, d = x.shape
+    n, d = train.rows, train.dims
     p = groups.group_count
     max_rank = d - (p - 1)
     r = max_rank if target_dim is None else int(target_dim)
@@ -311,8 +306,8 @@ def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPc
             f"fitting fair PCA with n={n} <= d={d}; constraints may overfit",
             stacklevel=2,
         )
-    mean = x.mean(axis=0)
-    centered = np.subtract(x, mean, out=x)  # x is a copy (fancy indexing)
+    mean = train.values.mean(axis=0)
+    centered = train.values - mean
     demeaned = _demeaned_onehot(groups)
     constraints = demeaned.T @ centered
     _, sing, vt = np.linalg.svd(constraints, full_matrices=True)
@@ -329,7 +324,7 @@ def fit_fair_pca(train: LabeledDataset, target_dim: int | None = None) -> FairPc
         log.info("constraint matrix rank %d < p-1 = %d; dropping dependent constraints", rank, p - 1)
     basis = vt[rank:].T
     projected = centered @ basis
-    del x, centered  # free the n x d data before the SVD allocates its n x d' copies
+    del centered  # free the n x d data before the SVD allocates its n x d' copies
     # Thin SVD: U is n x min(n, d'). Only with fewer rows than columns are full
     # matrices needed, so that null-space directions pad the basis when n-1 < r;
     # U is then n x n with n < d', which is small.

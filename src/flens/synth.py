@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEST, TRAIN, BinaryLabels, EmbeddingMatrix, GroupLabels, LabeledDataset
+from .core import TEST, TRAIN, BinaryLabels, EmbeddingMatrix, GroupLabels
 from .errors import ConfigError, TooSmall
 
 
@@ -79,7 +79,25 @@ class SynthSpec:
         }
 
 
-def generate(spec: SynthSpec) -> LabeledDataset:
+@dataclass(frozen=True, eq=False)
+class SynthDataset:
+    """One synthetic draw: embeddings, labels and split tags, row for row."""
+
+    embeddings: EmbeddingMatrix
+    protected: GroupLabels
+    ground_truth: BinaryLabels
+    split: np.ndarray
+
+    @property
+    def train_mask(self) -> np.ndarray:
+        return self.split == TRAIN
+
+    @property
+    def test_mask(self) -> np.ndarray:
+        return self.split == TEST
+
+
+def generate(spec: SynthSpec) -> SynthDataset:
     """Draw one dataset from the spec; identical seeds give identical bytes.
 
     Groups are balanced to within one item and the concept label alternates
@@ -105,7 +123,7 @@ def generate(spec: SynthSpec) -> LabeledDataset:
         # 70/30 per group; n >= 2p guarantees both sides are non-empty
         train_count = max((7 * members.size) // 10, 1)
         split[members[:train_count]] = TRAIN
-    return LabeledDataset(
+    return SynthDataset(
         embeddings=EmbeddingMatrix(values),
         protected=GroupLabels(group, group_count=p),
         ground_truth=BinaryLabels(concept),

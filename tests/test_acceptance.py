@@ -14,13 +14,7 @@ import pytest
 from scipy.stats import alexandergovern as scipy_alexandergovern
 
 from flens.cli import main
-from flens.core import (
-    BinaryLabels,
-    EmbeddingMatrix,
-    GroupLabels,
-    GroupPartition,
-    partition_by_group,
-)
+from flens.core import BinaryLabels, EmbeddingMatrix, GroupLabels
 from flens.errors import ChecksumError, FormatError, VersionError
 from flens.io import (
     deserialize_transform,
@@ -49,7 +43,7 @@ from flens.stats import alexander_govern
 from flens.synth import SynthSpec, generate
 from flens.tasks import balanced_retrieval, cosine_similarity_matrix
 
-from .helpers import read_report
+from .helpers import read_report, train_rows
 from .oracles import (
     oracle_ddp_classification,
     oracle_ddp_rep,
@@ -61,15 +55,6 @@ from .oracles import (
 
 def _pass(name: str) -> None:
     print(f"ACCEPTANCE PASS: {name}")
-
-
-def partition_from_counts(k_counts, z_counts) -> GroupPartition:
-    return GroupPartition(
-        selected_per_group=tuple(int(v) for v in k_counts),
-        total_selected=int(sum(k_counts)),
-        population_per_group=tuple(int(v) for v in z_counts),
-        total_population=int(sum(z_counts)),
-    )
 
 
 def test_metric_oracle_suite():
@@ -102,11 +87,11 @@ def test_metric_oracle_suite():
         k = np.minimum(rng.integers(0, 200 // p + 1, size=p), z - 1)
         if k.sum() == 0:
             k[int(rng.integers(p))] = 1
-        ours = ddp_retrieval(partition_from_counts(k, z)).value
+        ours = ddp_retrieval(k, z).value
         ref = oracle_ddp_retrieval(k.tolist(), z.tolist())
         assert abs(ours - ref) <= 1e-12
 
-        ours = skew_at_k(partition_from_counts(k, z)).value
+        ours = skew_at_k(k).value
         ref = oracle_skew(k.tolist(), [1.0 / p] * p)
         if math.isinf(ref):
             assert math.isinf(ours)
@@ -146,7 +131,7 @@ def test_zero_equivalence_property():
                 if k.min() == 0:
                     continue
         assert k.min() >= 1
-        value = ddp_retrieval(partition_from_counts(k, z)).value
+        value = ddp_retrieval(k, z).value
         # independent check via exact integer cross-multiplication
         k_total, z_total = int(k.sum()), int(z.sum())
         equal_rates = all(int(k[i]) * z_total == int(z[i]) * k_total for i in range(p))
@@ -176,7 +161,7 @@ def test_fair_pca_constraint(p):
     ds = generate(
         SynthSpec(n=2000, d=64, p=p, bias_dims=(0, 1, 2), bias_strength=5.0, seed=31 + p)
     )
-    transform = fit_fair_pca(ds)
+    transform = fit_fair_pca(*train_rows(ds))
     idx = np.flatnonzero(ds.train_mask)
     projected = apply_fair_pca(transform, ds.embeddings).values[idx]
     onehot = np.zeros((idx.size, p))
@@ -205,7 +190,7 @@ def test_linear_probe_analog():
     )
     train = np.flatnonzero(ds.train_mask)
     test = np.flatnonzero(ds.test_mask)
-    transform = fit_fair_pca(ds)
+    transform = fit_fair_pca(*train_rows(ds))
     projected = apply_fair_pca(transform, ds.embeddings)
 
     def probe_accuracy(features, labels):
@@ -239,7 +224,8 @@ def test_mi_clip_trend_analog():
             concept_dims=concept_dims, seed=23,
         )
     )
-    transform = fit_mi_clip(ds, m=64 - 8)
+    fit_rows = train_rows(ds)
+    transform = fit_mi_clip(*fit_rows, m=64 - 8)
     assert sorted(transform.removed_dims.tolist()) == list(bias_dims)
     clipped = apply_mi_clip(transform, ds.embeddings)
     train = np.flatnonzero(ds.train_mask)
@@ -253,7 +239,7 @@ def test_mi_clip_trend_analog():
     assert concept_acc > 0.9
 
     m_grid = [4, 8, 16, 24, 32, 40, 48, 56, 63]
-    masks = {m: fit_mi_clip(ds, m=m).keep_mask for m in m_grid}
+    masks = {m: fit_mi_clip(*fit_rows, m=m).keep_mask for m in m_grid}
     for small in m_grid:
         for large in m_grid:
             if small < large:
@@ -315,9 +301,9 @@ def test_balanced_retrieval_zero_skew():
         values[np.arange(n), labels] += 10.0
         queries = np.eye(p)
         sims = cosine_similarity_matrix(EmbeddingMatrix(values), EmbeddingMatrix(queries))
-        partition = partition_by_group(balanced_retrieval(sims, k), GroupLabels(labels, p))
-        assert partition.selected_per_group == tuple([per_round] * p)
-        assert skew_at_k(partition).value == 0.0
+        selected = np.bincount(labels[balanced_retrieval(sims, k)], minlength=p)
+        assert selected.tolist() == [per_round] * p
+        assert skew_at_k(selected).value == 0.0
     _pass("balanced retrieval zero skew on 100 instances")
 
 
@@ -373,7 +359,7 @@ def test_io_round_trips(tmp_path):
     assert labels_a.read_bytes() == labels_b.read_bytes()
 
     ds = generate(SynthSpec(n=300, d=10, p=2, bias_dims=(0,), bias_strength=4.0, seed=4))
-    for transform in (fit_fair_pca(ds), fit_mi_clip(ds, m=6)):
+    for transform in (fit_fair_pca(*train_rows(ds)), fit_mi_clip(*train_rows(ds), m=6)):
         blob = serialize_transform(transform, {"attribute_source": "groundTruth"})
         back, meta = deserialize_transform(blob)
         assert serialize_transform(back, meta) == blob
@@ -391,11 +377,11 @@ def test_io_round_trips(tmp_path):
     with pytest.raises(FormatError):
         read_embeddings(bad_path)
 
-    blob = bytearray(serialize_transform(fit_mi_clip(ds, m=6)))
+    blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)))
     blob[0] ^= 0xFF
     with pytest.raises(FormatError):
         deserialize_transform(bytes(blob))
-    blob = bytearray(serialize_transform(fit_mi_clip(ds, m=6)))
+    blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)))
     blob[-1] ^= 0xFF
     with pytest.raises(ChecksumError):
         deserialize_transform(bytes(blob))

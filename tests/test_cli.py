@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flens.cli import _load_dataset, main
-from flens.core import EmbeddingMatrix, partition_by_group
+from flens.core import EmbeddingMatrix, GroupLabels
 from flens.io import (
     decode_labels,
     read_embeddings,
@@ -221,15 +221,32 @@ class TestDebiasFit:
         report = read_report(out)
         assert report["transforms"][0]["metadata"]["attribute_source"] == "inferred"
 
+    @pytest.mark.parametrize("method", ["fairpca", "miclip"])
+    def test_fit_requires_train_split(self, workspace, tmp_path, capsys, method):
+        labels = tmp_path / "all-test.csv"
+        text = workspace["labels"].read_text(encoding="utf-8")
+        labels.write_text(text.replace(",train\n", ",test\n"), encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "fit-no-train.json",
+            {
+                "data": dict(workspace["data"], labels=str(labels)),
+                "method": method,
+                "miclip": {"m": 8},
+                "transform_out": str(tmp_path / "t.ftfm"),
+            },
+        )
+        assert run(["debias-fit", "--config", cfg]) == 3
+        assert "data error: train split is empty; nothing to fit on" in capsys.readouterr().err
+
     @staticmethod
-    def _fit_inferred(workspace, tmp_path, prompts):
+    def _fit_inferred(workspace, tmp_path, prompts, method="miclip"):
         prompts_path = tmp_path / "prompts.femb"
         write_embeddings(EmbeddingMatrix(prompts), prompts_path)
         cfg = write_config(
             tmp_path / "fit-inf3.json",
             {
                 "data": workspace["data"],
-                "method": "miclip",
+                "method": method,
                 "miclip": {"m": 8},
                 "attribute_source": "inferred",
                 "prompts": str(prompts_path),
@@ -258,6 +275,16 @@ class TestDebiasFit:
         code, prompts_path = self._fit_inferred(workspace, tmp_path, prompts)
         assert code == 3
         assert f"prompt row 1 of {prompts_path} has zero norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["fairpca", "miclip"])
+    def test_inferred_empty_group_named(self, workspace, tmp_path, capsys, method):
+        # Two identical prompts: ties go to the first, so no item is labelled group 1.
+        prompts = np.zeros((2, 16))
+        prompts[:, 0] = 1.0
+        code, _ = self._fit_inferred(workspace, tmp_path, prompts, method)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error: inferred group 1 is empty: no train item is nearest to its prompt" in err
 
 
 @pytest.fixture
@@ -771,7 +798,8 @@ class TestMiClipTransform:
         order = np.argsort(-sims[0], kind="stable")
         by_name = {t["task_name"]: t for t in report["tasks"]}
         for k in (10, 40):
-            expected = ddp_retrieval(partition_by_group(order[:k], groups))
+            selected = np.bincount(groups.labels[order[:k]], minlength=groups.group_count)
+            expected = ddp_retrieval(selected, groups.counts())
             assert by_name[f"q @ k={k}"]["metrics"]["ddp_retrieval"] == sanitize(expected)
         expected_test = sanitize(per_query_similarity_tests(sims, groups)[0])
         assert report["similarity_tests"]["q"] == expected_test
@@ -1142,6 +1170,8 @@ class TestOneLabelParse:
         ("classify-audit", {"tasks": [{**TASK, "ground_truth": "concept"}]}),
         ("retrieve-audit", {"retrieval": {"k": [10], "queries": [{"name": "q", "row": 0}]}}),
         ("probe", {"probe": {"attributes": ["group"], "max_iter": 20}}),
+        ("debias-fit", {"method": "fairpca"}),
+        ("debias-fit", {"method": "miclip", "miclip": {"m": 8}}),
     ],
 )
 def test_split_tags_checked_once(workspace, tmp_path, monkeypatch, command, payload):
@@ -1158,7 +1188,8 @@ def test_split_tags_checked_once(workspace, tmp_path, monkeypatch, command, payl
 
     monkeypatch.setattr(flens.cli, "split_tags", counting)
     monkeypatch.setattr(flens.core, "split_tags", counting)
-    payload = {"data": workspace["data"], "queries": str(workspace["queries"]), **payload}
+    payload = {"data": workspace["data"], "queries": str(workspace["queries"]),
+               "transform_out": str(tmp_path / "t.ftfm"), **payload}
     cfg = write_config(tmp_path / f"{command}.json", payload)
     assert run([command, "--config", cfg, "--out", tmp_path / f"{command}.out"]) == 0
     assert len(calls) == 1
@@ -1244,8 +1275,9 @@ class TestOnePassAudit:
         assert calls["cosine_similarity_matrix"] == 1
 
     def test_ranked_lists_skip_np_unique(self, workspace, tmp_path, monkeypatch):
-        # partition_by_group's bincount is the one duplicate check on the CLI path,
-        # and the report's quartiles need no np.unique either (it imports numpy.ma)
+        # ranked lists hold distinct items by construction, so nothing checks them
+        # for duplicates, and the report's quartiles need no np.unique either
+        # (it imports numpy.ma)
         sizes = []
         unique = np.unique
 
@@ -1275,6 +1307,29 @@ class TestOnePassAudit:
         assert calls["unit_rows"].count(n_test) == 1
         assert calls["cosine_similarity_matrix"] == calls["top_k"] == 1
         assert calls["balanced_retrieval"] == len(queries)
+
+    def test_population_counted_once_per_audit(self, workspace, tmp_path, monkeypatch):
+        """More queries and cutoffs add metric records, but no group population count."""
+        counted = []
+        counts = GroupLabels.counts
+
+        def recording(labels):
+            counted.append(len(labels))
+            return counts(labels)
+
+        monkeypatch.setattr(GroupLabels, "counts", recording)
+        tallies = []
+        for k, query_count in (([10], 1), ([10, 40, 20], 2)):
+            queries = [{"name": f"q{i}", "row": i} for i in range(query_count)]
+            payload = {
+                "queries": str(workspace["queries"]),
+                "retrieval": {"k": k, "queries": queries},
+                "balanced": {"embeddings": str(workspace["balanced"])},
+            }
+            counted.clear()
+            self._run(workspace, tmp_path, "retrieve-audit", payload)
+            tallies.append(len(counted))
+        assert tallies[0] == tallies[1] >= 1
 
     def test_transform_reads_test_and_named_rows_only(
         self, workspace, fitted_transform, tmp_path, monkeypatch

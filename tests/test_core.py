@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flens.core import (
     TEST,
@@ -11,13 +9,11 @@ from flens.core import (
     BinaryLabels,
     EmbeddingMatrix,
     GroupLabels,
-    LabeledDataset,
-    partition_by_group,
+    split_tags,
 )
 from flens.errors import (
     DegenerateVector,
     EmptyGroup,
-    InvalidSelection,
     ShapeError,
     ValidationError,
 )
@@ -95,88 +91,26 @@ class TestBinaryLabels:
             BinaryLabels(bad)
 
 
-class TestLabeledDataset:
-    def _dataset(self, split):
-        return LabeledDataset(
-            embeddings=EmbeddingMatrix(np.random.default_rng(0).normal(size=(6, 2))),
-            protected=GroupLabels([0, 1, 0, 1, 0, 1], 2),
-            split=np.asarray(split),
-        )
+class TestSplitTags:
+    GROUPS = GroupLabels([0, 1, 0, 1, 0, 1], 2)
 
     def test_split_masks(self):
-        ds = self._dataset([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TEST])
-        assert ds.train_mask.sum() == 4
-        assert ds.test_mask.sum() == 2
+        tags = split_tags(np.asarray([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TEST]), self.GROUPS)
+        assert np.count_nonzero(tags == TRAIN) == 4
+        assert np.count_nonzero(tags == TEST) == 2
+        assert not tags.flags.writeable
 
     def test_group_absent_from_test_split_rejected(self):
-        with pytest.raises(EmptyGroup):
-            self._dataset([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TRAIN])
+        with pytest.raises(EmptyGroup, match="group 1 absent from the test split"):
+            split_tags(np.asarray([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TRAIN]), self.GROUPS)
 
     def test_group_absent_from_train_split_rejected(self):
-        with pytest.raises(EmptyGroup):
-            self._dataset([TEST, TRAIN, TEST, TRAIN, TEST, TRAIN])
+        with pytest.raises(EmptyGroup, match="group 0 absent from the train split"):
+            split_tags(np.asarray([TEST, TRAIN, TEST, TRAIN, TEST, TRAIN]), self.GROUPS)
 
     def test_default_split_is_all_test(self):
-        ds = LabeledDataset(
-            embeddings=EmbeddingMatrix(np.ones((2, 2))),
-            protected=GroupLabels([0, 1], 2),
-        )
-        assert ds.test_mask.all()
+        assert (split_tags(None, GroupLabels([0, 1], 2)) == TEST).all()
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            LabeledDataset(
-                embeddings=EmbeddingMatrix(np.ones((3, 2))),
-                protected=GroupLabels([0, 1], 2),
-            )
-
-
-class TestPartitionByGroup:
-    def test_symmetric_split(self):
-        part = partition_by_group([0, 1], GroupLabels([0, 1, 0, 1], 2))
-        assert part.selected_per_group == (1, 1)
-        assert part.population_per_group == (2, 2)
-
-    def test_empty_selection(self):
-        part = partition_by_group([], GroupLabels([0, 1], 2))
-        assert part.selected_per_group == (0, 0)
-        assert part.total_selected == 0
-
-    def test_tally(self):
-        part = partition_by_group([0, 1, 2], GroupLabels([0, 0, 1, 1, 2], 3))
-        assert part.selected_per_group == (2, 1, 0)
-        assert part.population_per_group == (2, 2, 1)
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(InvalidSelection):
-            partition_by_group([0, 0], GroupLabels([0, 1], 2))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidSelection):
-            partition_by_group([5], GroupLabels([0, 1], 2))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_complement_property(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=40))
-        p = data.draw(st.integers(min_value=2, max_value=5))
-        labels = data.draw(
-            st.lists(st.integers(min_value=0, max_value=p - 1), min_size=n, max_size=n)
-        )
-        groups = GroupLabels(labels, p)
-        size = data.draw(st.integers(min_value=0, max_value=n))
-        selected = data.draw(st.permutations(range(n)))[:size]
-        complement = [i for i in range(n) if i not in set(selected)]
-        a = partition_by_group(selected, groups)
-        b = partition_by_group(complement, groups)
-        combined = tuple(x + y for x, y in zip(a.selected_per_group, b.selected_per_group))
-        assert combined == a.population_per_group
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_order_invariance(self, data):
-        labels = [0, 1, 2, 0, 1, 2, 0]
-        groups = GroupLabels(labels, 3)
-        selected = data.draw(st.permutations(range(len(labels))))[:4]
-        shuffled = data.draw(st.permutations(selected))
-        assert partition_by_group(selected, groups) == partition_by_group(list(shuffled), groups)
+            split_tags(np.asarray([TRAIN, TEST]), GroupLabels([0, 1, 0], 2))

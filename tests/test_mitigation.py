@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flens import mitigation
-from flens.core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, LabeledDataset
-from flens.errors import EmptyGroup, InvalidBins, RankError, ShapeError
+from flens.core import EmbeddingMatrix, GroupLabels
+from flens.errors import InvalidBins, RankError, ShapeError
 from flens.mitigation import (
     apply_fair_pca,
     apply_mi_clip,
@@ -21,15 +21,8 @@ from flens.mitigation import (
 )
 from flens.synth import SynthSpec, generate
 
+from .helpers import train_rows
 from .oracles import oracle_mi_per_dimension
-
-
-def all_train_dataset(values: np.ndarray, labels: np.ndarray, p: int) -> LabeledDataset:
-    return LabeledDataset(
-        embeddings=EmbeddingMatrix(values),
-        protected=GroupLabels(labels, p),
-        split=np.full(values.shape[0], TRAIN, dtype="<U5"),
-    )
 
 
 class TestMiEstimation:
@@ -149,12 +142,12 @@ class TestMiClip:
 
     def test_removes_planted_dimensions(self):
         ds = self._planted()
-        transform = fit_mi_clip(ds, m=ds.embeddings.dims - 2)
+        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims - 2)
         assert sorted(transform.removed_dims.tolist()) == [0, 1]
 
     def test_boundary_removes_single_highest(self):
         ds = self._planted()
-        transform = fit_mi_clip(ds, m=ds.embeddings.dims - 1)
+        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims - 1)
         scores = transform.mi_scores
         assert transform.removed_dims.tolist() == [int(np.argmax(scores))]
 
@@ -164,16 +157,16 @@ class TestMiClip:
         n, d = 640, 512
         labels = np.tile([0, 1], n // 2)
         values = rng.normal(size=(n, d))
-        ds = all_train_dataset(values, labels, 2)
+        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
         for m, expected_cut in ((400, 112), (256, 256)):
-            transform = fit_mi_clip(ds, m=m)
+            transform = fit_mi_clip(train, groups, m=m)
             assert transform.output_dims == m
             assert transform.removed_dims.size == expected_cut
 
     def test_nested_masks(self):
         ds = self._planted()
         d = ds.embeddings.dims
-        masks = {m: fit_mi_clip(ds, m=m).keep_mask for m in (2, 5, 9, 14, d - 1)}
+        masks = {m: fit_mi_clip(*train_rows(ds), m=m).keep_mask for m in (2, 5, 9, 14, d - 1)}
         ms = sorted(masks)
         for small, large in zip(ms, ms[1:]):
             kept_small = set(np.flatnonzero(masks[small]))
@@ -183,32 +176,32 @@ class TestMiClip:
     def test_invalid_m(self):
         ds = self._planted()
         with pytest.raises(RankError):
-            fit_mi_clip(ds, m=0)
+            fit_mi_clip(*train_rows(ds), m=0)
         with pytest.raises(RankError):
-            fit_mi_clip(ds, m=ds.embeddings.dims)
+            fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims)
 
     def test_apply_keeps_column_order(self):
         ds = self._planted()
-        transform = fit_mi_clip(ds, m=ds.embeddings.dims - 2)
+        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims - 2)
         clipped = apply_mi_clip(transform, ds.embeddings)
         kept = np.flatnonzero(transform.keep_mask)
         assert np.array_equal(clipped.values, ds.embeddings.values[:, kept])
 
     def test_apply_dimension_mismatch(self):
         ds = self._planted()
-        transform = fit_mi_clip(ds, m=8)
+        transform = fit_mi_clip(*train_rows(ds), m=8)
         with pytest.raises(ShapeError):
             apply_mi_clip(transform, EmbeddingMatrix(np.ones((3, 5))))
 
     @pytest.mark.parametrize("split", ["all-train", "mixed"])
     def test_train_rows_copied_only_for_mixed_split(self, monkeypatch, split):
+        # The caller picks the train rows of a mixed split; the fit scores its rows uncopied.
         rng = np.random.default_rng(32)
         n, d = 200, 6
         values, labels = rng.normal(size=(n, d)), np.arange(n) % 2
-        tags = np.full(n, TRAIN, dtype="<U5")
+        train = np.ones(n, dtype=bool)
         if split == "mixed":
-            tags[::3] = TEST
-        ds = LabeledDataset(EmbeddingMatrix(values), GroupLabels(labels, 2), split=tags)
+            train[::3] = False
         takes = []
         original = EmbeddingMatrix.take
 
@@ -217,19 +210,16 @@ class TestMiClip:
             return original(self, indices)
 
         monkeypatch.setattr(EmbeddingMatrix, "take", counting_take)
-        transform = fit_mi_clip(ds, m=3)
-        assert len(takes) == (0 if split == "all-train" else 1)
-        train = tags == TRAIN
+        transform = fit_mi_clip(EmbeddingMatrix(values[train]), GroupLabels(labels[train], 2), m=3)
+        assert takes == []
         expected = oracle_mi_per_dimension(values[train], labels[train], 2, 32)
         assert bitwise_equal(transform.mi_scores, expected)
 
     def test_kept_mi_below_removed_mi(self):
         ds = self._planted()
-        transform = fit_mi_clip(ds, m=10)
-        idx = np.flatnonzero(ds.train_mask)
-        re_scores = estimate_mi_per_dimension(
-            ds.embeddings.take(idx), ds.protected.take(idx)
-        )
+        train, groups = train_rows(ds)
+        transform = fit_mi_clip(train, groups, m=10)
+        re_scores = estimate_mi_per_dimension(train, groups)
         kept = re_scores[transform.keep_mask]
         removed = re_scores[~transform.keep_mask]
         assert kept.max() <= removed.min() + 1e-12
@@ -248,9 +238,9 @@ class TestFairPca:
         block = rng.normal(size=(80, 6))
         values = np.vstack([block, block])
         labels = np.repeat([0, 1], 80)
-        ds = all_train_dataset(values, labels, 2)
+        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
         r = 3
-        transform = fit_fair_pca(ds, target_dim=r)
+        transform = fit_fair_pca(train, groups, target_dim=r)
         centered = values - values.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         standard = vt[:r].T
@@ -264,16 +254,16 @@ class TestFairPca:
         labels = np.tile([0, 1], n // 2)
         values = rng.normal(size=(n, 2))
         values[:, 0] += np.where(labels == 0, -4.0, 4.0)
-        ds = all_train_dataset(values, labels, 2)
-        transform = fit_fair_pca(ds, target_dim=1)
-        projected = apply_fair_pca(transform, ds.embeddings).values
+        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
+        transform = fit_fair_pca(train, groups, target_dim=1)
+        projected = apply_fair_pca(transform, train).values
         mean_gap = abs(projected[labels == 0].mean() - projected[labels == 1].mean())
         assert mean_gap < 1e-10
 
     @pytest.mark.parametrize("p", [2, 7])
     def test_uncorrelated_with_group_indicators(self, p):
         ds = generate(SynthSpec(n=2000, d=64, p=p, bias_dims=(0, 1, 2), bias_strength=4.0, seed=12))
-        transform = fit_fair_pca(ds)
+        transform = fit_fair_pca(*train_rows(ds))
         idx = np.flatnonzero(ds.train_mask)
         projected = apply_fair_pca(transform, ds.embeddings).values[idx]
         indicators = demeaned_onehot(ds.protected.labels[idx], p)
@@ -284,7 +274,7 @@ class TestFairPca:
 
     def test_orthonormality(self):
         ds = generate(SynthSpec(n=500, d=16, p=3, bias_dims=(0,), bias_strength=3.0, seed=13))
-        transform = fit_fair_pca(ds)
+        transform = fit_fair_pca(*train_rows(ds))
         gram = transform.projection.T @ transform.projection
         assert np.max(np.abs(gram - np.eye(transform.target_dim))) < 1e-10
 
@@ -292,7 +282,7 @@ class TestFairPca:
         rng = np.random.default_rng(14)
         ds = generate(SynthSpec(n=800, d=12, p=2, bias_dims=(0,), bias_strength=5.0, seed=15))
         r = 4
-        transform = fit_fair_pca(ds, target_dim=r)
+        transform = fit_fair_pca(*train_rows(ds), target_dim=r)
         idx = np.flatnonzero(ds.train_mask)
         x = ds.embeddings.values[idx]
         centered = x - x.mean(axis=0)
@@ -311,21 +301,21 @@ class TestFairPca:
 
     def test_apply_is_deterministic_on_train(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=16))
-        transform = fit_fair_pca(ds)
+        transform = fit_fair_pca(*train_rows(ds))
         a = apply_fair_pca(transform, ds.embeddings).values
         b = apply_fair_pca(transform, ds.embeddings).values
         assert np.array_equal(a, b)
 
     def test_zero_vector_shows_centering(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=17))
-        transform = fit_fair_pca(ds)
+        transform = fit_fair_pca(*train_rows(ds))
         zero = EmbeddingMatrix(np.zeros((1, 8)))
         out = apply_fair_pca(transform, zero).values[0]
         assert np.allclose(out, -transform.mean @ transform.projection, atol=1e-12)
 
     def test_projection_column_round_trip(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=18))
-        transform = fit_fair_pca(ds)
+        transform = fit_fair_pca(*train_rows(ds))
         for j in (0, transform.target_dim - 1):
             probe_vec = transform.mean + transform.projection[:, j]
             out = apply_fair_pca(transform, EmbeddingMatrix(probe_vec[None, :])).values[0]
@@ -337,24 +327,24 @@ class TestFairPca:
     def test_target_dim_too_large(self):
         ds = generate(SynthSpec(n=300, d=8, p=3, bias_dims=(0,), bias_strength=4.0, seed=19))
         with pytest.raises(RankError):
-            fit_fair_pca(ds, target_dim=7)  # max feasible is d - (p-1) = 6
+            fit_fair_pca(*train_rows(ds), target_dim=7)  # max feasible is d - (p-1) = 6
 
     def test_warns_when_n_not_above_d(self):
         rng = np.random.default_rng(20)
         values = rng.normal(size=(24, 30))
         labels = np.tile([0, 1], 12)
-        ds = all_train_dataset(values, labels, 2)
+        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
         with pytest.warns(UserWarning):
-            fit_fair_pca(ds, target_dim=2)
+            fit_fair_pca(train, groups, target_dim=2)
 
     def test_fewer_rows_than_dims_pads_the_basis(self):
         # n - 1 < r: PCA inside the feasible subspace yields only n - 1
         # variance directions; the rest of the basis comes from its null space.
         rng = np.random.default_rng(23)
         values = rng.normal(size=(10, 30))
-        ds = all_train_dataset(values, np.tile([0, 1], 5), 2)
+        train, groups = EmbeddingMatrix(values), GroupLabels(np.tile([0, 1], 5), 2)
         with pytest.warns(UserWarning):
-            transform = fit_fair_pca(ds, target_dim=20)
+            transform = fit_fair_pca(train, groups, target_dim=20)
         projection = transform.projection
         assert projection.shape == (30, 20)
         np.testing.assert_allclose(projection.T @ projection, np.eye(20), atol=1e-10)
@@ -364,10 +354,10 @@ class TestFairPca:
         # A full-matrices SVD would build an n x n U here: 20 GB at n = 50 000.
         rng = np.random.default_rng(24)
         n, d = 50_000, 64
-        ds = all_train_dataset(rng.normal(size=(n, d)), np.arange(n) % 3, 3)
+        train, groups = EmbeddingMatrix(rng.normal(size=(n, d))), GroupLabels(np.arange(n) % 3, 3)
         tracemalloc.start()
         try:
-            transform = fit_fair_pca(ds)
+            transform = fit_fair_pca(train, groups)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -376,17 +366,11 @@ class TestFairPca:
 
     def test_apply_dimension_mismatch(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=21))
-        transform = fit_fair_pca(ds)
+        transform = fit_fair_pca(*train_rows(ds))
         with pytest.raises(ShapeError):
             apply_fair_pca(transform, EmbeddingMatrix(np.ones((2, 9))))
 
-    def test_fit_requires_train_split(self):
-        # default split tags everything as test data
-        ds = LabeledDataset(
-            embeddings=EmbeddingMatrix(np.random.default_rng(22).normal(size=(20, 4))),
-            protected=GroupLabels(np.tile([0, 1], 10), 2),
-        )
-        with pytest.raises(EmptyGroup):
-            fit_fair_pca(ds)
-        with pytest.raises(EmptyGroup):
-            fit_mi_clip(ds, m=2)
+    def test_fit_rejects_label_length_mismatch(self):
+        train = EmbeddingMatrix(np.random.default_rng(22).normal(size=(20, 4)))
+        with pytest.raises(ShapeError):
+            fit_fair_pca(train, GroupLabels(np.tile([0, 1], 9), 2))

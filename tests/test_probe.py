@@ -185,7 +185,7 @@ class TestEvaluateProbe:
         ds = generate(SynthSpec(n=3000, d=32, p=2, bias_dims=(0, 1), bias_strength=6.0, seed=7))
         train = np.flatnonzero(ds.train_mask)
         test = np.flatnonzero(ds.test_mask)
-        transform = fit_fair_pca(ds)
+        transform = fit_fair_pca(ds.embeddings.take(train), ds.protected.take(train))
         projected = apply_fair_pca(transform, ds.embeddings)
         model = fit_probe(projected.take(train), ds.protected.take(train))
         acc = evaluate_probe(model, projected.take(test), ds.protected.take(test))
@@ -213,7 +213,7 @@ class TestFairPcaMonotonicity:
             test = np.flatnonzero(ds.test_mask)
             raw = fit_probe(ds.embeddings.take(train), ds.protected.take(train), max_iter=200)
             raw_acc = evaluate_probe(raw, ds.embeddings.take(test), ds.protected.take(test))
-            transform = fit_fair_pca(ds)
+            transform = fit_fair_pca(ds.embeddings.take(train), ds.protected.take(train))
             projected = apply_fair_pca(transform, ds.embeddings)
             fair = fit_probe(projected.take(train), ds.protected.take(train), max_iter=200)
             fair_acc = evaluate_probe(fair, projected.take(test), ds.protected.take(test))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flens.core import TEST, TRAIN
+from flens.core import TEST, TRAIN, split_tags
 from flens.errors import ConfigError, TooSmall
 from flens.mitigation import estimate_mi_per_dimension
 from flens.probe import evaluate_probe, fit_probe
@@ -50,12 +50,17 @@ class TestGenerate:
     def test_split_fractions(self):
         ds = generate(SynthSpec(n=1000, d=4, p=2, seed=6))
         train = int(ds.train_mask.sum())
-        assert ds.n == 1000
-        assert abs(train / ds.n - 0.7) < 0.01
+        assert ds.embeddings.rows == 1000
+        assert abs(train / 1000 - 0.7) < 0.01
         for tag in (TRAIN, TEST):
             mask = ds.split == tag
             present = np.unique(ds.protected.labels[mask])
             assert present.size == 2
+
+    def test_split_is_valid_and_masks_partition_rows(self):
+        ds = generate(SynthSpec(n=50, d=4, p=3, seed=3))
+        assert np.array_equal(ds.train_mask, ~ds.test_mask)
+        assert np.array_equal(split_tags(ds.split, ds.protected), ds.split)
 
     def test_no_bias_probe_near_chance(self):
         ds = generate(SynthSpec(n=5000, d=16, p=2, bias_strength=0.0, seed=7))

@@ -187,7 +187,9 @@ class TestTopK:
         full = np.argsort(-sims, axis=1, kind="stable")
         for k in range(1, n + 1):
             assert _ranked_prefix(sims, k).tolist() == full[:, :k].tolist()
-            assert top_k(sims, k).tolist() == full[:, :k].tolist()
+            ranked = top_k(sims, k)
+            assert ranked.tolist() == full[:, :k].tolist()
+            assert all(np.unique(row).size == k for row in ranked)  # no row repeats an item
 
 
 class TestBalancedRetrieval:
@@ -285,6 +287,7 @@ class TestBalancedRetrieval:
             result = _balanced(item_matrix, query_matrix, k)
             picked, values = oracle_balanced_retrieval(sims.tolist(), k)
             assert result.tolist() == picked
+            assert np.unique(result).size == k  # no item is picked twice
             assert sims[np.arange(k) % p, result].tolist() == values
 
 
@@ -299,6 +302,7 @@ class TestBalancedRetrieval:
             result = balanced_retrieval(sims, k)
             picked, values = oracle_balanced_retrieval(sims.tolist(), k)
             assert result.tolist() == picked
+            assert np.unique(result).size == k  # no item is picked twice
             assert sims[np.arange(k) % p, result].tolist() == values
 
 
