@@ -426,6 +426,18 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     return build_report("retrieve-audit", cfg, records, blocks, extra)
 
 
+class _TrainRows(EmbeddingMatrix):
+    """Rows that all belong to the train split; ``train_mask`` says so.
+
+    The fits read only the rows. ``train_mask`` is there for callers that
+    size a fit by its train rows, as perfbench's fair-PCA hook does.
+    """
+
+    @property
+    def train_mask(self) -> np.ndarray:
+        return np.ones(self.rows, dtype=bool)
+
+
 def cmd_debias_fit(cfg: dict) -> dict:
     """Fit a debiasing transform on the train split and serialize it."""
     # method -> its fit function and integer parameters with their defaults. Built
@@ -458,7 +470,7 @@ def cmd_debias_fit(cfg: dict) -> dict:
             raise EmptyGroup(
                 f"inferred group {empty[0]} is empty: no train item is nearest to its prompt"
             )
-    transform = fit(train_items, protected, **params)
+    transform = fit(_TrainRows(train_items.values, finite=True), protected, **params)
     details = {"train_items": train_items.rows, **transform.details()}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
