@@ -104,7 +104,10 @@ class MiClipTransform:
         if len(body) != expected:
             raise TruncationError(f"mi-clip payload has {len(body)} of {expected} bytes")
         mask = np.frombuffer(body, dtype=np.uint8, count=d, offset=8).astype(bool)
-        transform = cls(mask, np.frombuffer(body, dtype="<f8", count=d, offset=8 + d))
+        scores = np.frombuffer(body, dtype="<f8", count=d, offset=8 + d)
+        if not np.all(np.isfinite(scores)):
+            raise ValidationError("mi-clip payload holds non-finite MI scores")
+        transform = cls(mask, scores)
         if transform.output_dims != m:
             raise FormatError("mask cardinality disagrees with the header")
         return transform
@@ -121,6 +124,10 @@ class FairPcaTransform:
     target_dim: int
     # Max-abs train covariance with the demeaned group indicators, set by fit_fair_pca.
     constraint_residual: float | None = field(default=None, init=False)
+    # (λ_r − λ_{r+1}) / λ_1: the feasible-subspace scatter's gap at r over the
+    # train scatter's largest eigenvalue, set by fit_fair_pca. None when r is
+    # the feasible dimension, so no eigenvalue follows λ_r.
+    eigengap: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -133,7 +140,7 @@ class FairPcaTransform:
         proj.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "projection", proj)
-        if self.orthonormality_residual > ORTHONORMALITY_TOL:
+        if not self.orthonormality_residual <= ORTHONORMALITY_TOL:
             raise ValidationError("projection columns are not orthonormal")
 
     @property
@@ -155,6 +162,7 @@ class FairPcaTransform:
             "target_dim": self.target_dim,
             "constraint_residual": self.constraint_residual,
             "orthonormality_residual": self.orthonormality_residual,
+            "eigengap": self.eigengap,
         }
 
     def to_bytes(self) -> bytes:
@@ -170,6 +178,8 @@ class FairPcaTransform:
             raise TruncationError(f"fair-pca payload has {len(body)} of {expected} bytes")
         mean = np.frombuffer(body, dtype="<f8", count=d, offset=8)
         proj = np.frombuffer(body, dtype="<f8", count=d * r, offset=8 + d * 8).reshape(d, r)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(proj))):
+            raise ValidationError("fair-pca payload holds non-finite values")
         return cls(mean=mean, projection=proj, target_dim=r)
 
 
@@ -282,10 +292,12 @@ def fit_fair_pca(
     """Fit a group-uncorrelated PCA projection on the train rows.
 
     Steps: center the data, build the demeaned one-hot group matrix (rank
-    p-1), take an orthonormal basis R of the null space of its cross-product
-    with the data via SVD, run standard PCA inside that feasible subspace,
-    and compose the two maps. The projected train data then has exactly zero
-    empirical covariance with every demeaned group indicator.
+    p-1), take an orthonormal basis B of the null space of its cross-product
+    with the data via SVD, run standard PCA inside that feasible subspace
+    (an eigendecomposition of the d' x d' scatter B^T X^T X B), and compose
+    the two maps. The projected train data then has exactly zero empirical
+    covariance with every demeaned group indicator. Cost: O(n d^2 + d^3)
+    time, and n d + d^2 floats beyond the input.
 
     target_dim defaults to d - (p-1), the maximal feasible rank. Numerically
     rank-deficient constraints are dropped (logged), never inflated.
@@ -323,30 +335,43 @@ def fit_fair_pca(
     if rank < p - 1:
         log.info("constraint matrix rank %d < p-1 = %d; dropping dependent constraints", rank, p - 1)
     basis = vt[rank:].T
-    projected = centered @ basis
-    del centered  # free the n x d data before the SVD allocates its n x d' copies
-    # Thin SVD: U is n x min(n, d'). Only with fewer rows than columns are full
-    # matrices needed, so that null-space directions pad the basis when n-1 < r;
-    # U is then n x n with n < d', which is small.
-    rows, cols = projected.shape
-    _, _, pc_vt = np.linalg.svd(projected, full_matrices=rows < cols)
-    components = pc_vt[:r].T
+    # PCA inside the feasible subspace from its d' x d' scatter, taken from the
+    # centred rows (raw second moments minus n * mean mean^T would cancel most
+    # digits under a large common mean). eigh returns all d' eigenvectors, so
+    # with n - 1 < r the zero-variance directions pad the basis.
+    scatter = centered.T @ centered
+    eigvals, eigvecs = np.linalg.eigh(basis.T @ scatter @ basis)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]  # descending
+    components = eigvecs[:, :r]
     # Deterministic sign: largest-magnitude entry of each component positive.
     flips = np.sign(components[np.argmax(np.abs(components), axis=0), np.arange(r)])
     flips[flips == 0] = 1.0
     projection = basis @ (components * flips)
     transform = FairPcaTransform(mean=mean, projection=projection, target_dim=r)
     residual = float(np.max(np.abs(constraints @ projection))) if constraints.size else 0.0
-    if residual > CONSTRAINT_TOL * max(1.0, float(np.abs(constraints).max(initial=0.0))):
+    if not residual <= CONSTRAINT_TOL * max(1.0, float(np.abs(constraints).max(initial=0.0))):
         raise NumericError(f"fair PCA constraint residual {residual:.3e} too large")
     object.__setattr__(transform, "constraint_residual", residual)
+    if r < eigvals.size:
+        # Relative to the full scatter's largest eigenvalue, the scale of the
+        # reduced scatter's round-off. A scatter is positive semi-definite, so
+        # an eigenvalue below 0 is round-off too.
+        top = np.linalg.eigvalsh(scatter)[-1]
+        at_r, after = np.maximum(eigvals[[r - 1, r]], 0.0)
+        gap = (at_r - after) / top if top > 0 else 0.0
+        object.__setattr__(transform, "eigengap", float(gap))
     return transform
 
 
 def apply_fair_pca(transform: FairPcaTransform, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Center with the fitted train mean and project onto the fitted basis."""
+    """Center with the fitted train mean and project onto the fitted basis.
+
+    Computed as X P - mean P, so no centred n x d copy of X is made.
+    """
     if embeddings.dims != transform.input_dims:
         raise ShapeError(
             f"transform expects d={transform.input_dims}, got d={embeddings.dims}"
         )
-    return EmbeddingMatrix((embeddings.values - transform.mean) @ transform.projection)
+    out = embeddings.values @ transform.projection
+    out -= transform.mean @ transform.projection
+    return EmbeddingMatrix(out)

@@ -237,3 +237,38 @@ def oracle_mi_per_dimension(values, labels, p: int, bins: int):
         mi = np.sum(joint[nonzero] / n * np.log(joint[nonzero] * n / (row @ col)[nonzero]))
         scores[dim] = max(float(mi), 0.0)
     return scores
+
+
+def oracle_fit_fair_pca(values, labels, p: int, r: int):
+    """Reference fair-PCA fit by a thin SVD of the rows in the feasible subspace.
+
+    Centre the rows; the constraint matrix is the demeaned one-hot group
+    matrix transposed times the centred rows. Its right singular vectors past
+    its rank span the feasible subspace B (rank: singular values above 1e-10
+    of the largest, or 0 when the largest is at most 1e-12 times the product
+    of the two matrices' Frobenius norms). The top r right singular vectors
+    of centred @ B, with full matrices when there are fewer rows than columns,
+    give the components; each is flipped so its largest-magnitude entry is
+    positive. Returns the train mean and the d x r projection B @ components.
+    """
+    import numpy as np
+
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    mean = values.mean(axis=0)
+    centered = values - mean
+    onehot = np.zeros((n, p))
+    onehot[np.arange(n), labels] = 1.0
+    demeaned = onehot - onehot.mean(axis=0)
+    constraints = demeaned.T @ centered
+    _, sing, vt = np.linalg.svd(constraints, full_matrices=True)
+    floor = 1e-12 * max(np.linalg.norm(demeaned) * np.linalg.norm(centered), 1.0)
+    rank = 0 if sing[0] <= floor else int(np.sum(sing > 1e-10 * sing[0]))
+    basis = vt[rank:].T
+    projected = centered @ basis
+    _, _, pc_vt = np.linalg.svd(projected, full_matrices=projected.shape[0] < projected.shape[1])
+    components = pc_vt[:r].T
+    for j in range(r):
+        if components[np.argmax(np.abs(components[:, j])), j] < 0:
+            components[:, j] = -components[:, j]
+    return mean, basis @ components

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -823,6 +824,32 @@ class TestMiClipTransform:
         assert performance["accuracy_transformed"] < performance["accuracy_raw"]
 
 
+@pytest.mark.parametrize(
+    "fixture, body_offset, kind",
+    [
+        ("fitted_transform", 8 + 16 * 8, "fair-pca"),  # the projection's first value
+        ("miclip_transform", 8 + 16, "mi-clip"),  # the first MI score
+    ],
+)
+def test_non_finite_transform_body_exits_3(
+    workspace, tmp_path, capsys, request, fixture, body_offset, kind
+):
+    """A NaN in a .ftfm body under a valid checksum is a data error naming the transform."""
+    path = request.getfixturevalue(fixture)
+    data = bytearray(path.read_bytes())
+    (meta_len,) = struct.unpack_from("<I", data, 11)  # after the magic, version and kind
+    start = 15 + meta_len + body_offset
+    data[start : start + 8] = struct.pack("<d", float("nan"))
+    data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
+    path.write_bytes(bytes(data))
+    cfg = write_config(tmp_path / "apply-nan.json", {
+        "input": str(workspace["embeddings"]), "transform": str(path),
+        "output": str(tmp_path / "out.femb"),
+    })
+    assert run(["apply", "--config", cfg]) == 3
+    assert f"data error: {kind} payload holds non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit", "debias-fit", "apply",
                                      "probe"])
 def test_text_embeddings_twin(workspace, fitted_transform, tmp_path, command):
@@ -1231,6 +1258,27 @@ def test_report_keys_are_pinned(workspace, tmp_path):
     skew = cell["metric_summary"]["skew_at_k"]
     assert set(skew) == {"count", "non_finite", "min", "q1", "median", "q3", "max", "mean", "std"}
     assert (skew["count"], skew["non_finite"]) == (2, 1)
+
+    fit_keys = {"train_items", "target_dim", "constraint_residual", "orthonormality_residual",
+                "eigengap"}
+    for target_dim in (None, 5):  # d - (p - 1) = 15 leaves no eigenvalue after the last kept
+        fit = {"data": workspace["data"], "method": "fairpca",
+               "transform_out": str(tmp_path / "t.ftfm")}
+        if target_dim:
+            fit["fairpca"] = {"target_dim": target_dim}
+        cfg = write_config(tmp_path / "fit.json", fit)
+        assert run(["debias-fit", "--config", cfg, "--out", tmp_path / "fit.out"]) == 0
+        (record,) = read_report(tmp_path / "fit.out")["tasks"]
+        assert set(record) == record_keys | {"details"}
+        assert set(record["details"]) == fit_keys
+        gap = record["details"]["eigengap"]
+        assert gap is None if target_dim is None else 0.0 < gap <= 1.0
+    fit = {"data": workspace["data"], "method": "miclip", "miclip": {"m": 14},
+           "transform_out": str(tmp_path / "t.ftfm")}
+    cfg = write_config(tmp_path / "fit.json", fit)
+    assert run(["debias-fit", "--config", cfg, "--out", tmp_path / "fit.out"]) == 0
+    (record,) = read_report(tmp_path / "fit.out")["tasks"]
+    assert set(record["details"]) == {"train_items", "retained_dims", "cut_dims"}
 
 
 class TestOnePassAudit:

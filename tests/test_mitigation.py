@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from flens.mitigation import (
 from flens.synth import SynthSpec, generate
 
 from .helpers import train_rows
-from .oracles import oracle_mi_per_dimension
+from .oracles import oracle_fit_fair_pca, oracle_mi_per_dimension
 
 
 class TestMiEstimation:
@@ -351,7 +352,8 @@ class TestFairPca:
         assert transform.constraint_residual < 1e-8
 
     def test_large_n_fit_memory_is_linear_in_n(self):
-        # A full-matrices SVD would build an n x n U here: 20 GB at n = 50 000.
+        # A full-matrices SVD would build an n x n U here: 20 GB at n = 50 000. The
+        # fit holds one centred n x d copy of the input, plus O(n p + d^2) more.
         rng = np.random.default_rng(24)
         n, d = 50_000, 64
         train, groups = EmbeddingMatrix(rng.normal(size=(n, d))), GroupLabels(np.arange(n) % 3, 3)
@@ -362,7 +364,28 @@ class TestFairPca:
         finally:
             tracemalloc.stop()
         assert transform.target_dim == d - 2
-        assert peak < 256 * 2**20
+        assert peak <= 1.25 * train.values.nbytes
+
+    def test_eigengap_of_feasible_scatter(self):
+        ds = generate(SynthSpec(n=800, d=12, p=2, bias_dims=(0,), bias_strength=5.0, seed=25))
+        train, groups = train_rows(ds)
+        assert fit_fair_pca(train, groups).eigengap is None  # r = d - 1: the whole subspace
+        r = 4
+        transform = fit_fair_pca(train, groups, target_dim=r)
+        centered = train.values - train.values.mean(axis=0)
+        constraints = demeaned_onehot(groups.labels, 2).T @ centered
+        null_basis = np.linalg.svd(constraints, full_matrices=True)[2][1:].T
+        sing = np.linalg.svd(centered @ null_basis, compute_uv=False)
+        top = np.linalg.svd(centered, compute_uv=False)[0]
+        expected = (sing[r - 1] ** 2 - sing[r] ** 2) / top**2
+        assert transform.eigengap == pytest.approx(expected, rel=1e-9)
+        assert transform.details()["eigengap"] == transform.eigengap
+
+    def test_constant_rows_have_zero_eigengap(self):
+        train = EmbeddingMatrix(np.ones((40, 5)))
+        transform = fit_fair_pca(train, GroupLabels(np.arange(40) % 2, 2), target_dim=2)
+        assert transform.eigengap == 0.0
+        np.testing.assert_allclose(apply_fair_pca(transform, train).values, 0.0, atol=1e-12)
 
     def test_apply_dimension_mismatch(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=21))
@@ -370,7 +393,76 @@ class TestFairPca:
         with pytest.raises(ShapeError):
             apply_fair_pca(transform, EmbeddingMatrix(np.ones((2, 9))))
 
+    def test_apply_makes_no_centred_copy(self):
+        rng = np.random.default_rng(26)
+        n, d = 20_000, 64
+        train = EmbeddingMatrix(rng.normal(size=(n, d)) + 5.0)
+        groups = GroupLabels(np.arange(n) % 2, 2)
+        transform = fit_fair_pca(train, groups)
+        tracemalloc.start()
+        try:
+            out = apply_fair_pca(transform, train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The n x (d - 1) output and its one-byte-per-value finite scan; no n x d temporary.
+        assert peak <= 1.25 * out.values.nbytes
+        expected = (train.values - transform.mean) @ transform.projection
+        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+
     def test_fit_rejects_label_length_mismatch(self):
         train = EmbeddingMatrix(np.random.default_rng(22).normal(size=(20, 4)))
         with pytest.raises(ShapeError):
             fit_fair_pca(train, GroupLabels(np.tile([0, 1], 9), 2))
+
+
+@st.composite
+def fair_pca_case(draw):
+    """(values, labels, p, r) with n <= d or n > d, r at or below the feasible dimension.
+
+    In a "shared" case every group holds the same rows plus one of fewer than
+    p shift vectors, so the constraint matrix is rank-deficient (zero when
+    every group shares one shift). Columns get scales across four decades,
+    and every row may get a +1e3 offset.
+    """
+    p = draw(st.integers(2, 4))
+    d = draw(st.integers(p, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # shared
+        block = rng.normal(size=(draw(st.integers(1, 6)), d))
+        shifts = rng.normal(size=(draw(st.integers(1, p - 1)), d))
+        owner = rng.integers(0, shifts.shape[0], size=p)
+        labels = np.repeat(np.arange(p), block.shape[0])
+        values = np.tile(block, (p, 1)) + shifts[owner[labels]]
+    else:
+        n = draw(st.integers(p + 1, 30))
+        labels = rng.permutation(np.arange(n) % p)
+        values = rng.normal(size=(n, d)) + rng.normal(size=(p, d))[labels]
+    values = values * 10.0 ** rng.uniform(-2, 2, size=d)
+    if draw(st.booleans()):
+        values = values + 1e3
+    r = draw(st.integers(1, d - (p - 1)))
+    return values, labels, p, r
+
+
+class TestFairPcaMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=fair_pca_case())
+    def test_subspace_and_tolerances_against_svd_oracle(self, case):
+        values, labels, p, r = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n <= d
+            transform = fit_fair_pca(EmbeddingMatrix(values), GroupLabels(labels, p), r)
+        projection = transform.projection
+        assert np.max(np.abs(projection.T @ projection - np.eye(r))) <= 1e-10
+        constraints = demeaned_onehot(labels, p).T @ (values - values.mean(axis=0))
+        bound = 1e-8 * max(1.0, np.abs(constraints).max())
+        assert np.max(np.abs(constraints @ projection)) <= bound
+        gap = transform.eigengap
+        assert gap is None or 0.0 <= gap <= 1.0 + 1e-12
+        if gap is None or gap >= 1e-6:
+            mean, expected = oracle_fit_fair_pca(values, labels, p, r)
+            assert np.array_equal(transform.mean, mean)
+            # Sine of the largest principal angle between the two column spans.
+            sine = np.linalg.norm(expected - projection @ (projection.T @ expected), 2)
+            assert sine <= 1e-9
