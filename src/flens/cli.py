@@ -22,16 +22,7 @@ import numpy as np
 
 from . import __version__
 from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, split_tags
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateVector,
-    EmptyGroup,
-    FlensError,
-    InvalidK,
-    NumericError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError, FlensError, NumericError
 from .io import (
     decode_labels,
     read_embeddings,
@@ -150,6 +141,21 @@ def _tags(spec: dict, where: str, fairness_mode: str = INDEPENDENCE) -> Taxonomy
     )
 
 
+def _unique(names: list[str], path: str) -> None:
+    """Reject a repeated name; ``path`` is its JSON path with ``{}`` for the index."""
+    seen: set[str] = set()
+    for i, name in enumerate(names):
+        if name in seen:
+            raise ConfigError(f"{path.format(i)} must be unique, got {json.dumps(name)} again")
+        seen.add(name)
+
+
+def _check_row(row: int, path: str, rows: int) -> None:
+    """Reject a query-file row number outside [0, rows), naming its JSON path."""
+    if not 0 <= row < rows:
+        raise ConfigError(f"{path} must be a query file row in [0, {rows}), got {row}")
+
+
 def _load_dataset(
     cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
 ) -> tuple[EmbeddingMatrix, GroupLabels, np.ndarray, np.ndarray, dict, dict]:
@@ -185,7 +191,7 @@ def _load_dataset(
     if keep is None:
         embeddings = read_embeddings(embeddings_path)
         if embeddings.rows != len(protected):
-            raise ShapeError("protected labels length differs from embedding rows")
+            raise DataError("protected labels length differs from embedding rows")
         return embeddings, protected, split, np.arange(len(split)), columns, provenance
     mask = split == keep
     rows = np.flatnonzero(mask)
@@ -213,15 +219,15 @@ def _maybe_transform(
 
 
 def _require_nonzero(kind: str, path: str, block: EmbeddingMatrix, rows: np.ndarray) -> None:
-    """Raise DegenerateVector naming block's first zero-norm row by its row in its own file.
+    """Raise DataError naming block's first zero-norm row by its row in its own file.
 
     The unit rows are cached, so the similarity pass reuses them.
     """
     try:
         block.unit_rows
-    except DegenerateVector:
+    except DataError:  # a zero-norm row is the only error unit_rows raises
         zero = np.flatnonzero(np.linalg.norm(block.values, axis=1) == 0.0)
-        raise DegenerateVector(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm") from None
+        raise DataError(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm") from None
 
 
 def _query_similarities(
@@ -263,6 +269,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
                 _field(task, "ground_truth", str, where, None),
             )
         )
+    _unique([name for name, *_ in tasks], "tasks[{}].name")
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
     test_items, groups, _, rows, columns, provenance = _load_dataset(
@@ -270,9 +277,9 @@ def cmd_classify_audit(cfg: dict) -> dict:
     )
     items = (cfg["data"]["embeddings"], test_items, rows)  # checked by _load_dataset
     queries = read_embeddings(queries_path)
-    for name, a, b, *_ in tasks:
-        if not (0 <= a < queries.rows and 0 <= b < queries.rows):
-            raise ConfigError(f"task {name!r}: class row outside the query file")
+    for i, (_, a, b, *_) in enumerate(tasks):
+        _check_row(a, f"tasks[{i}].class_a", queries.rows)
+        _check_row(b, f"tasks[{i}].class_b", queries.rows)
     # Only the class rows the tasks name are transformed and scored, each once.
     class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
     sims, transform_blocks = _query_similarities(
@@ -351,6 +358,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
                 _field(spec, "relevant", str, where, None),
             )
         )
+    _unique([name for name, *_ in query_specs], "retrieval.queries[{}].name")
     queries_path = _field(cfg, "queries", str, "")
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
@@ -362,26 +370,25 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     n_test, p = len(groups), groups.group_count
     query_file = read_embeddings(queries_path)
     balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
+    for i, k in enumerate(k_list):
+        path = f"retrieval.k[{i}]"
+        if not 1 <= k <= n_test:
+            raise ConfigError(f"{path} must be in [1, test items] = [1, {n_test}], got {k}")
+        if balanced_file is not None and k < p:
+            raise ConfigError(f"{path} must be at least the group-query count {p}, got {k}")
 
     queries = []
-    for name, row, tags, relevant_column in query_specs:
-        if not 0 <= row < query_file.rows:
-            raise ConfigError(f"query {name!r}: row outside the query file")
+    for i, (name, row, tags, relevant_column) in enumerate(query_specs):
+        _check_row(row, f"retrieval.queries[{i}].row", query_file.rows)
         relevant = None
         if relevant_column:
             relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
-        for k in k_list:
-            if not 1 <= k <= n_test:
-                raise InvalidK(f"k={k} outside [1, {n_test}] for query {name!r}")
         queries.append((name, tags, relevant))
     # The query rows, then p group-specific balanced rows per query in the order
     # queries are listed: one similarity pass scores them all.
     query_rows = np.array([row for _, row, _, _ in query_specs])
     sources = [("query", queries_path, query_file, query_rows)]
     if balanced_file is not None:
-        for k in k_list:
-            if k < p:
-                raise InvalidK(f"k={k} must be at least the group-query count {p}")
         if balanced_file.rows < len(queries) * p:
             name = queries[balanced_file.rows // p][0]
             raise ConfigError(
@@ -467,10 +474,13 @@ def cmd_debias_fit(cfg: dict) -> dict:
         protected = infer_protected_attribute(train_items, prompts)
         empty = np.flatnonzero(protected.counts() == 0)
         if empty.size:
-            raise EmptyGroup(
+            raise DataError(
                 f"inferred group {empty[0]} is empty: no train item is nearest to its prompt"
             )
-    transform = fit(_TrainRows(train_items.values, finite=True), protected, **params)
+    try:
+        transform = fit(_TrainRows(train_items.values, finite=True), protected, **params)
+    except ConfigError as exc:  # a fit's range error names its parameter; add the section
+        raise ConfigError(f"{method}.{exc}") from None
     details = {"train_items": train_items.rows, **transform.details()}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
@@ -501,6 +511,7 @@ def cmd_probe(cfg: dict) -> dict:
     """Linear-probe audit: per-attribute accuracy, before and after a transform."""
     probe_cfg = _field(cfg, "probe", dict, "")
     attributes = _field(probe_cfg, "attributes", list[str], "probe")
+    _unique(attributes, "probe.attributes[{}]")
     params = {
         "l2": _field(probe_cfg, "l2", float, "probe", DEFAULT_L2),
         "max_iter": _field(probe_cfg, "max_iter", int, "probe", DEFAULT_MAX_ITER),

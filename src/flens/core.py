@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateVector, EmptyGroup, ShapeError, ValidationError
+from .errors import DataError
 
 TRAIN = "train"
 TEST = "test"
@@ -37,11 +37,11 @@ class EmbeddingMatrix:
     def __post_init__(self, finite: bool) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
-            raise ShapeError(f"embedding matrix must be 2-d, got shape {values.shape}")
+            raise DataError(f"embedding matrix must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValidationError("embedding matrix needs at least one row and one column")
+            raise DataError("embedding matrix needs at least one row and one column")
         if not finite and not np.all(np.isfinite(values)):
-            raise ValidationError("embedding matrix contains NaN or Inf")
+            raise DataError("embedding matrix contains NaN or Inf")
         object.__setattr__(self, "values", _freeze(values))
 
     @property
@@ -56,13 +56,13 @@ class EmbeddingMatrix:
     def unit_rows(self) -> np.ndarray:
         """Rows scaled to unit L2 norm, computed on first use and read-only.
 
-        Raises DegenerateVector naming the first zero-norm row; nothing is
+        Raises DataError naming the first zero-norm row; nothing is
         cached then, so every later use raises again.
         """
         norms = np.linalg.norm(self.values, axis=1)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
-            raise DegenerateVector(f"row {int(zero[0])} has zero norm")
+            raise DataError(f"row {int(zero[0])} has zero norm")
         return _freeze(self.values / norms[:, None])
 
     def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
@@ -88,15 +88,15 @@ class GroupLabels:
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
-            raise ShapeError(f"group labels must be 1-d, got shape {labels.shape}")
+            raise DataError(f"group labels must be 1-d, got shape {labels.shape}")
         if self.group_count < 2:
-            raise ValidationError("group_count must be at least 2")
+            raise DataError("group_count must be at least 2")
         if labels.size and (labels.min() < 0 or labels.max() >= self.group_count):
-            raise ValidationError("group label outside [0, group_count)")
+            raise DataError("group label outside [0, group_count)")
         if self.group_names is not None:
             names = tuple(str(s) for s in self.group_names)
             if len(names) != self.group_count:
-                raise ValidationError("group_names length must equal group_count")
+                raise DataError("group_names length must equal group_count")
             object.__setattr__(self, "group_names", names)
         object.__setattr__(self, "labels", _freeze(labels))
 
@@ -108,11 +108,11 @@ class GroupLabels:
         return np.bincount(self.labels, minlength=self.group_count)
 
     def require_all_groups(self) -> None:
-        """Raise EmptyGroup unless every group index occurs at least once."""
+        """Raise DataError unless every group index occurs at least once."""
         counts = self.counts()
         if np.any(counts == 0):
             missing = int(np.flatnonzero(counts == 0)[0])
-            raise EmptyGroup(f"group {missing} has no members")
+            raise DataError(f"group {missing} has no members")
 
     def take(self, indices: np.ndarray) -> "GroupLabels":
         return GroupLabels(self.labels[np.asarray(indices)], self.group_count, self.group_names)
@@ -127,9 +127,9 @@ class BinaryLabels:
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
-            raise ShapeError(f"binary labels must be 1-d, got shape {labels.shape}")
+            raise DataError(f"binary labels must be 1-d, got shape {labels.shape}")
         if labels.size and not np.all(np.isin(labels, (-1, 1))):
-            raise ValidationError("binary labels must be -1 or +1")
+            raise DataError("binary labels must be -1 or +1")
         object.__setattr__(self, "labels", _freeze(labels))
 
     def __len__(self) -> int:
@@ -154,10 +154,10 @@ def split_tags(split: np.ndarray | None, protected: GroupLabels) -> np.ndarray:
     else:
         tags = np.asarray(split, dtype=str)  # full width: "training" is not "train"
         if tags.shape != (n,):
-            raise ShapeError("split tags length differs from embedding rows")
+            raise DataError("split tags length differs from embedding rows")
         bad = ~np.isin(tags, (TRAIN, TEST))
         if np.any(bad):
-            raise ValidationError(f"unknown split tag {str(tags[bad][0])!r}")
+            raise DataError(f"unknown split tag {str(tags[bad][0])!r}")
         tags = tags.astype("<U5")
     for tag in (TRAIN, TEST):
         mask = tags == tag
@@ -166,5 +166,5 @@ def split_tags(split: np.ndarray | None, protected: GroupLabels) -> np.ndarray:
         present = np.bincount(protected.labels[mask], minlength=protected.group_count)
         if np.any(present == 0):
             missing = int(np.flatnonzero(present == 0)[0])
-            raise EmptyGroup(f"group {missing} absent from the {tag} split")
+            raise DataError(f"group {missing} absent from the {tag} split")
     return _freeze(tags)

@@ -21,16 +21,7 @@ from typing import Any
 import numpy as np
 
 from .core import BinaryLabels, EmbeddingMatrix, GroupLabels
-from .errors import (
-    ChecksumError,
-    DataError,
-    FormatError,
-    SchemaError,
-    ShapeError,
-    TruncationError,
-    ValidationError,
-    VersionError,
-)
+from .errors import DataError
 from .mitigation import TRANSFORMS, Transform
 
 EMBEDDING_MAGIC = b"FLENSEMB"
@@ -73,22 +64,22 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> Embeddi
         if not header.startswith(EMBEDDING_MAGIC):
             return _read_embeddings_text(header + fh.read(), path, keep)
         if len(header) < _EMBEDDING_HEADER.size:
-            raise TruncationError(f"{path}: header truncated")
+            raise DataError(f"{path}: header truncated")
         _, version, n, d, dtype = _EMBEDDING_HEADER.unpack(header)
         if version != EMBEDDING_VERSION:
-            raise VersionError(f"{path}: unsupported version {version}")
+            raise DataError(f"{path}: unsupported version {version}")
         if dtype != _DTYPE_F32_LE:
-            raise FormatError(f"{path}: unknown dtype code {dtype}")
+            raise DataError(f"{path}: unknown dtype code {dtype}")
         expected = n * d * 4
         size = os.fstat(fh.fileno()).st_size - _EMBEDDING_HEADER.size
         if size < expected:
-            raise TruncationError(f"{path}: payload has {size} of {expected} bytes")
+            raise DataError(f"{path}: payload has {size} of {expected} bytes")
         if size > expected:
-            raise FormatError(f"{path}: {size - expected} bytes of trailing data")
+            raise DataError(f"{path}: {size - expected} bytes of trailing data")
         values = np.empty((n, d), dtype="<f4")
         got = fh.readinto(values)
         if got < expected:  # the file shrank after it was sized
-            raise TruncationError(f"{path}: payload has {got} of {expected} bytes")
+            raise DataError(f"{path}: payload has {got} of {expected} bytes")
     return _kept_rows(values, keep, f"{path}: payload")
 
 
@@ -99,7 +90,7 @@ def _kept_rows(values: np.ndarray, keep: np.ndarray | None, what: str) -> Embedd
     if keep is None:
         return EmbeddingMatrix(values, finite=True)
     if np.shape(keep) != values.shape[:1]:
-        raise ShapeError("protected labels length differs from embedding rows")
+        raise DataError("protected labels length differs from embedding rows")
     return EmbeddingMatrix(values[keep], finite=True)
 
 
@@ -119,7 +110,7 @@ def _read_embeddings_text(
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: neither binary embeddings nor text") from exc
+        raise DataError(f"{path}: neither binary embeddings nor text") from exc
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -128,14 +119,14 @@ def _read_embeddings_text(
         try:
             row = [np.float32(cell) for cell in line.split(",")]
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: unparsable value") from exc
+            raise DataError(f"{path}:{lineno}: unparsable value") from exc
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise FormatError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         rows.append(row)
     if not rows:
-        raise FormatError(f"{path}: no rows")
+        raise DataError(f"{path}: no rows")
     return _kept_rows(np.asarray(rows, dtype=np.float32), keep, f"{path}: text payload")
 
 
@@ -156,11 +147,11 @@ def read_label_table(path: str | Path) -> dict[str, list[str]]:
             try:
                 header = next(reader)
             except StopIteration:
-                raise SchemaError(f"{path}: empty label file") from None
+                raise DataError(f"{path}: empty label file") from None
             if not header or header[0] != "item_id":
-                raise SchemaError(f"{path}: first column must be item_id")
+                raise DataError(f"{path}: first column must be item_id")
             if len(set(header)) != len(header):
-                raise SchemaError(f"{path}: duplicate column names")
+                raise DataError(f"{path}: duplicate column names")
             width = len(header)
             for row in reader:
                 if len(row) != width:
@@ -174,11 +165,11 @@ def read_label_table(path: str | Path) -> dict[str, list[str]]:
     if cells:
         bad = _first_bad_row(cells, width)
         if bad is not None:
-            raise SchemaError(f"{path}:{bad[0] + 2}: {bad[1]}")
+            raise DataError(f"{path}:{bad[0] + 2}: {bad[1]}")
     if stop is not None:
-        raise SchemaError(stop)
+        raise DataError(stop)
     if not cells:
-        raise SchemaError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return {name: cells[j::width] for j, name in enumerate(header)}
 
 
@@ -216,12 +207,12 @@ def decode_labels(
     -1/+1 and normalize to -1/+1.
     """
     if attribute not in columns:
-        raise SchemaError(f"{path}: no column named {attribute!r}")
+        raise DataError(f"{path}: no column named {attribute!r}")
     raw = columns[attribute]
     if kind == "group":
         order = {cell: code for code, cell in enumerate(dict.fromkeys(raw))}
         if len(order) < 2:
-            raise SchemaError(f"{path}: column {attribute!r} has fewer than 2 categories")
+            raise DataError(f"{path}: column {attribute!r} has fewer than 2 categories")
         labels = np.fromiter(map(order.__getitem__, raw), np.int64, len(raw))
         return GroupLabels(labels, group_count=len(order), group_names=tuple(order))
     if kind == "binary":
@@ -229,11 +220,11 @@ def decode_labels(
         try:
             labels = np.fromiter(map(mapping.__getitem__, raw), np.int64, len(raw))
         except KeyError as exc:
-            raise SchemaError(
+            raise DataError(
                 f"{path}: column {attribute!r} has non-binary value {exc.args[0]!r}"
             ) from None
         return BinaryLabels(labels)
-    raise ValidationError(f"unknown label kind {kind!r}")
+    raise DataError(f"unknown label kind {kind!r}")
 
 
 def write_label_table(path: str | Path, columns: dict[str, list]) -> None:
@@ -243,10 +234,10 @@ def write_label_table(path: str | Path, columns: dict[str, list]) -> None:
     names = list(columns)
     lengths = {len(v) for v in columns.values()}
     if len(lengths) != 1:
-        raise SchemaError("all label columns must have the same length")
+        raise DataError("all label columns must have the same length")
     n = lengths.pop()
     if provided_ids is not None and [int(v) for v in provided_ids] != list(range(n)):
-        raise SchemaError("item_id must run densely 0..n-1")
+        raise DataError("item_id must run densely 0..n-1")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item_id"] + names)
@@ -268,27 +259,27 @@ def serialize_transform(transform: Transform, metadata: dict[str, Any] | None = 
 def deserialize_transform(data: bytes) -> tuple[Transform, dict[str, Any]]:
     """Inverse of serialize_transform; returns the transform and its metadata."""
     if len(data) < len(TRANSFORM_MAGIC) + 11:
-        raise TruncationError("transform container truncated")
+        raise DataError("transform container truncated")
     if not data.startswith(TRANSFORM_MAGIC):
-        raise FormatError(f"bad transform magic {data[:8]!r}")
+        raise DataError(f"bad transform magic {data[:8]!r}")
     stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
     if zlib.crc32(data[len(TRANSFORM_MAGIC) : -4]) != stored_crc:
-        raise ChecksumError("transform container failed its checksum")
+        raise DataError("transform container failed its checksum")
     version, kind, meta_len = struct.unpack_from("<HBI", data, len(TRANSFORM_MAGIC))
     if version != TRANSFORM_VERSION:
-        raise VersionError(f"unsupported transform version {version}")
+        raise DataError(f"unsupported transform version {version}")
     offset = len(TRANSFORM_MAGIC) + 7
     try:
         meta = json.loads(data[offset : offset + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError("transform metadata is not valid JSON") from exc
+        raise DataError("transform metadata is not valid JSON") from exc
     if not isinstance(meta, dict):
-        raise FormatError("transform metadata must be a JSON object")
+        raise DataError("transform metadata must be a JSON object")
     body = data[offset + meta_len : -4]
     if len(body) < 8:
-        raise TruncationError(f"transform payload has {len(body)} bytes, short of its header")
+        raise DataError(f"transform payload has {len(body)} bytes, short of its header")
     if kind not in TRANSFORMS:
-        raise FormatError(f"unknown transform kind {kind}")
+        raise DataError(f"unknown transform kind {kind}")
     return TRANSFORMS[kind].from_bytes(body), meta
 
 

@@ -14,14 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BinaryLabels, GroupLabels
-from .errors import (
-    DegenerateDenominator,
-    EmptyGroup,
-    EmptyInput,
-    EmptyPositiveSet,
-    EmptySelection,
-    ShapeError,
-)
+from .errors import DataError
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +35,7 @@ def _max_pairwise(rates: np.ndarray) -> MetricResult:
 
 def _check_lengths(a, b) -> None:
     if len(a) != len(b):
-        raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
+        raise DataError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
 def ddp_classification(predictions: BinaryLabels, groups: GroupLabels) -> MetricResult:
@@ -54,7 +47,7 @@ def ddp_classification(predictions: BinaryLabels, groups: GroupLabels) -> Metric
     _check_lengths(predictions, groups)
     group_sizes = groups.counts()
     if np.any(group_sizes == 0):
-        raise EmptyGroup("every group must have at least one member")
+        raise DataError("every group must have at least one member")
     positives = np.bincount(
         groups.labels[predictions.positive_mask()], minlength=groups.group_count
     )
@@ -78,11 +71,11 @@ def ddp_retrieval(
     z_i = np.asarray(population_per_group, dtype=np.int64)
     k, z = int(k_i.sum()), int(z_i.sum())
     if k == 0:
-        raise EmptySelection("cannot score an empty selection")
+        raise DataError("cannot score an empty selection")
     if z <= k:
-        raise DegenerateDenominator("selection must leave at least one item unselected")
+        raise DataError("selection must leave at least one item unselected")
     if np.any(z_i == 0):
-        raise EmptyGroup("every group must have population")
+        raise DataError("every group must have population")
     rates = k_i / k - (z_i - k_i) / (z - k)
     return _max_pairwise(rates)
 
@@ -99,7 +92,7 @@ def dtpr(predictions: BinaryLabels, truth: BinaryLabels, groups: GroupLabels) ->
     pos_per_group = np.bincount(groups.labels[pos], minlength=groups.group_count)
     if np.any(pos_per_group == 0):
         empty = int(np.flatnonzero(pos_per_group == 0)[0])
-        raise EmptyPositiveSet(f"group {empty} has no ground-truth positives")
+        raise DataError(f"group {empty} has no ground-truth positives")
     hit = pos & predictions.positive_mask()
     hit_per_group = np.bincount(groups.labels[hit], minlength=groups.group_count)
     rates = hit_per_group / pos_per_group
@@ -118,7 +111,7 @@ def skew_at_k(selected_per_group: Sequence[int]) -> MetricResult:
     desired = 1.0 / k_i.size
     k = int(k_i.sum())
     if k == 0:
-        raise EmptySelection("cannot score an empty selection")
+        raise DataError("cannot score an empty selection")
     log_ratios = np.where(k_i > 0, np.log(np.maximum(k_i, 1) / k / desired), -np.inf)
     i = int(np.argmax(np.abs(log_ratios)))
     return MetricResult(value=float(abs(log_ratios[i])), arg_pair=(i, i), per_group_rates=log_ratios)
@@ -129,7 +122,7 @@ def ddp_rep(positives_per_group: Sequence[int]) -> MetricResult:
     counts = np.asarray(positives_per_group, dtype=np.int64)
     total_positives = int(counts.sum())
     if total_positives <= 0:
-        raise EmptySelection("no retrieved positives to compare")
+        raise DataError("no retrieved positives to compare")
     return _max_pairwise(counts / total_positives)
 
 
@@ -138,9 +131,9 @@ def accuracy(predictions, truth) -> float:
     pred = _as_label_array(predictions)
     true = _as_label_array(truth)
     if pred.shape != true.shape:
-        raise ShapeError(f"length mismatch: {pred.shape} vs {true.shape}")
+        raise DataError(f"length mismatch: {pred.shape} vs {true.shape}")
     if pred.size == 0:
-        raise EmptyInput("cannot compute accuracy of zero items")
+        raise DataError("cannot compute accuracy of zero items")
     return float(np.count_nonzero(pred == true) / pred.size)
 
 

@@ -26,16 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EmbeddingMatrix, GroupLabels
-from .errors import (
-    EmptyGroup,
-    FormatError,
-    InvalidBins,
-    NumericError,
-    RankError,
-    ShapeError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import ConfigError, DataError, NumericError
 
 log = logging.getLogger(__name__)
 
@@ -65,9 +56,9 @@ class MiClipTransform:
         mask = np.asarray(self.keep_mask, dtype=bool)
         scores = np.asarray(self.mi_scores, dtype=np.float64)
         if mask.ndim != 1 or scores.shape != mask.shape:
-            raise ShapeError("keep_mask and mi_scores must be aligned 1-d vectors")
+            raise DataError("keep_mask and mi_scores must be aligned 1-d vectors")
         if int(mask.sum()) < 1:
-            raise ValidationError("mask must retain at least one dimension")
+            raise DataError("mask must retain at least one dimension")
         mask.setflags(write=False)
         scores.setflags(write=False)
         object.__setattr__(self, "keep_mask", mask)
@@ -102,14 +93,14 @@ class MiClipTransform:
         d, m = struct.unpack_from("<II", body)
         expected = 8 + d + d * 8
         if len(body) != expected:
-            raise TruncationError(f"mi-clip payload has {len(body)} of {expected} bytes")
+            raise DataError(f"mi-clip payload has {len(body)} of {expected} bytes")
         mask = np.frombuffer(body, dtype=np.uint8, count=d, offset=8).astype(bool)
         scores = np.frombuffer(body, dtype="<f8", count=d, offset=8 + d)
         if not np.all(np.isfinite(scores)):
-            raise ValidationError("mi-clip payload holds non-finite MI scores")
+            raise DataError("mi-clip payload holds non-finite MI scores")
         transform = cls(mask, scores)
         if transform.output_dims != m:
-            raise FormatError("mask cardinality disagrees with the header")
+            raise DataError("mask cardinality disagrees with the header")
         return transform
 
 
@@ -133,15 +124,15 @@ class FairPcaTransform:
         mean = np.asarray(self.mean, dtype=np.float64)
         proj = np.asarray(self.projection, dtype=np.float64)
         if mean.ndim != 1 or proj.ndim != 2 or proj.shape[0] != mean.size:
-            raise ShapeError("mean must be length d and projection d x r")
+            raise DataError("mean must be length d and projection d x r")
         if proj.shape[1] != self.target_dim:
-            raise ShapeError("projection column count must equal target_dim")
+            raise DataError("projection column count must equal target_dim")
         mean.setflags(write=False)
         proj.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "projection", proj)
         if not self.orthonormality_residual <= ORTHONORMALITY_TOL:
-            raise ValidationError("projection columns are not orthonormal")
+            raise DataError("projection columns are not orthonormal")
 
     @property
     def input_dims(self) -> int:
@@ -175,11 +166,11 @@ class FairPcaTransform:
         d, r = struct.unpack_from("<II", body)
         expected = 8 + d * 8 + d * r * 8
         if len(body) != expected:
-            raise TruncationError(f"fair-pca payload has {len(body)} of {expected} bytes")
+            raise DataError(f"fair-pca payload has {len(body)} of {expected} bytes")
         mean = np.frombuffer(body, dtype="<f8", count=d, offset=8)
         proj = np.frombuffer(body, dtype="<f8", count=d * r, offset=8 + d * 8).reshape(d, r)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(proj))):
-            raise ValidationError("fair-pca payload holds non-finite values")
+            raise DataError("fair-pca payload holds non-finite values")
         return cls(mean=mean, projection=proj, target_dim=r)
 
 
@@ -215,15 +206,15 @@ def estimate_mi_per_dimension(
     their differences; a repeated edge only adds an empty row, worth no MI.
     """
     if bins < 2:
-        raise InvalidBins(f"need at least 2 bins, got {bins}")
+        raise ConfigError(f"bins must be at least 2, got {bins}")
     n = train.rows
     if n < bins:
-        raise InvalidBins(f"need at least as many items ({n}) as bins ({bins})")
+        raise ConfigError(f"bins must be at most the item count {n}, got {bins}")
     if len(groups) != n:
-        raise ShapeError("group labels length differs from embedding rows")
+        raise DataError("group labels length differs from embedding rows")
     counts = groups.counts()
     if np.any(counts == 0):
-        raise EmptyGroup("every group must be present to estimate MI")
+        raise DataError("every group must be present to estimate MI")
     p = groups.group_count
     # Edges at np.quantile's default ("linear", Hyndman-Fan type 7) positions,
     # read off the sorted column with numpy's interpolation, to the last bit.
@@ -263,7 +254,7 @@ def fit_mi_clip(
     """
     d = train.dims
     if not 1 <= m < d:
-        raise RankError(f"retained dimension count m={m} must satisfy 1 <= m < d={d}")
+        raise ConfigError(f"m must be in [1, d) = [1, {d}), got {m}")
     scores = estimate_mi_per_dimension(train, groups, bins=bins)
     cut_order = np.lexsort((np.arange(d), -scores))
     keep = np.ones(d, dtype=bool)
@@ -274,9 +265,7 @@ def fit_mi_clip(
 def apply_mi_clip(transform: MiClipTransform, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
     """Keep the masked-in columns, preserving their original order."""
     if embeddings.dims != transform.input_dims:
-        raise ShapeError(
-            f"transform expects d={transform.input_dims}, got d={embeddings.dims}"
-        )
+        raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.dims}")
     return EmbeddingMatrix(embeddings.values[:, transform.keep_mask])
 
 
@@ -303,16 +292,14 @@ def fit_fair_pca(
     rank-deficient constraints are dropped (logged), never inflated.
     """
     if len(groups) != train.rows:
-        raise ShapeError("group labels length differs from embedding rows")
+        raise DataError("group labels length differs from embedding rows")
     groups.require_all_groups()
     n, d = train.rows, train.dims
     p = groups.group_count
     max_rank = d - (p - 1)
     r = max_rank if target_dim is None else int(target_dim)
     if not 1 <= r <= max_rank:
-        raise RankError(
-            f"target_dim={r} infeasible: must be in [1, d-(p-1)] = [1, {max_rank}]"
-        )
+        raise ConfigError(f"target_dim must be in [1, d-(p-1)] = [1, {max_rank}], got {r}")
     if n <= d:
         warnings.warn(
             f"fitting fair PCA with n={n} <= d={d}; constraints may overfit",
@@ -369,9 +356,7 @@ def apply_fair_pca(transform: FairPcaTransform, embeddings: EmbeddingMatrix) -> 
     Computed as X P - mean P, so no centred n x d copy of X is made.
     """
     if embeddings.dims != transform.input_dims:
-        raise ShapeError(
-            f"transform expects d={transform.input_dims}, got d={embeddings.dims}"
-        )
+        raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.dims}")
     out = embeddings.values @ transform.projection
     out -= transform.mean @ transform.projection
     return EmbeddingMatrix(out)

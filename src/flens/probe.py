@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryLabels, EmbeddingMatrix, GroupLabels
-from .errors import DegenerateLabels, LineSearchError, ShapeError, ValidationError
+from .errors import DataError, NumericError
 
 DEFAULT_L2 = 1e-4
 DEFAULT_TOL = 1e-6
@@ -50,7 +50,7 @@ class ProbeModel:
         w = np.asarray(self.weights, dtype=np.float64)
         b = np.asarray(self.bias, dtype=np.float64)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):  # a fit that diverged
-            raise ValidationError("probe parameters must be finite")
+            raise DataError("probe parameters must be finite")
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -63,7 +63,7 @@ class ProbeModel:
     def predict(self, embeddings: EmbeddingMatrix) -> np.ndarray:
         """Argmax class index per row; ties go to the lowest class index."""
         if embeddings.dims != self.dims:
-            raise ShapeError(f"probe expects d={self.dims}, got d={embeddings.dims}")
+            raise DataError(f"probe expects d={self.dims}, got d={embeddings.dims}")
         return np.argmax(_logits(embeddings.values, self.weights, self.bias), axis=0)
 
 
@@ -73,7 +73,7 @@ def _class_indices(labels: GroupLabels | BinaryLabels) -> tuple[np.ndarray, int]
         return ((labels.labels + 1) // 2).astype(np.int64), 2
     if isinstance(labels, GroupLabels):
         return labels.labels, labels.group_count
-    raise ShapeError("labels must be GroupLabels or BinaryLabels")
+    raise DataError("labels must be GroupLabels or BinaryLabels")
 
 
 def _logits(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,11 +150,11 @@ def fit_probe(
     """
     y, classes = _class_indices(labels)
     if y.size != train.rows:
-        raise ShapeError("labels length differs from embedding rows")
+        raise DataError("labels length differs from embedding rows")
     if y.min() == y.max():
-        raise DegenerateLabels("training labels contain fewer than two classes")
+        raise DataError("training labels contain fewer than two classes")
     if l2 < 0.0:
-        raise ValidationError("l2 penalty must be nonnegative")
+        raise DataError("l2 penalty must be nonnegative")
     x = train.values
     split = (classes - 1) * train.dims  # theta holds w row-major, then b
 
@@ -183,7 +183,7 @@ def fit_probe(
                 break
             step *= _BACKTRACK
         else:
-            raise LineSearchError("no descent step found; gradient may be inconsistent")
+            raise NumericError("no descent step found; gradient may be inconsistent")
         if not trial[0] < value:
             break  # stagnated: float64 cannot lower the objective any further
         s = trial_theta - theta
@@ -212,8 +212,8 @@ def evaluate_probe(
     """Argmax-class accuracy of the probe on held-out data."""
     y, classes = _class_indices(labels)
     if classes != model.classes:
-        raise ShapeError(f"model has {model.classes} classes, labels imply {classes}")
+        raise DataError(f"model has {model.classes} classes, labels imply {classes}")
     if y.size != test.rows:
-        raise ShapeError("labels length differs from embedding rows")
+        raise DataError("labels length differs from embedding rows")
     predictions = model.predict(test)
     return float(np.count_nonzero(predictions == y) / y.size)

@@ -17,14 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import GroupLabels
-from .errors import (
-    DegenerateVariance,
-    DomainError,
-    EmptyInput,
-    InsufficientSamples,
-    ShapeError,
-    ValidationError,
-)
+from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -45,9 +38,9 @@ def chi_square_sf(x: float, df: int) -> float:
     underflows ahead of the sum; every term is positive, so nothing cancels.
     """
     if df < 1:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+        raise NumericError(f"degrees of freedom must be positive, got {df}")
     if not x >= 0.0:
-        raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
+        raise NumericError(f"chi-square statistic must be nonnegative, got {x}")
     h = x / 2.0
     if h == 0.0:  # x is 0, or so small that the tail rounds to 1
         return 1.0
@@ -72,15 +65,15 @@ def alexander_govern(samples: Sequence[Sequence[float]]) -> TestResult:
     chi-square distribution with p-1 degrees of freedom.
     """
     if len(samples) < 2:
-        raise EmptyInput("need at least two groups of observations")
+        raise DataError("need at least two groups of observations")
     groups = [np.asarray(sample, dtype=np.float64) for sample in samples]
     for g, sample in enumerate(groups):
         if sample.size < 2:
-            raise InsufficientSamples(f"group {g} has fewer than 2 observations")
+            raise DataError(f"group {g} has fewer than 2 observations")
         if not np.all(np.isfinite(sample)):
-            raise ValidationError(f"group {g} sample contains non-finite values")
+            raise DataError(f"group {g} sample contains non-finite values")
         if np.var(sample) == 0.0:
-            raise DegenerateVariance(f"group {g} sample has zero variance")
+            raise DataError(f"group {g} sample has zero variance")
     sizes = np.array([s.size for s in groups], dtype=np.float64)
     means = np.array([s.mean() for s in groups])
     # Squared standard errors of the group means (sample variance / n).
@@ -121,9 +114,9 @@ def per_query_similarity_tests(
     """Run the equal-means test on each query's similarity row, split by group."""
     sims = np.asarray(similarities, dtype=np.float64)
     if sims.ndim != 2:
-        raise ShapeError(f"similarity matrix must be 2-d, got shape {sims.shape}")
+        raise DataError(f"similarity matrix must be 2-d, got shape {sims.shape}")
     if sims.shape[1] != len(groups):
-        raise ShapeError("similarity columns must match the number of labeled items")
+        raise DataError("similarity columns must match the number of labeled items")
     groups.require_all_groups()
     masks = [groups.labels == g for g in range(groups.group_count)]
     out = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TEST, TRAIN, BinaryLabels, EmbeddingMatrix, GroupLabels
-from .errors import ConfigError, TooSmall
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class SynthSpec:
         if self.p < 2:
             raise ConfigError(f"synth.p must be at least 2, got {self.p}")
         if self.n < 2 * self.p:
-            raise TooSmall(f"synth.n must be at least 2p = {2 * self.p}, got {self.n}")
+            raise ConfigError(f"synth.n must be at least 2p = {2 * self.p}, got {self.n}")
         if self.d < 1:
             raise ConfigError(f"synth.d must be at least 1, got {self.d}")
         bias = tuple(int(i) for i in self.bias_dims)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryLabels, EmbeddingMatrix, GroupLabels
-from .errors import InsufficientItems, InvalidK, ShapeError, ValidationError
+from .errors import ConfigError, DataError
 
 INDEPENDENCE = "independence"
 DIVERSITY = "diversity"
@@ -30,7 +30,7 @@ class TaxonomyTags:
 def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -> np.ndarray:
     """q x n matrix of cosine similarities; entry (j, i) pairs query j with item i."""
     if items.dims != queries.dims:
-        raise ShapeError(f"dimension mismatch: items d={items.dims}, queries d={queries.dims}")
+        raise DataError(f"dimension mismatch: items d={items.dims}, queries d={queries.dims}")
     sims = queries.unit_rows @ items.unit_rows.T
     return np.clip(sims, -1.0, 1.0, out=sims)
 
@@ -38,9 +38,9 @@ def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -
 def _as_rows(similarities: np.ndarray) -> np.ndarray:
     sims = np.asarray(similarities, dtype=np.float64)
     if sims.ndim != 2:
-        raise ShapeError(f"similarity matrix must be 2-d, got shape {sims.shape}")
+        raise DataError(f"similarity matrix must be 2-d, got shape {sims.shape}")
     if np.isnan(sims).any():  # NaN has no rank: it would break _ranked_prefix's threshold
-        raise ValidationError("similarity matrix contains NaN")
+        raise DataError("similarity matrix contains NaN")
     return sims
 
 
@@ -75,7 +75,7 @@ def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> BinaryLabels:
     """
     a, b = np.asarray(sims_a, dtype=np.float64), np.asarray(sims_b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"class similarities must be two equal 1-d rows, got {a.shape}, {b.shape}")
+        raise DataError(f"class similarities must be two equal 1-d rows, got {a.shape}, {b.shape}")
     return BinaryLabels(np.where(a >= b, 1, -1))
 
 
@@ -88,7 +88,7 @@ def top_k(similarities: np.ndarray, k: int) -> np.ndarray:
     sims = _as_rows(similarities)
     n = sims.shape[1]
     if k < 1 or k > n:
-        raise InvalidK(f"k={k} outside [1, {n}]")
+        raise ConfigError(f"k={k} outside [1, {n}]")
     return _ranked_prefix(sims, k)
 
 
@@ -106,9 +106,9 @@ def balanced_retrieval(similarities: np.ndarray, k: int) -> np.ndarray:
     sims = _as_rows(similarities)
     p, n = sims.shape
     if k < p:
-        raise InvalidK(f"k={k} must be at least the group-query count {p}")
+        raise ConfigError(f"k={k} must be at least the group-query count {p}")
     if k > n:
-        raise InsufficientItems(f"need {k} distinct items but only {n} exist")
+        raise DataError(f"need {k} distinct items but only {n} exist")
     # Fewer than k items are claimed before any pick, so no group's cursor
     # passes index k-1 of its order: the first k columns of each order suffice.
     orders = _ranked_prefix(sims, k)
@@ -143,7 +143,7 @@ def infer_protected_attribute(
     """
     p = attribute_prompts.rows
     if p < 2:
-        raise ValidationError("need at least two attribute prompts")
+        raise DataError("need at least two attribute prompts")
     sims = cosine_similarity_matrix(items, attribute_prompts)
     labels = np.argmax(sims, axis=0)
     return GroupLabels(labels, group_count=p)

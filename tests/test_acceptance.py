@@ -15,7 +15,7 @@ from scipy.stats import alexandergovern as scipy_alexandergovern
 
 from flens.cli import main
 from flens.core import BinaryLabels, EmbeddingMatrix, GroupLabels
-from flens.errors import ChecksumError, FormatError, VersionError
+from flens.errors import DataError
 from flens.io import (
     deserialize_transform,
     read_embeddings,
@@ -374,23 +374,23 @@ def test_io_round_trips(tmp_path):
     corrupted[0] = 0x00
     bad_path = tmp_path / "bad.femb"
     bad_path.write_bytes(bytes(corrupted))
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="neither binary embeddings nor text"):
         read_embeddings(bad_path)
 
     blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)))
     blob[0] ^= 0xFF
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="bad transform magic"):
         deserialize_transform(bytes(blob))
     blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)))
     blob[-1] ^= 0xFF
-    with pytest.raises(ChecksumError):
+    with pytest.raises(DataError, match="transform container failed its checksum"):
         deserialize_transform(bytes(blob))
 
     versioned = bytearray(emb_a.read_bytes())
     versioned[8] = 9
     bad_version = tmp_path / "v.femb"
     bad_version.write_bytes(bytes(versioned))
-    with pytest.raises(VersionError):
+    with pytest.raises(DataError, match="unsupported version 9"):
         read_embeddings(bad_version)
     _pass("IO round trips bit-identical; corrupted headers rejected")
 

@@ -544,10 +544,10 @@ class TestRetrieveAudit:
         diversity = [r for r in records if r["task_name"].startswith("diversity")]
         assert diversity and diversity[0]["metrics"]["skew_at_k"]["value"] == 0.0
 
-    def test_k_beyond_items_rejected_with_query_name(self, workspace, tmp_path, capsys):
+    def test_k_beyond_items_rejected_with_its_path(self, workspace, tmp_path, capsys):
         cfg = self._config(workspace, tmp_path, k=(10_000,), balanced=False)
         assert run(["retrieve-audit", "--config", cfg]) == 2
-        assert "independence-query" in capsys.readouterr().err
+        assert "config error: retrieval.k[0] must be in [1, " in capsys.readouterr().err
 
     def test_byte_identical_reports(self, workspace, tmp_path):
         cfg = self._config(workspace, tmp_path)
@@ -575,7 +575,8 @@ class TestRetrieveAudit:
     def test_k_below_group_count_in_k_list(self, workspace, tmp_path, capsys):
         cfg = self._config(workspace, tmp_path, k=(10, 1, 20))
         assert run(["retrieve-audit", "--config", cfg]) == 2
-        assert "k=1 must be at least the group-query count 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "retrieval.k[1] must be at least the group-query count 2, got 1" in err
 
 
 class TestQualitativeTrends:
@@ -887,6 +888,7 @@ def test_text_embeddings_twin(workspace, fitted_transform, tmp_path, command):
 
 
 TASK ={"name": "t", "class_a": 0, "class_b": 1}
+QUERY = {"name": "q", "row": 0}
 # 9999, not a small integer: a regression that opens an integer path opens that file descriptor
 SWAPS = [None, True, 9999, 2.5, "x", [1], {"a": 1}]
 JSON_TYPES = {
@@ -986,6 +988,32 @@ class TestConfigShapes:
                     ({"bias_dims": [0, 1], "concept_dims": [1, 2]}, "synth.concept_dims"),
                 ]
             ),
+            # out of range, where the range depends on the data
+            ("retrieve-audit", {"retrieval": {"k": [0], "queries": [QUERY]}}, "retrieval.k[0]"),
+            (
+                "retrieve-audit",
+                {"retrieval": {"k": [5, 10_000], "queries": [QUERY]}},
+                "retrieval.k[1]",
+            ),
+            (
+                "retrieve-audit",
+                {"retrieval": {"k": [5], "queries": [QUERY, {"name": "r", "row": 4}]}},
+                "retrieval.queries[1].row",
+            ),
+            ("classify-audit", {"tasks": [{**TASK, "class_a": 4}]}, "tasks[0].class_a"),
+            (
+                "classify-audit",
+                {"tasks": [TASK, {**TASK, "name": "u", "class_b": -1}]},
+                "tasks[1].class_b",
+            ),
+            ("debias-fit", {"method": "miclip", "miclip": {"m": 0}}, "miclip.m"),
+            ("debias-fit", {"method": "miclip", "miclip": {"m": 16}}, "miclip.m"),
+            ("debias-fit", {"method": "miclip", "miclip": {"m": 8, "bins": 1}}, "miclip.bins"),
+            ("debias-fit", {"method": "miclip", "miclip": {"m": 8, "bins": 10**6}}, "miclip.bins"),
+            *(
+                ("debias-fit", {"method": "fairpca", "fairpca": {"target_dim": r}}, "fairpca.target_dim")
+                for r in (0, 16)
+            ),
         ],
         ids=[
             "task-not-object",
@@ -1019,19 +1047,54 @@ class TestConfigShapes:
             "synth-concept-strength-negative",
             "synth-bias-dim-outside",
             "synth-dims-overlap",
+            "k-zero",
+            "k-beyond-items",
+            "query-row",
+            "class-a",
+            "class-b",
+            "miclip-m-zero",
+            "miclip-m-d",
+            "miclip-bins-one",
+            "miclip-bins-beyond-items",
+            "fairpca-target-dim-zero",
+            "fairpca-target-dim-beyond-rank",
         ],
     )
     def test_wrong_shape_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
-        payload = {
+        cfg = write_config(tmp_path / "shape.json", self._payload(workspace, tmp_path, patch))
+        assert run([command, "--config", cfg]) == 2
+        assert f"config error: {path} " in capsys.readouterr().err
+
+    @staticmethod
+    def _payload(workspace, tmp_path, patch):
+        return {
             "queries": str(workspace["queries"]),
             "tasks": [TASK],
             "transform_out": str(tmp_path / "t.ftfm"),
             **patch,
             "data": {**workspace["data"], **patch.get("data", {})},
         }
-        cfg = write_config(tmp_path / "shape.json", payload)
-        assert run([command, "--config", cfg]) == 2
-        assert f"config error: {path} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, patch, path",
+        [
+            ("classify-audit", {"tasks": [TASK, {**TASK, "class_a": 2}]}, "tasks[1].name"),
+            (
+                "retrieve-audit",
+                {"retrieval": {"k": [5], "queries": [QUERY, {**QUERY, "row": 1}]}},
+                "retrieval.queries[1].name",
+            ),
+            ("probe", {"probe": {"attributes": ["group", "concept", "group"]}}, "probe.attributes[2]"),
+        ],
+        ids=["task", "query", "probe-attribute"],
+    )
+    def test_repeated_name_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
+        """A repeated name would write indistinguishable records, or overwrite one."""
+        cfg = write_config(tmp_path / "repeat.json", self._payload(workspace, tmp_path, patch))
+        out = tmp_path / "report.json"
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert f"config error: {path} must be unique, got " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = write_config(

@@ -11,12 +11,7 @@ from flens.core import (
     GroupLabels,
     split_tags,
 )
-from flens.errors import (
-    DegenerateVector,
-    EmptyGroup,
-    ShapeError,
-    ValidationError,
-)
+from flens.errors import DataError
 
 
 class TestEmbeddingMatrix:
@@ -26,15 +21,15 @@ class TestEmbeddingMatrix:
         assert m.dims == 3
 
     def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="contains NaN or Inf"):
             EmbeddingMatrix(np.array([[1.0, np.nan]]))
 
     def test_rejects_inf(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="contains NaN or Inf"):
             EmbeddingMatrix(np.array([[np.inf, 1.0]]))
 
     def test_rejects_empty(self):
-        with pytest.raises((ValidationError, ShapeError)):
+        with pytest.raises(DataError, match="needs at least one row and one column"):
             EmbeddingMatrix(np.zeros((0, 3)))
 
     def test_immutable(self):
@@ -57,7 +52,7 @@ class TestEmbeddingMatrix:
     def test_unit_rows_zero_norm_row_never_cached(self):
         m = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         for _ in range(2):
-            with pytest.raises(DegenerateVector, match="^row 1 has zero norm$"):
+            with pytest.raises(DataError, match="^row 1 has zero norm$"):
                 m.unit_rows
 
 
@@ -67,16 +62,16 @@ class TestGroupLabels:
         assert g.counts().tolist() == [2, 1, 1]
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match=r"group label outside \[0, group_count\)"):
             GroupLabels([0, 3], 2)
 
     def test_absent_group_allowed_until_required(self):
         g = GroupLabels([0, 0], 2)
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(DataError, match="^group 1 has no members$"):
             g.require_all_groups()
 
     def test_names_length(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="group_names length must equal group_count"):
             GroupLabels([0, 1], 2, group_names=("only",))
 
 
@@ -87,7 +82,7 @@ class TestBinaryLabels:
 
     @pytest.mark.parametrize("bad", [[0, 1], [2, -1], [1, -1, 3]])
     def test_rejects_other_values(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match=r"binary labels must be -1 or \+1"):
             BinaryLabels(bad)
 
 
@@ -101,16 +96,16 @@ class TestSplitTags:
         assert not tags.flags.writeable
 
     def test_group_absent_from_test_split_rejected(self):
-        with pytest.raises(EmptyGroup, match="group 1 absent from the test split"):
+        with pytest.raises(DataError, match="group 1 absent from the test split"):
             split_tags(np.asarray([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TRAIN]), self.GROUPS)
 
     def test_group_absent_from_train_split_rejected(self):
-        with pytest.raises(EmptyGroup, match="group 0 absent from the train split"):
+        with pytest.raises(DataError, match="group 0 absent from the train split"):
             split_tags(np.asarray([TEST, TRAIN, TEST, TRAIN, TEST, TRAIN]), self.GROUPS)
 
     def test_default_split_is_all_test(self):
         assert (split_tags(None, GroupLabels([0, 1], 2)) == TEST).all()
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="split tags length differs from embedding rows"):
             split_tags(np.asarray([TRAIN, TEST]), GroupLabels([0, 1, 0], 2))

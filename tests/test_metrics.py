@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from flens.cli import _retrieval_metrics
 from flens.core import BinaryLabels, GroupLabels
-from flens.errors import (
-    DegenerateDenominator,
-    EmptyGroup,
-    EmptyPositiveSet,
-    EmptySelection,
-    ShapeError,
-)
+from flens.errors import DataError
 from flens.metrics import (
     accuracy,
     ddp_classification,
@@ -71,11 +65,11 @@ class TestDdpClassification:
         assert result.per_group_rates.tolist() == [1.0, 0.5, 0.0]
 
     def test_empty_group(self):
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(DataError, match="every group must have at least one member"):
             ddp_classification(BinaryLabels([1, -1]), GroupLabels([0, 0], 2))
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="length mismatch: 1 vs 2"):
             ddp_classification(BinaryLabels([1]), GroupLabels([0, 1], 2))
 
 
@@ -90,15 +84,15 @@ class TestDdpRetrieval:
         assert ddp_retrieval([2, 3], [4, 6]).value == 0.0
 
     def test_empty_selection(self):
-        with pytest.raises(EmptySelection):
+        with pytest.raises(DataError, match="cannot score an empty selection"):
             ddp_retrieval([0, 0], [5, 5])
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
+        with pytest.raises(DataError, match="selection must leave at least one item unselected"):
             ddp_retrieval([5, 5], [5, 5])
 
     def test_group_without_population(self):
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(DataError, match="every group must have population"):
             ddp_retrieval([2, 0], [5, 0])
 
 
@@ -126,7 +120,7 @@ class TestDtpr:
         preds = BinaryLabels([1, 1])
         truth = BinaryLabels([1, -1])
         groups = GroupLabels([0, 1], 2)
-        with pytest.raises(EmptyPositiveSet):
+        with pytest.raises(DataError, match="^group 1 has no ground-truth positives$"):
             dtpr(preds, truth, groups)
 
 
@@ -144,7 +138,7 @@ class TestSkewAtK:
         assert result.value > 0
 
     def test_empty_selection(self):
-        with pytest.raises(EmptySelection):
+        with pytest.raises(DataError, match="cannot score an empty selection"):
             skew_at_k([0, 0])
 
 
@@ -161,7 +155,7 @@ class TestDdpRep:
         assert result.arg_pair == (0, 1)
 
     def test_empty(self):
-        with pytest.raises(EmptySelection):
+        with pytest.raises(DataError, match="no retrieved positives to compare"):
             ddp_rep((0, 0))
 
 
@@ -176,7 +170,7 @@ class TestPerformanceMetrics:
         assert accuracy([0, 1, 2, 3], [0, 1, 2, 9]) == 0.75
 
     def test_accuracy_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match=r"length mismatch: \(2,\) vs \(3,\)"):
             accuracy([0, 1], [0, 1, 2])
 
     def test_precision_all_relevant(self):

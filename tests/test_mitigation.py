@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from flens import mitigation
 from flens.core import EmbeddingMatrix, GroupLabels
-from flens.errors import InvalidBins, RankError, ShapeError
+from flens.errors import ConfigError, DataError
 from flens.mitigation import (
     apply_fair_pca,
     apply_mi_clip,
@@ -60,9 +60,9 @@ class TestMiEstimation:
     def test_invalid_bins(self):
         values = np.random.default_rng(3).normal(size=(50, 2))
         labels = np.tile([0, 1], 25)
-        with pytest.raises(InvalidBins):
+        with pytest.raises(ConfigError, match="^bins must be at least 2, got 1$"):
             estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2), bins=1)
-        with pytest.raises(InvalidBins):
+        with pytest.raises(ConfigError, match="^bins must be at most the item count 50, got 51$"):
             estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2), bins=51)
 
 
@@ -176,9 +176,9 @@ class TestMiClip:
 
     def test_invalid_m(self):
         ds = self._planted()
-        with pytest.raises(RankError):
+        with pytest.raises(ConfigError, match=r"^m must be in \[1, d\) = \[1, 16\), got 0$"):
             fit_mi_clip(*train_rows(ds), m=0)
-        with pytest.raises(RankError):
+        with pytest.raises(ConfigError, match=r"^m must be in \[1, d\) = \[1, 16\), got 16$"):
             fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims)
 
     def test_apply_keeps_column_order(self):
@@ -191,7 +191,7 @@ class TestMiClip:
     def test_apply_dimension_mismatch(self):
         ds = self._planted()
         transform = fit_mi_clip(*train_rows(ds), m=8)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="transform expects d=16, got d=5"):
             apply_mi_clip(transform, EmbeddingMatrix(np.ones((3, 5))))
 
     @pytest.mark.parametrize("split", ["all-train", "mixed"])
@@ -327,8 +327,9 @@ class TestFairPca:
 
     def test_target_dim_too_large(self):
         ds = generate(SynthSpec(n=300, d=8, p=3, bias_dims=(0,), bias_strength=4.0, seed=19))
-        with pytest.raises(RankError):
-            fit_fair_pca(*train_rows(ds), target_dim=7)  # max feasible is d - (p-1) = 6
+        expected = r"^target_dim must be in \[1, d-\(p-1\)\] = \[1, 6\], got 7$"
+        with pytest.raises(ConfigError, match=expected):  # max feasible is d - (p-1) = 6
+            fit_fair_pca(*train_rows(ds), target_dim=7)
 
     def test_warns_when_n_not_above_d(self):
         rng = np.random.default_rng(20)
@@ -390,7 +391,7 @@ class TestFairPca:
     def test_apply_dimension_mismatch(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=21))
         transform = fit_fair_pca(*train_rows(ds))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="transform expects d=8, got d=9"):
             apply_fair_pca(transform, EmbeddingMatrix(np.ones((2, 9))))
 
     def test_apply_makes_no_centred_copy(self):
@@ -412,7 +413,7 @@ class TestFairPca:
 
     def test_fit_rejects_label_length_mismatch(self):
         train = EmbeddingMatrix(np.random.default_rng(22).normal(size=(20, 4)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="group labels length differs from embedding rows"):
             fit_fair_pca(train, GroupLabels(np.tile([0, 1], 9), 2))
 
 

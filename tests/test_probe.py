@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flens.core import BinaryLabels, EmbeddingMatrix, GroupLabels
-from flens.errors import DegenerateLabels, ShapeError
+from flens.errors import DataError
 from flens.mitigation import apply_fair_pca, fit_fair_pca
 from flens.probe import evaluate_probe, fit_probe, loss_and_gradient
 from flens.synth import SynthSpec, generate
@@ -112,7 +112,7 @@ class TestFitProbe:
 
     def test_single_class_rejected(self):
         embeddings, _ = two_clusters(n=10)
-        with pytest.raises(DegenerateLabels):
+        with pytest.raises(DataError, match="training labels contain fewer than two classes"):
             fit_probe(embeddings, BinaryLabels(np.ones(10, dtype=int)))
 
     def test_deterministic(self):
@@ -178,7 +178,7 @@ class TestEvaluateProbe:
     def test_dimension_mismatch(self):
         embeddings, labels = two_clusters()
         model = fit_probe(embeddings, labels)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="probe expects d=6, got d=99"):
             evaluate_probe(model, EmbeddingMatrix(np.ones((4, 99))), GroupLabels([0, 1, 0, 1], 2))
 
     def test_fair_pca_drives_protected_probe_to_chance(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flens.core import TEST, TRAIN, split_tags
-from flens.errors import ConfigError, TooSmall
+from flens.errors import ConfigError
 from flens.mitigation import estimate_mi_per_dimension
 from flens.probe import evaluate_probe, fit_probe
 from flens.synth import SynthSpec, generate
@@ -12,7 +12,7 @@ from flens.synth import SynthSpec, generate
 
 class TestSpecValidation:
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(ConfigError, match=r"synth.n must be at least 2p = 6, got 5"):
             SynthSpec(n=5, d=4, p=3)
 
     def test_overlapping_dims(self):

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flens.core import EmbeddingMatrix
-from flens.errors import (
-    DegenerateVector,
-    InsufficientItems,
-    InvalidK,
-    ShapeError,
-    ValidationError,
-)
+from flens.errors import ConfigError, DataError
 from flens.tasks import (
     _ranked_prefix,
     balanced_retrieval,
@@ -69,15 +63,15 @@ class TestCosineSimilarity:
         )
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateVector, match="^row 0 has zero norm$"):
+        with pytest.raises(DataError, match="^row 0 has zero norm$"):
             cosine_similarity_matrix(EmbeddingMatrix([[0.0, 0.0]]), EmbeddingMatrix([[1.0, 0.0]]))
-        with pytest.raises(DegenerateVector, match="^row 1 has zero norm$"):
+        with pytest.raises(DataError, match="^row 1 has zero norm$"):
             cosine_similarity_matrix(
                 EmbeddingMatrix([[1.0, 0.0]]), EmbeddingMatrix([[1.0, 0.0], [0.0, 0.0]])
             )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="dimension mismatch: items d=2, queries d=1"):
             cosine_similarity_matrix(EmbeddingMatrix([[1.0, 0.0]]), EmbeddingMatrix([[1.0]]))
 
     def test_range(self):
@@ -135,7 +129,7 @@ class TestZeroShotClassify:
             assert via_softmax.tolist() == labels.labels.tolist()
 
     def test_rows_must_match(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="class similarities must be two equal 1-d rows"):
             zero_shot_classify(np.zeros(3), np.zeros(4))
 
 
@@ -168,13 +162,13 @@ class TestTopK:
 
     def test_invalid_k(self):
         sims = np.zeros((1, 4))
-        with pytest.raises(InvalidK):
+        with pytest.raises(ConfigError, match=r"^k=0 outside \[1, 4\]$"):
             top_k(sims, 0)
-        with pytest.raises(InvalidK):
+        with pytest.raises(ConfigError, match=r"^k=5 outside \[1, 4\]$"):
             top_k(sims, 5)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValidationError, match="NaN"):
+        with pytest.raises(DataError, match="NaN"):
             top_k(np.array([[0.5, np.nan, 0.1, 0.2]]), 1)
 
     @settings(max_examples=150, deadline=None)
@@ -244,12 +238,12 @@ class TestBalancedRetrieval:
 
     def test_k_below_group_count(self):
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(InvalidK):
+        with pytest.raises(ConfigError, match="k=1 must be at least the group-query count 2"):
             _balanced(self._clustered(), queries, 1)
 
     def test_insufficient_items(self):
         queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(InsufficientItems):
+        with pytest.raises(DataError, match="need 11 distinct items but only 10 exist"):
             _balanced(self._clustered(), queries, 11)
 
     def test_smaller_k_is_prefix(self):
