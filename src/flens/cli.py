@@ -25,6 +25,7 @@ from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, split_tags
 from .errors import ConfigError, DataError, FlensError, NumericError
 from .io import (
     decode_labels,
+    open_embeddings,
     read_embeddings,
     read_label_table,
     read_transform,
@@ -191,7 +192,8 @@ def _load_dataset(
     if keep is None:
         embeddings = read_embeddings(embeddings_path)
         if embeddings.rows != len(protected):
-            raise DataError("protected labels length differs from embedding rows")
+            counts = f"{embeddings.rows} rows, but {labels_path} has {len(protected)}"
+            raise DataError(f"{embeddings_path} has {counts}")
         return embeddings, protected, split, np.arange(len(split)), columns, provenance
     mask = split == keep
     rows = np.flatnonzero(mask)
@@ -492,17 +494,20 @@ def cmd_debias_fit(cfg: dict) -> dict:
 
 
 def cmd_apply(cfg: dict) -> dict:
-    """Apply a serialized transform to an embeddings file."""
+    """Apply a serialized transform to an embeddings file, one block of rows at a time.
+
+    Each block is read, checked, transformed and written before the next is
+    read, so the command never holds its whole input or output.
+    """
     transform_path = _field(cfg, "transform", str, "")
     out_path = _field(cfg, "output", str, "")
-    source = read_embeddings(_field(cfg, "input", str, ""))
-    transform, meta = read_transform(transform_path)
-    transformed = transform.apply(source)
-    write_embeddings(transformed, out_path)
-    shapes = {
-        "input_shape": [source.rows, source.dims],
-        "output_shape": [transformed.rows, transformed.dims],
-    }
+    with open_embeddings(_field(cfg, "input", str, "")) as (rows, dims, blocks):
+        transform, meta = read_transform(transform_path)
+        out_shape = write_embeddings(
+            (transform.apply(EmbeddingMatrix(block, finite=True)).values for block in blocks),
+            out_path,
+        )
+    shapes = {"input_shape": [rows, dims], "output_shape": list(out_shape)}
     record = {"task_name": "apply", "details": shapes}
     return build_report("apply", cfg, [record], [_transform_block(transform_path, transform, meta)])
 
@@ -524,19 +529,18 @@ def cmd_probe(cfg: dict) -> dict:
     embeddings, _, split, _, columns, provenance = _load_dataset(
         cfg, [(a, "group") for a in attributes]
     )
-    (items,), transform_blocks = _maybe_transform(transform_path, embeddings)
     train_idx = np.flatnonzero(split == TRAIN)
     test_idx = np.flatnonzero(split == TEST)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError("probe audit needs non-empty train and test splits")
     # Each space's train and test rows are taken once and serve every attribute.
-    # Each full matrix is dropped as soon as its rows are taken, so no dead
-    # n x d copy sits under the next space's takes.
+    # The full matrix is dropped once its rows are taken, and the transform,
+    # if any, maps those rows only.
     rows = {"raw": (embeddings.take(train_idx), embeddings.take(test_idx))}
     del embeddings
+    transformed, transform_blocks = _maybe_transform(transform_path, *rows["raw"])
     if transform_blocks:
-        rows["transformed"] = (items.take(train_idx), items.take(test_idx))
-    del items
+        rows["transformed"] = transformed
 
     records = []
     for attribute in attributes:

@@ -15,6 +15,10 @@ from .errors import DataError
 
 TRAIN = "train"
 TEST = "test"
+# Rows per block wherever n x d work streams through fixed memory: reading,
+# checking and writing embeddings files, and the fair-PCA scatter. Fixed, so
+# no output depends on a memory setting.
+BLOCK_ROWS = 4096
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Durable file formats: embeddings, label tables, transforms, reports.
 
-Embeddings travel as 32-bit little-endian floats behind a fixed header;
-the rows a command keeps are widened to float64 in memory, and statistics
-never run on float32. A comma-separated text twin exists for
+Embeddings travel as 32-bit little-endian floats behind a fixed header.
+They are read, checked and written in blocks of BLOCK_ROWS rows; the rows
+a command keeps are widened to float64 in memory, and statistics never run
+on float32. A comma-separated text twin exists for
 interoperability. Transforms live in a versioned, checksummed binary
 container. Reports are canonical JSON.
 """
@@ -15,12 +16,13 @@ import operator
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .core import BinaryLabels, EmbeddingMatrix, GroupLabels
+from .core import BLOCK_ROWS, BinaryLabels, EmbeddingMatrix, GroupLabels
 from .errors import DataError
 from .mitigation import TRANSFORMS, Transform
 
@@ -33,36 +35,81 @@ TRANSFORM_MAGIC = b"FLENSTFM"
 TRANSFORM_VERSION = 1
 
 
-def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write the canonical binary layout; identical matrices give identical bytes."""
-    payload = np.ascontiguousarray(matrix.values, dtype="<f4")
-    # min and max carry any NaN or Inf, with no mask the size of the payload
-    if not (np.isfinite(payload.min()) and np.isfinite(payload.max())):
-        raise DataError("values overflow 32-bit floats")
-    header = _EMBEDDING_HEADER.pack(
-        EMBEDDING_MAGIC, EMBEDDING_VERSION, matrix.rows, matrix.dims, _DTYPE_F32_LE
-    )
-    with open(path, "wb") as fh:  # the payload's own buffer, not a bytes copy of it
-        fh.write(header)
-        fh.write(payload.data)
+def write_embeddings(
+    matrix: EmbeddingMatrix | Iterable[np.ndarray], path: str | Path
+) -> tuple[int, int]:
+    """Write the canonical binary layout; identical values give identical bytes.
+
+    ``matrix`` is a whole matrix or an iterable of 2-d row blocks of one
+    width, such as ``apply`` streams. Each block is rounded to float32,
+    checked and written before the next is taken, so the writer holds one
+    float32 block, never a copy of the whole payload. The bytes go to
+    ``<path>.partial`` and are renamed over ``path`` only once complete:
+    on any error that file is removed and ``path`` is left as it was.
+    Returns the (rows, dims) written.
+    """
+    blocks = _row_blocks(matrix.values) if isinstance(matrix, EmbeddingMatrix) else matrix
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    rows = dims = 0
+    try:
+        with open(partial, "wb") as fh:
+            fh.seek(_EMBEDDING_HEADER.size)  # the header follows once the rows are counted
+            for block in blocks:
+                payload = np.ascontiguousarray(block, dtype="<f4")
+                if not _finite(payload):
+                    raise DataError("values overflow 32-bit floats")
+                fh.write(payload.data)  # the block's own buffer, not a bytes copy of it
+                rows, dims = rows + payload.shape[0], payload.shape[1]
+            fh.seek(0)
+            header = (EMBEDDING_MAGIC, EMBEDDING_VERSION, rows, dims, _DTYPE_F32_LE)
+            fh.write(_EMBEDDING_HEADER.pack(*header))
+        os.replace(partial, path)
+    finally:  # after the rename there is nothing left to remove
+        partial.unlink(missing_ok=True)
+    return rows, dims
 
 
 def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> EmbeddingMatrix:
-    """Read a binary embeddings file, falling back to comma-separated text.
+    """Read an embeddings file, binary or its comma-separated text twin.
 
-    The payload is read once into one float32 buffer, sized from the header
-    and checked against the file size before anything is allocated. The whole
-    buffer is checked for NaN/Inf, but only the rows where the boolean mask
-    ``keep`` is true (every row when it is None) are widened to float64.
+    One float64 array is allocated for the rows where the boolean mask
+    ``keep`` is true (every row when it is None), after open_embeddings has
+    sized the payload against the file. Each float32 block is checked for
+    NaN/Inf, dropped rows included, and its kept rows are widened into that
+    array. The command holds the kept rows plus one block.
+    """
+    with open_embeddings(path) as (n, d, blocks):
+        if keep is not None and np.shape(keep) != (n,):
+            raise DataError(f"{path} has {n} rows, but the row mask has {np.size(keep)} entries")
+        values = np.empty((n if keep is None else int(np.count_nonzero(keep)), d))
+        start = filled = 0
+        for block in blocks:
+            rows = block if keep is None else block[keep[start : start + len(block)]]
+            values[filled : filled + len(rows)] = rows
+            start, filled = start + len(block), filled + len(rows)
+    return EmbeddingMatrix(values, finite=True)
 
-    The text fallback parses through float32 so a text file written by
-    write_embeddings_text decodes to exactly the same matrix as its
-    binary twin.
+
+@contextmanager
+def open_embeddings(path: str | Path) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
+    """An embeddings file's row count, column count and float32 row blocks.
+
+    The binary header is checked first (version, dtype, and the payload size
+    against the file's, before anything is allocated). The blocks, of
+    BLOCK_ROWS rows, are read in turn into one reused buffer, so each is
+    valid until the next is taken; each is checked for NaN/Inf before it is
+    handed out. A file that does not start with the binary magic is parsed
+    as the text twin, through float32, so it decodes to exactly the matrix
+    of its binary twin; its blocks are slices of the parsed rows, checked
+    the same way.
     """
     with open(path, "rb") as fh:
         header = fh.read(_EMBEDDING_HEADER.size)
         if not header.startswith(EMBEDDING_MAGIC):
-            return _read_embeddings_text(header + fh.read(), path, keep)
+            values = _parse_embeddings_text(header + fh.read(), path)
+            yield *values.shape, _checked(_row_blocks(values), f"{path}: text payload")
+            return
         if len(header) < _EMBEDDING_HEADER.size:
             raise DataError(f"{path}: header truncated")
         _, version, n, d, dtype = _EMBEDDING_HEADER.unpack(header)
@@ -76,22 +123,35 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> Embeddi
             raise DataError(f"{path}: payload has {size} of {expected} bytes")
         if size > expected:
             raise DataError(f"{path}: {size - expected} bytes of trailing data")
-        values = np.empty((n, d), dtype="<f4")
-        got = fh.readinto(values)
-        if got < expected:  # the file shrank after it was sized
-            raise DataError(f"{path}: payload has {got} of {expected} bytes")
-    return _kept_rows(values, keep, f"{path}: payload")
+        if not (n and d):
+            raise DataError(f"{path}: header gives {n} rows of {d} values")
+        yield n, d, _checked(_file_blocks(fh, path, n, d), f"{path}: payload")
 
 
-def _kept_rows(values: np.ndarray, keep: np.ndarray | None, what: str) -> EmbeddingMatrix:
-    """Check a whole float32 payload for NaN/Inf, then widen the rows ``keep`` marks."""
-    if not np.isfinite(values).all():
-        raise DataError(f"{what} contains NaN or Inf")
-    if keep is None:
-        return EmbeddingMatrix(values, finite=True)
-    if np.shape(keep) != values.shape[:1]:
-        raise DataError("protected labels length differs from embedding rows")
-    return EmbeddingMatrix(values[keep], finite=True)
+def _file_blocks(fh: BinaryIO, path: str | Path, n: int, d: int) -> Iterator[np.ndarray]:
+    buffer = np.empty((min(n, BLOCK_ROWS), d), dtype="<f4")
+    for start in range(0, n, BLOCK_ROWS):
+        block = buffer[: min(BLOCK_ROWS, n - start)]
+        got = fh.readinto(block)
+        if got < block.nbytes:  # the file shrank after it was sized
+            raise DataError(f"{path}: payload has {start * d * 4 + got} of {n * d * 4} bytes")
+        yield block
+
+
+def _row_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    return (values[start : start + BLOCK_ROWS] for start in range(0, len(values), BLOCK_ROWS))
+
+
+def _checked(blocks: Iterable[np.ndarray], what: str) -> Iterator[np.ndarray]:
+    for block in blocks:
+        if not _finite(block):
+            raise DataError(f"{what} contains NaN or Inf")
+        yield block
+
+
+def _finite(values: np.ndarray) -> bool:
+    """Whether every value is finite; min and max carry any NaN or Inf, with no mask."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 def write_embeddings_text(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -104,9 +164,7 @@ def write_embeddings_text(matrix: EmbeddingMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _read_embeddings_text(
-    data: bytes, path: str | Path, keep: np.ndarray | None
-) -> EmbeddingMatrix:
+def _parse_embeddings_text(data: bytes, path: str | Path) -> np.ndarray:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -127,7 +185,7 @@ def _read_embeddings_text(
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no rows")
-    return _kept_rows(np.asarray(rows, dtype=np.float32), keep, f"{path}: text payload")
+    return np.asarray(rows, dtype=np.float32)
 
 
 def read_label_table(path: str | Path) -> dict[str, list[str]]:

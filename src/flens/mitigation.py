@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmbeddingMatrix, GroupLabels
+from .core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
 from .errors import ConfigError, DataError, NumericError
 
 log = logging.getLogger(__name__)
@@ -286,7 +286,10 @@ def fit_fair_pca(
     (an eigendecomposition of the d' x d' scatter B^T X^T X B), and compose
     the two maps. The projected train data then has exactly zero empirical
     covariance with every demeaned group indicator. Cost: O(n d^2 + d^3)
-    time, and n d + d^2 floats beyond the input.
+    time. The centred rows are formed BLOCK_ROWS at a time, and each block
+    adds to the d x d scatter and the p x d constraint matrix, so the fit
+    holds d^2 + BLOCK_ROWS d floats beyond the input and its n x p group
+    matrix, never a centred n x d copy.
 
     target_dim defaults to d - (p-1), the maximal feasible rank. Numerically
     rank-deficient constraints are dropped (logged), never inflated.
@@ -297,6 +300,8 @@ def fit_fair_pca(
     n, d = train.rows, train.dims
     p = groups.group_count
     max_rank = d - (p - 1)
+    if target_dim is None and max_rank < 1:
+        raise DataError(f"fair PCA needs d > p-1 dimensions for p={p} groups, got d={d}")
     r = max_rank if target_dim is None else int(target_dim)
     if not 1 <= r <= max_rank:
         raise ConfigError(f"target_dim must be in [1, d-(p-1)] = [1, {max_rank}], got {r}")
@@ -306,14 +311,24 @@ def fit_fair_pca(
             stacklevel=2,
         )
     mean = train.values.mean(axis=0)
-    centered = train.values - mean
     demeaned = _demeaned_onehot(groups)
-    constraints = demeaned.T @ centered
+    # The centred scatter and constraints, summed over row blocks. Taken from
+    # the centred rows: raw second moments minus n * mean mean^T would cancel
+    # most digits under a large common mean.
+    scatter = np.zeros((d, d))
+    constraints = np.zeros((p, d))
+    buffer = np.empty((min(n, BLOCK_ROWS), d))
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        block = np.subtract(train.values[start:stop], mean, out=buffer[: stop - start])
+        scatter += block.T @ block
+        constraints += demeaned[start:stop].T @ block
     _, sing, vt = np.linalg.svd(constraints, full_matrices=True)
     # Noise floor: a constraint matrix at round-off scale is inactive, so the
-    # relative rank threshold must not promote pure noise to rank.
+    # relative rank threshold must not promote pure noise to rank. The centred
+    # rows' Frobenius norm is the root of the scatter's trace.
     noise_floor = 1e-12 * max(
-        np.linalg.norm(demeaned) * np.linalg.norm(centered), 1.0
+        np.linalg.norm(demeaned) * np.sqrt(np.trace(scatter)), 1.0
     )
     if sing.size == 0 or sing[0] <= noise_floor:
         rank = 0
@@ -322,11 +337,9 @@ def fit_fair_pca(
     if rank < p - 1:
         log.info("constraint matrix rank %d < p-1 = %d; dropping dependent constraints", rank, p - 1)
     basis = vt[rank:].T
-    # PCA inside the feasible subspace from its d' x d' scatter, taken from the
-    # centred rows (raw second moments minus n * mean mean^T would cancel most
-    # digits under a large common mean). eigh returns all d' eigenvectors, so
-    # with n - 1 < r the zero-variance directions pad the basis.
-    scatter = centered.T @ centered
+    # PCA inside the feasible subspace from its d' x d' scatter. eigh returns
+    # all d' eigenvectors, so with n - 1 < r the zero-variance directions pad
+    # the basis.
     eigvals, eigvecs = np.linalg.eigh(basis.T @ scatter @ basis)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]  # descending
     components = eigvecs[:, :r]
@@ -353,7 +366,8 @@ def fit_fair_pca(
 def apply_fair_pca(transform: FairPcaTransform, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
     """Center with the fitted train mean and project onto the fitted basis.
 
-    Computed as X P - mean P, so no centred n x d copy of X is made.
+    Computed as X P - mean P, so it holds its n x r output and no centred
+    n x d copy of X. The ``apply`` command passes one block of rows at a time.
     """
     if embeddings.dims != transform.input_dims:
         raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.dims}")

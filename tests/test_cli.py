@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flens.cli import _load_dataset, main
-from flens.core import EmbeddingMatrix, GroupLabels
+from flens.core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
 from flens.io import (
     decode_labels,
     read_embeddings,
@@ -1636,11 +1636,13 @@ class TestInputFaultOrder:
         cfg = write_config(tmp_path / "short.json", {"data": data, **payload})
         assert run([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
-        assert "data error: protected labels length differs from embedding rows" in err
+        # The audits and fits read their split's rows by a mask over the label rows.
+        other = workspace["labels"] if command == "probe" else "the row mask"
+        assert f"data error: {short} has 599 rows, but {other} has 600" in err
 
 
 def test_test_split_read_memory(tmp_path):
-    """An audit's read holds the float32 payload and the widened test rows, not n x d float64."""
+    """An audit's read holds the widened test rows and one float32 block, not the payload."""
     paths = {"embeddings": str(tmp_path / "big.femb"), "labels": str(tmp_path / "big.csv")}
     synth = {"synth": {"n": 20_000, "d": 256, "p": 2, "seed": 5}, "output": paths}
     assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
@@ -1652,12 +1654,13 @@ def test_test_split_read_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert items.rows == rows.size == len(groups) == provenance["test_items"] == 6000
-    # 20.5 MB float32 payload + 12.3 MB of widened test rows + the mask and label table
-    assert peak < 48e6
+    # 12.3 MB of widened test rows + a 4.2 MB float32 block + the mask and label table;
+    # holding the 20.5 MB float32 payload as well reads about 40 MB
+    assert peak < 24e6
 
 
 def test_probe_drops_each_full_matrix_once_its_rows_are_taken(tmp_path):
-    """probe holds at most three n x d float64 matrices: a full one and two spaces' rows."""
+    """probe holds about two n x d float64 matrices: the full one and its rows, then two spaces'."""
     n, d = 8000, 64
     paths = {"embeddings": str(tmp_path / "big.femb"), "labels": str(tmp_path / "big.csv")}
     synth = {"synth": {"n": n, "d": d, "p": 2, "seed": 5}, "output": paths}
@@ -1677,5 +1680,168 @@ def test_probe_drops_each_full_matrix_once_its_rows_are_taken(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 3.1 full matrices; holding the raw matrix through the transformed takes is 4.2
-    assert peak < 3.5 * n * d * 8
+    # about 2.2 full matrices; transforming the full matrix before the takes is 3.1
+    assert peak < 2.5 * n * d * 8
+
+
+@pytest.fixture
+def block_workspace(tmp_path):
+    """A synthetic dataset of 9 192 rows: two full read blocks and a partial third."""
+    paths = {"embeddings": str(tmp_path / "items.femb"), "labels": str(tmp_path / "items.csv")}
+    synth = {"synth": {"n": 2 * BLOCK_ROWS + 1000, "d": 8, "p": 2, "bias_dims": [0],
+                       "bias_strength": 3.0, "seed": 4}, "output": paths}
+    assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
+    return {**paths, "attribute": "group"}
+
+
+class TestBlockedCommands:
+    """The reader, apply and the fair-PCA fit at block boundaries, through the CLI."""
+
+    @staticmethod
+    def _fit(tmp_path, data, method):
+        out = tmp_path / f"{method}.ftfm"
+        fit = {"data": data, "method": method, "miclip": {"m": 5}, "transform_out": str(out)}
+        assert run(["debias-fit", "--config", write_config(tmp_path / "fit.json", fit)]) == 0
+        return out
+
+    @staticmethod
+    def _apply(tmp_path, source, transform, out):
+        payload = {"input": str(source), "transform": str(transform), "output": str(out)}
+        report = tmp_path / "apply.report.json"
+        code = run(["apply", "--config", write_config(tmp_path / "apply.json", payload),
+                    "--out", report])
+        return code, report
+
+    @pytest.mark.parametrize("method", ["miclip", "fairpca"])
+    def test_streaming_apply_equals_whole_matrix_apply(self, block_workspace, tmp_path, method):
+        transform_path = self._fit(tmp_path, block_workspace, method)
+        out = tmp_path / "out.femb"
+        code, report = self._apply(tmp_path, block_workspace["embeddings"], transform_path, out)
+        assert code == 0
+        transform, _ = read_transform(transform_path)
+        whole = transform.apply(read_embeddings(block_workspace["embeddings"])).values
+        expected = whole.astype(np.float32)
+        written = read_embeddings(out).values.astype(np.float32)
+        if method == "miclip":  # a column selection: exact
+            assert written.tobytes() == expected.tobytes()
+        else:  # a row's last float64 bits depend on the rows sharing its matmul
+            assert written.shape == expected.shape
+            assert np.all(np.abs(written - expected) <= np.spacing(np.abs(expected)))
+        shapes = read_report(report)["tasks"][0]["details"]
+        assert shapes == {"input_shape": [9192, 8], "output_shape": list(whole.shape)}
+
+    def test_failed_apply_leaves_no_output_file(self, block_workspace, tmp_path, capsys):
+        transform_path = self._fit(tmp_path, block_workspace, "fairpca")
+        source = Path(block_workspace["embeddings"])
+        data = bytearray(source.read_bytes())
+        data[-4:] = np.array([np.inf], dtype="<f4").tobytes()  # the last block's last value
+        bad = tmp_path / "bad.femb"
+        bad.write_bytes(bytes(data))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, report = self._apply(tmp_path, bad, transform_path, out_dir / "out.femb")
+        assert code == 3
+        assert f"data error: {bad}: payload contains NaN or Inf" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        assert not report.exists()
+
+    def test_nan_in_a_dropped_row_of_the_last_partial_block(self, block_workspace, tmp_path,
+                                                            capsys):
+        """debias-fit keeps train rows only; a NaN in a test row of the last block still exits 3."""
+        row = int(np.flatnonzero(split_column(block_workspace["labels"]) == "test")[-1])
+        assert row >= 2 * BLOCK_ROWS
+        path = Path(block_workspace["embeddings"])
+        data = bytearray(path.read_bytes())
+        offset = 23 + (row * 8 + 3) * 4
+        data[offset : offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        fit = {"data": block_workspace, "method": "fairpca", "transform_out": str(tmp_path / "t")}
+        assert run(["debias-fit", "--config", write_config(tmp_path / "fit.json", fit)]) == 3
+        assert f"data error: {path}: payload contains NaN or Inf" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+
+class TestFairPcaDimensions:
+    """d - (p - 1) < 1: a data fault when target_dim is defaulted, a config fault when set."""
+
+    @pytest.fixture
+    def one_dim(self, tmp_path):
+        paths = {"embeddings": str(tmp_path / "x.femb"), "labels": str(tmp_path / "x.csv")}
+        synth = {"synth": {"n": 40, "d": 1, "p": 2, "seed": 2}, "output": paths}
+        assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
+        return {**paths, "attribute": "group"}
+
+    def test_defaulted_target_dim_is_data_error(self, one_dim, tmp_path, capsys):
+        fit = {"data": one_dim, "method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")}
+        assert run(["debias-fit", "--config", write_config(tmp_path / "fit.json", fit)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: fair PCA needs d > p-1 dimensions for p=2 groups, got d=1" in err
+
+    def test_explicit_target_dim_is_config_error(self, one_dim, tmp_path, capsys):
+        fit = {"data": one_dim, "method": "fairpca", "fairpca": {"target_dim": 1},
+               "transform_out": str(tmp_path / "t.ftfm")}
+        assert run(["debias-fit", "--config", write_config(tmp_path / "fit.json", fit)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: fairpca.target_dim must be in [1, d-(p-1)] = [1, 0], got 1" in err
+
+
+def test_label_table_shorter_than_embeddings(workspace, tmp_path, capsys):
+    """80 embedding rows against 60 label rows: the message names the file and both counts."""
+    paths = {"embeddings": str(tmp_path / "x.femb"), "labels": str(tmp_path / "x.csv")}
+    synth = {"synth": {"n": 80, "d": 16, "p": 2, "seed": 2}, "output": paths}
+    assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
+    lines = Path(paths["labels"]).read_text().splitlines()
+    Path(paths["labels"]).write_text("\n".join(lines[:61]) + "\n")
+    cfg = {"data": {**paths, "attribute": "group"}, "queries": str(workspace["queries"]),
+           "tasks": [TASK]}
+    assert run(["classify-audit", "--config", write_config(tmp_path / "c.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {paths['embeddings']} has 80 rows, but the row mask has 60 entries" in err
+
+
+_VMHWM_CHILD = """
+import sys
+from flens.cli import main
+
+def vmhwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+before = vmhwm()
+code = main(sys.argv[1:])
+print(code, before, vmhwm())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc")
+def test_fits_and_apply_hold_their_kept_rows_and_blocks(tmp_path):
+    """Each command's peak rise in a fresh process: its kept float64 rows plus a fixed allowance.
+
+    VmHWM, not ru_maxrss, which a child inherits from a larger parent. The
+    allowance covers the read, transform and write blocks, the fair-PCA
+    scatter, the label table and BLAS scratch. A second n x d copy of the
+    100 000 x 128 input (51 MB as float32, 102 MB as float64) breaks it.
+    """
+    n, d = 100_000, 128
+    paths = {"embeddings": str(tmp_path / "x.femb"), "labels": str(tmp_path / "x.csv")}
+    synth = {"synth": {"n": n, "d": d, "p": 4, "bias_dims": [0, 1], "seed": 3}, "output": paths}
+    assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
+    train_bytes = int(np.count_nonzero(split_column(paths["labels"]) == "train")) * d * 8
+    data = {**paths, "attribute": "group"}
+    configs = {
+        "fairpca": ("debias-fit", {"data": data, "method": "fairpca",
+                                   "transform_out": str(tmp_path / "f.ftfm")}, train_bytes),
+        "miclip": ("debias-fit", {"data": data, "method": "miclip", "miclip": {"m": 100},
+                                  "transform_out": str(tmp_path / "m.ftfm")}, train_bytes),
+        "apply": ("apply", {"input": paths["embeddings"], "transform": str(tmp_path / "f.ftfm"),
+                            "output": str(tmp_path / "out.femb")}, 0),
+    }
+    allowance = 40 * 2**20
+    for name, (command, payload, kept_bytes) in configs.items():
+        cfg = write_config(tmp_path / f"{name}.json", payload)
+        out = _run_python("-c", _VMHWM_CHILD, command, "--config", str(cfg),
+                          "--out", str(tmp_path / f"{name}.report.json"))
+        assert out.returncode == 0, out.stderr
+        code, before, after = map(int, out.stdout.split())
+        assert code == 0, out.stderr
+        assert after - before < kept_bytes + allowance, (name, (after - before) / 2**20)

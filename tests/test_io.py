@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 import struct
 import tracemalloc
 import zlib
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flens.core import BinaryLabels, EmbeddingMatrix
+from flens.core import BLOCK_ROWS, BinaryLabels, EmbeddingMatrix
 from flens.errors import DataError
 from flens.io import (
     decode_labels,
     deserialize_transform,
+    open_embeddings,
     read_embeddings,
     read_label_table,
     read_transform,
@@ -109,6 +111,24 @@ class TestEmbeddingFormat:
             write_embeddings(EmbeddingMatrix(values), path)
         assert not path.exists()
 
+    def test_blocks_write_the_bytes_of_the_whole_matrix(self, tmp_path):
+        values = np.random.default_rng(2).normal(size=(BLOCK_ROWS + 7, 5))
+        whole, blocked = tmp_path / "whole.femb", tmp_path / "blocked.femb"
+        assert write_embeddings(EmbeddingMatrix(values), whole) == values.shape
+        blocks = (values[start : start + 1000] for start in range(0, len(values), 1000))
+        assert write_embeddings(blocks, blocked) == values.shape
+        assert blocked.read_bytes() == whole.read_bytes()
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, matrix):
+        path = tmp_path / "m.femb"
+        write_embeddings(matrix, path)
+        before = path.read_bytes()
+        blocks = [np.zeros((2, 2)), np.array([[1e39, 0.0]])]
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflow 32-bit"):
+            write_embeddings(iter(blocks), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.femb"]
+
     def test_write_holds_one_payload_copy(self, tmp_path):
         matrix = EmbeddingMatrix(np.random.default_rng(1).normal(size=(4000, 64)))
         payload_bytes = 4 * 4000 * 64
@@ -136,14 +156,29 @@ class TestEmbeddingFormat:
             read_embeddings(path)
 
 
+def write_payload(path, payload):
+    """An embeddings file holding a float32 payload as it is, NaN and Inf included."""
+    header = struct.pack("<8sHQIB", b"FLENSEMB", 1, *payload.shape, 1)
+    path.write_bytes(header + payload.astype("<f4").tobytes())
+    return path
+
+
 class TestEmbeddingRead:
-    """One float32 read per file: sized before any allocation, checked whole, rows kept by mask."""
+    """Sized before any allocation, then read and checked block by block, rows kept by mask."""
 
     def test_header_claiming_huge_n_is_truncation(self, tmp_path):
         path = tmp_path / "huge.femb"
         header = struct.pack("<8sHQIB", b"FLENSEMB", 1, 2**40, 4, 1)
         path.write_bytes(header + np.zeros(8, dtype="<f4").tobytes())
         with pytest.raises(DataError, match=f"payload has 32 of {2**40 * 16} bytes"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("n, d", [(0, 4), (2**60, 0)])
+    def test_header_giving_no_values(self, tmp_path, n, d):
+        """Zero rows, or zero columns under any row count, fail before a block is read."""
+        path = tmp_path / "none.femb"
+        path.write_bytes(struct.pack("<8sHQIB", b"FLENSEMB", 1, n, d, 1))
+        with pytest.raises(DataError, match=f"header gives {n} rows of {d} values"):
             read_embeddings(path)
 
     def test_empty_file_has_no_rows(self, tmp_path):
@@ -179,7 +214,8 @@ class TestEmbeddingRead:
     def test_mask_of_wrong_length(self, tmp_path, matrix, writer, rows):
         path = tmp_path / "m.femb"
         writer(matrix, path)
-        with pytest.raises(DataError, match="protected labels length differs from embedding"):
+        expected = f"{path} has 3 rows, but the row mask has {rows} entries"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             read_embeddings(path, keep=np.ones(rows, dtype=bool))
 
     @settings(
@@ -205,6 +241,48 @@ class TestEmbeddingRead:
         taken = read_embeddings(path).take(np.flatnonzero(keep)).values
         assert kept.dtype == taken.dtype == np.float64
         assert kept.tobytes() == taken.tobytes()
+
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        extra=st.integers(1, BLOCK_ROWS),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_blocked_read_equals_widened_payload(self, tmp_path, extra, d, seed, share):
+        """Three or more blocks, the last partial: kept rows match the payload bit for bit."""
+        rng = np.random.default_rng(seed)
+        payload = rng.normal(size=(2 * BLOCK_ROWS + extra, d)).astype("<f4")
+        path = write_payload(tmp_path / "m.femb", payload)
+        keep = rng.random(len(payload)) < share
+        keep[rng.integers(len(payload))] = True
+        kept = read_embeddings(path, keep).values
+        assert kept.tobytes() == payload.astype(np.float64)[keep].tobytes()
+        assert read_embeddings(path).values.tobytes() == payload.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_bad_value_in_a_dropped_row_of_the_last_partial_block(self, tmp_path, value):
+        payload = np.ones((2 * BLOCK_ROWS + 5, 3), dtype="<f4")
+        payload[-2, 1] = value
+        path = write_payload(tmp_path / "m.femb", payload)
+        keep = np.ones(len(payload), dtype=bool)
+        keep[-2] = False
+        with pytest.raises(DataError, match="payload contains NaN or Inf"):
+            read_embeddings(path, keep)
+
+    def test_file_shrinking_mid_read(self, tmp_path):
+        payload = np.ones((2 * BLOCK_ROWS, 4), dtype="<f4")
+        path = write_payload(tmp_path / "m.femb", payload)
+        expected = payload.nbytes
+        with open_embeddings(path) as (rows, dims, blocks):
+            assert (rows, dims) == payload.shape
+            next(blocks)
+            with open(path, "r+b") as fh:  # cut the second block short by 8 bytes
+                fh.truncate(23 + expected - 8)
+            with pytest.raises(DataError, match=f"payload has {expected - 8} of {expected} bytes"):
+                next(blocks)
 
 
 def read_labels(path, attribute, kind="group"):

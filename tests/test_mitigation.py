@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flens import mitigation
-from flens.core import EmbeddingMatrix, GroupLabels
+from flens.core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
 from flens.errors import ConfigError, DataError
 from flens.mitigation import (
     apply_fair_pca,
@@ -418,25 +418,28 @@ class TestFairPca:
 
 
 @st.composite
-def fair_pca_case(draw):
+def fair_pca_case(draw, blocks=False):
     """(values, labels, p, r) with n <= d or n > d, r at or below the feasible dimension.
 
     In a "shared" case every group holds the same rows plus one of fewer than
     p shift vectors, so the constraint matrix is rank-deficient (zero when
     every group shares one shift). Columns get scales across four decades,
-    and every row may get a +1e3 offset.
+    and every row may get a +1e3 offset. With ``blocks`` the rows span two or
+    three of the fit's row blocks, the last one partial.
     """
     p = draw(st.integers(2, 4))
     d = draw(st.integers(p, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = (BLOCK_ROWS + 1, 3 * BLOCK_ROWS - 1) if blocks else (p + 1, 30)
     if draw(st.booleans()):  # shared
-        block = rng.normal(size=(draw(st.integers(1, 6)), d))
+        per_group = (-(-rows[0] // p), rows[1] // p) if blocks else (1, 6)
+        block = rng.normal(size=(draw(st.integers(*per_group)), d))
         shifts = rng.normal(size=(draw(st.integers(1, p - 1)), d))
         owner = rng.integers(0, shifts.shape[0], size=p)
         labels = np.repeat(np.arange(p), block.shape[0])
         values = np.tile(block, (p, 1)) + shifts[owner[labels]]
     else:
-        n = draw(st.integers(p + 1, 30))
+        n = draw(st.integers(*rows))
         labels = rng.permutation(np.arange(n) % p)
         values = rng.normal(size=(n, d)) + rng.normal(size=(p, d))[labels]
     values = values * 10.0 ** rng.uniform(-2, 2, size=d)
@@ -450,7 +453,15 @@ class TestFairPcaMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=fair_pca_case())
     def test_subspace_and_tolerances_against_svd_oracle(self, case):
-        values, labels, p, r = case
+        self._check_against_oracle(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=fair_pca_case(blocks=True))
+    def test_blocked_scatter_against_svd_oracle(self, case):
+        self._check_against_oracle(*case)
+
+    @staticmethod
+    def _check_against_oracle(values, labels, p, r):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # n <= d
             transform = fit_fair_pca(EmbeddingMatrix(values), GroupLabels(labels, p), r)
