@@ -21,11 +21,12 @@ from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, split_tags
+from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, row_norms, split_tags
 from .errors import ConfigError, DataError, FlensError, NumericError
 from .io import (
     decode_labels,
     open_embeddings,
+    open_kept_rows,
     read_embeddings,
     read_label_table,
     read_transform,
@@ -54,8 +55,8 @@ from .tasks import (
     INDEPENDENCE,
     TaxonomyTags,
     balanced_retrieval,
-    cosine_similarity_matrix,
     infer_protected_attribute,
+    score_blocks,
     top_k,
     zero_shot_classify,
 )
@@ -157,22 +158,21 @@ def _check_row(row: int, path: str, rows: int) -> None:
         raise ConfigError(f"{path} must be a query file row in [0, {rows}), got {row}")
 
 
-def _load_dataset(
+def _load_labels(
     cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
-) -> tuple[EmbeddingMatrix, GroupLabels, np.ndarray, np.ndarray, dict, dict]:
-    """Parse the label table exactly once, then read the embeddings rows of split ``keep``.
+) -> tuple[np.ndarray | None, GroupLabels, np.ndarray, np.ndarray, dict, dict]:
+    """Parse the label table exactly once and select the rows of split ``keep``.
 
     Besides the protected attribute and the split, each (column, kind) in
     ``label_columns`` is decoded, so the parsed string table is freed on
-    return. Every label check, the split's included, runs once on the full
-    table before the embeddings are read; then only the rows of split
-    ``keep`` (every row when None) are widened. Returns those rows'
-    embeddings, protected groups and split tags, their row numbers in the
-    embeddings file, the decoded columns at those rows, and the report's
-    provenance block: attribute, groups, sizes.
+    return. Every label check, the split's included, runs here, on the full
+    table. Returns the mask of the kept rows over the embeddings file's rows
+    (None when ``keep`` is None: every row), and at the kept rows: protected
+    groups, split tags, their row numbers in the file and the decoded
+    columns; then the report's provenance block: attribute, groups, sizes.
     """
     data = _field(cfg, "data", dict, "")
-    embeddings_path = _field(data, "embeddings", str, "data")
+    _field(data, "embeddings", str, "data")  # checked here, read by the callers
     labels_path = _field(data, "labels", str, "data")
     attribute = _field(data, "attribute", str, "data")
     split_column = _field(data, "split_column", str, "data", "split")
@@ -190,18 +190,31 @@ def _load_dataset(
         "test_items": int(np.count_nonzero(split == TEST)),
     }
     if keep is None:
-        embeddings = read_embeddings(embeddings_path)
-        if embeddings.rows != len(protected):
-            counts = f"{embeddings.rows} rows, but {labels_path} has {len(protected)}"
-            raise DataError(f"{embeddings_path} has {counts}")
-        return embeddings, protected, split, np.arange(len(split)), columns, provenance
+        return None, protected, split, np.arange(len(split)), columns, provenance
     mask = split == keep
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise DataError(_EMPTY_SPLIT[keep])
-    embeddings = read_embeddings(embeddings_path, mask)
     columns = {key: labels.take(rows) for key, labels in columns.items()}
-    return embeddings, protected.take(rows), split[rows], rows, columns, provenance
+    return mask, protected.take(rows), split[rows], rows, columns, provenance
+
+
+def _load_dataset(
+    cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
+) -> tuple[EmbeddingMatrix, GroupLabels, np.ndarray, np.ndarray, dict, dict]:
+    """_load_labels, then the embeddings rows of split ``keep``, widened into one matrix.
+
+    Returns those rows' embeddings, protected groups and split tags, their
+    row numbers in the embeddings file, the decoded columns at those rows,
+    and the report's provenance block.
+    """
+    mask, protected, *labels = _load_labels(cfg, label_columns, keep)
+    embeddings_path = cfg["data"]["embeddings"]  # checked by _load_labels
+    embeddings = read_embeddings(embeddings_path, mask)
+    if embeddings.rows != len(protected):  # with a mask, read_embeddings checks its length
+        counts = f"{embeddings.rows} rows, but {cfg['data']['labels']} has {len(protected)}"
+        raise DataError(f"{embeddings_path} has {counts}")
+    return embeddings, protected, *labels
 
 
 def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
@@ -210,51 +223,60 @@ def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
 
 
 def _maybe_transform(
-    path: str | None, *matrices: EmbeddingMatrix
-) -> tuple[tuple[EmbeddingMatrix, ...], list[dict]]:
-    """Apply the transform at path, if any, to every matrix; also its report blocks (0 or 1)."""
-    if not path:
-        return matrices, []
-    transform, meta = read_transform(path)
-    transformed = tuple(transform.apply(m) for m in matrices)
-    return transformed, [_transform_block(path, transform, meta)]
+    path: str | None,
+) -> tuple[Callable[[EmbeddingMatrix], EmbeddingMatrix], list[dict]]:
+    """The transform at path as a function on matrices, and its report blocks (0 or 1).
 
-
-def _require_nonzero(kind: str, path: str, block: EmbeddingMatrix, rows: np.ndarray) -> None:
-    """Raise DataError naming block's first zero-norm row by its row in its own file.
-
-    The unit rows are cached, so the similarity pass reuses them.
+    With no path the function is the identity. The file is read once, here.
     """
-    try:
-        block.unit_rows
-    except DataError:  # a zero-norm row is the only error unit_rows raises
-        zero = np.flatnonzero(np.linalg.norm(block.values, axis=1) == 0.0)
-        raise DataError(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm") from None
+    if not path:
+        return (lambda matrix: matrix), []
+    transform, meta = read_transform(path)
+    return transform.apply, [_transform_block(path, transform, meta)]
+
+
+def _nonzero_norms(kind: str, path: str, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The row norms of ``values``; a zero norm raises DataError naming its row in its own file."""
+    norms = row_norms(values)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DataError(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm")
+    return norms
 
 
 def _query_similarities(
     transform_path: str | None,
-    items: tuple[str, EmbeddingMatrix, np.ndarray],
+    items: tuple[str, int, Iterable[tuple[np.ndarray, np.ndarray]]],
     sources: Sequence[tuple[str, str, EmbeddingMatrix, np.ndarray]],
 ) -> tuple[np.ndarray, list[dict]]:
-    """Score the named rows of each query file against the test items in one pass.
+    """Score the named rows of each query file against the test items, a block at a time.
 
-    ``items`` is (embeddings file path, test rows, their row numbers in that
-    file). Each source is (kind, file path, query file, row numbers in that
-    file); the transform at ``transform_path``, if any, is applied to the test
-    items and to those rows only. The similarity rows follow the sources in
-    order. A zero-norm row, query rows first, is reported by its kind and its
-    row number in its own file.
+    ``items`` is (embeddings file path, test item count, the test rows'
+    blocks from open_kept_rows: their row numbers in that file and their
+    values). Each source is (kind, file path, query file, row numbers in that
+    file). The transform at ``transform_path``, if any, is read once and
+    applied to those query rows, which are checked and normalised before any
+    item is read; then each block of items is transformed, checked and
+    handed to score_blocks, which scores it into one q x n_test matrix, so
+    no copy of all the test items exists. The similarity rows follow the
+    sources in order. A zero-norm row, query rows first, is reported by its
+    kind and its row number in its own file.
     """
-    items_path, test_items, item_rows = items
-    (test_items, *blocks), transform_blocks = _maybe_transform(
-        transform_path, test_items, *(matrix.take(rows) for _, _, matrix, rows in sources)
-    )
-    for block, (kind, path, _, rows) in zip(blocks, sources):
-        _require_nonzero(kind, path, block, rows)
-    _require_nonzero("item", items_path, test_items, item_rows)
-    queries = EmbeddingMatrix(np.vstack([block.values for block in blocks]), finite=True)
-    return cosine_similarity_matrix(test_items, queries), transform_blocks
+    items_path, n_test, blocks = items
+    transform, transform_blocks = _maybe_transform(transform_path)
+    taken = []
+    for kind, path, matrix, rows in sources:
+        block = transform(matrix.take(rows))
+        _nonzero_norms(kind, path, block.values, rows)
+        taken.append(block.values)
+    unit_queries = EmbeddingMatrix(np.vstack(taken), finite=True).unit_rows
+
+    def transformed_items():
+        for rows, values in blocks:
+            block = transform(EmbeddingMatrix(values, finite=True)).values
+            yield block, _nonzero_norms("item", items_path, block, rows)
+
+    return score_blocks(unit_queries, transformed_items(), n_test), transform_blocks
 
 
 def cmd_classify_audit(cfg: dict) -> dict:
@@ -274,19 +296,22 @@ def cmd_classify_audit(cfg: dict) -> dict:
     _unique([name for name, *_ in tasks], "tasks[{}].name")
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
-    test_items, groups, _, rows, columns, provenance = _load_dataset(
+    mask, groups, _, _, columns, provenance = _load_labels(
         cfg, [(t, "binary") for *_, t in tasks if t], keep=TEST
     )
-    items = (cfg["data"]["embeddings"], test_items, rows)  # checked by _load_dataset
-    queries = read_embeddings(queries_path)
-    for i, (_, a, b, *_) in enumerate(tasks):
-        _check_row(a, f"tasks[{i}].class_a", queries.rows)
-        _check_row(b, f"tasks[{i}].class_b", queries.rows)
-    # Only the class rows the tasks name are transformed and scored, each once.
-    class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
-    sims, transform_blocks = _query_similarities(
-        transform_path, items, [("class", queries_path, queries, class_rows)]
-    )
+    items_path = cfg["data"]["embeddings"]  # checked by _load_labels
+    with open_kept_rows(items_path, mask) as (_, _, blocks):
+        queries = read_embeddings(queries_path)
+        for i, (_, a, b, *_) in enumerate(tasks):
+            _check_row(a, f"tasks[{i}].class_a", queries.rows)
+            _check_row(b, f"tasks[{i}].class_b", queries.rows)
+        # Only the class rows the tasks name are transformed and scored, each once.
+        class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
+        sims, transform_blocks = _query_similarities(
+            transform_path,
+            (items_path, len(groups), blocks),
+            [("class", queries_path, queries, class_rows)],
+        )
     position = {int(row): i for i, row in enumerate(class_rows)}
 
     records = []
@@ -365,39 +390,41 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
     transform_path = _field(cfg, "transform", str, "", None)
-    test_items, groups, _, rows, columns, provenance = _load_dataset(
+    mask, groups, _, _, columns, provenance = _load_labels(
         cfg, [(c, "binary") for *_, c in query_specs if c], keep=TEST
     )
-    items = (cfg["data"]["embeddings"], test_items, rows)  # checked by _load_dataset
+    items_path = cfg["data"]["embeddings"]  # checked by _load_labels
     n_test, p = len(groups), groups.group_count
-    query_file = read_embeddings(queries_path)
-    balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
-    for i, k in enumerate(k_list):
-        path = f"retrieval.k[{i}]"
-        if not 1 <= k <= n_test:
-            raise ConfigError(f"{path} must be in [1, test items] = [1, {n_test}], got {k}")
-        if balanced_file is not None and k < p:
-            raise ConfigError(f"{path} must be at least the group-query count {p}, got {k}")
+    with open_kept_rows(items_path, mask) as (_, _, item_blocks):
+        query_file = read_embeddings(queries_path)
+        balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
+        for i, k in enumerate(k_list):
+            path = f"retrieval.k[{i}]"
+            if not 1 <= k <= n_test:
+                raise ConfigError(f"{path} must be in [1, test items] = [1, {n_test}], got {k}")
+            if balanced_file is not None and k < p:
+                raise ConfigError(f"{path} must be at least the group-query count {p}, got {k}")
 
-    queries = []
-    for i, (name, row, tags, relevant_column) in enumerate(query_specs):
-        _check_row(row, f"retrieval.queries[{i}].row", query_file.rows)
-        relevant = None
-        if relevant_column:
-            relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
-        queries.append((name, tags, relevant))
-    # The query rows, then p group-specific balanced rows per query in the order
-    # queries are listed: one similarity pass scores them all.
-    query_rows = np.array([row for _, row, _, _ in query_specs])
-    sources = [("query", queries_path, query_file, query_rows)]
-    if balanced_file is not None:
-        if balanced_file.rows < len(queries) * p:
-            name = queries[balanced_file.rows // p][0]
-            raise ConfigError(
-                f"balanced embeddings need {p} rows per query, query {name!r} overruns"
-            )
-        sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
-    sims, blocks = _query_similarities(transform_path, items, sources)
+        queries = []
+        for i, (name, row, tags, relevant_column) in enumerate(query_specs):
+            _check_row(row, f"retrieval.queries[{i}].row", query_file.rows)
+            relevant = None
+            if relevant_column:
+                relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
+            queries.append((name, tags, relevant))
+        # The query rows, then p group-specific balanced rows per query in the order
+        # queries are listed: one similarity pass scores them all.
+        query_rows = np.array([row for _, row, _, _ in query_specs])
+        sources = [("query", queries_path, query_file, query_rows)]
+        if balanced_file is not None:
+            if balanced_file.rows < len(queries) * p:
+                name = queries[balanced_file.rows // p][0]
+                raise ConfigError(
+                    f"balanced embeddings need {p} rows per query, query {name!r} overruns"
+                )
+            sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
+        items = (items_path, n_test, item_blocks)
+        sims, blocks = _query_similarities(transform_path, items, sources)
 
     q, max_k = len(queries), max(k_list)
     # Each row is ranked once, at max(k); each smaller k reads a prefix.
@@ -471,8 +498,8 @@ def cmd_debias_fit(cfg: dict) -> dict:
     train_items, protected, _, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
     if prompts_path:
         prompts = read_embeddings(prompts_path)
-        _require_nonzero("prompt", prompts_path, prompts, np.arange(prompts.rows))
-        _require_nonzero("item", cfg["data"]["embeddings"], train_items, rows)
+        _nonzero_norms("prompt", prompts_path, prompts.values, np.arange(prompts.rows))
+        _nonzero_norms("item", cfg["data"]["embeddings"], train_items.values, rows)
         protected = infer_protected_attribute(train_items, prompts)
         empty = np.flatnonzero(protected.counts() == 0)
         if empty.size:
@@ -538,9 +565,9 @@ def cmd_probe(cfg: dict) -> dict:
     # if any, maps those rows only.
     rows = {"raw": (embeddings.take(train_idx), embeddings.take(test_idx))}
     del embeddings
-    transformed, transform_blocks = _maybe_transform(transform_path, *rows["raw"])
+    transform, transform_blocks = _maybe_transform(transform_path)
     if transform_blocks:
-        rows["transformed"] = transformed
+        rows["transformed"] = tuple(map(transform, rows["raw"]))
 
     records = []
     for attribute in attributes:

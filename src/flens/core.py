@@ -16,9 +16,17 @@ from .errors import DataError
 TRAIN = "train"
 TEST = "test"
 # Rows per block wherever n x d work streams through fixed memory: reading,
-# checking and writing embeddings files, and the fair-PCA scatter. Fixed, so
-# no output depends on a memory setting.
+# checking and writing embeddings files, the fair-PCA scatter, and the items
+# of each similarity GEMM. Fixed, so no output depends on a memory setting.
 BLOCK_ROWS = 4096
+
+
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, summed by einsum with no temporary the size of ``values``.
+
+    A row's norm does not depend on the rows beside it.
+    """
+    return np.sqrt(np.einsum("ij,ij->i", values, values))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -63,7 +71,7 @@ class EmbeddingMatrix:
         Raises DataError naming the first zero-norm row; nothing is
         cached then, so every later use raises again.
         """
-        norms = np.linalg.norm(self.values, axis=1)
+        norms = row_norms(self.values)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise DataError(f"row {int(zero[0])} has zero norm")

@@ -77,18 +77,71 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> Embeddi
     ``keep`` is true (every row when it is None), after open_embeddings has
     sized the payload against the file. Each float32 block is checked for
     NaN/Inf, dropped rows included, and its kept rows are widened into that
-    array. The command holds the kept rows plus one block.
+    array, as open_kept_rows widens them. The command holds the kept rows
+    plus one block.
     """
     with open_embeddings(path) as (n, d, blocks):
-        if keep is not None and np.shape(keep) != (n,):
-            raise DataError(f"{path} has {n} rows, but the row mask has {np.size(keep)} entries")
-        values = np.empty((n if keep is None else int(np.count_nonzero(keep)), d))
-        start = filled = 0
-        for block in blocks:
-            rows = block if keep is None else block[keep[start : start + len(block)]]
-            values[filled : filled + len(rows)] = rows
-            start, filled = start + len(block), filled + len(rows)
+        values = np.empty((int(_kept_per_block(path, n, keep).sum()), d))
+        for _ in _kept_blocks(blocks, keep, values):
+            pass
     return EmbeddingMatrix(values, finite=True)
+
+
+@contextmanager
+def open_kept_rows(
+    path: str | Path, keep: np.ndarray | None = None
+) -> Iterator[tuple[int, int, Iterator[tuple[np.ndarray, np.ndarray]]]]:
+    """An embeddings file's row and column counts, and its kept rows block by block.
+
+    The rows kept are those where the boolean mask ``keep`` is true (every
+    row when it is None); its length is checked against the header's n on
+    opening. Every block of open_embeddings is checked for NaN/Inf, dropped
+    rows included. For each block with a kept row come the kept rows'
+    numbers in the file and their values widened to float64, in one reused
+    buffer sized for the block that keeps the most rows, valid until the
+    next block is taken. The command so holds one float32 block and at most
+    one float64 block, never all the kept rows.
+    """
+    with open_embeddings(path) as (n, d, blocks):
+        buffer = np.empty((int(_kept_per_block(path, n, keep).max()), d))
+        yield n, d, _kept_blocks(blocks, keep, buffer, reuse=True)
+
+
+def _kept_per_block(path: str | Path, n: int, keep: np.ndarray | None) -> np.ndarray:
+    """How many rows the mask ``keep`` keeps in each block of a file's n rows.
+
+    The mask's length is checked against n first.
+    """
+    starts = np.arange(0, n, BLOCK_ROWS)
+    if keep is None:
+        return np.diff(starts, append=n)
+    if np.shape(keep) != (n,):
+        raise DataError(f"{path} has {n} rows, but the row mask has {np.size(keep)} entries")
+    return np.add.reduceat(keep, starts, dtype=np.intp)
+
+
+def _kept_blocks(
+    blocks: Iterable[np.ndarray], keep: np.ndarray | None, out: np.ndarray, reuse: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block with a kept row: those rows' numbers in the file, and the rows widened into ``out``.
+
+    The rows fill ``out`` one block after another, or with ``reuse`` each
+    block from its start. Views of ``out`` go out, so a consumer may mark
+    its own read-only.
+    """
+    start = filled = 0
+    for block in blocks:
+        stop = start + len(block)
+        rows = np.arange(start, stop) if keep is None else start + np.flatnonzero(keep[start:stop])
+        if rows.size:
+            first, last = rows[0] - start, rows[-1] - start + 1
+            # consecutive rows are widened from a slice; others are gathered first
+            kept = block[first:last] if last - first == rows.size else block[rows - start]
+            at = 0 if reuse else filled
+            out[at : at + rows.size] = kept
+            filled += rows.size
+            yield rows, out[at : at + rows.size]
+        start = stop
 
 
 @contextmanager

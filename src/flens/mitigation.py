@@ -342,11 +342,13 @@ def fit_fair_pca(
     # the basis.
     eigvals, eigvecs = np.linalg.eigh(basis.T @ scatter @ basis)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]  # descending
-    components = eigvecs[:, :r]
-    # Deterministic sign: largest-magnitude entry of each component positive.
-    flips = np.sign(components[np.argmax(np.abs(components), axis=0), np.arange(r)])
+    projection = basis @ eigvecs[:, :r]
+    # Deterministic sign: each projection column's largest-magnitude entry is
+    # positive. The rule reads the columns in input coordinates: the null-space
+    # basis is any orthonormal basis of that space, which round-off can rotate.
+    flips = np.sign(projection[np.argmax(np.abs(projection), axis=0), np.arange(r)])
     flips[flips == 0] = 1.0
-    projection = basis @ (components * flips)
+    projection *= flips
     transform = FairPcaTransform(mean=mean, projection=projection, target_dim=r)
     residual = float(np.max(np.abs(constraints @ projection))) if constraints.size else 0.0
     if not residual <= CONSTRAINT_TOL * max(1.0, float(np.abs(constraints).max(initial=0.0))):

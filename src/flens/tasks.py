@@ -8,10 +8,11 @@ first class, ranking ties go to the lower item index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .core import BinaryLabels, EmbeddingMatrix, GroupLabels
+from .core import BLOCK_ROWS, BinaryLabels, EmbeddingMatrix, GroupLabels, row_norms
 from .errors import ConfigError, DataError
 
 INDEPENDENCE = "independence"
@@ -28,10 +29,45 @@ class TaxonomyTags:
 
 
 def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -> np.ndarray:
-    """q x n matrix of cosine similarities; entry (j, i) pairs query j with item i."""
-    if items.dims != queries.dims:
-        raise DataError(f"dimension mismatch: items d={items.dims}, queries d={queries.dims}")
-    sims = queries.unit_rows @ items.unit_rows.T
+    """q x n matrix of cosine similarities; entry (j, i) pairs query j with item i.
+
+    Scored by score_blocks, with the items as one block.
+    """
+    return score_blocks(queries.unit_rows, [(items.values, row_norms(items.values))], items.rows)
+
+
+def score_blocks(
+    unit_queries: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int
+) -> np.ndarray:
+    """q x n cosine similarities of unit query rows with n items that arrive in blocks.
+
+    ``blocks`` yields (rows, their row_norms), of any lengths. Each row is
+    divided by its norm into a staging buffer of BLOCK_ROWS rows, and each
+    full buffer, then the last partial one, is scored by one GEMM with the
+    items on its N side, into its columns of the result. The GEMM calls so
+    depend on n alone, not on how the items were cut into blocks, and
+    neither do the bits. A zero-norm item raises DataError naming its place
+    among the n.
+    """
+    sims = np.empty((len(unit_queries), n))
+    staged = np.empty((min(n, BLOCK_ROWS), unit_queries.shape[1]))
+    scored = filled = 0
+    for values, norms in blocks:
+        if values.shape[1] != staged.shape[1]:
+            dims = f"items d={values.shape[1]}, queries d={staged.shape[1]}"
+            raise DataError(f"dimension mismatch: {dims}")
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DataError(f"row {scored + filled + int(zero[0])} has zero norm")
+        while len(values):
+            take = min(len(staged) - filled, len(values))
+            np.divide(values[:take], norms[:take, None], out=staged[filled : filled + take])
+            values, norms, filled = values[take:], norms[take:], filled + take
+            if filled == len(staged) or scored + filled == n:
+                np.matmul(unit_queries, staged[:filled].T, out=sims[:, scored : scored + filled])
+                scored, filled = scored + filled, 0
+    if scored != n:  # a short stream would leave columns unset
+        raise DataError(f"expected {n} items, got {scored + filled}")
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 

@@ -248,8 +248,9 @@ def oracle_fit_fair_pca(values, labels, p: int, r: int):
     of the largest, or 0 when the largest is at most 1e-12 times the product
     of the two matrices' Frobenius norms). The top r right singular vectors
     of centred @ B, with full matrices when there are fewer rows than columns,
-    give the components; each is flipped so its largest-magnitude entry is
-    positive. Returns the train mean and the d x r projection B @ components.
+    give the components. Returns the train mean and the d x r projection
+    B @ components, each of whose columns is flipped so its largest-magnitude
+    entry is positive.
     """
     import numpy as np
 
@@ -267,8 +268,8 @@ def oracle_fit_fair_pca(values, labels, p: int, r: int):
     basis = vt[rank:].T
     projected = centered @ basis
     _, _, pc_vt = np.linalg.svd(projected, full_matrices=projected.shape[0] < projected.shape[1])
-    components = pc_vt[:r].T
+    projection = basis @ pc_vt[:r].T
     for j in range(r):
-        if components[np.argmax(np.abs(components[:, j])), j] < 0:
-            components[:, j] = -components[:, j]
-    return mean, basis @ components
+        if projection[np.argmax(np.abs(projection[:, j])), j] < 0:
+            projection[:, j] = -projection[:, j]
+    return mean, projection

@@ -1,7 +1,6 @@
 """End-to-end CLI tests over temp files: pipelines, determinism, exit codes."""
 
 import csv
-import functools
 import json
 import os
 import struct
@@ -16,18 +15,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flens.cli import _load_dataset, main
+from flens.cli import _load_dataset, _query_similarities, main
 from flens.core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
 from flens.io import (
     decode_labels,
+    open_kept_rows,
     read_embeddings,
     read_label_table,
     read_transform,
     write_embeddings,
     write_embeddings_text,
+    write_label_table,
+    write_transform,
 )
 from flens.metrics import ddp_classification, ddp_retrieval
-from flens.mitigation import apply_mi_clip
+from flens.mitigation import apply_mi_clip, fit_fair_pca
 from flens.probe import evaluate_probe, fit_probe
 from flens.report import sanitize
 from flens.stats import per_query_similarity_tests
@@ -53,13 +55,18 @@ def split_column(labels_path):
 @pytest.fixture
 def workspace(tmp_path):
     """Synthetic dataset plus query files for the audit commands."""
+    return make_workspace(tmp_path, 600)
+
+
+def make_workspace(tmp_path, n):
+    """An n-row synthetic dataset (d = 16) plus query files for the audit commands."""
     emb = tmp_path / "items.femb"
     labels = tmp_path / "labels.csv"
     synth_cfg = write_config(
         tmp_path / "synth.json",
         {
             "synth": {
-                "n": 600,
+                "n": n,
                 "d": 16,
                 "p": 2,
                 "bias_dims": [0, 1],
@@ -1345,25 +1352,41 @@ def test_report_keys_are_pinned(workspace, tmp_path):
 
 
 class TestOnePassAudit:
-    """An audit normalises its test items once, scores every query row in one
-    similarity pass and ranks each row once, at max(k)."""
+    """An audit transforms, normalises and scores each test item once, a read block at
+    a time, takes each query file's rows once and ranks each row once, at max(k)."""
+
+    @pytest.fixture
+    def workspace(self, tmp_path):
+        # about 9 000 test items: two full blocks and a partial third
+        return make_workspace(tmp_path, 30_000)
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import flens.cli
 
-        calls = {"unit_rows": [], "cosine_similarity_matrix": 0, "top_k": 0}
-        calls["balanced_retrieval"] = 0
-        unit_rows = EmbeddingMatrix.unit_rows.func
+        calls = {"normed": [], "scored": [], "taken": [], "top_k": 0, "balanced_retrieval": 0}
+        take, norms, score = EmbeddingMatrix.take, flens.cli.row_norms, flens.cli.score_blocks
 
-        def counting_unit_rows(matrix):
-            calls["unit_rows"].append(matrix.rows)
-            return unit_rows(matrix)
+        def counting_take(matrix, indices):
+            calls["taken"].append(len(indices))
+            return take(matrix, indices)
 
-        prop = functools.cached_property(counting_unit_rows)
-        prop.__set_name__(EmbeddingMatrix, "unit_rows")
-        monkeypatch.setattr(EmbeddingMatrix, "unit_rows", prop)
-        for name in ("cosine_similarity_matrix", "top_k", "balanced_retrieval"):
+        def counting_norms(values):
+            calls["normed"].append(len(values))
+            return norms(values)
+
+        def counting_score(unit_queries, blocks, n):
+            def seen():
+                for values, block_norms in blocks:
+                    calls["scored"].append(len(values))
+                    yield values, block_norms
+
+            return score(unit_queries, seen(), n)
+
+        monkeypatch.setattr(EmbeddingMatrix, "take", counting_take)
+        monkeypatch.setattr(flens.cli, "row_norms", counting_norms)
+        monkeypatch.setattr(flens.cli, "score_blocks", counting_score)
+        for name in ("top_k", "balanced_retrieval"):
 
             def counting(*args, _name=name, _original=getattr(flens.cli, name), **kwargs):
                 calls[_name] += 1
@@ -1371,6 +1394,13 @@ class TestOnePassAudit:
 
             monkeypatch.setattr(flens.cli, name, counting)
         return calls
+
+    @staticmethod
+    def _check_blocks(blocks, n_test):
+        """Every test item once, one block per read block of the file that holds test rows."""
+        assert len(blocks) >= 3
+        assert sum(blocks) == n_test
+        assert all(0 < size <= BLOCK_ROWS for size in blocks)
 
     def _run(self, workspace, tmp_path, command, payload):
         cfg = write_config(tmp_path / f"{command}.json", {"data": workspace["data"], **payload})
@@ -1382,8 +1412,10 @@ class TestOnePassAudit:
         tasks = [{"name": f"t{i}", "class_a": i % 2, "class_b": 2 + i % 2} for i in range(4)]
         payload = {"queries": str(workspace["queries"]), "tasks": tasks}
         n_test = self._run(workspace, tmp_path, "classify-audit", payload)
-        assert calls["unit_rows"].count(n_test) == 1
-        assert calls["cosine_similarity_matrix"] == 1
+        self._check_blocks(calls["scored"], n_test)
+        # each item block is normed once, after the four class rows the tasks name
+        assert calls["normed"] == [4, *calls["scored"]]
+        assert calls["taken"] == [4]
 
     def test_ranked_lists_skip_np_unique(self, workspace, tmp_path, monkeypatch):
         # ranked lists hold distinct items by construction, so nothing checks them
@@ -1415,8 +1447,11 @@ class TestOnePassAudit:
             "balanced": {"embeddings": str(workspace["balanced"])},
         }
         n_test = self._run(workspace, tmp_path, "retrieve-audit", payload)
-        assert calls["unit_rows"].count(n_test) == 1
-        assert calls["cosine_similarity_matrix"] == calls["top_k"] == 1
+        self._check_blocks(calls["scored"], n_test)
+        # the query rows, the balanced rows, then each item block once
+        assert calls["normed"] == [len(queries), 2 * len(queries), *calls["scored"]]
+        assert calls["taken"] == [len(queries), 2 * len(queries)]
+        assert calls["top_k"] == 1
         assert calls["balanced_retrieval"] == len(queries)
 
     def test_population_counted_once_per_audit(self, workspace, tmp_path, monkeypatch):
@@ -1458,13 +1493,16 @@ class TestOnePassAudit:
         tasks = [{"name": n, "class_a": a, "class_b": 4 - a} for n, a in (("t", 3), ("u", 1))]
         payload = {"queries": str(workspace["queries"]), "transform": str(fitted_transform)}
         n_test = self._run(workspace, tmp_path, "classify-audit", {**payload, "tasks": tasks})
-        assert rows == [n_test, 2]
+        # the named query rows first, then each block of test items once
+        assert rows[0] == 2
+        self._check_blocks(rows[1:], n_test)
         rows.clear()
         retrieval = {"k": [10], "queries": [{"name": "q", "row": 2}]}
         balanced = {"embeddings": str(workspace["balanced"])}
         self._run(workspace, tmp_path, "retrieve-audit",
                   {**payload, "retrieval": retrieval, "balanced": balanced})
-        assert rows == [n_test, 1, 2]
+        assert rows[:2] == [1, 2]
+        self._check_blocks(rows[2:], n_test)
 
 
 class TestAuditRows:
@@ -1642,7 +1680,7 @@ class TestInputFaultOrder:
 
 
 def test_test_split_read_memory(tmp_path):
-    """An audit's read holds the widened test rows and one float32 block, not the payload."""
+    """A split read holds the widened test rows and one float32 block, not the payload."""
     paths = {"embeddings": str(tmp_path / "big.femb"), "labels": str(tmp_path / "big.csv")}
     synth = {"synth": {"n": 20_000, "d": 256, "p": 2, "seed": 5}, "output": paths}
     assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
@@ -1759,6 +1797,135 @@ class TestBlockedCommands:
         assert run(["debias-fit", "--config", write_config(tmp_path / "fit.json", fit)]) == 3
         assert f"data error: {path}: payload contains NaN or Inf" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
+
+
+@pytest.fixture
+def streamed_set(tmp_path):
+    """13 522 rows of d = 8 in four read blocks, the last partial; 7 378 of them are test rows.
+
+    Read block 0 is all test rows, block 1 all train rows, block 2
+    alternates and block 3 is all test rows, so the scorer's second matrix
+    product takes its items from the last two read blocks.
+    """
+    n, d = 3 * BLOCK_ROWS + 1234, 8
+    rng = np.random.default_rng(9)
+    groups = np.arange(n) % 2
+    values = rng.normal(size=(n, d)) + 2.0 * groups[:, None] * np.eye(d)[0]
+    split = np.full(n, "test", dtype="<U5")
+    split[BLOCK_ROWS : 2 * BLOCK_ROWS] = "train"
+    split[2 * BLOCK_ROWS : 3 * BLOCK_ROWS : 2] = "train"
+    paths = {"embeddings": tmp_path / "items.femb", "labels": tmp_path / "items.csv",
+             "queries": tmp_path / "queries.femb"}
+    write_embeddings(EmbeddingMatrix(values), paths["embeddings"])
+    write_label_table(paths["labels"], {"group": [str(g) for g in groups],
+                                        "split": split.tolist()})
+    write_embeddings(EmbeddingMatrix(rng.normal(size=(4, d))), paths["queries"])
+    data = {"embeddings": str(paths["embeddings"]), "labels": str(paths["labels"]),
+            "attribute": "group"}
+    return {**paths, "data": data, "test": split == "test"}
+
+
+class TestStreamedScoring:
+    """Audits score their test items a block at a time, straight from the file."""
+
+    @staticmethod
+    def _streamed(streamed_set, transform_path=None):
+        path, mask = str(streamed_set["embeddings"]), streamed_set["test"]
+        queries = read_embeddings(streamed_set["queries"])
+        sources = [("query", str(streamed_set["queries"]), queries, np.array([0, 2, 3]))]
+        with open_kept_rows(path, mask) as (_, _, blocks):
+            sims, _ = _query_similarities(transform_path, (path, int(mask.sum()), blocks), sources)
+        return sims, read_embeddings(path, mask), queries.take(np.array([0, 2, 3]))
+
+    def test_blocks_of_test_rows(self, streamed_set):
+        mask = streamed_set["test"]
+        assert mask.size % BLOCK_ROWS and not mask[BLOCK_ROWS : 2 * BLOCK_ROWS].any()
+        with open_kept_rows(streamed_set["embeddings"], mask) as (n, d, blocks):
+            seen = [(rows, values.copy()) for rows, values in blocks]
+        assert (n, d) == (mask.size, 8)
+        # one block per read block holding a test row: the second holds none
+        assert [len(rows) for rows, _ in seen] == [BLOCK_ROWS, BLOCK_ROWS // 2, 1234]
+        np.testing.assert_array_equal(np.concatenate([rows for rows, _ in seen]),
+                                      np.flatnonzero(mask))
+        whole = read_embeddings(streamed_set["embeddings"]).values[mask]
+        assert np.array_equal(np.vstack([values for _, values in seen]), whole)
+
+    def test_no_transform_is_bitwise_the_whole_matrix_pass(self, streamed_set):
+        sims, items, queries = self._streamed(streamed_set)
+        assert sims.tobytes() == cosine_similarity_matrix(items, queries).tobytes()
+
+    def test_fair_pca_transform_matches_the_whole_matrix_pass(self, streamed_set, tmp_path):
+        train = ~streamed_set["test"]
+        labels = GroupLabels(np.arange(train.size)[train] % 2, 2)
+        transform = fit_fair_pca(read_embeddings(streamed_set["embeddings"], train), labels)
+        write_transform(transform, tmp_path / "t.ftfm")
+        sims, items, queries = self._streamed(streamed_set, str(tmp_path / "t.ftfm"))
+        expected = cosine_similarity_matrix(transform.apply(items), transform.apply(queries))
+        assert np.max(np.abs(sims - expected)) <= 1e-12
+
+    @staticmethod
+    def _classify(streamed_set, tmp_path):
+        cfg = {"data": streamed_set["data"], "queries": str(streamed_set["queries"]),
+               "tasks": [{"name": "t", "class_a": 0, "class_b": 1}]}
+        return run(["classify-audit", "--config", write_config(tmp_path / "c.json", cfg)])
+
+    @staticmethod
+    def _overwrite(path, row, value):
+        data = bytearray(path.read_bytes())
+        offset = 23 + row * 8 * 4
+        data[offset : offset + 32] = np.full(8, value, dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+
+    def test_zero_norm_item_in_a_later_block_named_by_file_row(
+        self, streamed_set, tmp_path, capsys
+    ):
+        row = 3 * BLOCK_ROWS + 100
+        assert streamed_set["test"][row]
+        self._overwrite(streamed_set["embeddings"], row, 0.0)
+        assert self._classify(streamed_set, tmp_path) == 3
+        expected = f"item row {row} of {streamed_set['embeddings']} has zero norm"
+        assert expected in capsys.readouterr().err
+
+    def test_nan_in_a_dropped_row_of_a_later_block(self, streamed_set, tmp_path, capsys):
+        row = 3 * BLOCK_ROWS - 2
+        assert not streamed_set["test"][row]
+        self._overwrite(streamed_set["embeddings"], row, np.nan)
+        assert self._classify(streamed_set, tmp_path) == 3
+        expected = f"data error: {streamed_set['embeddings']}: payload contains NaN or Inf"
+        assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit"])
+def test_audits_hold_no_copy_of_the_test_items(tmp_path, command):
+    """An audit holds its similarity matrix and a few blocks, never its n_test x d items.
+
+    12 288 test rows of d = 256: 25.2 MB as float64. Streamed, the peak is a
+    float32 read block, a float64 block and its unit rows, about 21 MB.
+    """
+    n, d = 3 * BLOCK_ROWS, 256
+    rng = np.random.default_rng(6)
+    paths = {"embeddings": str(tmp_path / "x.femb"), "labels": str(tmp_path / "x.csv")}
+    write_embeddings(EmbeddingMatrix(rng.normal(size=(n, d))), paths["embeddings"])
+    write_label_table(paths["labels"], {"group": [str(g) for g in np.arange(n) % 2]})
+    write_embeddings(EmbeddingMatrix(rng.normal(size=(4, d))), tmp_path / "q.femb")
+    payload = {
+        "classify-audit": {"tasks": [{"name": "t", "class_a": 0, "class_b": 1},
+                                     {"name": "u", "class_a": 2, "class_b": 3}]},
+        "retrieve-audit": {"retrieval": {"k": [10], "queries": [{"name": "q", "row": 0},
+                                                                {"name": "r", "row": 1}]},
+                           "balanced": {"embeddings": str(tmp_path / "q.femb")}},
+    }[command]
+    cfg = {"data": {**paths, "attribute": "group"}, "queries": str(tmp_path / "q.femb"),
+           **payload}
+    cfg_path = write_config(tmp_path / "audit.json", cfg)
+    tracemalloc.start()
+    try:
+        assert run([command, "--config", cfg_path, "--out", tmp_path / "audit.out"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read_report(tmp_path / "audit.out")["dataset"]["test_items"] == n
+    assert peak < 8 * n * d
 
 
 class TestFairPcaDimensions:

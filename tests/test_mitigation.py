@@ -411,6 +411,19 @@ class TestFairPca:
         expected = (train.values - transform.mean) @ transform.projection
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
 
+    def test_refit_on_permuted_rows_gives_the_same_columns(self):
+        # The feasible subspace's SVD basis is any orthonormal basis of a degenerate
+        # null space, so a row order's round-off rotates it; the sign rule reads the
+        # projection's own columns and so does not flip with it.
+        ds = generate(SynthSpec(n=2000, d=32, p=3, bias_dims=(0, 1), bias_strength=3.0, seed=3))
+        values, labels = ds.embeddings.values, ds.protected.labels
+        expected = fit_fair_pca(EmbeddingMatrix(values), GroupLabels(labels, 3)).projection
+        rng = np.random.default_rng(27)
+        for _ in range(3):
+            order = rng.permutation(labels.size)
+            refit = fit_fair_pca(EmbeddingMatrix(values[order]), GroupLabels(labels[order], 3))
+            np.testing.assert_allclose(refit.projection, expected, rtol=0, atol=1e-9)
+
     def test_fit_rejects_label_length_mismatch(self):
         train = EmbeddingMatrix(np.random.default_rng(22).normal(size=(20, 4)))
         with pytest.raises(DataError, match="group labels length differs from embedding rows"):

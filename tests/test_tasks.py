@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flens.core import EmbeddingMatrix
+from flens.core import BLOCK_ROWS, EmbeddingMatrix, row_norms
 from flens.errors import ConfigError, DataError
 from flens.tasks import (
     _ranked_prefix,
     balanced_retrieval,
     cosine_similarity_matrix,
     infer_protected_attribute,
+    score_blocks,
     top_k,
     zero_shot_classify,
 )
@@ -80,6 +81,36 @@ class TestCosineSimilarity:
             EmbeddingMatrix(rng.normal(size=(40, 8))), EmbeddingMatrix(rng.normal(size=(5, 8)))
         )
         assert np.all(sims >= -1.0) and np.all(sims <= 1.0)
+
+
+class TestScoreBlocks:
+    """Items streamed in blocks of any sizes score as one whole-matrix pass, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "q, d, n", [(1, 8, BLOCK_ROWS + 1), (4, 16, 2 * BLOCK_ROWS + 5), (64, 253, 9000)]
+    )
+    def test_any_cut_gives_the_whole_matrix_bits(self, q, d, n):
+        rng = np.random.default_rng(q)
+        items = EmbeddingMatrix(rng.normal(size=(n, d)))
+        queries = EmbeddingMatrix(rng.normal(size=(q, d)))
+        cuts = [0, 1, 4, 1229, BLOCK_ROWS - 1, BLOCK_ROWS + 1, n]
+        blocks = [
+            (items.values[a:b], row_norms(items.values[a:b])) for a, b in zip(cuts, cuts[1:])
+        ]
+        sims = score_blocks(queries.unit_rows, blocks, n)
+        assert sims.tobytes() == cosine_similarity_matrix(items, queries).tobytes()
+
+    def test_zero_norm_named_by_place_in_the_stream(self):
+        values = np.ones((6, 2))
+        values[4] = 0.0
+        blocks = [(values[:3], row_norms(values[:3])), (values[3:], row_norms(values[3:]))]
+        with pytest.raises(DataError, match="^row 4 has zero norm$"):
+            score_blocks(np.array([[1.0, 0.0]]), blocks, 6)
+
+    def test_short_stream_is_data_error(self):
+        values = np.ones((3, 2))
+        with pytest.raises(DataError, match="^expected 5 items, got 3$"):
+            score_blocks(np.array([[1.0, 0.0]]), [(values, row_norms(values))], 5)
 
 
 class TestZeroShotClassify:
