@@ -300,7 +300,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
         cfg, [(t, "binary") for *_, t in tasks if t], keep=TEST
     )
     items_path = cfg["data"]["embeddings"]  # checked by _load_labels
-    with open_kept_rows(items_path, mask) as (_, _, blocks):
+    with open_kept_rows(items_path, mask) as blocks:
         queries = read_embeddings(queries_path)
         for i, (_, a, b, *_) in enumerate(tasks):
             _check_row(a, f"tasks[{i}].class_a", queries.rows)
@@ -395,7 +395,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     )
     items_path = cfg["data"]["embeddings"]  # checked by _load_labels
     n_test, p = len(groups), groups.group_count
-    with open_kept_rows(items_path, mask) as (_, _, item_blocks):
+    with open_kept_rows(items_path, mask) as item_blocks:
         query_file = read_embeddings(queries_path)
         balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
         for i, k in enumerate(k_list):

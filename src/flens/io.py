@@ -75,23 +75,27 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> Embeddi
 
     One float64 array is allocated for the rows where the boolean mask
     ``keep`` is true (every row when it is None), after open_embeddings has
-    sized the payload against the file. Each float32 block is checked for
-    NaN/Inf, dropped rows included, and its kept rows are widened into that
-    array, as open_kept_rows widens them. The command holds the kept rows
-    plus one block.
+    sized the payload against the file and the mask's length is checked
+    against its rows. Each float32 block is checked for NaN/Inf, dropped
+    rows included, and its kept rows are widened into that array. The
+    command holds the kept rows plus one block; open_kept_rows reads the
+    same rows without holding them all.
     """
     with open_embeddings(path) as (n, d, blocks):
         values = np.empty((int(_kept_per_block(path, n, keep).sum()), d))
-        for _ in _kept_blocks(blocks, keep, values):
-            pass
+        start = filled = 0
+        for block in blocks:
+            rows = block if keep is None else block[keep[start : start + len(block)]]
+            values[filled : filled + len(rows)] = rows
+            start, filled = start + len(block), filled + len(rows)
     return EmbeddingMatrix(values, finite=True)
 
 
 @contextmanager
 def open_kept_rows(
     path: str | Path, keep: np.ndarray | None = None
-) -> Iterator[tuple[int, int, Iterator[tuple[np.ndarray, np.ndarray]]]]:
-    """An embeddings file's row and column counts, and its kept rows block by block.
+) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """An embeddings file's kept rows, block by block.
 
     The rows kept are those where the boolean mask ``keep`` is true (every
     row when it is None); its length is checked against the header's n on
@@ -104,7 +108,7 @@ def open_kept_rows(
     """
     with open_embeddings(path) as (n, d, blocks):
         buffer = np.empty((int(_kept_per_block(path, n, keep).max()), d))
-        yield n, d, _kept_blocks(blocks, keep, buffer, reuse=True)
+        yield _widened_blocks(blocks, keep, buffer)
 
 
 def _kept_per_block(path: str | Path, n: int, keep: np.ndarray | None) -> np.ndarray:
@@ -120,27 +124,21 @@ def _kept_per_block(path: str | Path, n: int, keep: np.ndarray | None) -> np.nda
     return np.add.reduceat(keep, starts, dtype=np.intp)
 
 
-def _kept_blocks(
-    blocks: Iterable[np.ndarray], keep: np.ndarray | None, out: np.ndarray, reuse: bool = False
+def _widened_blocks(
+    blocks: Iterable[np.ndarray], keep: np.ndarray | None, buffer: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block with a kept row: those rows' numbers in the file, and the rows widened into ``out``.
+    """Per block with a kept row: those rows' numbers in the file, and the rows widened into ``buffer``.
 
-    The rows fill ``out`` one block after another, or with ``reuse`` each
-    block from its start. Views of ``out`` go out, so a consumer may mark
-    its own read-only.
+    A block kept whole is widened as read, with no float32 copy; of other
+    blocks the kept rows are gathered first.
     """
-    start = filled = 0
+    start = 0
     for block in blocks:
         stop = start + len(block)
         rows = np.arange(start, stop) if keep is None else start + np.flatnonzero(keep[start:stop])
         if rows.size:
-            first, last = rows[0] - start, rows[-1] - start + 1
-            # consecutive rows are widened from a slice; others are gathered first
-            kept = block[first:last] if last - first == rows.size else block[rows - start]
-            at = 0 if reuse else filled
-            out[at : at + rows.size] = kept
-            filled += rows.size
-            yield rows, out[at : at + rows.size]
+            buffer[: rows.size] = block if rows.size == len(block) else block[rows - start]
+            yield rows, buffer[: rows.size]
         start = stop
 
 

@@ -1833,16 +1833,15 @@ class TestStreamedScoring:
         path, mask = str(streamed_set["embeddings"]), streamed_set["test"]
         queries = read_embeddings(streamed_set["queries"])
         sources = [("query", str(streamed_set["queries"]), queries, np.array([0, 2, 3]))]
-        with open_kept_rows(path, mask) as (_, _, blocks):
+        with open_kept_rows(path, mask) as blocks:
             sims, _ = _query_similarities(transform_path, (path, int(mask.sum()), blocks), sources)
         return sims, read_embeddings(path, mask), queries.take(np.array([0, 2, 3]))
 
     def test_blocks_of_test_rows(self, streamed_set):
         mask = streamed_set["test"]
         assert mask.size % BLOCK_ROWS and not mask[BLOCK_ROWS : 2 * BLOCK_ROWS].any()
-        with open_kept_rows(streamed_set["embeddings"], mask) as (n, d, blocks):
+        with open_kept_rows(streamed_set["embeddings"], mask) as blocks:
             seen = [(rows, values.copy()) for rows, values in blocks]
-        assert (n, d) == (mask.size, 8)
         # one block per read block holding a test row: the second holds none
         assert [len(rows) for rows, _ in seen] == [BLOCK_ROWS, BLOCK_ROWS // 2, 1234]
         np.testing.assert_array_equal(np.concatenate([rows for rows, _ in seen]),
