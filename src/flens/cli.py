@@ -2,9 +2,10 @@
 
 Subcommands: classify-audit, retrieve-audit, debias-fit, apply, probe,
 synth. Every command reads a single declarative JSON config, echoes it
-verbatim into the report, and writes the report as canonical JSON, so a
-run is fully reproducible from its report alone. Identical inputs and
-config produce byte-identical reports.
+verbatim into the report, and writes the report as canonical JSON. The
+config and the files it names are a run's only inputs, so a run is fully
+reproducible from its report alone. Identical inputs and config produce
+byte-identical reports.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -166,10 +167,12 @@ def _load_labels(
     Besides the protected attribute and the split, each (column, kind) in
     ``label_columns`` is decoded, so the parsed string table is freed on
     return. Every label check, the split's included, runs here, on the full
-    table. Returns the mask of the kept rows over the embeddings file's rows
-    (None when ``keep`` is None: every row), and at the kept rows: protected
+    table. Returns the boolean mask of the kept rows, one entry per label
+    row (all true when ``keep`` is None), and at the kept rows: protected
     groups, split tags, their row numbers in the file and the decoded
     columns; then the report's provenance block: attribute, groups, sizes.
+    The embeddings are read through the mask, so io checks its length, the
+    label table's row count, against the embeddings file's.
     """
     data = _field(cfg, "data", dict, "")
     _field(data, "embeddings", str, "data")  # checked here, read by the callers
@@ -190,31 +193,14 @@ def _load_labels(
         "test_items": int(np.count_nonzero(split == TEST)),
     }
     if keep is None:
-        return None, protected, split, np.arange(len(split)), columns, provenance
+        every = np.full(len(split), True)
+        return every, protected, split, np.arange(len(split)), columns, provenance
     mask = split == keep
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise DataError(_EMPTY_SPLIT[keep])
     columns = {key: labels.take(rows) for key, labels in columns.items()}
     return mask, protected.take(rows), split[rows], rows, columns, provenance
-
-
-def _load_dataset(
-    cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
-) -> tuple[EmbeddingMatrix, GroupLabels, np.ndarray, np.ndarray, dict, dict]:
-    """_load_labels, then the embeddings rows of split ``keep``, widened into one matrix.
-
-    Returns those rows' embeddings, protected groups and split tags, their
-    row numbers in the embeddings file, the decoded columns at those rows,
-    and the report's provenance block.
-    """
-    mask, protected, *labels = _load_labels(cfg, label_columns, keep)
-    embeddings_path = cfg["data"]["embeddings"]  # checked by _load_labels
-    embeddings = read_embeddings(embeddings_path, mask)
-    if embeddings.rows != len(protected):  # with a mask, read_embeddings checks its length
-        counts = f"{embeddings.rows} rows, but {cfg['data']['labels']} has {len(protected)}"
-        raise DataError(f"{embeddings_path} has {counts}")
-    return embeddings, protected, *labels
 
 
 def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
@@ -246,37 +232,37 @@ def _nonzero_norms(kind: str, path: str, values: np.ndarray, rows: np.ndarray) -
 
 def _query_similarities(
     transform_path: str | None,
-    items: tuple[str, int, Iterable[tuple[np.ndarray, np.ndarray]]],
+    items: tuple[str, np.ndarray, int],
     sources: Sequence[tuple[str, str, EmbeddingMatrix, np.ndarray]],
 ) -> tuple[np.ndarray, list[dict]]:
     """Score the named rows of each query file against the test items, a block at a time.
 
-    ``items`` is (embeddings file path, test item count, the test rows'
-    blocks from open_kept_rows: their row numbers in that file and their
-    values). Each source is (kind, file path, query file, row numbers in that
+    ``items`` is (embeddings file path, mask of its test rows, test item
+    count). Each source is (kind, file path, query file, row numbers in that
     file). The transform at ``transform_path``, if any, is read once and
-    applied to those query rows, which are checked and normalised before any
-    item is read; then each block of items is transformed, checked and
-    handed to score_blocks, which scores it into one q x n_test matrix, so
-    no copy of all the test items exists. The similarity rows follow the
-    sources in order. A zero-norm row, query rows first, is reported by its
-    kind and its row number in its own file.
+    applied to those query rows, which are checked for zero norms; only then
+    is the items file opened, with open_kept_rows. Each block of test items
+    is transformed, checked and handed to score_blocks with the query rows,
+    and it scores the block into one q x n_test matrix, so no copy of all
+    the test items exists. The similarity rows follow the sources in order.
+    A zero-norm row, query rows first, is reported by its kind and its row
+    number in its own file.
     """
-    items_path, n_test, blocks = items
+    items_path, mask, n_test = items
     transform, transform_blocks = _maybe_transform(transform_path)
-    taken = []
+    queries, norms = [], []
     for kind, path, matrix, rows in sources:
-        block = transform(matrix.take(rows))
-        _nonzero_norms(kind, path, block.values, rows)
-        taken.append(block.values)
-    unit_queries = EmbeddingMatrix(np.vstack(taken), finite=True).unit_rows
+        queries.append(transform(matrix.take(rows)).values)
+        norms.append(_nonzero_norms(kind, path, queries[-1], rows))
 
-    def transformed_items():
+    def transformed_items(blocks):
         for rows, values in blocks:
             block = transform(EmbeddingMatrix(values, finite=True)).values
             yield block, _nonzero_norms("item", items_path, block, rows)
 
-    return score_blocks(unit_queries, transformed_items(), n_test), transform_blocks
+    query_side = (np.concatenate(queries), np.concatenate(norms))
+    with open_kept_rows(items_path, mask) as blocks:
+        return score_blocks(query_side, transformed_items(blocks), n_test), transform_blocks
 
 
 def cmd_classify_audit(cfg: dict) -> dict:
@@ -299,19 +285,17 @@ def cmd_classify_audit(cfg: dict) -> dict:
     mask, groups, _, _, columns, provenance = _load_labels(
         cfg, [(t, "binary") for *_, t in tasks if t], keep=TEST
     )
-    items_path = cfg["data"]["embeddings"]  # checked by _load_labels
-    with open_kept_rows(items_path, mask) as blocks:
-        queries = read_embeddings(queries_path)
-        for i, (_, a, b, *_) in enumerate(tasks):
-            _check_row(a, f"tasks[{i}].class_a", queries.rows)
-            _check_row(b, f"tasks[{i}].class_b", queries.rows)
-        # Only the class rows the tasks name are transformed and scored, each once.
-        class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
-        sims, transform_blocks = _query_similarities(
-            transform_path,
-            (items_path, len(groups), blocks),
-            [("class", queries_path, queries, class_rows)],
-        )
+    queries = read_embeddings(queries_path)
+    for i, (_, a, b, *_) in enumerate(tasks):
+        _check_row(a, f"tasks[{i}].class_a", queries.rows)
+        _check_row(b, f"tasks[{i}].class_b", queries.rows)
+    # Only the class rows the tasks name are transformed and scored, each once.
+    class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
+    sims, transform_blocks = _query_similarities(
+        transform_path,
+        (cfg["data"]["embeddings"], mask, len(groups)),  # checked by _load_labels
+        [("class", queries_path, queries, class_rows)],
+    )
     position = {int(row): i for i, row in enumerate(class_rows)}
 
     records = []
@@ -393,38 +377,36 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     mask, groups, _, _, columns, provenance = _load_labels(
         cfg, [(c, "binary") for *_, c in query_specs if c], keep=TEST
     )
-    items_path = cfg["data"]["embeddings"]  # checked by _load_labels
     n_test, p = len(groups), groups.group_count
-    with open_kept_rows(items_path, mask) as item_blocks:
-        query_file = read_embeddings(queries_path)
-        balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
-        for i, k in enumerate(k_list):
-            path = f"retrieval.k[{i}]"
-            if not 1 <= k <= n_test:
-                raise ConfigError(f"{path} must be in [1, test items] = [1, {n_test}], got {k}")
-            if balanced_file is not None and k < p:
-                raise ConfigError(f"{path} must be at least the group-query count {p}, got {k}")
+    query_file = read_embeddings(queries_path)
+    balanced_file = read_embeddings(balanced_path) if balanced_path is not None else None
+    for i, k in enumerate(k_list):
+        path = f"retrieval.k[{i}]"
+        if not 1 <= k <= n_test:
+            raise ConfigError(f"{path} must be in [1, test items] = [1, {n_test}], got {k}")
+        if balanced_file is not None and k < p:
+            raise ConfigError(f"{path} must be at least the group-query count {p}, got {k}")
 
-        queries = []
-        for i, (name, row, tags, relevant_column) in enumerate(query_specs):
-            _check_row(row, f"retrieval.queries[{i}].row", query_file.rows)
-            relevant = None
-            if relevant_column:
-                relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
-            queries.append((name, tags, relevant))
-        # The query rows, then p group-specific balanced rows per query in the order
-        # queries are listed: one similarity pass scores them all.
-        query_rows = np.array([row for _, row, _, _ in query_specs])
-        sources = [("query", queries_path, query_file, query_rows)]
-        if balanced_file is not None:
-            if balanced_file.rows < len(queries) * p:
-                name = queries[balanced_file.rows // p][0]
-                raise ConfigError(
-                    f"balanced embeddings need {p} rows per query, query {name!r} overruns"
-                )
-            sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
-        items = (items_path, n_test, item_blocks)
-        sims, blocks = _query_similarities(transform_path, items, sources)
+    queries = []
+    for i, (name, row, tags, relevant_column) in enumerate(query_specs):
+        _check_row(row, f"retrieval.queries[{i}].row", query_file.rows)
+        relevant = None
+        if relevant_column:
+            relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
+        queries.append((name, tags, relevant))
+    # The query rows, then p group-specific balanced rows per query in the order
+    # queries are listed: one similarity pass scores them all.
+    query_rows = np.array([row for _, row, _, _ in query_specs])
+    sources = [("query", queries_path, query_file, query_rows)]
+    if balanced_file is not None:
+        if balanced_file.rows < len(queries) * p:
+            name = queries[balanced_file.rows // p][0]
+            raise ConfigError(
+                f"balanced embeddings need {p} rows per query, query {name!r} overruns"
+            )
+        sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
+    items = (cfg["data"]["embeddings"], mask, n_test)  # checked by _load_labels
+    sims, blocks = _query_similarities(transform_path, items, sources)
 
     q, max_k = len(queries), max(k_list)
     # Each row is ranked once, at max(k); each smaller k reads a prefix.
@@ -495,7 +477,8 @@ def cmd_debias_fit(cfg: dict) -> dict:
     method_cfg = _field(cfg, method, dict, "", {})
     fit, defaults = methods[method]
     params = {key: _field(method_cfg, key, int, method, value) for key, value in defaults.items()}
-    train_items, protected, _, rows, _, provenance = _load_dataset(cfg, keep=TRAIN)
+    mask, protected, _, rows, _, provenance = _load_labels(cfg, keep=TRAIN)
+    train_items = read_embeddings(cfg["data"]["embeddings"], mask)
     if prompts_path:
         prompts = read_embeddings(prompts_path)
         _nonzero_norms("prompt", prompts_path, prompts.values, np.arange(prompts.rows))
@@ -553,9 +536,8 @@ def cmd_probe(cfg: dict) -> dict:
         if value < 0:
             raise ConfigError(f"probe.{key} must be non-negative, got {value}")
     transform_path = _field(cfg, "transform", str, "", None)
-    embeddings, _, split, _, columns, provenance = _load_dataset(
-        cfg, [(a, "group") for a in attributes]
-    )
+    mask, _, split, _, columns, provenance = _load_labels(cfg, [(a, "group") for a in attributes])
+    embeddings = read_embeddings(cfg["data"]["embeddings"], mask)
     train_idx = np.flatnonzero(split == TRAIN)
     test_idx = np.flatnonzero(split == TEST)
     if train_idx.size == 0 or test_idx.size == 0:
@@ -598,7 +580,7 @@ def cmd_probe(cfg: dict) -> dict:
     )
 
 
-def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
+def cmd_synth(cfg: dict) -> dict:
     """Generate a synthetic dataset and write its embedding and label files."""
     params = _field(cfg, "synth", dict, "")
     spec = SynthSpec(
@@ -609,11 +591,10 @@ def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
         bias_strength=_field(params, "bias_strength", float, "synth", 0.0),
         concept_dims=tuple(_field(params, "concept_dims", list[int], "synth", [])),
         concept_strength=_field(params, "concept_strength", float, "synth", None),
-        seed=_field(params, "seed", int, "synth", 0) if seed_override is None else seed_override,
+        seed=_field(params, "seed", int, "synth", 0),
     )
     if spec.seed < 0:
-        source = "synth.seed" if seed_override is None else "--seed"
-        raise ConfigError(f"{source} must be a non-negative integer, got {spec.seed}")
+        raise ConfigError(f"synth.seed must be a non-negative integer, got {spec.seed}")
     # numpy cannot address an n x d float64 array of more bytes than intp can count
     max_n = np.iinfo(np.intp).max // (8 * spec.d)
     if spec.n > max_n:
@@ -640,7 +621,7 @@ def cmd_synth(cfg: dict, seed_override: int | None = None) -> dict:
     return build_report("synth", cfg, [{"task_name": "synth", "details": details}])
 
 
-COMMANDS: dict[str, Callable[..., dict]] = {
+COMMANDS: dict[str, Callable[[dict], dict]] = {
     "classify-audit": cmd_classify_audit,
     "retrieve-audit": cmd_retrieve_audit,
     "debias-fit": cmd_debias_fit,
@@ -661,8 +642,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="declarative JSON config file")
         cmd.add_argument("--out", default=None, help="report destination (JSON)")
-        if name == "synth":
-            cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -670,10 +649,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        if args.command == "synth":
-            report = cmd_synth(cfg, seed_override=args.seed)
-        else:
-            report = COMMANDS[args.command](cfg)
+        report = COMMANDS[args.command](cfg)
         if args.out:
             write_report(report, args.out)
         else:

@@ -7,7 +7,6 @@ marked read-only), so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,19 +62,6 @@ class EmbeddingMatrix:
     @property
     def dims(self) -> int:
         return self.values.shape[1]
-
-    @cached_property
-    def unit_rows(self) -> np.ndarray:
-        """Rows scaled to unit L2 norm, computed on first use and read-only.
-
-        Raises DataError naming the first zero-norm row; nothing is
-        cached then, so every later use raises again.
-        """
-        norms = row_norms(self.values)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DataError(f"row {int(zero[0])} has zero norm")
-        return _freeze(self.values / norms[:, None])
 
     def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
         """New matrix with the given rows, in the given order."""

@@ -93,18 +93,18 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> Embeddi
 
 @contextmanager
 def open_kept_rows(
-    path: str | Path, keep: np.ndarray | None = None
+    path: str | Path, keep: np.ndarray
 ) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
     """An embeddings file's kept rows, block by block.
 
-    The rows kept are those where the boolean mask ``keep`` is true (every
-    row when it is None); its length is checked against the header's n on
-    opening. Every block of open_embeddings is checked for NaN/Inf, dropped
-    rows included. For each block with a kept row come the kept rows'
-    numbers in the file and their values widened to float64, in one reused
-    buffer sized for the block that keeps the most rows, valid until the
-    next block is taken. The command so holds one float32 block and at most
-    one float64 block, never all the kept rows.
+    The rows kept are those where the boolean mask ``keep`` is true; its
+    length is checked against the header's n on opening. Every block of
+    open_embeddings is checked for NaN/Inf, dropped rows included. For each
+    block with a kept row come the kept rows' numbers in the file and their
+    values widened to float64, in one reused buffer sized for the block that
+    keeps the most rows, valid until the next block is taken. The command
+    so holds one float32 block and at most one float64 block, never all the
+    kept rows.
     """
     with open_embeddings(path) as (n, d, blocks):
         buffer = np.empty((int(_kept_per_block(path, n, keep).max()), d))
@@ -114,18 +114,19 @@ def open_kept_rows(
 def _kept_per_block(path: str | Path, n: int, keep: np.ndarray | None) -> np.ndarray:
     """How many rows the mask ``keep`` keeps in each block of a file's n rows.
 
-    The mask's length is checked against n first.
+    The mask has one entry per row of the label table; its length is
+    checked against n first.
     """
     starts = np.arange(0, n, BLOCK_ROWS)
     if keep is None:
         return np.diff(starts, append=n)
     if np.shape(keep) != (n,):
-        raise DataError(f"{path} has {n} rows, but the row mask has {np.size(keep)} entries")
+        raise DataError(f"{path} has {n} rows, but the label table has {np.size(keep)}")
     return np.add.reduceat(keep, starts, dtype=np.intp)
 
 
 def _widened_blocks(
-    blocks: Iterable[np.ndarray], keep: np.ndarray | None, buffer: np.ndarray
+    blocks: Iterable[np.ndarray], keep: np.ndarray, buffer: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per block with a kept row: those rows' numbers in the file, and the rows widened into ``buffer``.
 
@@ -135,7 +136,7 @@ def _widened_blocks(
     start = 0
     for block in blocks:
         stop = start + len(block)
-        rows = np.arange(start, stop) if keep is None else start + np.flatnonzero(keep[start:stop])
+        rows = start + np.flatnonzero(keep[start:stop])
         if rows.size:
             buffer[: rows.size] = block if rows.size == len(block) else block[rows - start]
             yield rows, buffer[: rows.size]

@@ -33,22 +33,27 @@ def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -
 
     Scored by score_blocks, with the items as one block.
     """
-    return score_blocks(queries.unit_rows, [(items.values, row_norms(items.values))], items.rows)
+    item_block = (items.values, row_norms(items.values))
+    return score_blocks((queries.values, row_norms(queries.values)), [item_block], items.rows)
 
 
 def score_blocks(
-    unit_queries: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int
+    queries: tuple[np.ndarray, np.ndarray], blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int
 ) -> np.ndarray:
-    """q x n cosine similarities of unit query rows with n items that arrive in blocks.
+    """q x n cosine similarities of query rows with n items that arrive in blocks.
 
-    ``blocks`` yields (rows, their row_norms), of any lengths. Each row is
-    divided by its norm into a staging buffer of BLOCK_ROWS rows, and each
-    full buffer, then the last partial one, is scored by one GEMM with the
-    items on its N side, into its columns of the result. The GEMM calls so
-    depend on n alone, not on how the items were cut into blocks, and
-    neither do the bits. A zero-norm item raises DataError naming its place
-    among the n.
+    ``queries`` is (rows, their row_norms), and ``blocks`` yields item rows
+    with theirs in blocks of any lengths. Rows are divided by their norms
+    here only: the query rows once, and each item into a staging buffer of
+    BLOCK_ROWS rows. Each full buffer, then the last partial one, is scored
+    by one GEMM with the items on its N side, into its columns of the
+    result. The GEMM calls so depend on n alone, not on how the items were
+    cut into blocks, and neither do the bits. A zero-norm row raises
+    DataError naming its place among the queries, then among the n items.
     """
+    query_rows, query_norms = queries
+    _check_nonzero(query_norms, 0)
+    unit_queries = query_rows / query_norms[:, None]
     sims = np.empty((len(unit_queries), n))
     staged = np.empty((min(n, BLOCK_ROWS), unit_queries.shape[1]))
     scored = filled = 0
@@ -56,9 +61,7 @@ def score_blocks(
         if values.shape[1] != staged.shape[1]:
             dims = f"items d={values.shape[1]}, queries d={staged.shape[1]}"
             raise DataError(f"dimension mismatch: {dims}")
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DataError(f"row {scored + filled + int(zero[0])} has zero norm")
+        _check_nonzero(norms, scored + filled)
         while len(values):
             take = min(len(staged) - filled, len(values))
             np.divide(values[:take], norms[:take, None], out=staged[filled : filled + take])
@@ -69,6 +72,13 @@ def score_blocks(
     if scored != n:  # a short stream would leave columns unset
         raise DataError(f"expected {n} items, got {scored + filled}")
     return np.clip(sims, -1.0, 1.0, out=sims)
+
+
+def _check_nonzero(norms: np.ndarray, first: int) -> None:
+    """Reject a zero norm, naming its row counted from ``first``."""
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DataError(f"row {first + int(zero[0])} has zero norm")
 
 
 def _as_rows(similarities: np.ndarray) -> np.ndarray:

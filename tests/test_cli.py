@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flens.cli import _load_dataset, _query_similarities, main
+from flens.cli import _load_labels, _query_similarities, main
 from flens.core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
 from flens.io import (
     decode_labels,
@@ -129,17 +129,23 @@ class TestSynthCommand:
         assert emb2.read_bytes() == workspace["embeddings"].read_bytes()
         assert labels2.read_text() == workspace["labels"].read_text()
 
-    def test_seed_override_changes_data(self, workspace, tmp_path):
-        emb3 = tmp_path / "seeded.femb"
-        cfg = write_config(
-            tmp_path / "synth3.json",
-            {
-                "synth": {"n": 600, "d": 16, "p": 2, "seed": 11},
-                "output": {"embeddings": str(emb3), "labels": str(tmp_path / "l3.csv")},
-            },
-        )
-        assert run(["synth", "--config", cfg, "--seed", 999, "--out", tmp_path / "r3.json"]) == 0
-        assert emb3.read_bytes() != workspace["embeddings"].read_bytes()
+    def test_another_seed_changes_data(self, tmp_path):
+        """Configs that differ only in synth.seed give different data; reports echo each seed."""
+        written = []
+        for seed in (11, 999):
+            emb = tmp_path / f"seeded-{seed}.femb"
+            synth = {
+                "synth": {"n": 600, "d": 16, "p": 2, "seed": seed},
+                "output": {"embeddings": str(emb), "labels": str(tmp_path / f"l-{seed}.csv")},
+            }
+            cfg = write_config(tmp_path / f"synth-{seed}.json", synth)
+            out = tmp_path / f"r-{seed}.json"
+            assert run(["synth", "--config", cfg, "--out", out]) == 0
+            report = read_report(out)
+            assert report["config"]["synth"]["seed"] == seed
+            assert report["tasks"][0]["details"]["spec"]["seed"] == seed
+            written.append(emb.read_bytes())
+        assert written[0] != written[1]
 
     def test_too_small_rejected(self, tmp_path):
         cfg = write_config(
@@ -1103,18 +1109,6 @@ class TestConfigShapes:
         assert f"config error: {path} must be unique, got " in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_seed_flag(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "synth.json",
-            {
-                "synth": {"n": 600, "d": 16, "p": 2, "seed": 11},
-                "output": {"embeddings": str(tmp_path / "e.femb"), "labels": str(tmp_path / "l.csv")},
-            },
-        )
-        assert run(["synth", "--config", cfg, "--seed", -1]) == 2
-        assert "config error: --seed " in capsys.readouterr().err
-        assert not (tmp_path / "e.femb").exists()
-
     def test_integer_literal_too_long_for_json(self, tmp_path):
         path = tmp_path / "long.json"
         path.write_text('{"k": ' + "9" * 5000 + "}")
@@ -1363,9 +1357,11 @@ class TestOnePassAudit:
     @pytest.fixture
     def calls(self, monkeypatch):
         import flens.cli
+        import flens.core
+        import flens.tasks
 
         calls = {"normed": [], "scored": [], "taken": [], "top_k": 0, "balanced_retrieval": 0}
-        take, norms, score = EmbeddingMatrix.take, flens.cli.row_norms, flens.cli.score_blocks
+        take, norms, score = EmbeddingMatrix.take, flens.core.row_norms, flens.cli.score_blocks
 
         def counting_take(matrix, indices):
             calls["taken"].append(len(indices))
@@ -1375,16 +1371,18 @@ class TestOnePassAudit:
             calls["normed"].append(len(values))
             return norms(values)
 
-        def counting_score(unit_queries, blocks, n):
+        def counting_score(queries, blocks, n):
             def seen():
                 for values, block_norms in blocks:
                     calls["scored"].append(len(values))
                     yield values, block_norms
 
-            return score(unit_queries, seen(), n)
+            return score(queries, seen(), n)
 
         monkeypatch.setattr(EmbeddingMatrix, "take", counting_take)
-        monkeypatch.setattr(flens.cli, "row_norms", counting_norms)
+        # row_norms is counted in every module that binds it, so a second pass anywhere shows
+        for module in (flens.core, flens.cli, flens.tasks):
+            monkeypatch.setattr(module, "row_norms", counting_norms)
         monkeypatch.setattr(flens.cli, "score_blocks", counting_score)
         for name in ("top_k", "balanced_retrieval"):
 
@@ -1413,7 +1411,7 @@ class TestOnePassAudit:
         payload = {"queries": str(workspace["queries"]), "tasks": tasks}
         n_test = self._run(workspace, tmp_path, "classify-audit", payload)
         self._check_blocks(calls["scored"], n_test)
-        # each item block is normed once, after the four class rows the tasks name
+        # the four class rows the tasks name are normed once, then each item block once
         assert calls["normed"] == [4, *calls["scored"]]
         assert calls["taken"] == [4]
 
@@ -1448,7 +1446,7 @@ class TestOnePassAudit:
         }
         n_test = self._run(workspace, tmp_path, "retrieve-audit", payload)
         self._check_blocks(calls["scored"], n_test)
-        # the query rows, the balanced rows, then each item block once
+        # the query rows, the balanced rows, then each item block, each normed once
         assert calls["normed"] == [len(queries), 2 * len(queries), *calls["scored"]]
         assert calls["taken"] == [len(queries), 2 * len(queries)]
         assert calls["top_k"] == 1
@@ -1661,12 +1659,15 @@ class TestInputFaultOrder:
         assert run([command, "--config", cfg]) == 3
         assert "data error: unknown split tag 'training'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["classify-audit", "debias-fit", "probe"])
+    @pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit", "debias-fit", "probe"])
     def test_label_rows_differ_from_embedding_rows(self, workspace, tmp_path, capsys, command):
+        """Every command reads through a mask over the label rows: one check, one message."""
         short = tmp_path / "short.femb"
         write_embeddings(read_embeddings(workspace["embeddings"]).take(np.arange(599)), short)
         payload = {
             "classify-audit": {"queries": str(workspace["queries"]), "tasks": [TASK]},
+            "retrieve-audit": {"queries": str(workspace["queries"]),
+                               "retrieval": {"k": [5], "queries": [QUERY]}},
             "debias-fit": {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")},
             "probe": {"probe": {"attributes": ["group"]}},
         }[command]
@@ -1674,9 +1675,24 @@ class TestInputFaultOrder:
         cfg = write_config(tmp_path / "short.json", {"data": data, **payload})
         assert run([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
-        # The audits and fits read their split's rows by a mask over the label rows.
-        other = workspace["labels"] if command == "probe" else "the row mask"
-        assert f"data error: {short} has 599 rows, but {other} has 600" in err
+        assert err == f"data error: {short} has 599 rows, but the label table has 600\n"
+
+    @pytest.mark.parametrize(
+        "command, payload, path",
+        [
+            ("classify-audit", {"tasks": [dict(TASK, class_a=99)]}, "tasks[0].class_a"),
+            ("retrieve-audit", {"retrieval": {"k": [9999], "queries": [QUERY]}}, "retrieval.k[0]"),
+        ],
+        ids=["classify-audit", "retrieve-audit"],
+    )
+    def test_query_fault_reported_before_items_fault(
+        self, workspace, tmp_path, capsys, command, payload, path
+    ):
+        """An audit checks its query rows and k before it opens the items file."""
+        workspace["embeddings"].write_bytes(workspace["embeddings"].read_bytes()[:-1])
+        payload = {"data": workspace["data"], "queries": str(workspace["queries"]), **payload}
+        assert run([command, "--config", write_config(tmp_path / "faults.json", payload)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path} must be ")
 
 
 def test_test_split_read_memory(tmp_path):
@@ -1687,7 +1703,8 @@ def test_test_split_read_memory(tmp_path):
     cfg = {"data": {**paths, "attribute": "group"}}
     tracemalloc.start()
     try:
-        items, groups, _, rows, _, provenance = _load_dataset(cfg, keep="test")
+        mask, groups, _, rows, _, provenance = _load_labels(cfg, keep="test")
+        items = read_embeddings(paths["embeddings"], mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1833,8 +1850,7 @@ class TestStreamedScoring:
         path, mask = str(streamed_set["embeddings"]), streamed_set["test"]
         queries = read_embeddings(streamed_set["queries"])
         sources = [("query", str(streamed_set["queries"]), queries, np.array([0, 2, 3]))]
-        with open_kept_rows(path, mask) as blocks:
-            sims, _ = _query_similarities(transform_path, (path, int(mask.sum()), blocks), sources)
+        sims, _ = _query_similarities(transform_path, (path, mask, int(mask.sum())), sources)
         return sims, read_embeddings(path, mask), queries.take(np.array([0, 2, 3]))
 
     def test_blocks_of_test_rows(self, streamed_set):
@@ -1962,7 +1978,7 @@ def test_label_table_shorter_than_embeddings(workspace, tmp_path, capsys):
            "tasks": [TASK]}
     assert run(["classify-audit", "--config", write_config(tmp_path / "c.json", cfg)]) == 3
     err = capsys.readouterr().err
-    assert f"data error: {paths['embeddings']} has 80 rows, but the row mask has 60 entries" in err
+    assert f"data error: {paths['embeddings']} has 80 rows, but the label table has 60" in err
 
 
 _VMHWM_CHILD = """

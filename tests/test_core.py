@@ -41,20 +41,6 @@ class TestEmbeddingMatrix:
         m = EmbeddingMatrix(np.ones((1, 2), dtype=np.float32))
         assert m.values.dtype == np.float64
 
-    def test_unit_rows_cached_and_read_only(self):
-        m = EmbeddingMatrix(np.array([[3.0, 4.0], [0.0, -2.0]]))
-        unit = m.unit_rows
-        assert unit is m.unit_rows
-        np.testing.assert_array_equal(unit, m.values / np.linalg.norm(m.values, axis=1)[:, None])
-        with pytest.raises(ValueError):
-            unit[0, 0] = 1.0
-
-    def test_unit_rows_zero_norm_row_never_cached(self):
-        m = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        for _ in range(2):
-            with pytest.raises(DataError, match="^row 1 has zero norm$"):
-                m.unit_rows
-
 
 class TestGroupLabels:
     def test_counts(self):

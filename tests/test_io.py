@@ -214,7 +214,7 @@ class TestEmbeddingRead:
     def test_mask_of_wrong_length(self, tmp_path, matrix, writer, rows):
         path = tmp_path / "m.femb"
         writer(matrix, path)
-        expected = f"{path} has 3 rows, but the row mask has {rows} entries"
+        expected = f"{path} has 3 rows, but the label table has {rows}"
         with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             read_embeddings(path, keep=np.ones(rows, dtype=bool))
 

@@ -97,7 +97,7 @@ class TestScoreBlocks:
         blocks = [
             (items.values[a:b], row_norms(items.values[a:b])) for a, b in zip(cuts, cuts[1:])
         ]
-        sims = score_blocks(queries.unit_rows, blocks, n)
+        sims = score_blocks((queries.values, row_norms(queries.values)), blocks, n)
         assert sims.tobytes() == cosine_similarity_matrix(items, queries).tobytes()
 
     def test_zero_norm_named_by_place_in_the_stream(self):
@@ -105,12 +105,25 @@ class TestScoreBlocks:
         values[4] = 0.0
         blocks = [(values[:3], row_norms(values[:3])), (values[3:], row_norms(values[3:]))]
         with pytest.raises(DataError, match="^row 4 has zero norm$"):
-            score_blocks(np.array([[1.0, 0.0]]), blocks, 6)
+            score_blocks((np.array([[1.0, 0.0]]), np.ones(1)), blocks, 6)
+
+    def test_query_rows_divided_by_the_norms_given(self):
+        items = np.array([[1.0, 0.0]])
+        sims = score_blocks((np.array([[2.0, 0.0]]), np.array([4.0])), [(items, np.ones(1))], 1)
+        assert sims.tolist() == [[0.5]]
+
+    def test_zero_norm_query_named_before_any_item_is_read(self):
+        def unread():
+            raise AssertionError("an item block was taken")
+            yield
+
+        with pytest.raises(DataError, match="^row 1 has zero norm$"):
+            score_blocks((np.ones((2, 2)), np.array([1.0, 0.0])), unread(), 1)
 
     def test_short_stream_is_data_error(self):
         values = np.ones((3, 2))
         with pytest.raises(DataError, match="^expected 5 items, got 3$"):
-            score_blocks(np.array([[1.0, 0.0]]), [(values, row_norms(values))], 5)
+            score_blocks((np.array([[1.0, 0.0]]), np.ones(1)), [(values, row_norms(values))], 5)
 
 
 class TestZeroShotClassify:
