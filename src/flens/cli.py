@@ -257,7 +257,7 @@ def _query_similarities(
 
     def transformed_items(blocks):
         for rows, values in blocks:
-            block = transform(EmbeddingMatrix(values, finite=True)).values
+            block = transform(EmbeddingMatrix(values)).values
             yield block, _nonzero_norms("item", items_path, block, rows)
 
     query_side = (np.concatenate(queries), np.concatenate(norms))
@@ -480,17 +480,19 @@ def cmd_debias_fit(cfg: dict) -> dict:
     mask, protected, _, rows, _, provenance = _load_labels(cfg, keep=TRAIN)
     train_items = read_embeddings(cfg["data"]["embeddings"], mask)
     if prompts_path:
-        prompts = read_embeddings(prompts_path)
-        _nonzero_norms("prompt", prompts_path, prompts.values, np.arange(prompts.rows))
-        _nonzero_norms("item", cfg["data"]["embeddings"], train_items.values, rows)
-        protected = infer_protected_attribute(train_items, prompts)
+        prompts = read_embeddings(prompts_path).values
+        prompt_norms = _nonzero_norms("prompt", prompts_path, prompts, np.arange(len(prompts)))
+        item_norms = _nonzero_norms("item", cfg["data"]["embeddings"], train_items.values, rows)
+        protected = infer_protected_attribute(
+            (train_items.values, item_norms), (prompts, prompt_norms)
+        )
         empty = np.flatnonzero(protected.counts() == 0)
         if empty.size:
             raise DataError(
                 f"inferred group {empty[0]} is empty: no train item is nearest to its prompt"
             )
     try:
-        transform = fit(_TrainRows(train_items.values, finite=True), protected, **params)
+        transform = fit(_TrainRows(train_items.values), protected, **params)
     except ConfigError as exc:  # a fit's range error names its parameter; add the section
         raise ConfigError(f"{method}.{exc}") from None
     details = {"train_items": train_items.rows, **transform.details()}
@@ -514,7 +516,7 @@ def cmd_apply(cfg: dict) -> dict:
     with open_embeddings(_field(cfg, "input", str, "")) as (rows, dims, blocks):
         transform, meta = read_transform(transform_path)
         out_shape = write_embeddings(
-            (transform.apply(EmbeddingMatrix(block, finite=True)).values for block in blocks),
+            (transform.apply(EmbeddingMatrix(block)).values for block in blocks),
             out_path,
         )
     shapes = {"input_shape": [rows, dims], "output_shape": list(out_shape)}

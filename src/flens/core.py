@@ -1,12 +1,12 @@
 """Shared data model: embeddings, group and binary labels, and split tags.
 
-Every container here is immutable after construction (numpy buffers are
-marked read-only), so instances can be shared freely across threads.
+Every container here is immutable after construction: numpy buffers are
+marked read-only, so no holder can change the values another one reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +38,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class EmbeddingMatrix:
     """Dense n x d matrix of embedding vectors, held as float64 in memory.
 
-    ``finite=True`` skips the NaN/Inf scan, for values whose source was
-    already scanned: a file's float32 payload, or rows of another matrix.
+    Values are not scanned for NaN/Inf here: io checks every block it reads
+    or writes, and a finite transform keeps finite rows finite.
     """
 
     values: np.ndarray
-    finite: InitVar[bool] = False
 
-    def __post_init__(self, finite: bool) -> None:
+    def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise DataError(f"embedding matrix must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise DataError("embedding matrix needs at least one row and one column")
-        if not finite and not np.all(np.isfinite(values)):
-            raise DataError("embedding matrix contains NaN or Inf")
         object.__setattr__(self, "values", _freeze(values))
 
     @property
@@ -65,18 +62,18 @@ class EmbeddingMatrix:
 
     def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
         """New matrix with the given rows, in the given order."""
-        return EmbeddingMatrix(self.values[np.asarray(indices)], finite=True)
+        return EmbeddingMatrix(self.values[np.asarray(indices)])
 
 
 @dataclass(frozen=True, eq=False)
 class GroupLabels:
     """Per-item protected-group indices in [0, group_count).
 
-    The constructor deliberately allows a group index to be absent from
-    ``labels``: inferred labelings can legitimately leave a group empty
-    (e.g. when two attribute prompts coincide). Operations whose math
-    requires every group to be populated call :meth:`require_all_groups`,
-    and dataset loading rejects splits with absent groups.
+    The constructor allows a group index to be absent from ``labels``:
+    an inferred labeling can leave a group empty, e.g. when two attribute
+    prompts coincide. Every group present is checked where labels enter:
+    split_tags checks each split of a label table, and debias-fit checks
+    an inferred labeling. The metrics, tests and fits assume it.
     """
 
     labels: np.ndarray
@@ -104,13 +101,6 @@ class GroupLabels:
     def counts(self) -> np.ndarray:
         """Item count per group over the full label vector."""
         return np.bincount(self.labels, minlength=self.group_count)
-
-    def require_all_groups(self) -> None:
-        """Raise DataError unless every group index occurs at least once."""
-        counts = self.counts()
-        if np.any(counts == 0):
-            missing = int(np.flatnonzero(counts == 0)[0])
-            raise DataError(f"group {missing} has no members")
 
     def take(self, indices: np.ndarray) -> "GroupLabels":
         return GroupLabels(self.labels[np.asarray(indices)], self.group_count, self.group_names)

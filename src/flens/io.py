@@ -88,7 +88,7 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> Embeddi
             rows = block if keep is None else block[keep[start : start + len(block)]]
             values[filled : filled + len(rows)] = rows
             start, filled = start + len(block), filled + len(rows)
-    return EmbeddingMatrix(values, finite=True)
+    return EmbeddingMatrix(values)
 
 
 @contextmanager

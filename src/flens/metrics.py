@@ -42,12 +42,10 @@ def ddp_classification(predictions: BinaryLabels, groups: GroupLabels) -> Metric
     """Demographic disparity of a binary classifier.
 
     Max over group pairs of the absolute difference in positive-prediction
-    fractions. 0 means parity, 1 maximal disparity.
+    fractions. 0 means parity, 1 maximal disparity. Every group has a member.
     """
     _check_lengths(predictions, groups)
     group_sizes = groups.counts()
-    if np.any(group_sizes == 0):
-        raise DataError("every group must have at least one member")
     positives = np.bincount(
         groups.labels[predictions.positive_mask()], minlength=groups.group_count
     )
@@ -65,7 +63,7 @@ def ddp_retrieval(
     group the rate is the share of the selection it received minus the share
     of the remainder it received; the metric is the largest pairwise gap
     between those rates. Requires a non-empty selection and a non-empty
-    remainder.
+    remainder; every group has population.
     """
     k_i = np.asarray(selected_per_group, dtype=np.int64)
     z_i = np.asarray(population_per_group, dtype=np.int64)
@@ -74,8 +72,6 @@ def ddp_retrieval(
         raise DataError("cannot score an empty selection")
     if z <= k:
         raise DataError("selection must leave at least one item unselected")
-    if np.any(z_i == 0):
-        raise DataError("every group must have population")
     rates = k_i / k - (z_i - k_i) / (z - k)
     return _max_pairwise(rates)
 

@@ -133,6 +133,9 @@ class FairPcaTransform:
         object.__setattr__(self, "projection", proj)
         if not self.orthonormality_residual <= ORTHONORMALITY_TOL:
             raise DataError("projection columns are not orthonormal")
+        # apply subtracts this offset; finite, it keeps finite rows finite
+        if not np.all(np.isfinite(mean @ proj)):
+            raise DataError("fair-pca offset (mean @ projection) overflows")
 
     @property
     def input_dims(self) -> int:
@@ -197,7 +200,8 @@ def estimate_mi_per_dimension(
 
     Returns nonnegative estimates in nats. The estimate carries the usual
     plug-in positive bias of roughly (bins-1)(p-1)/(2n); that bias is shared
-    across dimensions so the ranking it feeds is unaffected.
+    across dimensions so the ranking it feeds is unaffected. Every group is
+    present in ``groups``, as split_tags and debias-fit check.
 
     A value's bin counts the interior quantile edges at or below it. Columns
     go in blocks of about ``_MI_BLOCK_ELEMENTS`` values (O(n) scratch), rows
@@ -213,8 +217,6 @@ def estimate_mi_per_dimension(
     if len(groups) != n:
         raise DataError("group labels length differs from embedding rows")
     counts = groups.counts()
-    if np.any(counts == 0):
-        raise DataError("every group must be present to estimate MI")
     p = groups.group_count
     # Edges at np.quantile's default ("linear", Hyndman-Fan type 7) positions,
     # read off the sorted column with numpy's interpolation, to the last bit.
@@ -296,7 +298,6 @@ def fit_fair_pca(
     """
     if len(groups) != train.rows:
         raise DataError("group labels length differs from embedding rows")
-    groups.require_all_groups()
     n, d = train.rows, train.dims
     p = groups.group_count
     max_rank = d - (p - 1)

@@ -139,7 +139,7 @@ def fit_probe(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> ProbeModel:
-    """Fit by full-batch L-BFGS with a backtracking line search.
+    """Fit by full-batch L-BFGS with a backtracking line search; l2 is non-negative.
 
     Starts from zero parameters and stops when the gradient max-norm drops
     below tol, when max_iter L-BFGS steps were taken, or when the step the
@@ -153,8 +153,6 @@ def fit_probe(
         raise DataError("labels length differs from embedding rows")
     if y.min() == y.max():
         raise DataError("training labels contain fewer than two classes")
-    if l2 < 0.0:
-        raise DataError("l2 penalty must be nonnegative")
     x = train.values
     split = (classes - 1) * train.dims  # theta holds w row-major, then b
 

@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import BLOCK_ROWS, BinaryLabels, EmbeddingMatrix, GroupLabels, row_norms
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 INDEPENDENCE = "independence"
 DIVERSITY = "diversity"
@@ -82,11 +82,10 @@ def _check_nonzero(norms: np.ndarray, first: int) -> None:
 
 
 def _as_rows(similarities: np.ndarray) -> np.ndarray:
+    """Similarities as 2-d float64 rows; score_blocks makes them NaN-free from io-checked rows."""
     sims = np.asarray(similarities, dtype=np.float64)
     if sims.ndim != 2:
         raise DataError(f"similarity matrix must be 2-d, got shape {sims.shape}")
-    if np.isnan(sims).any():  # NaN has no rank: it would break _ranked_prefix's threshold
-        raise DataError("similarity matrix contains NaN")
     return sims
 
 
@@ -129,13 +128,9 @@ def top_k(similarities: np.ndarray, k: int) -> np.ndarray:
     """Per query row, the k items of largest similarity: a rows x k index array.
 
     Ties go to the lower item index. The order is one stable sort, so the
-    result for any k' <= k is a prefix.
+    result for any k' <= k is a prefix. retrieve-audit checks k in [1, n].
     """
-    sims = _as_rows(similarities)
-    n = sims.shape[1]
-    if k < 1 or k > n:
-        raise ConfigError(f"k={k} outside [1, {n}]")
-    return _ranked_prefix(sims, k)
+    return _ranked_prefix(_as_rows(similarities), k)
 
 
 def balanced_retrieval(similarities: np.ndarray, k: int) -> np.ndarray:
@@ -147,14 +142,10 @@ def balanced_retrieval(similarities: np.ndarray, k: int) -> np.ndarray:
     is skipped in favor of that group's next-best candidate. Picks are made and
     returned in round-robin order by rank, so each group's best item precedes
     any group's second-best. Quotas fill whole rounds first, so the picks for
-    any k' in [p, k] are the first k' picks for k.
+    any k' in [p, k] are the first k' picks for k. retrieve-audit checks k in [p, n].
     """
     sims = _as_rows(similarities)
     p, n = sims.shape
-    if k < p:
-        raise ConfigError(f"k={k} must be at least the group-query count {p}")
-    if k > n:
-        raise DataError(f"need {k} distinct items but only {n} exist")
     # Fewer than k items are claimed before any pick, so no group's cursor
     # passes index k-1 of its order: the first k columns of each order suffice.
     orders = _ranked_prefix(sims, k)
@@ -180,16 +171,17 @@ def balanced_retrieval(similarities: np.ndarray, k: int) -> np.ndarray:
 
 
 def infer_protected_attribute(
-    items: EmbeddingMatrix, attribute_prompts: EmbeddingMatrix
+    items: tuple[np.ndarray, np.ndarray], prompts: tuple[np.ndarray, np.ndarray]
 ) -> GroupLabels:
     """Assign each item the nearest of p attribute-prompt embeddings.
 
-    Ties go to the lowest prompt index. The result is meant only for
-    fitting mitigation transforms; evaluation must use ground-truth labels.
+    Each side is (rows, their row_norms), as score_blocks takes them, which
+    scores the items as one block. Ties go to the lowest prompt index. The
+    result is meant only for fitting mitigation transforms; evaluation must
+    use ground-truth labels.
     """
-    p = attribute_prompts.rows
+    p = len(prompts[0])
     if p < 2:
         raise DataError("need at least two attribute prompts")
-    sims = cosine_similarity_matrix(items, attribute_prompts)
-    labels = np.argmax(sims, axis=0)
-    return GroupLabels(labels, group_count=p)
+    sims = score_blocks(prompts, [items], len(items[0]))
+    return GroupLabels(np.argmax(sims, axis=0), group_count=p)

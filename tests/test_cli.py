@@ -147,6 +147,17 @@ class TestSynthCommand:
             written.append(emb.read_bytes())
         assert written[0] != written[1]
 
+    @pytest.mark.parametrize("strength", [1e308, 1.7e308])
+    def test_values_past_float32_exit_3(self, tmp_path, capsys, strength):
+        """The writer rejects them, also when 1.7e308 times a group offset of 1.5 is inf."""
+        files = {"embeddings": str(tmp_path / "x.femb"), "labels": str(tmp_path / "x.csv")}
+        params = {"n": 40, "d": 4, "p": 4, "bias_dims": [0], "bias_strength": strength}
+        cfg = write_config(tmp_path / "huge.json", {"synth": params, "output": files})
+        with np.errstate(over="ignore"):
+            assert run(["synth", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "data error: values overflow 32-bit floats\n"
+        assert not Path(files["embeddings"]).exists()
+
     def test_too_small_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path / "bad.json",
@@ -1452,6 +1463,19 @@ class TestOnePassAudit:
         assert calls["top_k"] == 1
         assert calls["balanced_retrieval"] == len(queries)
 
+    def test_inferred_fit_norms_each_row_once(self, workspace, tmp_path, calls):
+        prompts = np.zeros((2, 16))
+        prompts[:, 0] = [-1.0, 1.0]
+        write_embeddings(EmbeddingMatrix(prompts), tmp_path / "prompts.femb")
+        payload = {
+            "method": "miclip", "miclip": {"m": 8}, "attribute_source": "inferred",
+            "prompts": str(tmp_path / "prompts.femb"), "transform_out": str(tmp_path / "t.ftfm"),
+        }
+        cfg = write_config(tmp_path / "fit.json", {"data": workspace["data"], **payload})
+        assert run(["debias-fit", "--config", cfg, "--out", tmp_path / "fit.out"]) == 0
+        # the prompts, then the train rows, each normed once
+        assert calls["normed"] == [2, read_report(tmp_path / "fit.out")["dataset"]["train_items"]]
+
     def test_population_counted_once_per_audit(self, workspace, tmp_path, monkeypatch):
         """More queries and cutoffs add metric records, but no group population count."""
         counted = []
@@ -2027,3 +2051,127 @@ def test_fits_and_apply_hold_their_kept_rows_and_blocks(tmp_path):
         code, before, after = map(int, out.stdout.split())
         assert code == 0, out.stderr
         assert after - before < kept_bytes + allowance, (name, (after - before) / 2**20)
+
+
+class TestBoundaryOwners:
+    """Each input rule is checked where the input enters, for every command that reads it.
+
+    io checks every block of an embeddings file for NaN/Inf, split_tags checks
+    that each split holds every group, and a fair-PCA transform checks its offset
+    when it is read; the library behind them does not check again.
+    """
+
+    @staticmethod
+    def _with_nan(path, tmp_path):
+        """A copy of the .femb at path whose last value is NaN."""
+        data = bytearray(Path(path).read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        copy = tmp_path / f"nan-{Path(path).name}"
+        copy.write_bytes(bytes(data))
+        return copy
+
+    @staticmethod
+    def _prompts(tmp_path):
+        prompts = np.zeros((2, 16))
+        prompts[:, 0] = [-1.0, 1.0]
+        path = tmp_path / "prompts.femb"
+        write_embeddings(EmbeddingMatrix(prompts), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "command, role",
+        [
+            ("classify-audit", "queries"),
+            ("retrieve-audit", "queries"),
+            ("retrieve-audit", "balanced"),
+            ("debias-fit", "prompts"),
+            ("apply", "input"),
+            ("probe", "items"),
+        ],
+    )
+    def test_nan_in_any_embeddings_file_exits_3(
+        self, workspace, tmp_path, capsys, request, command, role
+    ):
+        files = {
+            "queries": workspace["queries"],
+            "balanced": workspace["balanced"],
+            "prompts": self._prompts(tmp_path),
+            "input": workspace["embeddings"],
+            "items": workspace["embeddings"],
+        }
+        files[role] = bad = self._with_nan(files[role], tmp_path)
+        data = dict(workspace["data"], embeddings=str(files["items"]))
+        retrieval = {"k": [10], "queries": [QUERY]}
+        payload = {
+            "classify-audit": {"data": data, "queries": str(files["queries"]), "tasks": [TASK]},
+            "retrieve-audit": {"data": data, "queries": str(files["queries"]),
+                               "retrieval": retrieval,
+                               "balanced": {"embeddings": str(files["balanced"])}},
+            "debias-fit": {"data": data, "method": "miclip", "miclip": {"m": 8},
+                           "attribute_source": "inferred", "prompts": str(files["prompts"]),
+                           "transform_out": str(tmp_path / "t.ftfm")},
+            "apply": {"input": str(files["input"]), "output": str(tmp_path / "out.femb"),
+                      "transform": str(request.getfixturevalue("fitted_transform"))},
+            "probe": {"data": data, "probe": {"attributes": ["group"], "max_iter": 5}},
+        }[command]
+        assert run([command, "--config", write_config(tmp_path / "nan.json", payload)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: payload contains NaN or Inf\n"
+
+    @pytest.mark.parametrize("split, group", [("test", 1), ("train", 0)])
+    @pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit", "debias-fit", "probe"])
+    def test_split_without_a_group_exits_3(
+        self, workspace, tmp_path, capsys, command, split, group
+    ):
+        """Every command that reads the label table checks both splits before anything else."""
+        with open(workspace["labels"], newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        other = "train" if split == "test" else "test"
+        for row in rows:
+            if row["group"] == str(group) and row["split"] == split:
+                row["split"] = other
+        labels = tmp_path / f"no-{group}-in-{split}.csv"
+        write_label_table(labels, {key: [row[key] for row in rows] for key in rows[0]})
+        data = dict(workspace["data"], labels=str(labels))
+        payload = {
+            "classify-audit": {"queries": str(workspace["queries"]), "tasks": [TASK]},
+            "retrieve-audit": {"queries": str(workspace["queries"]),
+                               "retrieval": {"k": [10], "queries": [QUERY]}},
+            "debias-fit": {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")},
+            "probe": {"probe": {"attributes": ["group"]}},
+        }[command]
+        cfg = write_config(tmp_path / "absent.json", {"data": data, **payload})
+        assert run([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"data error: group {group} absent from the {split} split\n"
+
+    @pytest.mark.parametrize("command", ["apply", "classify-audit", "retrieve-audit", "probe"])
+    def test_fair_pca_offset_that_overflows_exits_3(
+        self, workspace, fitted_transform, tmp_path, capsys, command
+    ):
+        """A finite mean whose product with the projection overflows is rejected on reading."""
+        transform, _ = read_transform(fitted_transform)
+        # each mean entry at the float64 limit, signed like the first projection column
+        mean = np.finfo(np.float64).max * np.sign(transform.projection[:, 0])
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(mean @ transform.projection))
+        data = bytearray(fitted_transform.read_bytes())
+        (meta_len,) = struct.unpack_from("<I", data, 11)  # after the magic, version and kind
+        start = 15 + meta_len + 8  # the body's mean follows its d and r
+        assert struct.unpack_from("<16d", data, start) == tuple(transform.mean)
+        data[start : start + 16 * 8] = mean.astype("<f8").tobytes()
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
+        fitted_transform.write_bytes(bytes(data))
+        payload = {
+            "apply": {"input": str(workspace["embeddings"]), "output": str(tmp_path / "o.femb")},
+            "classify-audit": {"data": workspace["data"], "queries": str(workspace["queries"]),
+                               "tasks": [TASK]},
+            "retrieve-audit": {"data": workspace["data"], "queries": str(workspace["queries"]),
+                               "retrieval": {"k": [10], "queries": [QUERY]}},
+            "probe": {"data": workspace["data"], "probe": {"attributes": ["group"]}},
+        }[command]
+        payload["transform"] = str(fitted_transform)
+        with np.errstate(over="ignore"):
+            code = run([command, "--config", write_config(tmp_path / "offset.json", payload)])
+        assert code == 3
+        expected = "data error: fair-pca offset (mean @ projection) overflows\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "o.femb").exists()

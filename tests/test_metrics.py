@@ -64,10 +64,6 @@ class TestDdpClassification:
         assert result.arg_pair == (0, 2)
         assert result.per_group_rates.tolist() == [1.0, 0.5, 0.0]
 
-    def test_empty_group(self):
-        with pytest.raises(DataError, match="every group must have at least one member"):
-            ddp_classification(BinaryLabels([1, -1]), GroupLabels([0, 0], 2))
-
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length mismatch: 1 vs 2"):
             ddp_classification(BinaryLabels([1]), GroupLabels([0, 1], 2))
@@ -90,10 +86,6 @@ class TestDdpRetrieval:
     def test_degenerate_denominator(self):
         with pytest.raises(DataError, match="selection must leave at least one item unselected"):
             ddp_retrieval([5, 5], [5, 5])
-
-    def test_group_without_population(self):
-        with pytest.raises(DataError, match="every group must have population"):
-            ddp_retrieval([2, 0], [5, 0])
 
 
 class TestDtpr:
