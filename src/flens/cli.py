@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels, row_norms, split_tags
+from .core import TEST, TRAIN, GroupLabels, row_norms, split_tags
 from .errors import ConfigError, DataError, FlensError, NumericError
 from .io import (
     decode_labels,
@@ -208,10 +208,8 @@ def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
     return {"path": path, "kind": type(transform).__name__, "metadata": meta}
 
 
-def _maybe_transform(
-    path: str | None,
-) -> tuple[Callable[[EmbeddingMatrix], EmbeddingMatrix], list[dict]]:
-    """The transform at path as a function on matrices, and its report blocks (0 or 1).
+def _maybe_transform(path: str | None) -> tuple[Callable[[np.ndarray], np.ndarray], list[dict]]:
+    """The transform at path as a function on row arrays, and its report blocks (0 or 1).
 
     With no path the function is the identity. The file is read once, here.
     """
@@ -233,7 +231,7 @@ def _nonzero_norms(kind: str, path: str, values: np.ndarray, rows: np.ndarray) -
 def _query_similarities(
     transform_path: str | None,
     items: tuple[str, np.ndarray, int],
-    sources: Sequence[tuple[str, str, EmbeddingMatrix, np.ndarray]],
+    sources: Sequence[tuple[str, str, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, list[dict]]:
     """Score the named rows of each query file against the test items, a block at a time.
 
@@ -252,12 +250,12 @@ def _query_similarities(
     transform, transform_blocks = _maybe_transform(transform_path)
     queries, norms = [], []
     for kind, path, matrix, rows in sources:
-        queries.append(transform(matrix.take(rows)).values)
+        queries.append(transform(matrix[rows]))
         norms.append(_nonzero_norms(kind, path, queries[-1], rows))
 
     def transformed_items(blocks):
         for rows, values in blocks:
-            block = transform(EmbeddingMatrix(values)).values
+            block = transform(values)
             yield block, _nonzero_norms("item", items_path, block, rows)
 
     query_side = (np.concatenate(queries), np.concatenate(norms))
@@ -287,8 +285,8 @@ def cmd_classify_audit(cfg: dict) -> dict:
     )
     queries = read_embeddings(queries_path)
     for i, (_, a, b, *_) in enumerate(tasks):
-        _check_row(a, f"tasks[{i}].class_a", queries.rows)
-        _check_row(b, f"tasks[{i}].class_b", queries.rows)
+        _check_row(a, f"tasks[{i}].class_a", len(queries))
+        _check_row(b, f"tasks[{i}].class_b", len(queries))
     # Only the class rows the tasks name are transformed and scored, each once.
     class_rows = np.array(sorted({row for _, a, b, *_ in tasks for row in (a, b)}))
     sims, transform_blocks = _query_similarities(
@@ -389,7 +387,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
 
     queries = []
     for i, (name, row, tags, relevant_column) in enumerate(query_specs):
-        _check_row(row, f"retrieval.queries[{i}].row", query_file.rows)
+        _check_row(row, f"retrieval.queries[{i}].row", len(query_file))
         relevant = None
         if relevant_column:
             relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
@@ -399,8 +397,8 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     query_rows = np.array([row for _, row, _, _ in query_specs])
     sources = [("query", queries_path, query_file, query_rows)]
     if balanced_file is not None:
-        if balanced_file.rows < len(queries) * p:
-            name = queries[balanced_file.rows // p][0]
+        if len(balanced_file) < len(queries) * p:
+            name = queries[len(balanced_file) // p][0]
             raise ConfigError(
                 f"balanced embeddings need {p} rows per query, query {name!r} overruns"
             )
@@ -444,8 +442,8 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     return build_report("retrieve-audit", cfg, records, blocks, extra)
 
 
-class _TrainRows(EmbeddingMatrix):
-    """Rows that all belong to the train split; ``train_mask`` says so.
+class _TrainRows(np.ndarray):
+    """A view of rows that all belong to the train split; ``train_mask`` says so.
 
     The fits read only the rows. ``train_mask`` is there for callers that
     size a fit by its train rows, as perfbench's fair-PCA hook does.
@@ -453,7 +451,7 @@ class _TrainRows(EmbeddingMatrix):
 
     @property
     def train_mask(self) -> np.ndarray:
-        return np.ones(self.rows, dtype=bool)
+        return np.ones(len(self), dtype=bool)
 
 
 def cmd_debias_fit(cfg: dict) -> dict:
@@ -480,22 +478,20 @@ def cmd_debias_fit(cfg: dict) -> dict:
     mask, protected, _, rows, _, provenance = _load_labels(cfg, keep=TRAIN)
     train_items = read_embeddings(cfg["data"]["embeddings"], mask)
     if prompts_path:
-        prompts = read_embeddings(prompts_path).values
+        prompts = read_embeddings(prompts_path)
         prompt_norms = _nonzero_norms("prompt", prompts_path, prompts, np.arange(len(prompts)))
-        item_norms = _nonzero_norms("item", cfg["data"]["embeddings"], train_items.values, rows)
-        protected = infer_protected_attribute(
-            (train_items.values, item_norms), (prompts, prompt_norms)
-        )
+        item_norms = _nonzero_norms("item", cfg["data"]["embeddings"], train_items, rows)
+        protected = infer_protected_attribute((train_items, item_norms), (prompts, prompt_norms))
         empty = np.flatnonzero(protected.counts() == 0)
         if empty.size:
             raise DataError(
                 f"inferred group {empty[0]} is empty: no train item is nearest to its prompt"
             )
     try:
-        transform = fit(_TrainRows(train_items.values), protected, **params)
+        transform = fit(train_items.view(_TrainRows), protected, **params)
     except ConfigError as exc:  # a fit's range error names its parameter; add the section
         raise ConfigError(f"{method}.{exc}") from None
-    details = {"train_items": train_items.rows, **transform.details()}
+    details = {"train_items": len(train_items), **transform.details()}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
     metadata.update({key: details.get(key, value) for key, value in params.items()})
@@ -515,10 +511,7 @@ def cmd_apply(cfg: dict) -> dict:
     out_path = _field(cfg, "output", str, "")
     with open_embeddings(_field(cfg, "input", str, "")) as (rows, dims, blocks):
         transform, meta = read_transform(transform_path)
-        out_shape = write_embeddings(
-            (transform.apply(EmbeddingMatrix(block)).values for block in blocks),
-            out_path,
-        )
+        out_shape = write_embeddings(map(transform.apply, blocks), out_path)
     shapes = {"input_shape": [rows, dims], "output_shape": list(out_shape)}
     record = {"task_name": "apply", "details": shapes}
     return build_report("apply", cfg, [record], [_transform_block(transform_path, transform, meta)])
@@ -547,7 +540,7 @@ def cmd_probe(cfg: dict) -> dict:
     # Each space's train and test rows are taken once and serve every attribute.
     # The full matrix is dropped once its rows are taken, and the transform,
     # if any, maps those rows only.
-    rows = {"raw": (embeddings.take(train_idx), embeddings.take(test_idx))}
+    rows = {"raw": (embeddings[train_idx], embeddings[test_idx])}
     del embeddings
     transform, transform_blocks = _maybe_transform(transform_path)
     if transform_blocks:

@@ -36,10 +36,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
-    """Dense n x d matrix of embedding vectors, held as float64 in memory.
+    """A whole n x d float64 matrix: synth's draw, in the form write_embeddings takes.
 
-    Values are not scanned for NaN/Inf here: io checks every block it reads
-    or writes, and a finite transform keeps finite rows finite.
+    The library passes plain 2-d arrays; this class stays because the benchmark's
+    set-up names it. io, not this class, checks values for NaN/Inf.
     """
 
     values: np.ndarray
@@ -51,18 +51,6 @@ class EmbeddingMatrix:
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise DataError("embedding matrix needs at least one row and one column")
         object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-    def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
-        """New matrix with the given rows, in the given order."""
-        return EmbeddingMatrix(self.values[np.asarray(indices)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,8 @@
 Embeddings travel as 32-bit little-endian floats behind a fixed header.
 They are read, checked and written in blocks of BLOCK_ROWS rows; the rows
 a command keeps are widened to float64 in memory, and statistics never run
-on float32. A comma-separated text twin exists for
-interoperability. Transforms live in a versioned, checksummed binary
-container. Reports are canonical JSON.
+on float32. A comma-separated text twin is read too. Transforms live in a
+versioned, checksummed binary container. Reports are canonical JSON.
 """
 
 from __future__ import annotations
@@ -56,7 +55,8 @@ def write_embeddings(
         with open(partial, "wb") as fh:
             fh.seek(_EMBEDDING_HEADER.size)  # the header follows once the rows are counted
             for block in blocks:
-                payload = np.ascontiguousarray(block, dtype="<f4")
+                with np.errstate(over="ignore"):  # an overflow is the error raised below
+                    payload = np.ascontiguousarray(block, dtype="<f4")
                 if not _finite(payload):
                     raise DataError("values overflow 32-bit floats")
                 fh.write(payload.data)  # the block's own buffer, not a bytes copy of it
@@ -70,7 +70,7 @@ def write_embeddings(
     return rows, dims
 
 
-def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> EmbeddingMatrix:
+def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> np.ndarray:
     """Read an embeddings file, binary or its comma-separated text twin.
 
     One float64 array is allocated for the rows where the boolean mask
@@ -88,7 +88,7 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> Embeddi
             rows = block if keep is None else block[keep[start : start + len(block)]]
             values[filled : filled + len(rows)] = rows
             start, filled = start + len(block), filled + len(rows)
-    return EmbeddingMatrix(values)
+    return values
 
 
 @contextmanager
@@ -204,16 +204,6 @@ def _checked(blocks: Iterable[np.ndarray], what: str) -> Iterator[np.ndarray]:
 def _finite(values: np.ndarray) -> bool:
     """Whether every value is finite; min and max carry any NaN or Inf, with no mask."""
     return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
-
-
-def write_embeddings_text(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Comma-separated twin of the binary format, one row per item.
-
-    Values are rendered with enough digits to round-trip float32 exactly.
-    """
-    as_f32 = matrix.values.astype(np.float32)
-    lines = [",".join(format(float(v), ".9g") for v in row) for row in as_f32]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _parse_embeddings_text(data: bytes, path: str | Path) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
+from .core import BLOCK_ROWS, GroupLabels
 from .errors import ConfigError, DataError, NumericError
 
 log = logging.getLogger(__name__)
@@ -76,7 +76,7 @@ class MiClipTransform:
     def removed_dims(self) -> np.ndarray:
         return np.flatnonzero(~self.keep_mask)
 
-    def apply(self, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
+    def apply(self, embeddings: np.ndarray) -> np.ndarray:
         return apply_mi_clip(self, embeddings)
 
     def details(self) -> dict:
@@ -134,8 +134,9 @@ class FairPcaTransform:
         if not self.orthonormality_residual <= ORTHONORMALITY_TOL:
             raise DataError("projection columns are not orthonormal")
         # apply subtracts this offset; finite, it keeps finite rows finite
-        if not np.all(np.isfinite(mean @ proj)):
-            raise DataError("fair-pca offset (mean @ projection) overflows")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error raised here
+            if not np.all(np.isfinite(mean @ proj)):
+                raise DataError("fair-pca offset (mean @ projection) overflows")
 
     @property
     def input_dims(self) -> int:
@@ -147,7 +148,7 @@ class FairPcaTransform:
         gram = self.projection.T @ self.projection
         return float(np.max(np.abs(gram - np.eye(self.target_dim))))
 
-    def apply(self, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
+    def apply(self, embeddings: np.ndarray) -> np.ndarray:
         return apply_fair_pca(self, embeddings)
 
     def details(self) -> dict:
@@ -194,7 +195,7 @@ def _plugin_mi(joint: np.ndarray) -> float:
 
 
 def estimate_mi_per_dimension(
-    train: EmbeddingMatrix, groups: GroupLabels, bins: int = 32
+    train: np.ndarray, groups: GroupLabels, bins: int = 32
 ) -> np.ndarray:
     """Per-dimension plug-in MI between equal-frequency-binned values and group labels.
 
@@ -211,7 +212,7 @@ def estimate_mi_per_dimension(
     """
     if bins < 2:
         raise ConfigError(f"bins must be at least 2, got {bins}")
-    n = train.rows
+    n, d = train.shape
     if n < bins:
         raise ConfigError(f"bins must be at most the item count {n}, got {bins}")
     if len(groups) != n:
@@ -227,9 +228,9 @@ def estimate_mi_per_dimension(
     segments = list(zip(ends - counts, ends))  # each group's rows, once in group order
     by_group = np.argsort(groups.labels, kind="stable")
     width = max(1, _MI_BLOCK_ELEMENTS // n)
-    scores = np.empty(train.dims, dtype=np.float64)
-    for start in range(0, train.dims, width):
-        block = np.ascontiguousarray(train.values[by_group, start : start + width].T)
+    scores = np.empty(d, dtype=np.float64)
+    for start in range(0, d, width):
+        block = np.ascontiguousarray(train[by_group, start : start + width].T)
         whole = np.sort(block, axis=1)
         left, right = whole[:, low].T, whole[:, low + 1].T
         step = right - left
@@ -247,14 +248,14 @@ def estimate_mi_per_dimension(
 
 
 def fit_mi_clip(
-    train: EmbeddingMatrix, groups: GroupLabels, m: int, bins: int = 32
+    train: np.ndarray, groups: GroupLabels, m: int, bins: int = 32
 ) -> MiClipTransform:
     """Rank dimensions by MI on the train rows and cut the d-m most informative.
 
     Ties cut the lower dimension index first, which makes the family of
     masks over different m nested.
     """
-    d = train.dims
+    d = train.shape[1]
     if not 1 <= m < d:
         raise ConfigError(f"m must be in [1, d) = [1, {d}), got {m}")
     scores = estimate_mi_per_dimension(train, groups, bins=bins)
@@ -264,11 +265,12 @@ def fit_mi_clip(
     return MiClipTransform(keep_mask=keep, mi_scores=scores)
 
 
-def apply_mi_clip(transform: MiClipTransform, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
+def apply_mi_clip(transform: MiClipTransform, embeddings: np.ndarray) -> np.ndarray:
     """Keep the masked-in columns, preserving their original order."""
-    if embeddings.dims != transform.input_dims:
-        raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.dims}")
-    return EmbeddingMatrix(embeddings.values[:, transform.keep_mask])
+    if embeddings.shape[1] != transform.input_dims:
+        raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.shape[1]}")
+    # compress keeps rows contiguous, as [:, mask] would not; a GEMM's bits depend on layout
+    return embeddings.compress(transform.keep_mask, axis=1)
 
 
 def _demeaned_onehot(groups: GroupLabels) -> np.ndarray:
@@ -278,7 +280,7 @@ def _demeaned_onehot(groups: GroupLabels) -> np.ndarray:
 
 
 def fit_fair_pca(
-    train: EmbeddingMatrix, groups: GroupLabels, target_dim: int | None = None
+    train: np.ndarray, groups: GroupLabels, target_dim: int | None = None
 ) -> FairPcaTransform:
     """Fit a group-uncorrelated PCA projection on the train rows.
 
@@ -296,9 +298,9 @@ def fit_fair_pca(
     target_dim defaults to d - (p-1), the maximal feasible rank. Numerically
     rank-deficient constraints are dropped (logged), never inflated.
     """
-    if len(groups) != train.rows:
+    n, d = train.shape
+    if len(groups) != n:
         raise DataError("group labels length differs from embedding rows")
-    n, d = train.rows, train.dims
     p = groups.group_count
     max_rank = d - (p - 1)
     if target_dim is None and max_rank < 1:
@@ -311,7 +313,7 @@ def fit_fair_pca(
             f"fitting fair PCA with n={n} <= d={d}; constraints may overfit",
             stacklevel=2,
         )
-    mean = train.values.mean(axis=0)
+    mean = train.mean(axis=0)
     demeaned = _demeaned_onehot(groups)
     # The centred scatter and constraints, summed over row blocks. Taken from
     # the centred rows: raw second moments minus n * mean mean^T would cancel
@@ -321,7 +323,7 @@ def fit_fair_pca(
     buffer = np.empty((min(n, BLOCK_ROWS), d))
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        block = np.subtract(train.values[start:stop], mean, out=buffer[: stop - start])
+        block = np.subtract(train[start:stop], mean, out=buffer[: stop - start])
         scatter += block.T @ block
         constraints += demeaned[start:stop].T @ block
     _, sing, vt = np.linalg.svd(constraints, full_matrices=True)
@@ -366,14 +368,14 @@ def fit_fair_pca(
     return transform
 
 
-def apply_fair_pca(transform: FairPcaTransform, embeddings: EmbeddingMatrix) -> EmbeddingMatrix:
+def apply_fair_pca(transform: FairPcaTransform, embeddings: np.ndarray) -> np.ndarray:
     """Center with the fitted train mean and project onto the fitted basis.
 
     Computed as X P - mean P, so it holds its n x r output and no centred
     n x d copy of X. The ``apply`` command passes one block of rows at a time.
     """
-    if embeddings.dims != transform.input_dims:
-        raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.dims}")
-    out = embeddings.values @ transform.projection
+    if embeddings.shape[1] != transform.input_dims:
+        raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.shape[1]}")
+    out = embeddings @ transform.projection
     out -= transform.mean @ transform.projection
-    return EmbeddingMatrix(out)
+    return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryLabels, EmbeddingMatrix, GroupLabels
+from .core import BinaryLabels, GroupLabels
 from .errors import DataError, NumericError
 
 DEFAULT_L2 = 1e-4
@@ -56,15 +56,11 @@ class ProbeModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
-    @property
-    def dims(self) -> int:
-        return int(self.weights.shape[1])
-
-    def predict(self, embeddings: EmbeddingMatrix) -> np.ndarray:
+    def predict(self, embeddings: np.ndarray) -> np.ndarray:
         """Argmax class index per row; ties go to the lowest class index."""
-        if embeddings.dims != self.dims:
-            raise DataError(f"probe expects d={self.dims}, got d={embeddings.dims}")
-        return np.argmax(_logits(embeddings.values, self.weights, self.bias), axis=0)
+        if embeddings.shape[1] != self.weights.shape[1]:
+            raise DataError(f"probe expects d={self.weights.shape[1]}, got d={embeddings.shape[1]}")
+        return np.argmax(_logits(embeddings, self.weights, self.bias), axis=0)
 
 
 def _class_indices(labels: GroupLabels | BinaryLabels) -> tuple[np.ndarray, int]:
@@ -133,7 +129,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
 
 
 def fit_probe(
-    train: EmbeddingMatrix,
+    train: np.ndarray,
     labels: GroupLabels | BinaryLabels,
     l2: float = DEFAULT_L2,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -149,16 +145,16 @@ def fit_probe(
     does not descend is replaced by steepest descent, with the pairs dropped.
     """
     y, classes = _class_indices(labels)
-    if y.size != train.rows:
+    n, d = train.shape
+    if y.size != n:
         raise DataError("labels length differs from embedding rows")
     if y.min() == y.max():
         raise DataError("training labels contain fewer than two classes")
-    x = train.values
-    split = (classes - 1) * train.dims  # theta holds w row-major, then b
+    split = (classes - 1) * d  # theta holds w row-major, then b
 
     def evaluate(theta: np.ndarray) -> tuple[float, float, np.ndarray]:
-        w = theta[:split].reshape(classes - 1, train.dims)
-        value, data_loss, grad_w, grad_b = loss_and_gradient(w, theta[split:], x, y, classes, l2)
+        w = theta[:split].reshape(classes - 1, d)
+        value, data_loss, grad_w, grad_b = loss_and_gradient(w, theta[split:], train, y, classes, l2)
         return value, data_loss, np.concatenate([grad_w.ravel(), grad_b])
 
     theta = np.zeros(split + classes - 1)
@@ -194,7 +190,7 @@ def fit_probe(
         grad_max = float(np.max(np.abs(grad)))
         iterations += 1
     return ProbeModel(
-        weights=theta[:split].reshape(classes - 1, train.dims),
+        weights=theta[:split].reshape(classes - 1, d),
         bias=theta[split:],
         classes=classes,
         training_loss=data_loss,
@@ -205,13 +201,13 @@ def fit_probe(
 
 
 def evaluate_probe(
-    model: ProbeModel, test: EmbeddingMatrix, labels: GroupLabels | BinaryLabels
+    model: ProbeModel, test: np.ndarray, labels: GroupLabels | BinaryLabels
 ) -> float:
     """Argmax-class accuracy of the probe on held-out data."""
     y, classes = _class_indices(labels)
     if classes != model.classes:
         raise DataError(f"model has {model.classes} classes, labels imply {classes}")
-    if y.size != test.rows:
+    if y.size != len(test):
         raise DataError("labels length differs from embedding rows")
     predictions = model.predict(test)
     return float(np.count_nonzero(predictions == y) / y.size)

@@ -111,7 +111,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
     concept = np.where((np.arange(n) // p) % 2 == 0, 1, -1).astype(np.int64)
     values = rng.standard_normal((n, d))
     if spec.bias_dims and spec.bias_strength > 0.0:
-        offsets = spec.bias_strength * (group - (p - 1) / 2.0)
+        with np.errstate(over="ignore"):  # an infinite offset fails the writer's float32 check
+            offsets = spec.bias_strength * (group - (p - 1) / 2.0)
         values[:, list(spec.bias_dims)] += offsets[:, None]
     if spec.concept_dims and spec.effective_concept_strength > 0.0:
         offsets = spec.effective_concept_strength * concept / 2.0

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BLOCK_ROWS, BinaryLabels, EmbeddingMatrix, GroupLabels, row_norms
+from .core import BLOCK_ROWS, BinaryLabels, GroupLabels
 from .errors import DataError
 
 INDEPENDENCE = "independence"
@@ -26,15 +26,6 @@ class TaxonomyTags:
     human_centric: bool
     subjective: bool
     fairness_mode: str = INDEPENDENCE
-
-
-def cosine_similarity_matrix(items: EmbeddingMatrix, queries: EmbeddingMatrix) -> np.ndarray:
-    """q x n matrix of cosine similarities; entry (j, i) pairs query j with item i.
-
-    Scored by score_blocks, with the items as one block.
-    """
-    item_block = (items.values, row_norms(items.values))
-    return score_blocks((queries.values, row_norms(queries.values)), [item_block], items.rows)
 
 
 def score_blocks(
@@ -81,14 +72,6 @@ def _check_nonzero(norms: np.ndarray, first: int) -> None:
         raise DataError(f"row {first + int(zero[0])} has zero norm")
 
 
-def _as_rows(similarities: np.ndarray) -> np.ndarray:
-    """Similarities as 2-d float64 rows; score_blocks makes them NaN-free from io-checked rows."""
-    sims = np.asarray(similarities, dtype=np.float64)
-    if sims.ndim != 2:
-        raise DataError(f"similarity matrix must be 2-d, got shape {sims.shape}")
-    return sims
-
-
 def _ranked_prefix(similarities: np.ndarray, k: int) -> np.ndarray:
     """Per row, the first k of ``np.argsort(-row, kind="stable")``: a rows x k index array.
 
@@ -113,7 +96,7 @@ def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> BinaryLabels:
     """Label each item +1 for class A or -1 for class B by nearest class embedding.
 
     ``sims_a`` and ``sims_b`` are the items' cosine similarities to the class A
-    and class B embeddings: two rows of a cosine_similarity_matrix. Cosine ties
+    and class B embeddings: two rows of a score_blocks result. Cosine ties
     go to class A. Picking the larger cosine is equivalent to picking the larger
     softmax probability over the two similarities at any temperature, so no
     temperature parameter exists.
@@ -130,25 +113,24 @@ def top_k(similarities: np.ndarray, k: int) -> np.ndarray:
     Ties go to the lower item index. The order is one stable sort, so the
     result for any k' <= k is a prefix. retrieve-audit checks k in [1, n].
     """
-    return _ranked_prefix(_as_rows(similarities), k)
+    return _ranked_prefix(similarities, k)
 
 
 def balanced_retrieval(similarities: np.ndarray, k: int) -> np.ndarray:
     """Retrieve k items split as evenly as possible across p group-specific queries.
 
     ``similarities`` holds one row per group query: p rows of a
-    cosine_similarity_matrix. Each group query gets floor(k/p) picks and the
+    score_blocks result. Each group query gets floor(k/p) picks and the
     first k mod p groups one extra. An item already claimed by an earlier pick
     is skipped in favor of that group's next-best candidate. Picks are made and
     returned in round-robin order by rank, so each group's best item precedes
     any group's second-best. Quotas fill whole rounds first, so the picks for
     any k' in [p, k] are the first k' picks for k. retrieve-audit checks k in [p, n].
     """
-    sims = _as_rows(similarities)
-    p, n = sims.shape
+    p, n = similarities.shape
     # Fewer than k items are claimed before any pick, so no group's cursor
     # passes index k-1 of its order: the first k columns of each order suffice.
-    orders = _ranked_prefix(sims, k)
+    orders = _ranked_prefix(similarities, k)
     # Scalar reads through memoryviews give Python ints without the numpy
     # scalar overhead, and without the memory of a .tolist() copy.
     rows = [memoryview(orders[g]) for g in range(p)]

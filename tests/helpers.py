@@ -1,8 +1,12 @@
 """Small helpers shared by the test modules."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+
+from flens.core import row_norms
+from flens.tasks import score_blocks
 
 
 def read_report(path):
@@ -14,4 +18,23 @@ def read_report(path):
 def train_rows(dataset):
     """A synthetic dataset's train-split embeddings and protected labels, as a fit takes them."""
     rows = np.flatnonzero(dataset.train_mask)
-    return dataset.embeddings.take(rows), dataset.protected.take(rows)
+    return dataset.embeddings.values[rows], dataset.protected.take(rows)
+
+
+def cosine_similarity_matrix(items, queries):
+    """q x n matrix of cosine similarities; entry (j, i) pairs query j with item i.
+
+    Scored by score_blocks, with the items as one block.
+    """
+    return score_blocks((queries, row_norms(queries)), [(items, row_norms(items))], len(items))
+
+
+def write_embeddings_text(matrix, path):
+    """Comma-separated twin of the binary format, one row per item.
+
+    Takes an EmbeddingMatrix, as write_embeddings does. Values are rendered
+    with enough digits to round-trip float32 exactly.
+    """
+    as_f32 = matrix.values.astype(np.float32)
+    lines = [",".join(format(float(v), ".9g") for v in row) for row in as_f32]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

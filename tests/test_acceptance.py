@@ -41,9 +41,9 @@ from flens.mitigation import (
 from flens.probe import evaluate_probe, fit_probe, loss_and_gradient
 from flens.stats import alexander_govern
 from flens.synth import SynthSpec, generate
-from flens.tasks import balanced_retrieval, cosine_similarity_matrix
+from flens.tasks import balanced_retrieval
 
-from .helpers import read_report, train_rows
+from .helpers import cosine_similarity_matrix, read_report, train_rows
 from .oracles import (
     oracle_ddp_classification,
     oracle_ddp_rep,
@@ -163,7 +163,7 @@ def test_fair_pca_constraint(p):
     )
     transform = fit_fair_pca(*train_rows(ds))
     idx = np.flatnonzero(ds.train_mask)
-    projected = apply_fair_pca(transform, ds.embeddings).values[idx]
+    projected = apply_fair_pca(transform, ds.embeddings.values)[idx]
     onehot = np.zeros((idx.size, p))
     onehot[np.arange(idx.size), ds.protected.labels[idx]] = 1.0
     indicators = onehot - onehot.mean(axis=0)
@@ -191,15 +191,15 @@ def test_linear_probe_analog():
     train = np.flatnonzero(ds.train_mask)
     test = np.flatnonzero(ds.test_mask)
     transform = fit_fair_pca(*train_rows(ds))
-    projected = apply_fair_pca(transform, ds.embeddings)
+    projected = apply_fair_pca(transform, ds.embeddings.values)
 
     def probe_accuracy(features, labels):
-        model = fit_probe(features.take(train), labels.take(train), max_iter=500)
-        return evaluate_probe(model, features.take(test), labels.take(test))
+        model = fit_probe(features[train], labels.take(train), max_iter=500)
+        return evaluate_probe(model, features[test], labels.take(test))
 
-    protected_raw = probe_accuracy(ds.embeddings, ds.protected)
+    protected_raw = probe_accuracy(ds.embeddings.values, ds.protected)
     protected_fair = probe_accuracy(projected, ds.protected)
-    concept_raw = probe_accuracy(ds.embeddings, ds.ground_truth)
+    concept_raw = probe_accuracy(ds.embeddings.values, ds.ground_truth)
     concept_fair = probe_accuracy(projected, ds.ground_truth)
     assert protected_raw > 0.95
     assert protected_fair < 0.55
@@ -227,14 +227,14 @@ def test_mi_clip_trend_analog():
     fit_rows = train_rows(ds)
     transform = fit_mi_clip(*fit_rows, m=64 - 8)
     assert sorted(transform.removed_dims.tolist()) == list(bias_dims)
-    clipped = apply_mi_clip(transform, ds.embeddings)
+    clipped = apply_mi_clip(transform, ds.embeddings.values)
     train = np.flatnonzero(ds.train_mask)
     test = np.flatnonzero(ds.test_mask)
 
-    protected_model = fit_probe(clipped.take(train), ds.protected.take(train), max_iter=500)
-    protected_acc = evaluate_probe(protected_model, clipped.take(test), ds.protected.take(test))
-    concept_model = fit_probe(clipped.take(train), ds.ground_truth.take(train), max_iter=500)
-    concept_acc = evaluate_probe(concept_model, clipped.take(test), ds.ground_truth.take(test))
+    protected_model = fit_probe(clipped[train], ds.protected.take(train), max_iter=500)
+    protected_acc = evaluate_probe(protected_model, clipped[test], ds.protected.take(test))
+    concept_model = fit_probe(clipped[train], ds.ground_truth.take(train), max_iter=500)
+    concept_acc = evaluate_probe(concept_model, clipped[test], ds.ground_truth.take(test))
     assert protected_acc < 0.6
     assert concept_acc > 0.9
 
@@ -300,7 +300,7 @@ def test_balanced_retrieval_zero_skew():
         values = rng.normal(scale=0.2, size=(n, p))
         values[np.arange(n), labels] += 10.0
         queries = np.eye(p)
-        sims = cosine_similarity_matrix(EmbeddingMatrix(values), EmbeddingMatrix(queries))
+        sims = cosine_similarity_matrix(values, queries)
         selected = np.bincount(labels[balanced_retrieval(sims, k)], minlength=p)
         assert selected.tolist() == [per_round] * p
         assert skew_at_k(selected).value == 0.0
@@ -349,7 +349,7 @@ def test_io_round_trips(tmp_path):
     matrix = EmbeddingMatrix(rng.normal(size=(20, 6)).astype(np.float32))
     emb_a, emb_b = tmp_path / "a.femb", tmp_path / "b.femb"
     write_embeddings(matrix, emb_a)
-    write_embeddings(read_embeddings(emb_a), emb_b)
+    write_embeddings(EmbeddingMatrix(read_embeddings(emb_a)), emb_b)
     assert emb_a.read_bytes() == emb_b.read_bytes()
 
     labels_a, labels_b = tmp_path / "a.csv", tmp_path / "b.csv"

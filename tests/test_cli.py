@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from flens.io import (
     read_label_table,
     read_transform,
     write_embeddings,
-    write_embeddings_text,
     write_label_table,
     write_transform,
 )
@@ -33,9 +33,9 @@ from flens.mitigation import apply_mi_clip, fit_fair_pca
 from flens.probe import evaluate_probe, fit_probe
 from flens.report import sanitize
 from flens.stats import per_query_similarity_tests
-from flens.tasks import cosine_similarity_matrix, zero_shot_classify
+from flens.tasks import zero_shot_classify
 
-from .helpers import read_report
+from .helpers import cosine_similarity_matrix, read_report, write_embeddings_text
 
 
 def run(args):
@@ -153,7 +153,8 @@ class TestSynthCommand:
         files = {"embeddings": str(tmp_path / "x.femb"), "labels": str(tmp_path / "x.csv")}
         params = {"n": 40, "d": 4, "p": 4, "bias_dims": [0], "bias_strength": strength}
         cfg = write_config(tmp_path / "huge.json", {"synth": params, "output": files})
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print ahead of the message
             assert run(["synth", "--config", cfg]) == 3
         assert capsys.readouterr().err == "data error: values overflow 32-bit floats\n"
         assert not Path(files["embeddings"]).exists()
@@ -284,7 +285,7 @@ class TestDebiasFit:
         train_rows = np.flatnonzero(split_column(workspace["labels"]) == "train")
         row = int(train_rows[-1])
         assert row != train_rows.size - 1  # its file row is not its place in the train split
-        values = read_embeddings(workspace["embeddings"]).values.copy()
+        values = read_embeddings(workspace["embeddings"])
         values[row] = 0.0
         write_embeddings(EmbeddingMatrix(values), workspace["embeddings"])
         prompts = np.zeros((2, 16))
@@ -682,8 +683,7 @@ class TestApplyAndProbe:
         )
         assert run(["apply", "--config", cfg, "--out", tmp_path / "apply-report.json"]) == 0
         transformed = read_embeddings(out_emb)
-        assert transformed.rows == 600
-        assert transformed.dims == 15  # d - (p-1)
+        assert transformed.shape == (600, 15)  # d - (p-1) columns
 
     def test_probe_before_after(self, workspace, fitted_transform, tmp_path):
         cfg = write_config(
@@ -781,7 +781,7 @@ class TestMiClipTransform:
         test_rows = np.flatnonzero(split_column(workspace["labels"]) == "test")
         labels = workspace["labels"]
         groups = decode_labels(read_label_table(labels), "group", "group", labels)
-        return transform, items.take(test_rows), groups.take(test_rows)
+        return transform, items[test_rows], groups.take(test_rows)
 
     def _report(self, tmp_path, command, payload):
         cfg = write_config(tmp_path / f"{command}-miclip.json", payload)
@@ -796,7 +796,8 @@ class TestMiClipTransform:
         report = self._report(tmp_path, "apply", payload)
         transform, _ = read_transform(miclip_transform)
         expected = tmp_path / "expected.femb"
-        write_embeddings(apply_mi_clip(transform, read_embeddings(workspace["embeddings"])), expected)
+        clipped = apply_mi_clip(transform, read_embeddings(workspace["embeddings"]))
+        write_embeddings(EmbeddingMatrix(clipped), expected)
         assert out.read_bytes() == expected.read_bytes()
         assert report["tasks"][0]["details"]["output_shape"] == [600, 14]
         assert report["transforms"][0]["kind"] == "MiClipTransform"
@@ -808,7 +809,7 @@ class TestMiClipTransform:
         report = self._report(tmp_path, "classify-audit", payload)
         transform, items, groups = self._test_split(workspace, miclip_transform)
         # rows 0 and 1 lie in the two cut dimensions, so they would have zero norm
-        classes = apply_mi_clip(transform, read_embeddings(workspace["queries"]).take([2, 3]))
+        classes = apply_mi_clip(transform, read_embeddings(workspace["queries"])[[2, 3]])
         sims = cosine_similarity_matrix(items, classes)
         expected = ddp_classification(zero_shot_classify(sims[0], sims[1]), groups)
         assert report["tasks"][0]["metrics"]["ddp_classification"] == sanitize(expected)
@@ -819,7 +820,7 @@ class TestMiClipTransform:
                    "transform": str(miclip_transform), "retrieval": retrieval}
         report = self._report(tmp_path, "retrieve-audit", payload)
         transform, items, groups = self._test_split(workspace, miclip_transform)
-        query = apply_mi_clip(transform, read_embeddings(workspace["queries"]).take([2]))
+        query = apply_mi_clip(transform, read_embeddings(workspace["queries"])[[2]])
         sims = cosine_similarity_matrix(items, query)
         order = np.argsort(-sims[0], kind="stable")
         by_name = {t["task_name"]: t for t in report["tasks"]}
@@ -840,10 +841,10 @@ class TestMiClipTransform:
         train, test = np.flatnonzero(split == "train"), np.flatnonzero(split == "test")
         labels = workspace["labels"]
         groups = decode_labels(read_label_table(labels), "group", "group", labels)
-        model = fit_probe(items.take(train), groups.take(train), max_iter=300)
+        model = fit_probe(items[train], groups.take(train), max_iter=300)
         performance = report["tasks"][0]["performance"]
         assert performance["training_loss_transformed"] == model.training_loss
-        expected = evaluate_probe(model, items.take(test), groups.take(test))
+        expected = evaluate_probe(model, items[test], groups.take(test))
         assert performance["accuracy_transformed"] == expected
         # the two planted bias dimensions are the ones cut
         assert performance["accuracy_transformed"] < performance["accuracy_raw"]
@@ -880,7 +881,7 @@ def test_non_finite_transform_body_exits_3(
 def test_text_embeddings_twin(workspace, fitted_transform, tmp_path, command):
     """A command reads the comma-separated twin of a .femb as it reads the binary file."""
     text_items = tmp_path / "items.txt"
-    write_embeddings_text(read_embeddings(workspace["embeddings"]), text_items)
+    write_embeddings_text(EmbeddingMatrix(read_embeddings(workspace["embeddings"])), text_items)
     queries = str(workspace["queries"])
     outputs = {}
 
@@ -1369,14 +1370,9 @@ class TestOnePassAudit:
     def calls(self, monkeypatch):
         import flens.cli
         import flens.core
-        import flens.tasks
 
-        calls = {"normed": [], "scored": [], "taken": [], "top_k": 0, "balanced_retrieval": 0}
-        take, norms, score = EmbeddingMatrix.take, flens.core.row_norms, flens.cli.score_blocks
-
-        def counting_take(matrix, indices):
-            calls["taken"].append(len(indices))
-            return take(matrix, indices)
+        calls = {"normed": [], "scored": [], "top_k": 0, "balanced_retrieval": 0}
+        norms, score = flens.core.row_norms, flens.cli.score_blocks
 
         def counting_norms(values):
             calls["normed"].append(len(values))
@@ -1390,9 +1386,8 @@ class TestOnePassAudit:
 
             return score(queries, seen(), n)
 
-        monkeypatch.setattr(EmbeddingMatrix, "take", counting_take)
         # row_norms is counted in every module that binds it, so a second pass anywhere shows
-        for module in (flens.core, flens.cli, flens.tasks):
+        for module in (flens.core, flens.cli):
             monkeypatch.setattr(module, "row_norms", counting_norms)
         monkeypatch.setattr(flens.cli, "score_blocks", counting_score)
         for name in ("top_k", "balanced_retrieval"):
@@ -1424,7 +1419,6 @@ class TestOnePassAudit:
         self._check_blocks(calls["scored"], n_test)
         # the four class rows the tasks name are normed once, then each item block once
         assert calls["normed"] == [4, *calls["scored"]]
-        assert calls["taken"] == [4]
 
     def test_ranked_lists_skip_np_unique(self, workspace, tmp_path, monkeypatch):
         # ranked lists hold distinct items by construction, so nothing checks them
@@ -1459,7 +1453,6 @@ class TestOnePassAudit:
         self._check_blocks(calls["scored"], n_test)
         # the query rows, the balanced rows, then each item block, each normed once
         assert calls["normed"] == [len(queries), 2 * len(queries), *calls["scored"]]
-        assert calls["taken"] == [len(queries), 2 * len(queries)]
         assert calls["top_k"] == 1
         assert calls["balanced_retrieval"] == len(queries)
 
@@ -1508,7 +1501,7 @@ class TestOnePassAudit:
         apply = flens.mitigation.apply_fair_pca
 
         def recording(transform, embeddings):
-            rows.append(embeddings.rows)
+            rows.append(len(embeddings))
             return apply(transform, embeddings)
 
         monkeypatch.setattr(flens.mitigation, "apply_fair_pca", recording)
@@ -1534,11 +1527,11 @@ class TestAuditRows:
     def query_files(self, workspace, tmp_path):
         # rows 5 and 7 of the class file, row 3 of the query file and the rows
         # past the two balanced blocks are zero-norm
-        classes = np.vstack([read_embeddings(workspace["queries"]).values, np.eye(4, 16)])
+        classes = np.vstack([read_embeddings(workspace["queries"]), np.eye(4, 16)])
         classes[[5, 7]] = 0.0
         queries = np.eye(4, 16)
         queries[3] = 0.0
-        balanced = np.vstack([read_embeddings(workspace["balanced"]).values, np.zeros((2, 16))])
+        balanced = np.vstack([read_embeddings(workspace["balanced"]), np.zeros((2, 16))])
         paths = {}
         for name, values in (("classes", classes), ("queries", queries), ("balanced", balanced)):
             paths[name] = tmp_path / f"{name}.femb"
@@ -1587,7 +1580,7 @@ class TestAuditRows:
     def test_zero_norm_balanced_row_named_by_file_row(
         self, workspace, tmp_path, query_files, capsys
     ):
-        balanced = read_embeddings(workspace["balanced"]).values.copy()
+        balanced = read_embeddings(workspace["balanced"])
         balanced[2] = 0.0
         path = tmp_path / "balanced_zero.femb"
         write_embeddings(EmbeddingMatrix(balanced), path)
@@ -1606,7 +1599,7 @@ class TestAuditRows:
         test_rows = np.flatnonzero(split_column(workspace["labels"]) == "test")
         row = int(test_rows[-1])
         assert row != test_rows.size - 1  # its file row is not its place in the test split
-        values = read_embeddings(workspace["embeddings"]).values.copy()
+        values = read_embeddings(workspace["embeddings"])
         values[row] = 0.0
         write_embeddings(EmbeddingMatrix(values), workspace["embeddings"])
         assert self._audit(command, workspace, tmp_path, query_files) == 3
@@ -1654,7 +1647,7 @@ class TestAuditRows:
             return [out.read_bytes() for out in outs]
 
         before = reports()
-        values = read_embeddings(workspace["embeddings"]).values.copy()
+        values = read_embeddings(workspace["embeddings"])
         train = split_column(workspace["labels"]) == "train"
         assert train.any() and not train.all()
         values[train] = np.random.default_rng(5).normal(size=(int(train.sum()), values.shape[1]))
@@ -1687,7 +1680,7 @@ class TestInputFaultOrder:
     def test_label_rows_differ_from_embedding_rows(self, workspace, tmp_path, capsys, command):
         """Every command reads through a mask over the label rows: one check, one message."""
         short = tmp_path / "short.femb"
-        write_embeddings(read_embeddings(workspace["embeddings"]).take(np.arange(599)), short)
+        write_embeddings(EmbeddingMatrix(read_embeddings(workspace["embeddings"])[:599]), short)
         payload = {
             "classify-audit": {"queries": str(workspace["queries"]), "tasks": [TASK]},
             "retrieve-audit": {"queries": str(workspace["queries"]),
@@ -1732,7 +1725,7 @@ def test_test_split_read_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert items.rows == rows.size == len(groups) == provenance["test_items"] == 6000
+    assert len(items) == rows.size == len(groups) == provenance["test_items"] == 6000
     # 12.3 MB of widened test rows + a 4.2 MB float32 block + the mask and label table;
     # holding the 20.5 MB float32 payload as well reads about 40 MB
     assert peak < 24e6
@@ -1798,9 +1791,9 @@ class TestBlockedCommands:
         code, report = self._apply(tmp_path, block_workspace["embeddings"], transform_path, out)
         assert code == 0
         transform, _ = read_transform(transform_path)
-        whole = transform.apply(read_embeddings(block_workspace["embeddings"])).values
+        whole = transform.apply(read_embeddings(block_workspace["embeddings"]))
         expected = whole.astype(np.float32)
-        written = read_embeddings(out).values.astype(np.float32)
+        written = read_embeddings(out).astype(np.float32)
         if method == "miclip":  # a column selection: exact
             assert written.tobytes() == expected.tobytes()
         else:  # a row's last float64 bits depend on the rows sharing its matmul
@@ -1875,7 +1868,7 @@ class TestStreamedScoring:
         queries = read_embeddings(streamed_set["queries"])
         sources = [("query", str(streamed_set["queries"]), queries, np.array([0, 2, 3]))]
         sims, _ = _query_similarities(transform_path, (path, mask, int(mask.sum())), sources)
-        return sims, read_embeddings(path, mask), queries.take(np.array([0, 2, 3]))
+        return sims, read_embeddings(path, mask), queries[np.array([0, 2, 3])]
 
     def test_blocks_of_test_rows(self, streamed_set):
         mask = streamed_set["test"]
@@ -1886,7 +1879,7 @@ class TestStreamedScoring:
         assert [len(rows) for rows, _ in seen] == [BLOCK_ROWS, BLOCK_ROWS // 2, 1234]
         np.testing.assert_array_equal(np.concatenate([rows for rows, _ in seen]),
                                       np.flatnonzero(mask))
-        whole = read_embeddings(streamed_set["embeddings"]).values[mask]
+        whole = read_embeddings(streamed_set["embeddings"])[mask]
         assert np.array_equal(np.vstack([values for _, values in seen]), whole)
 
     def test_no_transform_is_bitwise_the_whole_matrix_pass(self, streamed_set):
@@ -2169,7 +2162,8 @@ class TestBoundaryOwners:
             "probe": {"data": workspace["data"], "probe": {"attributes": ["group"]}},
         }[command]
         payload["transform"] = str(fitted_transform)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print ahead of the message
             code = run([command, "--config", write_config(tmp_path / "offset.json", payload)])
         assert code == 3
         expected = "data error: fair-pca offset (mean @ projection) overflows\n"

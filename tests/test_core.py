@@ -17,8 +17,7 @@ from flens.errors import DataError
 class TestEmbeddingMatrix:
     def test_basic_shape(self):
         m = EmbeddingMatrix(np.arange(6.0).reshape(2, 3))
-        assert m.rows == 2
-        assert m.dims == 3
+        assert m.values.shape == (2, 3)
 
     def test_rejects_empty(self):
         with pytest.raises(DataError, match="needs at least one row and one column"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flens import mitigation
-from flens.core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
+from flens.core import BLOCK_ROWS, GroupLabels
 from flens.errors import ConfigError, DataError
 from flens.mitigation import (
     apply_fair_pca,
@@ -32,7 +32,7 @@ class TestMiEstimation:
         labels = np.tile([0, 1], n // 2)
         values = np.where(labels == 0, -1.0, 1.0)[:, None] + np.zeros((n, 3))
         values[:, 1:] = np.random.default_rng(0).normal(size=(n, 2))
-        mi = estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2))
+        mi = estimate_mi_per_dimension(values, GroupLabels(labels, 2))
         assert mi[0] == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_three_group_index_dimension_is_ln3(self):
@@ -40,7 +40,7 @@ class TestMiEstimation:
         labels = np.tile([0, 1, 2], n // 3)
         values = np.column_stack([labels.astype(float), np.zeros(n)])
         values[:, 1] = np.random.default_rng(1).normal(size=n)
-        mi = estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 3))
+        mi = estimate_mi_per_dimension(values, GroupLabels(labels, 3))
         assert mi[0] == pytest.approx(math.log(3.0), abs=1e-9)
 
     def test_independent_dimension_near_zero(self):
@@ -48,22 +48,22 @@ class TestMiEstimation:
         rng = np.random.default_rng(2)
         labels = np.tile([0, 1], n // 2)
         values = rng.normal(size=(n, 1))
-        mi = estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2))
+        mi = estimate_mi_per_dimension(values, GroupLabels(labels, 2))
         assert 0.0 <= mi[0] < 0.01
 
     def test_constant_dimension_is_zero(self):
         values = np.column_stack([np.full(64, 3.25), np.arange(64.0)])
         labels = np.tile([0, 1], 32)
-        mi = estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2))
+        mi = estimate_mi_per_dimension(values, GroupLabels(labels, 2))
         assert mi[0] == 0.0
 
     def test_invalid_bins(self):
         values = np.random.default_rng(3).normal(size=(50, 2))
         labels = np.tile([0, 1], 25)
         with pytest.raises(ConfigError, match="^bins must be at least 2, got 1$"):
-            estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2), bins=1)
+            estimate_mi_per_dimension(values, GroupLabels(labels, 2), bins=1)
         with pytest.raises(ConfigError, match="^bins must be at most the item count 50, got 51$"):
-            estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, 2), bins=51)
+            estimate_mi_per_dimension(values, GroupLabels(labels, 2), bins=51)
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -106,7 +106,7 @@ class TestMiEstimatorMatchesOracle:
         values, labels, p, bins, budget = case
         with mock.patch.object(mitigation, "_MI_BLOCK_ELEMENTS", budget):
             scores = estimate_mi_per_dimension(
-                EmbeddingMatrix(values), GroupLabels(labels, p), bins=bins
+                values, GroupLabels(labels, p), bins=bins
             )
         assert bitwise_equal(scores, oracle_mi_per_dimension(values, labels, p, bins))
 
@@ -117,14 +117,14 @@ class TestMiEstimatorMatchesOracle:
         values[:, ::5] = np.round(values[:, ::5] * 4) / 4  # tied columns
         values[:, 1] = 0.0
         labels = rng.permutation(np.arange(n) % p)
-        scores = estimate_mi_per_dimension(EmbeddingMatrix(values), GroupLabels(labels, p))
+        scores = estimate_mi_per_dimension(values, GroupLabels(labels, p))
         assert bitwise_equal(scores, oracle_mi_per_dimension(values, labels, p, 32))
 
     def test_scratch_memory_is_bounded_by_block(self):
         # Binning all 256 columns at once would hold several 8.6 MB n x d copies.
         rng = np.random.default_rng(31)
         n, d = 4200, 256
-        train = EmbeddingMatrix(rng.normal(size=(n, d)))
+        train = rng.normal(size=(n, d))
         groups = GroupLabels(np.arange(n) % 4, 4)
         tracemalloc.start()
         try:
@@ -143,12 +143,12 @@ class TestMiClip:
 
     def test_removes_planted_dimensions(self):
         ds = self._planted()
-        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims - 2)
+        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 2)
         assert sorted(transform.removed_dims.tolist()) == [0, 1]
 
     def test_boundary_removes_single_highest(self):
         ds = self._planted()
-        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims - 1)
+        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 1)
         scores = transform.mi_scores
         assert transform.removed_dims.tolist() == [int(np.argmax(scores))]
 
@@ -158,7 +158,7 @@ class TestMiClip:
         n, d = 640, 512
         labels = np.tile([0, 1], n // 2)
         values = rng.normal(size=(n, d))
-        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
+        train, groups = values, GroupLabels(labels, 2)
         for m, expected_cut in ((400, 112), (256, 256)):
             transform = fit_mi_clip(train, groups, m=m)
             assert transform.output_dims == m
@@ -166,7 +166,7 @@ class TestMiClip:
 
     def test_nested_masks(self):
         ds = self._planted()
-        d = ds.embeddings.dims
+        d = ds.embeddings.values.shape[1]
         masks = {m: fit_mi_clip(*train_rows(ds), m=m).keep_mask for m in (2, 5, 9, 14, d - 1)}
         ms = sorted(masks)
         for small, large in zip(ms, ms[1:]):
@@ -179,42 +179,20 @@ class TestMiClip:
         with pytest.raises(ConfigError, match=r"^m must be in \[1, d\) = \[1, 16\), got 0$"):
             fit_mi_clip(*train_rows(ds), m=0)
         with pytest.raises(ConfigError, match=r"^m must be in \[1, d\) = \[1, 16\), got 16$"):
-            fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims)
+            fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1])
 
     def test_apply_keeps_column_order(self):
         ds = self._planted()
-        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.dims - 2)
-        clipped = apply_mi_clip(transform, ds.embeddings)
+        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 2)
+        clipped = apply_mi_clip(transform, ds.embeddings.values)
         kept = np.flatnonzero(transform.keep_mask)
-        assert np.array_equal(clipped.values, ds.embeddings.values[:, kept])
+        assert np.array_equal(clipped, ds.embeddings.values[:, kept])
 
     def test_apply_dimension_mismatch(self):
         ds = self._planted()
         transform = fit_mi_clip(*train_rows(ds), m=8)
         with pytest.raises(DataError, match="transform expects d=16, got d=5"):
-            apply_mi_clip(transform, EmbeddingMatrix(np.ones((3, 5))))
-
-    @pytest.mark.parametrize("split", ["all-train", "mixed"])
-    def test_train_rows_copied_only_for_mixed_split(self, monkeypatch, split):
-        # The caller picks the train rows of a mixed split; the fit scores its rows uncopied.
-        rng = np.random.default_rng(32)
-        n, d = 200, 6
-        values, labels = rng.normal(size=(n, d)), np.arange(n) % 2
-        train = np.ones(n, dtype=bool)
-        if split == "mixed":
-            train[::3] = False
-        takes = []
-        original = EmbeddingMatrix.take
-
-        def counting_take(self, indices):
-            takes.append(len(indices))
-            return original(self, indices)
-
-        monkeypatch.setattr(EmbeddingMatrix, "take", counting_take)
-        transform = fit_mi_clip(EmbeddingMatrix(values[train]), GroupLabels(labels[train], 2), m=3)
-        assert takes == []
-        expected = oracle_mi_per_dimension(values[train], labels[train], 2, 32)
-        assert bitwise_equal(transform.mi_scores, expected)
+            apply_mi_clip(transform, np.ones((3, 5)))
 
     def test_kept_mi_below_removed_mi(self):
         ds = self._planted()
@@ -239,7 +217,7 @@ class TestFairPca:
         block = rng.normal(size=(80, 6))
         values = np.vstack([block, block])
         labels = np.repeat([0, 1], 80)
-        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
+        train, groups = values, GroupLabels(labels, 2)
         r = 3
         transform = fit_fair_pca(train, groups, target_dim=r)
         centered = values - values.mean(axis=0)
@@ -255,9 +233,9 @@ class TestFairPca:
         labels = np.tile([0, 1], n // 2)
         values = rng.normal(size=(n, 2))
         values[:, 0] += np.where(labels == 0, -4.0, 4.0)
-        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
+        train, groups = values, GroupLabels(labels, 2)
         transform = fit_fair_pca(train, groups, target_dim=1)
-        projected = apply_fair_pca(transform, train).values
+        projected = apply_fair_pca(transform, train)
         mean_gap = abs(projected[labels == 0].mean() - projected[labels == 1].mean())
         assert mean_gap < 1e-10
 
@@ -266,7 +244,7 @@ class TestFairPca:
         ds = generate(SynthSpec(n=2000, d=64, p=p, bias_dims=(0, 1, 2), bias_strength=4.0, seed=12))
         transform = fit_fair_pca(*train_rows(ds))
         idx = np.flatnonzero(ds.train_mask)
-        projected = apply_fair_pca(transform, ds.embeddings).values[idx]
+        projected = apply_fair_pca(transform, ds.embeddings.values)[idx]
         indicators = demeaned_onehot(ds.protected.labels[idx], p)
         for dim in range(projected.shape[1]):
             for g in range(p):
@@ -303,15 +281,15 @@ class TestFairPca:
     def test_apply_is_deterministic_on_train(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=16))
         transform = fit_fair_pca(*train_rows(ds))
-        a = apply_fair_pca(transform, ds.embeddings).values
-        b = apply_fair_pca(transform, ds.embeddings).values
+        a = apply_fair_pca(transform, ds.embeddings.values)
+        b = apply_fair_pca(transform, ds.embeddings.values)
         assert np.array_equal(a, b)
 
     def test_zero_vector_shows_centering(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=17))
         transform = fit_fair_pca(*train_rows(ds))
-        zero = EmbeddingMatrix(np.zeros((1, 8)))
-        out = apply_fair_pca(transform, zero).values[0]
+        zero = np.zeros((1, 8))
+        out = apply_fair_pca(transform, zero)[0]
         assert np.allclose(out, -transform.mean @ transform.projection, atol=1e-12)
 
     def test_projection_column_round_trip(self):
@@ -319,7 +297,7 @@ class TestFairPca:
         transform = fit_fair_pca(*train_rows(ds))
         for j in (0, transform.target_dim - 1):
             probe_vec = transform.mean + transform.projection[:, j]
-            out = apply_fair_pca(transform, EmbeddingMatrix(probe_vec[None, :])).values[0]
+            out = apply_fair_pca(transform, probe_vec[None, :])[0]
             expected = np.zeros(transform.target_dim)
             expected[j] = 1.0
             assert np.allclose(out, expected, atol=1e-10)
@@ -335,7 +313,7 @@ class TestFairPca:
         rng = np.random.default_rng(20)
         values = rng.normal(size=(24, 30))
         labels = np.tile([0, 1], 12)
-        train, groups = EmbeddingMatrix(values), GroupLabels(labels, 2)
+        train, groups = values, GroupLabels(labels, 2)
         with pytest.warns(UserWarning):
             fit_fair_pca(train, groups, target_dim=2)
 
@@ -344,7 +322,7 @@ class TestFairPca:
         # variance directions; the rest of the basis comes from its null space.
         rng = np.random.default_rng(23)
         values = rng.normal(size=(10, 30))
-        train, groups = EmbeddingMatrix(values), GroupLabels(np.tile([0, 1], 5), 2)
+        train, groups = values, GroupLabels(np.tile([0, 1], 5), 2)
         with pytest.warns(UserWarning):
             transform = fit_fair_pca(train, groups, target_dim=20)
         projection = transform.projection
@@ -357,7 +335,7 @@ class TestFairPca:
         # fit holds one centred n x d copy of the input, plus O(n p + d^2) more.
         rng = np.random.default_rng(24)
         n, d = 50_000, 64
-        train, groups = EmbeddingMatrix(rng.normal(size=(n, d))), GroupLabels(np.arange(n) % 3, 3)
+        train, groups = rng.normal(size=(n, d)), GroupLabels(np.arange(n) % 3, 3)
         tracemalloc.start()
         try:
             transform = fit_fair_pca(train, groups)
@@ -365,7 +343,7 @@ class TestFairPca:
         finally:
             tracemalloc.stop()
         assert transform.target_dim == d - 2
-        assert peak <= 1.25 * train.values.nbytes
+        assert peak <= 1.25 * train.nbytes
 
     def test_eigengap_of_feasible_scatter(self):
         ds = generate(SynthSpec(n=800, d=12, p=2, bias_dims=(0,), bias_strength=5.0, seed=25))
@@ -373,7 +351,7 @@ class TestFairPca:
         assert fit_fair_pca(train, groups).eigengap is None  # r = d - 1: the whole subspace
         r = 4
         transform = fit_fair_pca(train, groups, target_dim=r)
-        centered = train.values - train.values.mean(axis=0)
+        centered = train - train.mean(axis=0)
         constraints = demeaned_onehot(groups.labels, 2).T @ centered
         null_basis = np.linalg.svd(constraints, full_matrices=True)[2][1:].T
         sing = np.linalg.svd(centered @ null_basis, compute_uv=False)
@@ -383,21 +361,21 @@ class TestFairPca:
         assert transform.details()["eigengap"] == transform.eigengap
 
     def test_constant_rows_have_zero_eigengap(self):
-        train = EmbeddingMatrix(np.ones((40, 5)))
+        train = np.ones((40, 5))
         transform = fit_fair_pca(train, GroupLabels(np.arange(40) % 2, 2), target_dim=2)
         assert transform.eigengap == 0.0
-        np.testing.assert_allclose(apply_fair_pca(transform, train).values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(apply_fair_pca(transform, train), 0.0, atol=1e-12)
 
     def test_apply_dimension_mismatch(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=21))
         transform = fit_fair_pca(*train_rows(ds))
         with pytest.raises(DataError, match="transform expects d=8, got d=9"):
-            apply_fair_pca(transform, EmbeddingMatrix(np.ones((2, 9))))
+            apply_fair_pca(transform, np.ones((2, 9)))
 
     def test_apply_makes_no_centred_copy(self):
         rng = np.random.default_rng(26)
         n, d = 20_000, 64
-        train = EmbeddingMatrix(rng.normal(size=(n, d)) + 5.0)
+        train = rng.normal(size=(n, d)) + 5.0
         groups = GroupLabels(np.arange(n) % 2, 2)
         transform = fit_fair_pca(train, groups)
         tracemalloc.start()
@@ -407,9 +385,9 @@ class TestFairPca:
         finally:
             tracemalloc.stop()
         # The n x (d - 1) output and its one-byte-per-value finite scan; no n x d temporary.
-        assert peak <= 1.25 * out.values.nbytes
-        expected = (train.values - transform.mean) @ transform.projection
-        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+        assert peak <= 1.25 * out.nbytes
+        expected = (train - transform.mean) @ transform.projection
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_refit_on_permuted_rows_gives_the_same_columns(self):
         # The feasible subspace's SVD basis is any orthonormal basis of a degenerate
@@ -417,15 +395,15 @@ class TestFairPca:
         # projection's own columns and so does not flip with it.
         ds = generate(SynthSpec(n=2000, d=32, p=3, bias_dims=(0, 1), bias_strength=3.0, seed=3))
         values, labels = ds.embeddings.values, ds.protected.labels
-        expected = fit_fair_pca(EmbeddingMatrix(values), GroupLabels(labels, 3)).projection
+        expected = fit_fair_pca(values, GroupLabels(labels, 3)).projection
         rng = np.random.default_rng(27)
         for _ in range(3):
             order = rng.permutation(labels.size)
-            refit = fit_fair_pca(EmbeddingMatrix(values[order]), GroupLabels(labels[order], 3))
+            refit = fit_fair_pca(values[order], GroupLabels(labels[order], 3))
             np.testing.assert_allclose(refit.projection, expected, rtol=0, atol=1e-9)
 
     def test_fit_rejects_label_length_mismatch(self):
-        train = EmbeddingMatrix(np.random.default_rng(22).normal(size=(20, 4)))
+        train = np.random.default_rng(22).normal(size=(20, 4))
         with pytest.raises(DataError, match="group labels length differs from embedding rows"):
             fit_fair_pca(train, GroupLabels(np.tile([0, 1], 9), 2))
 
@@ -477,7 +455,7 @@ class TestFairPcaMatchesOracle:
     def _check_against_oracle(values, labels, p, r):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # n <= d
-            transform = fit_fair_pca(EmbeddingMatrix(values), GroupLabels(labels, p), r)
+            transform = fit_fair_pca(values, GroupLabels(labels, p), r)
         projection = transform.projection
         assert np.max(np.abs(projection.T @ projection - np.eye(r))) <= 1e-10
         constraints = demeaned_onehot(labels, p).T @ (values - values.mean(axis=0))

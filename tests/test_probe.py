@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flens.core import BinaryLabels, EmbeddingMatrix, GroupLabels
+from flens.core import BinaryLabels, GroupLabels
 from flens.errors import DataError
 from flens.mitigation import apply_fair_pca, fit_fair_pca
 from flens.probe import evaluate_probe, fit_probe, loss_and_gradient
@@ -17,7 +17,7 @@ def two_clusters(n=200, d=6, gap=8.0, seed=0):
     labels = np.tile([0, 1], n // 2)
     values = rng.normal(size=(n, d))
     values[:, 0] += np.where(labels == 0, -gap / 2, gap / 2)
-    return EmbeddingMatrix(values), GroupLabels(labels, 2)
+    return values, GroupLabels(labels, 2)
 
 
 class TestFitProbe:
@@ -29,8 +29,8 @@ class TestFitProbe:
     def test_no_signal_near_majority(self):
         rng = np.random.default_rng(1)
         n = 1200
-        train = EmbeddingMatrix(rng.normal(size=(n, 8)))
-        test = EmbeddingMatrix(rng.normal(size=(400, 8)))
+        train = rng.normal(size=(n, 8))
+        test = rng.normal(size=(400, 8))
         train_labels = GroupLabels(rng.permutation(np.tile([0, 1], n // 2)), 2)
         test_labels = GroupLabels(np.tile([0, 1], 200), 2)
         model = fit_probe(train, train_labels)
@@ -45,9 +45,7 @@ class TestFitProbe:
         y[:classes] = np.arange(classes)
         x[np.arange(n), y % d] += 1.5
         # the oracle is steepest descent: it needs thousands of steps to reach tol
-        model = fit_probe(
-            EmbeddingMatrix(x), GroupLabels(y, classes), l2=1e-3, max_iter=3000, tol=1e-8
-        )
+        model = fit_probe(x, GroupLabels(y, classes), l2=1e-3, max_iter=3000, tol=1e-8)
         assert model.converged
         reference = oracle_probe_loss(x, y, classes, l2=1e-3, max_iter=3000, tol=1e-8)
         assert model.training_loss == pytest.approx(reference, abs=1e-6)
@@ -58,7 +56,7 @@ class TestFitProbe:
         assert model.converged
         assert model.grad_max < 1e-7
         assert 0 < model.iterations < 1000
-        x, y = embeddings.values, labels.labels
+        x, y = embeddings, labels.labels
         grad_w, grad_b = loss_and_gradient(model.weights, model.bias, x, y, 2, 1e-4)[2:]
         assert max(np.abs(grad_w).max(), np.abs(grad_b).max()) == model.grad_max
 
@@ -80,7 +78,7 @@ class TestFitProbe:
         monkeypatch.setattr(flens.probe, "loss_and_gradient", counting)
         ds = generate(SynthSpec(n=1000, d=24, p=3, bias_dims=(0, 1), bias_strength=3.0, seed=4))
         train = np.flatnonzero(ds.train_mask)
-        model = fit_probe(ds.embeddings.take(train), ds.protected.take(train), max_iter=200)
+        model = fit_probe(ds.embeddings.values[train], ds.protected.take(train), max_iter=200)
         # steepest descent with the same line search ends these 200 steps at max-norm 6.7e-3
         assert model.converged
         assert len(evaluations) < 200
@@ -97,7 +95,7 @@ class TestFitProbe:
 
         monkeypatch.setattr(flens.probe, "loss_and_gradient", counting)
         ds = generate(SynthSpec(n=300, d=8, p=3, seed=5))
-        model = fit_probe(ds.embeddings, ds.protected, tol=0.0, max_iter=300)
+        model = fit_probe(ds.embeddings.values, ds.protected, tol=0.0, max_iter=300)
         # without the stop, this fit runs all 300 iterations in 3 730 evaluations
         assert not model.converged
         assert model.iterations < 300
@@ -167,7 +165,7 @@ class TestEvaluateProbe:
     def test_constant_features_predict_one_class(self):
         embeddings, labels = two_clusters(n=100, seed=6)
         model = fit_probe(embeddings, labels)
-        constant = EmbeddingMatrix(np.zeros((40, embeddings.dims)))
+        constant = np.zeros((40, embeddings.shape[1]))
         eval_labels = GroupLabels(np.tile([0, 1], 20), 2)
         acc = evaluate_probe(model, constant, eval_labels)
         predictions = model.predict(constant)
@@ -179,16 +177,16 @@ class TestEvaluateProbe:
         embeddings, labels = two_clusters()
         model = fit_probe(embeddings, labels)
         with pytest.raises(DataError, match="probe expects d=6, got d=99"):
-            evaluate_probe(model, EmbeddingMatrix(np.ones((4, 99))), GroupLabels([0, 1, 0, 1], 2))
+            evaluate_probe(model, np.ones((4, 99)), GroupLabels([0, 1, 0, 1], 2))
 
     def test_fair_pca_drives_protected_probe_to_chance(self):
         ds = generate(SynthSpec(n=3000, d=32, p=2, bias_dims=(0, 1), bias_strength=6.0, seed=7))
         train = np.flatnonzero(ds.train_mask)
         test = np.flatnonzero(ds.test_mask)
-        transform = fit_fair_pca(ds.embeddings.take(train), ds.protected.take(train))
-        projected = apply_fair_pca(transform, ds.embeddings)
-        model = fit_probe(projected.take(train), ds.protected.take(train))
-        acc = evaluate_probe(model, projected.take(test), ds.protected.take(test))
+        transform = fit_fair_pca(ds.embeddings.values[train], ds.protected.take(train))
+        projected = apply_fair_pca(transform, ds.embeddings.values)
+        model = fit_probe(projected[train], ds.protected.take(train))
+        acc = evaluate_probe(model, projected[test], ds.protected.take(test))
         assert abs(acc - 0.5) < 0.05
 
     def test_multiclass_predictions(self):
@@ -197,9 +195,8 @@ class TestEvaluateProbe:
         labels = np.tile(np.arange(p), n // p)
         values = rng.normal(size=(n, 4))
         values[np.arange(n), labels] += 6.0
-        embeddings = EmbeddingMatrix(values)
-        model = fit_probe(embeddings, GroupLabels(labels, p))
-        assert evaluate_probe(model, embeddings, GroupLabels(labels, p)) > 0.98
+        model = fit_probe(values, GroupLabels(labels, p))
+        assert evaluate_probe(model, values, GroupLabels(labels, p)) > 0.98
 
 
 class TestFairPcaMonotonicity:
@@ -211,10 +208,40 @@ class TestFairPcaMonotonicity:
             )
             train = np.flatnonzero(ds.train_mask)
             test = np.flatnonzero(ds.test_mask)
-            raw = fit_probe(ds.embeddings.take(train), ds.protected.take(train), max_iter=200)
-            raw_acc = evaluate_probe(raw, ds.embeddings.take(test), ds.protected.take(test))
-            transform = fit_fair_pca(ds.embeddings.take(train), ds.protected.take(train))
-            projected = apply_fair_pca(transform, ds.embeddings)
-            fair = fit_probe(projected.take(train), ds.protected.take(train), max_iter=200)
-            fair_acc = evaluate_probe(fair, projected.take(test), ds.protected.take(test))
+            raw = fit_probe(ds.embeddings.values[train], ds.protected.take(train), max_iter=200)
+            raw_acc = evaluate_probe(raw, ds.embeddings.values[test], ds.protected.take(test))
+            transform = fit_fair_pca(ds.embeddings.values[train], ds.protected.take(train))
+            projected = apply_fair_pca(transform, ds.embeddings.values)
+            fair = fit_probe(projected[train], ds.protected.take(train), max_iter=200)
+            fair_acc = evaluate_probe(fair, projected[test], ds.protected.take(test))
             assert fair_acc < raw_acc, seed
+
+
+class TestFairPcaProbeInvariant:
+    """Fair PCA fit on the train rows leaves a linear probe of the same attribute nothing.
+
+    The transformed train rows have zero mean and zero covariance with every
+    demeaned group indicator, so the probe loss's weight gradient is zero at
+    zero weights whatever the bias: the fit keeps zero weights and predicts
+    one class, a train-majority one, for every row.
+    """
+
+    @pytest.mark.parametrize("unequal", [False, True])
+    @pytest.mark.parametrize("n, d, p", [(2000, 16, 3), (1001, 8, 2), (3000, 32, 5)])
+    def test_zero_weights_and_one_majority_class(self, n, d, p, unequal):
+        for seed in range(5):
+            spec = SynthSpec(n=n, d=d, p=p, bias_dims=(0, 1), bias_strength=4.0, seed=seed)
+            ds = generate(spec)
+            train = np.flatnonzero(ds.train_mask)
+            if unequal:  # drop about 40 % of group 0's train rows
+                keep = np.random.default_rng(seed).random(train.size) >= 0.4
+                train = train[keep | (ds.protected.labels[train] != 0)]
+            groups = ds.protected.take(train)
+            transform = fit_fair_pca(ds.embeddings.values[train], groups)
+            projected = apply_fair_pca(transform, ds.embeddings.values)
+            model = fit_probe(projected[train], groups)
+            assert np.max(np.abs(model.weights)) <= 1e-9, seed
+            predictions = model.predict(projected[ds.test_mask])
+            counts = groups.counts()
+            assert np.unique(predictions).size == 1, seed
+            assert counts[predictions[0]] == counts.max(), seed

@@ -50,7 +50,7 @@ class TestGenerate:
     def test_split_fractions(self):
         ds = generate(SynthSpec(n=1000, d=4, p=2, seed=6))
         train = int(ds.train_mask.sum())
-        assert ds.embeddings.rows == 1000
+        assert len(ds.embeddings.values) == 1000
         assert abs(train / 1000 - 0.7) < 0.01
         for tag in (TRAIN, TEST):
             mask = ds.split == tag
@@ -66,14 +66,14 @@ class TestGenerate:
         ds = generate(SynthSpec(n=5000, d=16, p=2, bias_strength=0.0, seed=7))
         train = np.flatnonzero(ds.train_mask)
         test = np.flatnonzero(ds.test_mask)
-        model = fit_probe(ds.embeddings.take(train), ds.protected.take(train), max_iter=300)
-        acc = evaluate_probe(model, ds.embeddings.take(test), ds.protected.take(test))
+        model = fit_probe(ds.embeddings.values[train], ds.protected.take(train), max_iter=300)
+        acc = evaluate_probe(model, ds.embeddings.values[test], ds.protected.take(test))
         assert abs(acc - 0.5) < 0.05
 
     def test_planted_bias_recovered_by_mi(self):
         ds = generate(SynthSpec(n=2000, d=16, p=2, bias_dims=(3, 8), bias_strength=6.0, seed=8))
         train = np.flatnonzero(ds.train_mask)
-        scores = estimate_mi_per_dimension(ds.embeddings.take(train), ds.protected.take(train))
+        scores = estimate_mi_per_dimension(ds.embeddings.values[train], ds.protected.take(train))
         assert set(np.argsort(-scores)[:2].tolist()) == {3, 8}
 
     def test_concept_balanced_within_groups(self):

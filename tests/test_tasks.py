@@ -5,27 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flens.core import BLOCK_ROWS, EmbeddingMatrix, row_norms
+from flens.core import BLOCK_ROWS, row_norms
 from flens.errors import DataError
 from flens.tasks import (
     _ranked_prefix,
     balanced_retrieval,
-    cosine_similarity_matrix,
     infer_protected_attribute,
     score_blocks,
     top_k,
     zero_shot_classify,
 )
 
+from .helpers import cosine_similarity_matrix
 from .oracles import oracle_balanced_retrieval
 
 
-def _classify(items: EmbeddingMatrix, class_a, class_b):
-    sims = cosine_similarity_matrix(items, EmbeddingMatrix(np.vstack([class_a, class_b])))
+def _classify(items: np.ndarray, class_a, class_b):
+    sims = cosine_similarity_matrix(items, np.vstack([class_a, class_b]))
     return zero_shot_classify(sims[0], sims[1])
 
 
-def _balanced(items: EmbeddingMatrix, group_queries: EmbeddingMatrix, k: int):
+def _balanced(items: np.ndarray, group_queries: np.ndarray, k: int):
     return balanced_retrieval(cosine_similarity_matrix(items, group_queries), k)
 
 
@@ -48,37 +48,37 @@ def _grid_rows(rows: int, n: int):
 class TestCosineSimilarity:
     def test_self_similarity(self):
         v = np.array([[0.3, -1.2, 0.5]])
-        sims = cosine_similarity_matrix(EmbeddingMatrix(v), EmbeddingMatrix(v))
+        sims = cosine_similarity_matrix(v, v)
         assert sims[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        items = EmbeddingMatrix([[1.0, 0.0]])
-        queries = EmbeddingMatrix([[0.0, 2.0]])
+        items = np.array([[1.0, 0.0]])
+        queries = np.array([[0.0, 2.0]])
         assert cosine_similarity_matrix(items, queries)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_arithmetic(self):
-        items = EmbeddingMatrix([[1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]])
-        queries = EmbeddingMatrix([[1.0, 0.0]])
+        items = np.array([[1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]])
+        queries = np.array([[1.0, 0.0]])
         assert cosine_similarity_matrix(items, queries)[0, 0] == pytest.approx(
             1.0 / np.sqrt(2), abs=1e-12
         )
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DataError, match="^row 0 has zero norm$"):
-            cosine_similarity_matrix(EmbeddingMatrix([[0.0, 0.0]]), EmbeddingMatrix([[1.0, 0.0]]))
+            cosine_similarity_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
         with pytest.raises(DataError, match="^row 1 has zero norm$"):
             cosine_similarity_matrix(
-                EmbeddingMatrix([[1.0, 0.0]]), EmbeddingMatrix([[1.0, 0.0], [0.0, 0.0]])
+                np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="dimension mismatch: items d=2, queries d=1"):
-            cosine_similarity_matrix(EmbeddingMatrix([[1.0, 0.0]]), EmbeddingMatrix([[1.0]]))
+            cosine_similarity_matrix(np.array([[1.0, 0.0]]), np.array([[1.0]]))
 
     def test_range(self):
         rng = np.random.default_rng(0)
         sims = cosine_similarity_matrix(
-            EmbeddingMatrix(rng.normal(size=(40, 8))), EmbeddingMatrix(rng.normal(size=(5, 8)))
+            rng.normal(size=(40, 8)), rng.normal(size=(5, 8))
         )
         assert np.all(sims >= -1.0) and np.all(sims <= 1.0)
 
@@ -91,13 +91,13 @@ class TestScoreBlocks:
     )
     def test_any_cut_gives_the_whole_matrix_bits(self, q, d, n):
         rng = np.random.default_rng(q)
-        items = EmbeddingMatrix(rng.normal(size=(n, d)))
-        queries = EmbeddingMatrix(rng.normal(size=(q, d)))
+        items = rng.normal(size=(n, d))
+        queries = rng.normal(size=(q, d))
         cuts = [0, 1, 4, 1229, BLOCK_ROWS - 1, BLOCK_ROWS + 1, n]
         blocks = [
-            (items.values[a:b], row_norms(items.values[a:b])) for a, b in zip(cuts, cuts[1:])
+            (items[a:b], row_norms(items[a:b])) for a, b in zip(cuts, cuts[1:])
         ]
-        sims = score_blocks((queries.values, row_norms(queries.values)), blocks, n)
+        sims = score_blocks((queries, row_norms(queries)), blocks, n)
         assert sims.tobytes() == cosine_similarity_matrix(items, queries).tobytes()
 
     def test_zero_norm_named_by_place_in_the_stream(self):
@@ -128,12 +128,12 @@ class TestScoreBlocks:
 
 class TestZeroShotClassify:
     def test_identical_to_class_a(self):
-        items = EmbeddingMatrix([[1.0, 0.0]])
+        items = np.array([[1.0, 0.0]])
         labels = _classify(items, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
         assert labels.labels.tolist() == [1]
 
     def test_tie_goes_to_class_a(self):
-        items = EmbeddingMatrix([[1.0, 1.0]])
+        items = np.array([[1.0, 1.0]])
         labels = _classify(items, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert labels.labels.tolist() == [1]
 
@@ -141,7 +141,7 @@ class TestZeroShotClassify:
         # items on a 2-d fan between two orthogonal class vectors; even point
         # count keeps the exact bisector (the documented tie) out of the fan
         angles = np.linspace(0.05, np.pi / 2 - 0.05, 36)
-        items = EmbeddingMatrix(np.column_stack([np.cos(angles), np.sin(angles)]))
+        items = np.column_stack([np.cos(angles), np.sin(angles)])
         labels = _classify(items, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         expected = np.where(angles < np.pi / 4, 1, -1)
         assert labels.labels.tolist() == expected.tolist()
@@ -150,20 +150,20 @@ class TestZeroShotClassify:
         rng = np.random.default_rng(3)
         values = rng.normal(size=(30, 6))
         a, b = rng.normal(size=6), rng.normal(size=6)
-        base = _classify(EmbeddingMatrix(values), a, b)
+        base = _classify(values, a, b)
         scales = rng.uniform(0.1, 10.0, size=30)
-        rescaled = _classify(EmbeddingMatrix(values * scales[:, None]), 3.0 * a, 0.25 * b)
+        rescaled = _classify(values * scales[:, None], 3.0 * a, 0.25 * b)
         assert base.labels.tolist() == rescaled.labels.tolist()
 
     def test_softmax_argmax_equivalence(self):
         # picking the larger cosine equals picking the larger softmax weight
         # at any temperature, so the classifier needs no temperature knob
         rng = np.random.default_rng(4)
-        items = EmbeddingMatrix(rng.normal(size=(50, 5)))
+        items = rng.normal(size=(50, 5))
         a, b = rng.normal(size=5), rng.normal(size=5)
         labels = _classify(items, a, b)
         sims = cosine_similarity_matrix(
-            items, EmbeddingMatrix(np.vstack([a, b]))
+            items, np.vstack([a, b])
         )
         for temperature in (0.07, 1.0, 100.0):
             logits = sims / temperature
@@ -227,19 +227,19 @@ class TestBalancedRetrieval:
             values[item] = [1.0, 0.1 * rank]
         for rank, item in enumerate(range(5, 10)):
             values[item] = [0.1 * rank, 1.0]
-        return EmbeddingMatrix(values)
+        return values
 
     def test_even_split(self):
-        queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
+        queries = np.array([[1.0, 0.0], [0.0, 1.0]])
         result = _balanced(self._clustered(), queries, 10)
         picked = set(result.tolist())
         assert len(picked & {0, 1, 2, 3, 4}) == 5
         assert len(picked & {5, 6, 7, 8, 9}) == 5
 
     def test_remainder_goes_to_lower_group(self):
-        values = np.vstack([self._clustered().values, [[1.0, 0.05]]])
-        queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
-        result = _balanced(EmbeddingMatrix(values), queries, 11)
+        values = np.vstack([self._clustered(), [[1.0, 0.05]]])
+        queries = np.array([[1.0, 0.0], [0.0, 1.0]])
+        result = _balanced(values, queries, 11)
         group0 = {0, 1, 2, 3, 4, 10}
         picked = result.tolist()
         assert sum(1 for i in picked if i in group0) == 6
@@ -247,7 +247,7 @@ class TestBalancedRetrieval:
 
     def test_disjoint_top_lists_equal_union(self):
         items = self._clustered()
-        queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
+        queries = np.array([[1.0, 0.0], [0.0, 1.0]])
         result = _balanced(items, queries, 4)
         sims = cosine_similarity_matrix(items, queries)
         top0 = top_k(sims[0:1], 2)[0].tolist()
@@ -255,7 +255,7 @@ class TestBalancedRetrieval:
         assert set(result.tolist()) == set(top0) | set(top1)
 
     def test_round_robin_order(self):
-        queries = EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]])
+        queries = np.array([[1.0, 0.0], [0.0, 1.0]])
         result = _balanced(self._clustered(), queries, 4)
         # group 0's best, group 1's best, then each second-best
         assert result.tolist() == [0, 5, 1, 6]
@@ -263,8 +263,8 @@ class TestBalancedRetrieval:
     def test_duplicate_claimed_once(self):
         # item 0 is the top hit for both queries
         values = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.8, 0.2], [0.2, 0.8]])
-        queries = EmbeddingMatrix([[1.0, 0.9], [0.9, 1.0]])
-        result = _balanced(EmbeddingMatrix(values), queries, 4)
+        queries = np.array([[1.0, 0.9], [0.9, 1.0]])
+        result = _balanced(values, queries, 4)
         picked = result.tolist()
         # group 0 claims the contested item; group 1 falls back to its next best
         assert picked == [0, 4, 3, 2]
@@ -274,9 +274,9 @@ class TestBalancedRetrieval:
         # queries contest the same top items, so claimed items get skipped.
         rng = np.random.default_rng(13)
         levels = rng.integers(-1, 2, size=(60, 6)).astype(float)
-        items = EmbeddingMatrix(levels + [[5, 0, 0, 0, 0, 0]])
-        queries = EmbeddingMatrix(np.eye(6)[:3] + [[4, 0, 0, 0, 0, 0]])
-        p, big = queries.rows, 40
+        items = levels + [[5, 0, 0, 0, 0, 0]]
+        queries = np.eye(6)[:3] + [[4, 0, 0, 0, 0, 0]]
+        p, big = len(queries), 40
         sims = cosine_similarity_matrix(items, queries)
         assert any(np.unique(row).size < row.size for row in sims)
         tops = [top_k(sims[g : g + 1], big // p)[0] for g in range(p)]
@@ -298,10 +298,9 @@ class TestBalancedRetrieval:
         items = np.vstack([items, items[:1]]) + [5, 0, 0, 0]
         queries[-1] = queries[0]
         queries = queries + [4, 0, 0, 0]
-        item_matrix, query_matrix = EmbeddingMatrix(items), EmbeddingMatrix(queries)
-        sims = cosine_similarity_matrix(item_matrix, query_matrix)
+        sims = cosine_similarity_matrix(items, queries)
         for k in range(p, n + 1):
-            result = _balanced(item_matrix, query_matrix, k)
+            result = _balanced(items, queries, k)
             picked, values = oracle_balanced_retrieval(sims.tolist(), k)
             assert result.tolist() == picked
             assert np.unique(result).size == k  # no item is picked twice
@@ -355,7 +354,7 @@ class TestInferProtectedAttribute:
         agreement = np.mean(inferred.labels == truth)
         assert agreement > 0.99
         # the same labels as the nearest prompt by cosine_similarity_matrix
-        sims = cosine_similarity_matrix(EmbeddingMatrix(items), EmbeddingMatrix(prompts))
+        sims = cosine_similarity_matrix(items, prompts)
         assert inferred.labels.tolist() == np.argmax(sims, axis=0).tolist()
 
 
