@@ -390,7 +390,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
         _check_row(row, f"retrieval.queries[{i}].row", len(query_file))
         relevant = None
         if relevant_column:
-            relevant = np.flatnonzero(columns[relevant_column, "binary"].labels == 1)
+            relevant = np.flatnonzero(columns[relevant_column, "binary"])
         queries.append((name, tags, relevant))
     # The query rows, then p group-specific balanced rows per query in the order
     # queries are listed: one similarity pass scores them all.
@@ -603,7 +603,7 @@ def cmd_synth(cfg: dict) -> dict:
         labels_path,
         {
             "group": [str(int(g)) for g in dataset.protected.labels],
-            "concept": [str((int(c) + 1) // 2) for c in dataset.ground_truth.labels],
+            "concept": [str(int(c)) for c in dataset.ground_truth.labels],
             "split": [str(s) for s in dataset.split],
         },
     )

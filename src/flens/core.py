@@ -1,7 +1,9 @@
-"""Shared data model: embeddings, group and binary labels, and split tags.
+"""Shared data model: embeddings, group labels and split tags.
 
 Every container here is immutable after construction: numpy buffers are
 marked read-only, so no holder can change the values another one reads.
+Binary task labels need no container: a label column decodes to a
+read-only boolean array, true at the positive class.
 """
 
 from __future__ import annotations
@@ -26,6 +28,18 @@ def row_norms(values: np.ndarray) -> np.ndarray:
     A row's norm does not depend on the rows beside it.
     """
     return np.sqrt(np.einsum("ij,ij->i", values, values))
+
+
+def lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Linear interpolation from ``a`` to ``b`` at ``t``, computed as numpy computes it.
+
+    np.quantile's "linear" method steps up from ``a`` where t < 0.5 and down
+    from ``b`` elsewhere. Computed the same way, a quantile read off sorted
+    values matches np.quantile to the last bit, so the report quartiles and
+    the MI-clip bin edges need no np.quantile call.
+    """
+    step = b - a
+    return np.where(t >= 0.5, b - step * (1 - t), a + step * t)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -92,30 +106,6 @@ class GroupLabels:
 
     def take(self, indices: np.ndarray) -> "GroupLabels":
         return GroupLabels(self.labels[np.asarray(indices)], self.group_count, self.group_names)
-
-
-@dataclass(frozen=True, eq=False)
-class BinaryLabels:
-    """Per-item values in {-1, +1}; +1 is the positive class."""
-
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 1:
-            raise DataError(f"binary labels must be 1-d, got shape {labels.shape}")
-        if labels.size and not np.all(np.isin(labels, (-1, 1))):
-            raise DataError("binary labels must be -1 or +1")
-        object.__setattr__(self, "labels", _freeze(labels))
-
-    def __len__(self) -> int:
-        return int(self.labels.size)
-
-    def positive_mask(self) -> np.ndarray:
-        return self.labels == 1
-
-    def take(self, indices: np.ndarray) -> "BinaryLabels":
-        return BinaryLabels(self.labels[np.asarray(indices)])
 
 
 def split_tags(split: np.ndarray | None, protected: GroupLabels) -> np.ndarray:

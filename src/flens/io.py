@@ -21,7 +21,7 @@ from typing import Any, BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .core import BLOCK_ROWS, BinaryLabels, EmbeddingMatrix, GroupLabels
+from .core import BLOCK_ROWS, EmbeddingMatrix, GroupLabels
 from .errors import DataError
 from .mitigation import TRANSFORMS, Transform
 
@@ -299,12 +299,12 @@ def _first_bad_row(cells: list[str], width: int) -> tuple[int, str] | None:
 
 def decode_labels(
     columns: dict[str, list[str]], attribute: str, kind: str, path: str | Path
-) -> GroupLabels | BinaryLabels:
+) -> GroupLabels | np.ndarray:
     """Decode one column of a parsed label table; path only names it in errors.
 
     Group categories map to dense indices in first-appearance order and the
     category names ride along on the result. Binary columns accept 0/1 or
-    -1/+1 and normalize to -1/+1.
+    -1/+1 and decode to a read-only boolean array, true at 1 and +1.
     """
     if attribute not in columns:
         raise DataError(f"{path}: no column named {attribute!r}")
@@ -316,14 +316,15 @@ def decode_labels(
         labels = np.fromiter(map(order.__getitem__, raw), np.int64, len(raw))
         return GroupLabels(labels, group_count=len(order), group_names=tuple(order))
     if kind == "binary":
-        mapping = {"0": -1, "1": 1, "-1": -1, "+1": 1}
+        mapping = {"0": False, "1": True, "-1": False, "+1": True}
         try:
-            labels = np.fromiter(map(mapping.__getitem__, raw), np.int64, len(raw))
+            labels = np.fromiter(map(mapping.__getitem__, raw), bool, len(raw))
         except KeyError as exc:
             raise DataError(
                 f"{path}: column {attribute!r} has non-binary value {exc.args[0]!r}"
             ) from None
-        return BinaryLabels(labels)
+        labels.setflags(write=False)
+        return labels
     raise DataError(f"unknown label kind {kind!r}")
 
 

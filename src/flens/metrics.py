@@ -3,7 +3,8 @@
 All disparity metrics reduce a vector of per-group rates to the largest
 pairwise absolute difference and report which pair attains it. Rates are
 computed as exact integer tallies divided once at the end, so equal rates
-compare exactly equal in floating point.
+compare exactly equal in floating point. Binary predictions and ground
+truth are boolean arrays, true at the positive class.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinaryLabels, GroupLabels
+from .core import GroupLabels
 from .errors import DataError
 
 
@@ -38,7 +39,7 @@ def _check_lengths(a, b) -> None:
         raise DataError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
-def ddp_classification(predictions: BinaryLabels, groups: GroupLabels) -> MetricResult:
+def ddp_classification(predictions: np.ndarray, groups: GroupLabels) -> MetricResult:
     """Demographic disparity of a binary classifier.
 
     Max over group pairs of the absolute difference in positive-prediction
@@ -46,9 +47,7 @@ def ddp_classification(predictions: BinaryLabels, groups: GroupLabels) -> Metric
     """
     _check_lengths(predictions, groups)
     group_sizes = groups.counts()
-    positives = np.bincount(
-        groups.labels[predictions.positive_mask()], minlength=groups.group_count
-    )
+    positives = np.bincount(groups.labels[predictions], minlength=groups.group_count)
     rates = positives / group_sizes
     return _max_pairwise(rates)
 
@@ -76,7 +75,7 @@ def ddp_retrieval(
     return _max_pairwise(rates)
 
 
-def dtpr(predictions: BinaryLabels, truth: BinaryLabels, groups: GroupLabels) -> MetricResult:
+def dtpr(predictions: np.ndarray, truth: np.ndarray, groups: GroupLabels) -> MetricResult:
     """Disparity in true-positive rates across groups.
 
     Only ground-truth positives enter; every group must contribute at
@@ -84,12 +83,11 @@ def dtpr(predictions: BinaryLabels, truth: BinaryLabels, groups: GroupLabels) ->
     """
     _check_lengths(predictions, truth)
     _check_lengths(predictions, groups)
-    pos = truth.positive_mask()
-    pos_per_group = np.bincount(groups.labels[pos], minlength=groups.group_count)
+    pos_per_group = np.bincount(groups.labels[truth], minlength=groups.group_count)
     if np.any(pos_per_group == 0):
         empty = int(np.flatnonzero(pos_per_group == 0)[0])
         raise DataError(f"group {empty} has no ground-truth positives")
-    hit = pos & predictions.positive_mask()
+    hit = truth & predictions
     hit_per_group = np.bincount(groups.labels[hit], minlength=groups.group_count)
     rates = hit_per_group / pos_per_group
     return _max_pairwise(rates)
@@ -122,18 +120,10 @@ def ddp_rep(positives_per_group: Sequence[int]) -> MetricResult:
     return _max_pairwise(counts / total_positives)
 
 
-def accuracy(predictions, truth) -> float:
-    """Fraction of exact matches between two equal-length label vectors."""
-    pred = _as_label_array(predictions)
-    true = _as_label_array(truth)
-    if pred.shape != true.shape:
-        raise DataError(f"length mismatch: {pred.shape} vs {true.shape}")
-    if pred.size == 0:
+def accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of exact matches between two equal-length label arrays."""
+    if predictions.shape != truth.shape:
+        raise DataError(f"length mismatch: {predictions.shape} vs {truth.shape}")
+    if predictions.size == 0:
         raise DataError("cannot compute accuracy of zero items")
-    return float(np.count_nonzero(pred == true) / pred.size)
-
-
-def _as_label_array(labels) -> np.ndarray:
-    if isinstance(labels, (BinaryLabels, GroupLabels)):
-        return labels.labels
-    return np.asarray(labels)
+    return float(np.count_nonzero(predictions == truth) / predictions.size)

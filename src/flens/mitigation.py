@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BLOCK_ROWS, GroupLabels
+from .core import BLOCK_ROWS, GroupLabels, lerp
 from .errors import ConfigError, DataError, NumericError
 
 log = logging.getLogger(__name__)
@@ -232,9 +232,7 @@ def estimate_mi_per_dimension(
     for start in range(0, d, width):
         block = np.ascontiguousarray(train[by_group, start : start + width].T)
         whole = np.sort(block, axis=1)
-        left, right = whole[:, low].T, whole[:, low + 1].T
-        step = right - left
-        edges = np.where(t >= 0.5, right - step * (1 - t), left + step * t)
+        edges = lerp(whole[:, low].T, whole[:, low + 1].T, t)
         edges.sort(axis=0)  # so each group's counts below the edges never decrease
         below = np.zeros((block.shape[0], bins + 1, p), dtype=np.int64)
         below[:, -1] = counts

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryLabels, GroupLabels
+from .core import GroupLabels
 from .errors import DataError, NumericError
 
 DEFAULT_L2 = 1e-4
@@ -61,15 +61,6 @@ class ProbeModel:
         if embeddings.shape[1] != self.weights.shape[1]:
             raise DataError(f"probe expects d={self.weights.shape[1]}, got d={embeddings.shape[1]}")
         return np.argmax(_logits(embeddings, self.weights, self.bias), axis=0)
-
-
-def _class_indices(labels: GroupLabels | BinaryLabels) -> tuple[np.ndarray, int]:
-    """Map labels onto class indices 0..c-1; binary -1/+1 become 0/1."""
-    if isinstance(labels, BinaryLabels):
-        return ((labels.labels + 1) // 2).astype(np.int64), 2
-    if isinstance(labels, GroupLabels):
-        return labels.labels, labels.group_count
-    raise DataError("labels must be GroupLabels or BinaryLabels")
 
 
 def _logits(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,7 +121,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
 
 def fit_probe(
     train: np.ndarray,
-    labels: GroupLabels | BinaryLabels,
+    labels: GroupLabels,
     l2: float = DEFAULT_L2,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
@@ -144,7 +135,7 @@ def fit_probe(
     A (s, y) pair of non-positive curvature is not stored; a direction that
     does not descend is replaced by steepest descent, with the pairs dropped.
     """
-    y, classes = _class_indices(labels)
+    y, classes = labels.labels, labels.group_count
     n, d = train.shape
     if y.size != n:
         raise DataError("labels length differs from embedding rows")
@@ -200,13 +191,11 @@ def fit_probe(
     )
 
 
-def evaluate_probe(
-    model: ProbeModel, test: np.ndarray, labels: GroupLabels | BinaryLabels
-) -> float:
+def evaluate_probe(model: ProbeModel, test: np.ndarray, labels: GroupLabels) -> float:
     """Argmax-class accuracy of the probe on held-out data."""
-    y, classes = _class_indices(labels)
-    if classes != model.classes:
-        raise DataError(f"model has {model.classes} classes, labels imply {classes}")
+    y = labels.labels
+    if labels.group_count != model.classes:
+        raise DataError(f"model has {model.classes} classes, labels imply {labels.group_count}")
     if y.size != len(test):
         raise DataError("labels length differs from embedding rows")
     predictions = model.predict(test)

@@ -24,6 +24,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from . import __version__
+from .core import lerp
 from .tasks import TaxonomyTags
 
 SCHEMA_VERSION = 1
@@ -86,9 +87,7 @@ def _quartiles(values: np.ndarray) -> np.ndarray:
     t = h - low
     low = low.astype(np.intp)
     ordered = np.partition(values, sorted({0, -1, *low.tolist(), *high.tolist()}))
-    a, b = ordered[low], ordered[high]
-    step = b - a
-    return np.where(t >= 0.5, b - step * (1 - t), a + step * t)
+    return lerp(ordered[low], ordered[high], t)
 
 
 def five_number_summary(values: Iterable[float]) -> dict:

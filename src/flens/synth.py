@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TEST, TRAIN, BinaryLabels, EmbeddingMatrix, GroupLabels
+from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels
 from .errors import ConfigError
 
 
@@ -85,7 +85,7 @@ class SynthDataset:
 
     embeddings: EmbeddingMatrix
     protected: GroupLabels
-    ground_truth: BinaryLabels
+    ground_truth: GroupLabels  # the concept: class 1 is positive
     split: np.ndarray
 
     @property
@@ -108,14 +108,14 @@ def generate(spec: SynthSpec) -> SynthDataset:
     rng = np.random.Generator(np.random.Philox(spec.seed))
     n, d, p = spec.n, spec.d, spec.p
     group = np.arange(n, dtype=np.int64) % p
-    concept = np.where((np.arange(n) // p) % 2 == 0, 1, -1).astype(np.int64)
+    concept = (np.arange(n) // p + 1) % 2
     values = rng.standard_normal((n, d))
     if spec.bias_dims and spec.bias_strength > 0.0:
         with np.errstate(over="ignore"):  # an infinite offset fails the writer's float32 check
             offsets = spec.bias_strength * (group - (p - 1) / 2.0)
         values[:, list(spec.bias_dims)] += offsets[:, None]
     if spec.concept_dims and spec.effective_concept_strength > 0.0:
-        offsets = spec.effective_concept_strength * concept / 2.0
+        offsets = spec.effective_concept_strength * (concept - 0.5)
         values[:, list(spec.concept_dims)] += offsets[:, None]
     split = np.full(n, TEST, dtype="<U5")
     for g in range(p):
@@ -127,6 +127,6 @@ def generate(spec: SynthSpec) -> SynthDataset:
     return SynthDataset(
         embeddings=EmbeddingMatrix(values),
         protected=GroupLabels(group, group_count=p),
-        ground_truth=BinaryLabels(concept),
+        ground_truth=GroupLabels(concept, group_count=2),
         split=split,
     )

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BLOCK_ROWS, BinaryLabels, GroupLabels
+from .core import BLOCK_ROWS, GroupLabels
 from .errors import DataError
 
 INDEPENDENCE = "independence"
@@ -39,11 +39,10 @@ def score_blocks(
     BLOCK_ROWS rows. Each full buffer, then the last partial one, is scored
     by one GEMM with the items on its N side, into its columns of the
     result. The GEMM calls so depend on n alone, not on how the items were
-    cut into blocks, and neither do the bits. A zero-norm row raises
-    DataError naming its place among the queries, then among the n items.
+    cut into blocks, and neither do the bits. Every norm must be non-zero:
+    the callers check each row where it is read.
     """
     query_rows, query_norms = queries
-    _check_nonzero(query_norms, 0)
     unit_queries = query_rows / query_norms[:, None]
     sims = np.empty((len(unit_queries), n))
     staged = np.empty((min(n, BLOCK_ROWS), unit_queries.shape[1]))
@@ -52,7 +51,6 @@ def score_blocks(
         if values.shape[1] != staged.shape[1]:
             dims = f"items d={values.shape[1]}, queries d={staged.shape[1]}"
             raise DataError(f"dimension mismatch: {dims}")
-        _check_nonzero(norms, scored + filled)
         while len(values):
             take = min(len(staged) - filled, len(values))
             np.divide(values[:take], norms[:take, None], out=staged[filled : filled + take])
@@ -63,13 +61,6 @@ def score_blocks(
     if scored != n:  # a short stream would leave columns unset
         raise DataError(f"expected {n} items, got {scored + filled}")
     return np.clip(sims, -1.0, 1.0, out=sims)
-
-
-def _check_nonzero(norms: np.ndarray, first: int) -> None:
-    """Reject a zero norm, naming its row counted from ``first``."""
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DataError(f"row {first + int(zero[0])} has zero norm")
 
 
 def _ranked_prefix(similarities: np.ndarray, k: int) -> np.ndarray:
@@ -92,8 +83,8 @@ def _ranked_prefix(similarities: np.ndarray, k: int) -> np.ndarray:
     return order[starts[:, None] + np.arange(k)]
 
 
-def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> BinaryLabels:
-    """Label each item +1 for class A or -1 for class B by nearest class embedding.
+def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> np.ndarray:
+    """Per item, True for class A or False for class B by nearest class embedding.
 
     ``sims_a`` and ``sims_b`` are the items' cosine similarities to the class A
     and class B embeddings: two rows of a score_blocks result. Cosine ties
@@ -104,7 +95,7 @@ def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> BinaryLabels:
     a, b = np.asarray(sims_a, dtype=np.float64), np.asarray(sims_b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise DataError(f"class similarities must be two equal 1-d rows, got {a.shape}, {b.shape}")
-    return BinaryLabels(np.where(a >= b, 1, -1))
+    return a >= b
 
 
 def top_k(similarities: np.ndarray, k: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import alexandergovern as scipy_alexandergovern
 
 from flens.cli import main
-from flens.core import BinaryLabels, EmbeddingMatrix, GroupLabels
+from flens.core import EmbeddingMatrix, GroupLabels
 from flens.errors import DataError
 from flens.io import (
     deserialize_transform,
@@ -70,16 +70,14 @@ def test_metric_oracle_suite():
         rng.shuffle(groups)
         predictions = rng.choice([-1, 1], size=n)
 
-        ours = ddp_classification(BinaryLabels(predictions), GroupLabels(groups, p)).value
+        ours = ddp_classification(predictions == 1, GroupLabels(groups, p)).value
         ref = oracle_ddp_classification(predictions.tolist(), groups.tolist(), p)
         assert abs(ours - ref) <= 1e-12
 
         truth = np.where(rng.random(n) < 0.6, 1, -1)
         for g in range(p):
             truth[np.flatnonzero(groups == g)[0]] = 1
-        ours = dtpr(
-            BinaryLabels(predictions), BinaryLabels(truth), GroupLabels(groups, p)
-        ).value
+        ours = dtpr(predictions == 1, truth == 1, GroupLabels(groups, p)).value
         ref = oracle_dtpr(predictions.tolist(), truth.tolist(), groups.tolist(), p)
         assert abs(ours - ref) <= 1e-12
 
@@ -136,13 +134,9 @@ def test_zero_equivalence_property():
         k_total, z_total = int(k.sum()), int(z.sum())
         equal_rates = all(int(k[i]) * z_total == int(z[i]) * k_total for i in range(p))
         # the classification-form disparity on selection indicators
-        indicator_preds = np.concatenate(
-            [np.concatenate([np.ones(k[g]), -np.ones(z[g] - k[g])]) for g in range(p)]
-        ).astype(int)
+        indicator_preds = np.concatenate([np.arange(z[g]) < k[g] for g in range(p)])
         indicator_groups = np.repeat(np.arange(p), z)
-        eq1 = ddp_classification(
-            BinaryLabels(indicator_preds), GroupLabels(indicator_groups, p)
-        ).value
+        eq1 = ddp_classification(indicator_preds, GroupLabels(indicator_groups, p)).value
         assert (value == 0.0) == equal_rates, (k, z)
         assert (eq1 == 0.0) == equal_rates, (k, z)
         checked_zero += equal_rates

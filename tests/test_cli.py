@@ -1,6 +1,7 @@
 """End-to-end CLI tests over temp files: pipelines, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -146,6 +147,19 @@ class TestSynthCommand:
             assert report["tasks"][0]["details"]["spec"]["seed"] == seed
             written.append(emb.read_bytes())
         assert written[0] != written[1]
+
+    def test_labels_file_bytes_pinned(self, tmp_path):
+        """The label table holds only integers and Philox-drawn split tags, so its bytes
+        do not depend on BLAS: group g, concept 1 (positive) or 0, train or test."""
+        labels = tmp_path / "labels.csv"
+        synth = {
+            "synth": {"n": 40, "d": 8, "p": 3, "bias_dims": [0], "bias_strength": 2.0,
+                      "concept_dims": [1], "seed": 5},
+            "output": {"embeddings": str(tmp_path / "items.femb"), "labels": str(labels)},
+        }
+        assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
+        digest = hashlib.sha256(labels.read_bytes()).hexdigest()
+        assert digest == "dc947e1d49b73afb8ca22650efef5d02d3bb613b035a861f649d4fc85fa184a7"
 
     @pytest.mark.parametrize("strength", [1e308, 1.7e308])
     def test_values_past_float32_exit_3(self, tmp_path, capsys, strength):

@@ -6,7 +6,6 @@ import pytest
 from flens.core import (
     TEST,
     TRAIN,
-    BinaryLabels,
     EmbeddingMatrix,
     GroupLabels,
     split_tags,
@@ -48,17 +47,6 @@ class TestGroupLabels:
     def test_names_length(self):
         with pytest.raises(DataError, match="group_names length must equal group_count"):
             GroupLabels([0, 1], 2, group_names=("only",))
-
-
-class TestBinaryLabels:
-    def test_accepts_pm_one(self):
-        b = BinaryLabels([1, -1, 1])
-        assert b.positive_mask().tolist() == [True, False, True]
-
-    @pytest.mark.parametrize("bad", [[0, 1], [2, -1], [1, -1, 3]])
-    def test_rejects_other_values(self, bad):
-        with pytest.raises(DataError, match=r"binary labels must be -1 or \+1"):
-            BinaryLabels(bad)
 
 
 class TestSplitTags:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flens.core import BLOCK_ROWS, BinaryLabels, EmbeddingMatrix
+from flens.core import BLOCK_ROWS, EmbeddingMatrix
 from flens.errors import DataError
 from flens.io import (
     decode_labels,
@@ -306,10 +306,12 @@ class TestLabelFiles:
 
     def test_binary_convention_mapping(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("item_id,task\n0,0\n1,1\n2,1\n")
+        path.write_text("item_id,task\n0,0\n1,1\n2,-1\n3,+1\n4,1\n")
         labels = read_labels(path, "task", kind="binary")
-        assert isinstance(labels, BinaryLabels)
-        assert labels.labels.tolist() == [-1, 1, 1]
+        assert labels.dtype == bool
+        assert labels.tolist() == [False, True, False, True, True]
+        with pytest.raises(ValueError):
+            labels[0] = True
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "labels.csv"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flens.cli import _retrieval_metrics
-from flens.core import BinaryLabels, GroupLabels
+from flens.core import GroupLabels
 from flens.errors import DataError
 from flens.metrics import (
     accuracy,
@@ -46,18 +46,18 @@ def precision_at_k(ranked, relevant, k):
 
 class TestDdpClassification:
     def test_equal_rates(self):
-        preds = BinaryLabels([1, -1, 1, -1])
+        preds = np.array([True, False, True, False])
         groups = GroupLabels([0, 0, 1, 1], 2)
         assert ddp_classification(preds, groups).value == 0.0
 
     def test_direct_tally(self):
-        preds = BinaryLabels([1, 1, 1, -1, -1] + [1, 1, -1, -1, -1])
+        preds = np.array([True, True, True, False, False] + [True, True, False, False, False])
         groups = GroupLabels([0] * 5 + [1] * 5, 2)
         result = ddp_classification(preds, groups)
         assert result.value == pytest.approx(0.2, abs=1e-15)
 
     def test_three_groups_attaining_pair(self):
-        preds = BinaryLabels([1, 1, 1, -1, -1, -1])
+        preds = np.array([True, True, True, False, False, False])
         groups = GroupLabels([0, 0, 1, 1, 2, 2], 3)
         result = ddp_classification(preds, groups)
         assert result.value == 1.0
@@ -66,7 +66,7 @@ class TestDdpClassification:
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length mismatch: 1 vs 2"):
-            ddp_classification(BinaryLabels([1]), GroupLabels([0, 1], 2))
+            ddp_classification(np.array([True]), GroupLabels([0, 1], 2))
 
 
 class TestDdpRetrieval:
@@ -90,27 +90,27 @@ class TestDdpRetrieval:
 
 class TestDtpr:
     def test_perfect_recall_everywhere(self):
-        preds = BinaryLabels([1, 1, 1, 1])
-        truth = BinaryLabels([1, 1, 1, 1])
+        preds = np.array([True, True, True, True])
+        truth = np.array([True, True, True, True])
         groups = GroupLabels([0, 0, 1, 1], 2)
         assert dtpr(preds, truth, groups).value == 0.0
 
     def test_direct_tally(self):
         # group 0: TPR 4/4, group 1: TPR 2/4
-        preds = BinaryLabels([1, 1, 1, 1] + [1, 1, -1, -1])
-        truth = BinaryLabels([1] * 8)
+        preds = np.array([True, True, True, True] + [True, True, False, False])
+        truth = np.array([True] * 8)
         groups = GroupLabels([0] * 4 + [1] * 4, 2)
         assert dtpr(preds, truth, groups).value == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_classifier(self):
-        preds = BinaryLabels([-1] * 6)
-        truth = BinaryLabels([1, 1, -1, 1, 1, -1])
+        preds = np.array([False] * 6)
+        truth = np.array([True, True, False, True, True, False])
         groups = GroupLabels([0, 0, 0, 1, 1, 1], 2)
         assert dtpr(preds, truth, groups).value == 0.0
 
     def test_group_without_positives(self):
-        preds = BinaryLabels([1, 1])
-        truth = BinaryLabels([1, -1])
+        preds = np.array([True, True])
+        truth = np.array([True, False])
         groups = GroupLabels([0, 1], 2)
         with pytest.raises(DataError, match="^group 1 has no ground-truth positives$"):
             dtpr(preds, truth, groups)
@@ -153,17 +153,17 @@ class TestDdpRep:
 
 class TestPerformanceMetrics:
     def test_accuracy_identical(self):
-        assert accuracy(BinaryLabels([1, -1, 1]), BinaryLabels([1, -1, 1])) == 1.0
+        assert accuracy(np.array([True, False, True]), np.array([True, False, True])) == 1.0
 
     def test_accuracy_complementary(self):
-        assert accuracy(BinaryLabels([1, -1]), BinaryLabels([-1, 1])) == 0.0
+        assert accuracy(np.array([True, False]), np.array([False, True])) == 0.0
 
     def test_accuracy_three_of_four(self):
-        assert accuracy([0, 1, 2, 3], [0, 1, 2, 9]) == 0.75
+        assert accuracy(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 9])) == 0.75
 
     def test_accuracy_mismatch(self):
         with pytest.raises(DataError, match=r"length mismatch: \(2,\) vs \(3,\)"):
-            accuracy([0, 1], [0, 1, 2])
+            accuracy(np.array([0, 1]), np.array([0, 1, 2]))
 
     def test_precision_all_relevant(self):
         assert precision_at_k([3, 1, 2], {1, 2, 3}, 3) == 1.0
@@ -213,7 +213,7 @@ class TestOracleEquivalence:
         for _ in range(300):
             p, n, groups = random_instance(rng)
             preds = rng.choice([-1, 1], size=n)
-            ours = ddp_classification(BinaryLabels(preds), GroupLabels(groups, p)).value
+            ours = ddp_classification(preds == 1, GroupLabels(groups, p)).value
             ref = oracle_ddp_classification(preds.tolist(), groups.tolist(), p)
             assert abs(ours - ref) <= 1e-12
 
@@ -240,7 +240,7 @@ class TestOracleEquivalence:
                 truth[np.flatnonzero(groups == g)[0]] = 1
             extra = rng.random(n) < 0.5
             truth[extra] = 1
-            ours = dtpr(BinaryLabels(preds), BinaryLabels(truth), GroupLabels(groups, p)).value
+            ours = dtpr(preds == 1, truth == 1, GroupLabels(groups, p)).value
             ref = oracle_dtpr(preds.tolist(), truth.tolist(), groups.tolist(), p)
             assert abs(ours - ref) <= 1e-12
 
@@ -284,8 +284,8 @@ class TestInvariants:
             labels[g] = g  # every group occupied
         preds = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
         perm = np.array(data.draw(st.permutations(range(p))))
-        original = ddp_classification(BinaryLabels(preds), GroupLabels(labels, p))
-        relabeled = ddp_classification(BinaryLabels(preds), GroupLabels(perm[labels], p))
+        original = ddp_classification(preds == 1, GroupLabels(labels, p))
+        relabeled = ddp_classification(preds == 1, GroupLabels(perm[labels], p))
         assert original.value == pytest.approx(relabeled.value, abs=1e-12)
         assert np.allclose(
             np.sort(original.per_group_rates), np.sort(relabeled.per_group_rates)
@@ -298,7 +298,7 @@ class TestInvariants:
             groups = rng.integers(0, 2, size=n)
             groups[:2] = [0, 1]
             preds = rng.choice([-1, 1], size=n)
-            result = ddp_classification(BinaryLabels(preds), GroupLabels(groups, 2))
+            result = ddp_classification(preds == 1, GroupLabels(groups, 2))
             rates = result.per_group_rates
             assert result.value == pytest.approx(abs(rates[0] - rates[1]), abs=1e-15)
 
@@ -307,7 +307,7 @@ class TestInvariants:
         for _ in range(100):
             p, n, groups = random_instance(rng)
             preds = rng.choice([-1, 1], size=n)
-            value = ddp_classification(BinaryLabels(preds), GroupLabels(groups, p)).value
+            value = ddp_classification(preds == 1, GroupLabels(groups, p)).value
             assert 0.0 <= value <= 1.0
 
     def test_zero_equivalence_small(self):

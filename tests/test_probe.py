@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flens.core import BinaryLabels, GroupLabels
+from flens.core import GroupLabels
 from flens.errors import DataError
 from flens.mitigation import apply_fair_pca, fit_fair_pca
 from flens.probe import evaluate_probe, fit_probe, loss_and_gradient
@@ -101,17 +101,10 @@ class TestFitProbe:
         assert model.iterations < 300
         assert len(evaluations) < 100
 
-    def test_binary_labels_accepted(self):
-        embeddings, groups = two_clusters()
-        binary = BinaryLabels(np.where(groups.labels == 0, -1, 1))
-        model = fit_probe(embeddings, binary)
-        assert model.classes == 2
-        assert evaluate_probe(model, embeddings, binary) == 1.0
-
     def test_single_class_rejected(self):
         embeddings, _ = two_clusters(n=10)
         with pytest.raises(DataError, match="training labels contain fewer than two classes"):
-            fit_probe(embeddings, BinaryLabels(np.ones(10, dtype=int)))
+            fit_probe(embeddings, GroupLabels(np.ones(10, dtype=int), 2))
 
     def test_deterministic(self):
         embeddings, labels = two_clusters(seed=3)
