@@ -403,6 +403,10 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
                 f"balanced embeddings need {p} rows per query, query {name!r} overruns"
             )
         sources.append(("balanced", balanced_path, balanced_file, np.arange(len(queries) * p)))
+    # demographic disparity compares the selected items with at least one unselected item
+    if n_test in k_list and any(tags.fairness_mode == INDEPENDENCE for _, tags, _ in queries):
+        path = f"retrieval.k[{k_list.index(n_test)}]"
+        raise ConfigError(f"{path} must be below {n_test} for an independence query, got {n_test}")
     items = (cfg["data"]["embeddings"], mask, n_test)  # checked by _load_labels
     sims, blocks = _query_similarities(transform_path, items, sources)
 
@@ -487,10 +491,23 @@ def cmd_debias_fit(cfg: dict) -> dict:
             raise DataError(
                 f"inferred group {empty[0]} is empty: no train item is nearest to its prompt"
             )
-    try:
-        transform = fit(train_items.view(_TrainRows), protected, **params)
-    except ConfigError as exc:  # a fit's range error names its parameter; add the section
-        raise ConfigError(f"{method}.{exc}") from None
+    # The parameter ranges depend on d, the train item count and p, an inferred p included.
+    n, d = train_items.shape
+    p = protected.group_count
+    max_rank = d - (p - 1)  # fair PCA's largest output dimension
+    if method == "miclip":
+        m, bins = params["m"], params["bins"]
+        if not 1 <= m < d:
+            raise ConfigError(f"miclip.m must be in [1, d) = [1, {d}), got {m}")
+        if bins < 2:
+            raise ConfigError(f"miclip.bins must be at least 2, got {bins}")
+        if n < bins:
+            raise ConfigError(f"miclip.bins must be at most the item count {n}, got {bins}")
+    elif (r := params["target_dim"]) is None and max_rank < 1:
+        raise DataError(f"fair PCA needs d > p-1 dimensions for p={p} groups, got d={d}")
+    elif r is not None and not 1 <= r <= max_rank:
+        raise ConfigError(f"fairpca.target_dim must be in [1, d-(p-1)] = [1, {max_rank}], got {r}")
+    transform = fit(train_items.view(_TrainRows), protected, **params)
     details = {"train_items": len(train_items), **transform.details()}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
@@ -588,6 +605,23 @@ def cmd_synth(cfg: dict) -> dict:
         concept_strength=_field(params, "concept_strength", float, "synth", None),
         seed=_field(params, "seed", int, "synth", 0),
     )
+    if spec.p < 2:
+        raise ConfigError(f"synth.p must be at least 2, got {spec.p}")
+    if spec.n < 2 * spec.p:
+        raise ConfigError(f"synth.n must be at least 2p = {2 * spec.p}, got {spec.n}")
+    if spec.d < 1:  # before max_n below divides by it
+        raise ConfigError(f"synth.d must be at least 1, got {spec.d}")
+    for key in ("bias_dims", "concept_dims"):
+        for i, dim in enumerate(getattr(spec, key)):
+            if not 0 <= dim < spec.d:
+                raise ConfigError(f"synth.{key}[{i}] must be in [0, {spec.d}), got {dim}")
+    shared = sorted(set(spec.bias_dims) & set(spec.concept_dims))
+    if shared:
+        raise ConfigError(f"synth.concept_dims shares dimension {shared[0]} with synth.bias_dims")
+    for key in ("bias_strength", "concept_strength"):
+        value = getattr(spec, key)
+        if value is not None and value < 0.0:
+            raise ConfigError(f"synth.{key} must be non-negative, got {value}")
     if spec.seed < 0:
         raise ConfigError(f"synth.seed must be a non-negative integer, got {spec.seed}")
     # numpy cannot address an n x d float64 array of more bytes than intp can count

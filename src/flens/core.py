@@ -112,15 +112,13 @@ def split_tags(split: np.ndarray | None, protected: GroupLabels) -> np.ndarray:
     """Checked, read-only split tags, one per item that ``protected`` labels.
 
     None tags every item as test data. Every tag must be train or test, and
-    a non-empty split must contain every protected group.
+    a non-empty split must contain every protected group. cli._load_labels
+    takes ``split`` and ``protected`` from one table, so their lengths agree.
     """
-    n = len(protected)
     if split is None:
-        tags = np.full(n, TEST, dtype="<U5")
+        tags = np.full(len(protected), TEST, dtype="<U5")
     else:
         tags = np.asarray(split, dtype=str)  # full width: "training" is not "train"
-        if tags.shape != (n,):
-            raise DataError("split tags length differs from embedding rows")
         bad = ~np.isin(tags, (TRAIN, TEST))
         if np.any(bad):
             raise DataError(f"unknown split tag {str(tags[bad][0])!r}")

@@ -300,7 +300,7 @@ def _first_bad_row(cells: list[str], width: int) -> tuple[int, str] | None:
 def decode_labels(
     columns: dict[str, list[str]], attribute: str, kind: str, path: str | Path
 ) -> GroupLabels | np.ndarray:
-    """Decode one column of a parsed label table; path only names it in errors.
+    """Decode one "group" or "binary" column of a label table; path only names it in errors.
 
     Group categories map to dense indices in first-appearance order and the
     category names ride along on the result. Binary columns accept 0/1 or
@@ -315,17 +315,15 @@ def decode_labels(
             raise DataError(f"{path}: column {attribute!r} has fewer than 2 categories")
         labels = np.fromiter(map(order.__getitem__, raw), np.int64, len(raw))
         return GroupLabels(labels, group_count=len(order), group_names=tuple(order))
-    if kind == "binary":
-        mapping = {"0": False, "1": True, "-1": False, "+1": True}
-        try:
-            labels = np.fromiter(map(mapping.__getitem__, raw), bool, len(raw))
-        except KeyError as exc:
-            raise DataError(
-                f"{path}: column {attribute!r} has non-binary value {exc.args[0]!r}"
-            ) from None
-        labels.setflags(write=False)
-        return labels
-    raise DataError(f"unknown label kind {kind!r}")
+    mapping = {"0": False, "1": True, "-1": False, "+1": True}
+    try:
+        labels = np.fromiter(map(mapping.__getitem__, raw), bool, len(raw))
+    except KeyError as exc:
+        raise DataError(
+            f"{path}: column {attribute!r} has non-binary value {exc.args[0]!r}"
+        ) from None
+    labels.setflags(write=False)
+    return labels
 
 
 def write_label_table(path: str | Path, columns: dict[str, list]) -> None:

@@ -4,7 +4,9 @@ All disparity metrics reduce a vector of per-group rates to the largest
 pairwise absolute difference and report which pair attains it. Rates are
 computed as exact integer tallies divided once at the end, so equal rates
 compare exactly equal in floating point. Binary predictions and ground
-truth are boolean arrays, true at the positive class.
+truth are boolean arrays, true at the positive class, at the rows of the
+groups; split_tags checks every group is present and retrieve-audit checks
+k, so a selection is non-empty and, for DDP, leaves an item unselected.
 """
 
 from __future__ import annotations
@@ -34,18 +36,12 @@ def _max_pairwise(rates: np.ndarray) -> MetricResult:
     return MetricResult(value=float(rates[hi] - rates[lo]), arg_pair=(hi, lo), per_group_rates=rates)
 
 
-def _check_lengths(a, b) -> None:
-    if len(a) != len(b):
-        raise DataError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
 def ddp_classification(predictions: np.ndarray, groups: GroupLabels) -> MetricResult:
     """Demographic disparity of a binary classifier.
 
     Max over group pairs of the absolute difference in positive-prediction
     fractions. 0 means parity, 1 maximal disparity. Every group has a member.
     """
-    _check_lengths(predictions, groups)
     group_sizes = groups.counts()
     positives = np.bincount(groups.labels[predictions], minlength=groups.group_count)
     rates = positives / group_sizes
@@ -62,15 +58,11 @@ def ddp_retrieval(
     group the rate is the share of the selection it received minus the share
     of the remainder it received; the metric is the largest pairwise gap
     between those rates. Requires a non-empty selection and a non-empty
-    remainder; every group has population.
+    remainder, as retrieve-audit checks k; every group has population.
     """
     k_i = np.asarray(selected_per_group, dtype=np.int64)
     z_i = np.asarray(population_per_group, dtype=np.int64)
     k, z = int(k_i.sum()), int(z_i.sum())
-    if k == 0:
-        raise DataError("cannot score an empty selection")
-    if z <= k:
-        raise DataError("selection must leave at least one item unselected")
     rates = k_i / k - (z_i - k_i) / (z - k)
     return _max_pairwise(rates)
 
@@ -81,8 +73,6 @@ def dtpr(predictions: np.ndarray, truth: np.ndarray, groups: GroupLabels) -> Met
     Only ground-truth positives enter; every group must contribute at
     least one positive.
     """
-    _check_lengths(predictions, truth)
-    _check_lengths(predictions, groups)
     pos_per_group = np.bincount(groups.labels[truth], minlength=groups.group_count)
     if np.any(pos_per_group == 0):
         empty = int(np.flatnonzero(pos_per_group == 0)[0])
@@ -99,31 +89,22 @@ def skew_at_k(selected_per_group: Sequence[int]) -> MetricResult:
     ``selected_per_group`` holds the selected item count of each of the p
     groups. A group entirely absent from the selection yields the +inf
     sentinel rather than an error: it is the extreme of the quantity being
-    measured, not an invalid input.
+    measured, not an invalid input. The selection is non-empty.
     """
     k_i = np.asarray(selected_per_group, dtype=np.int64)
     desired = 1.0 / k_i.size
     k = int(k_i.sum())
-    if k == 0:
-        raise DataError("cannot score an empty selection")
     log_ratios = np.where(k_i > 0, np.log(np.maximum(k_i, 1) / k / desired), -np.inf)
     i = int(np.argmax(np.abs(log_ratios)))
     return MetricResult(value=float(abs(log_ratios[i])), arg_pair=(i, i), per_group_rates=log_ratios)
 
 
 def ddp_rep(positives_per_group: Sequence[int]) -> MetricResult:
-    """Largest pairwise gap in group shares among retrieved positives."""
+    """Largest gap in group shares of retrieved positives; retrieve-audit checks there is one."""
     counts = np.asarray(positives_per_group, dtype=np.int64)
-    total_positives = int(counts.sum())
-    if total_positives <= 0:
-        raise DataError("no retrieved positives to compare")
-    return _max_pairwise(counts / total_positives)
+    return _max_pairwise(counts / int(counts.sum()))
 
 
 def accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of exact matches between two equal-length label arrays."""
-    if predictions.shape != truth.shape:
-        raise DataError(f"length mismatch: {predictions.shape} vs {truth.shape}")
-    if predictions.size == 0:
-        raise DataError("cannot compute accuracy of zero items")
+    """Fraction of exact matches between two equal-length, non-empty label arrays."""
     return float(np.count_nonzero(predictions == truth) / predictions.size)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BLOCK_ROWS, GroupLabels, lerp
-from .errors import ConfigError, DataError, NumericError
+from .errors import DataError, NumericError
 
 log = logging.getLogger(__name__)
 
@@ -201,8 +201,8 @@ def estimate_mi_per_dimension(
 
     Returns nonnegative estimates in nats. The estimate carries the usual
     plug-in positive bias of roughly (bins-1)(p-1)/(2n); that bias is shared
-    across dimensions so the ranking it feeds is unaffected. Every group is
-    present in ``groups``, as split_tags and debias-fit check.
+    across dimensions so the ranking it feeds is unaffected. ``groups`` labels
+    the n rows, every group present, and bins is in [2, n]: debias-fit checks.
 
     A value's bin counts the interior quantile edges at or below it. Columns
     go in blocks of about ``_MI_BLOCK_ELEMENTS`` values (O(n) scratch), rows
@@ -210,13 +210,7 @@ def estimate_mi_per_dimension(
     binary searches that count the values below each edge. Table rows are
     their differences; a repeated edge only adds an empty row, worth no MI.
     """
-    if bins < 2:
-        raise ConfigError(f"bins must be at least 2, got {bins}")
     n, d = train.shape
-    if n < bins:
-        raise ConfigError(f"bins must be at most the item count {n}, got {bins}")
-    if len(groups) != n:
-        raise DataError("group labels length differs from embedding rows")
     counts = groups.counts()
     p = groups.group_count
     # Edges at np.quantile's default ("linear", Hyndman-Fan type 7) positions,
@@ -251,11 +245,9 @@ def fit_mi_clip(
     """Rank dimensions by MI on the train rows and cut the d-m most informative.
 
     Ties cut the lower dimension index first, which makes the family of
-    masks over different m nested.
+    masks over different m nested. debias-fit checks m in [1, d).
     """
     d = train.shape[1]
-    if not 1 <= m < d:
-        raise ConfigError(f"m must be in [1, d) = [1, {d}), got {m}")
     scores = estimate_mi_per_dimension(train, groups, bins=bins)
     cut_order = np.lexsort((np.arange(d), -scores))
     keep = np.ones(d, dtype=bool)
@@ -295,17 +287,11 @@ def fit_fair_pca(
 
     target_dim defaults to d - (p-1), the maximal feasible rank. Numerically
     rank-deficient constraints are dropped (logged), never inflated.
+    ``groups`` labels the n rows; debias-fit checks target_dim in [1, d-(p-1)].
     """
     n, d = train.shape
-    if len(groups) != n:
-        raise DataError("group labels length differs from embedding rows")
     p = groups.group_count
-    max_rank = d - (p - 1)
-    if target_dim is None and max_rank < 1:
-        raise DataError(f"fair PCA needs d > p-1 dimensions for p={p} groups, got d={d}")
-    r = max_rank if target_dim is None else int(target_dim)
-    if not 1 <= r <= max_rank:
-        raise ConfigError(f"target_dim must be in [1, d-(p-1)] = [1, {max_rank}], got {r}")
+    r = d - (p - 1) if target_dim is None else target_dim
     if n <= d:
         warnings.warn(
             f"fitting fair PCA with n={n} <= d={d}; constraints may overfit",

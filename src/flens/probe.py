@@ -40,7 +40,6 @@ class ProbeModel:
 
     weights: np.ndarray
     bias: np.ndarray
-    classes: int
     training_loss: float
     iterations: int
     grad_max: float
@@ -57,9 +56,7 @@ class ProbeModel:
         object.__setattr__(self, "bias", b)
 
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
-        """Argmax class index per row; ties go to the lowest class index."""
-        if embeddings.shape[1] != self.weights.shape[1]:
-            raise DataError(f"probe expects d={self.weights.shape[1]}, got d={embeddings.shape[1]}")
+        """Argmax class index per row of the fit's d; ties go to the lowest class index."""
         return np.argmax(_logits(embeddings, self.weights, self.bias), axis=0)
 
 
@@ -134,11 +131,10 @@ def fit_probe(
     the fit where it was and unconverged.
     A (s, y) pair of non-positive curvature is not stored; a direction that
     does not descend is replaced by steepest descent, with the pairs dropped.
+    cmd_probe checks the parameters and takes ``labels`` at the train rows.
     """
     y, classes = labels.labels, labels.group_count
-    n, d = train.shape
-    if y.size != n:
-        raise DataError("labels length differs from embedding rows")
+    d = train.shape[1]
     if y.min() == y.max():
         raise DataError("training labels contain fewer than two classes")
     split = (classes - 1) * d  # theta holds w row-major, then b
@@ -183,7 +179,6 @@ def fit_probe(
     return ProbeModel(
         weights=theta[:split].reshape(classes - 1, d),
         bias=theta[split:],
-        classes=classes,
         training_loss=data_loss,
         iterations=iterations,
         grad_max=grad_max,
@@ -192,11 +187,7 @@ def fit_probe(
 
 
 def evaluate_probe(model: ProbeModel, test: np.ndarray, labels: GroupLabels) -> float:
-    """Argmax-class accuracy of the probe on held-out data."""
+    """Accuracy on held-out rows and labels of the fit's space and classes (cmd_probe's)."""
     y = labels.labels
-    if labels.group_count != model.classes:
-        raise DataError(f"model has {model.classes} classes, labels imply {labels.group_count}")
-    if y.size != len(test):
-        raise DataError("labels length differs from embedding rows")
     predictions = model.predict(test)
     return float(np.count_nonzero(predictions == y) / y.size)

@@ -109,16 +109,13 @@ class QueryGroupComparison:
 def per_query_similarity_tests(
     similarities: np.ndarray, groups: GroupLabels
 ) -> list[QueryGroupComparison]:
-    """Run the equal-means test on each query's similarity row, split by group."""
-    sims = np.asarray(similarities, dtype=np.float64)
-    if sims.ndim != 2:
-        raise DataError(f"similarity matrix must be 2-d, got shape {sims.shape}")
-    if sims.shape[1] != len(groups):
-        raise DataError("similarity columns must match the number of labeled items")
+    """Run the equal-means test on each query's similarity row, split by group.
+
+    Each column is an item that ``groups`` labels, as retrieve-audit builds them.
+    """
     masks = [groups.labels == g for g in range(groups.group_count)]
     out = []
-    for j in range(sims.shape[0]):
-        row = sims[j]
+    for row in similarities:
         per_group = tuple(row[mask] for mask in masks)
         result = alexander_govern(per_group)
         means = np.array([g.mean() for g in per_group])

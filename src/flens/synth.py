@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TEST, TRAIN, EmbeddingMatrix, GroupLabels
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,8 @@ class SynthSpec:
     bias_strength and concept_strength are mean separations between
     adjacent groups / concept classes, in units of the within-group
     standard deviation. concept_strength defaults to bias_strength.
+    cmd_synth checks p >= 2, n >= 2p, d >= 1, disjoint dimension tuples of
+    ints in [0, d), and non-negative strengths and seed.
     """
 
     n: int
@@ -37,30 +38,6 @@ class SynthSpec:
     concept_dims: tuple[int, ...] = ()
     concept_strength: float | None = None
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        """Range checks, each naming the config key of the bad value."""
-        if self.p < 2:
-            raise ConfigError(f"synth.p must be at least 2, got {self.p}")
-        if self.n < 2 * self.p:
-            raise ConfigError(f"synth.n must be at least 2p = {2 * self.p}, got {self.n}")
-        if self.d < 1:
-            raise ConfigError(f"synth.d must be at least 1, got {self.d}")
-        bias = tuple(int(i) for i in self.bias_dims)
-        concept = tuple(int(i) for i in self.concept_dims)
-        for key, dims in (("bias_dims", bias), ("concept_dims", concept)):
-            for i, dim in enumerate(dims):
-                if not 0 <= dim < self.d:
-                    raise ConfigError(f"synth.{key}[{i}] must be in [0, {self.d}), got {dim}")
-        shared = sorted(set(bias) & set(concept))
-        if shared:
-            raise ConfigError(f"synth.concept_dims shares dimension {shared[0]} with synth.bias_dims")
-        for key in ("bias_strength", "concept_strength"):
-            value = getattr(self, key)
-            if value is not None and value < 0.0:
-                raise ConfigError(f"synth.{key} must be non-negative, got {value}")
-        object.__setattr__(self, "bias_dims", bias)
-        object.__setattr__(self, "concept_dims", concept)
 
     @property
     def effective_concept_strength(self) -> float:

@@ -87,15 +87,12 @@ def zero_shot_classify(sims_a: np.ndarray, sims_b: np.ndarray) -> np.ndarray:
     """Per item, True for class A or False for class B by nearest class embedding.
 
     ``sims_a`` and ``sims_b`` are the items' cosine similarities to the class A
-    and class B embeddings: two rows of a score_blocks result. Cosine ties
-    go to class A. Picking the larger cosine is equivalent to picking the larger
-    softmax probability over the two similarities at any temperature, so no
-    temperature parameter exists.
+    and class B embeddings: two rows of a score_blocks result, as classify-audit
+    passes them. Cosine ties go to class A. Picking the larger cosine is
+    equivalent to picking the larger softmax probability over the two
+    similarities at any temperature, so no temperature parameter exists.
     """
-    a, b = np.asarray(sims_a, dtype=np.float64), np.asarray(sims_b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise DataError(f"class similarities must be two equal 1-d rows, got {a.shape}, {b.shape}")
-    return a >= b
+    return sims_a >= sims_b
 
 
 def top_k(similarities: np.ndarray, k: int) -> np.ndarray:

@@ -611,6 +611,35 @@ class TestRetrieveAudit:
             assert [t for t in tasks if t["task_name"].endswith(f" @ k={k}")] == single_tasks
             assert [r for r in balanced if r["task_name"].endswith(f" @ k={k}")] == single_balanced
 
+    def test_k_of_every_test_item(self, workspace, tmp_path, capsys):
+        """k = n_test passes with diversity queries alone. With an independence query it is a
+        config error, raised before the items file is opened."""
+        diversity = {"name": "d", "row": 1, "fairness_mode": "diversity", "relevant": "concept"}
+        payload = {"data": workspace["data"], "queries": str(workspace["queries"]),
+                   "retrieval": {"k": [180], "queries": [diversity]}}
+        out = tmp_path / "diversity.json"
+        cfg = write_config(tmp_path / "k-diversity.json", payload)
+        assert run(["retrieve-audit", "--config", cfg, "--out", out]) == 0
+        assert read_report(out)["dataset"]["test_items"] == 180
+        payload["retrieval"]["queries"].append(QUERY)
+        payload["data"] = dict(workspace["data"], embeddings=str(tmp_path / "missing.femb"))
+        cfg = write_config(tmp_path / "k-independence.json", payload)
+        assert run(["retrieve-audit", "--config", cfg]) == 2
+        expected = "config error: retrieval.k[0] must be below 180 for an independence query, got 180\n"
+        assert capsys.readouterr().err == expected
+
+    def test_no_retrieved_positive_leaves_out_ddp_rep(self, workspace, tmp_path):
+        """ddp_rep is scored only when the selection holds a relevant item."""
+        query = {"name": "anti", "row": 3, "fairness_mode": "diversity", "relevant": "concept"}
+        payload = {"data": workspace["data"], "queries": str(workspace["queries"]),
+                   "retrieval": {"k": [10], "queries": [query]}}
+        out = tmp_path / "no-hits.json"
+        assert run(["retrieve-audit", "--config", write_config(tmp_path / "anti.json", payload),
+                    "--out", out]) == 0
+        (record,) = read_report(out)["tasks"]
+        assert set(record["metrics"]) == {"skew_at_k"}
+        assert record["performance"]["precision_at_k"] == 0.0
+
     def test_k_below_group_count_in_k_list(self, workspace, tmp_path, capsys):
         cfg = self._config(workspace, tmp_path, k=(10, 1, 20))
         assert run(["retrieve-audit", "--config", cfg]) == 2
@@ -1019,12 +1048,19 @@ class TestConfigShapes:
                 ("synth", {"synth": {"n": 600, "d": 8, "p": 2, **spec},
                            "output": {"embeddings": "e.femb", "labels": "l.csv"}}, path)
                 for spec, path in [
-                    ({"p": 1}, "synth.p"),
-                    ({"d": 0}, "synth.d"),
-                    ({"bias_strength": -1}, "synth.bias_strength"),
-                    ({"concept_strength": -2}, "synth.concept_strength"),
-                    ({"bias_dims": [9]}, "synth.bias_dims[0]"),
-                    ({"bias_dims": [0, 1], "concept_dims": [1, 2]}, "synth.concept_dims"),
+                    ({"p": 1}, "synth.p must be at least 2, got 1"),
+                    ({"n": 5, "p": 3}, "synth.n must be at least 2p = 6, got 5"),
+                    ({"d": 0}, "synth.d must be at least 1, got 0"),
+                    ({"bias_strength": -1}, "synth.bias_strength must be non-negative, got -1.0"),
+                    (
+                        {"concept_strength": -2},
+                        "synth.concept_strength must be non-negative, got -2.0",
+                    ),
+                    ({"bias_dims": [9]}, "synth.bias_dims[0] must be in [0, 8), got 9"),
+                    (
+                        {"bias_dims": [0, 1], "concept_dims": [1, 2]},
+                        "synth.concept_dims shares dimension 1 with synth.bias_dims",
+                    ),
                 ]
             ),
             # out of range, where the range depends on the data
@@ -1033,6 +1069,12 @@ class TestConfigShapes:
                 "retrieve-audit",
                 {"retrieval": {"k": [5, 10_000], "queries": [QUERY]}},
                 "retrieval.k[1]",
+            ),
+            # an independence query compares the selection with the unselected items
+            (
+                "retrieve-audit",
+                {"retrieval": {"k": [5, 180], "queries": [QUERY]}},
+                "retrieval.k[1] must be below 180 for an independence query, got 180",
             ),
             (
                 "retrieve-audit",
@@ -1045,12 +1087,24 @@ class TestConfigShapes:
                 {"tasks": [TASK, {**TASK, "name": "u", "class_b": -1}]},
                 "tasks[1].class_b",
             ),
-            ("debias-fit", {"method": "miclip", "miclip": {"m": 0}}, "miclip.m"),
-            ("debias-fit", {"method": "miclip", "miclip": {"m": 16}}, "miclip.m"),
-            ("debias-fit", {"method": "miclip", "miclip": {"m": 8, "bins": 1}}, "miclip.bins"),
-            ("debias-fit", {"method": "miclip", "miclip": {"m": 8, "bins": 10**6}}, "miclip.bins"),
             *(
-                ("debias-fit", {"method": "fairpca", "fairpca": {"target_dim": r}}, "fairpca.target_dim")
+                ("debias-fit", {"method": "miclip", "miclip": {"m": m}},
+                 f"miclip.m must be in [1, d) = [1, 16), got {m}")
+                for m in (0, 16)
+            ),
+            (
+                "debias-fit",
+                {"method": "miclip", "miclip": {"m": 8, "bins": 1}},
+                "miclip.bins must be at least 2, got 1",
+            ),
+            (
+                "debias-fit",
+                {"method": "miclip", "miclip": {"m": 8, "bins": 10**6}},
+                "miclip.bins must be at most the item count 420, got 1000000",
+            ),
+            *(
+                ("debias-fit", {"method": "fairpca", "fairpca": {"target_dim": r}},
+                 f"fairpca.target_dim must be in [1, d-(p-1)] = [1, 15], got {r}")
                 for r in (0, 16)
             ),
         ],
@@ -1081,6 +1135,7 @@ class TestConfigShapes:
             "probe-max-iter-negative",
             "probe-tol-negative",
             "synth-p-one",
+            "synth-n-below-2p",
             "synth-d-zero",
             "synth-bias-strength-negative",
             "synth-concept-strength-negative",
@@ -1088,6 +1143,7 @@ class TestConfigShapes:
             "synth-dims-overlap",
             "k-zero",
             "k-beyond-items",
+            "k-all-test-items-independence",
             "query-row",
             "class-a",
             "class-b",
@@ -1100,9 +1156,14 @@ class TestConfigShapes:
         ],
     )
     def test_wrong_shape_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
+        """``path`` is the JSON path that starts the message, or the whole message."""
         cfg = write_config(tmp_path / "shape.json", self._payload(workspace, tmp_path, patch))
         assert run([command, "--config", cfg]) == 2
-        assert f"config error: {path} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if " " in path:
+            assert err == f"config error: {path}\n"
+        else:
+            assert f"config error: {path} " in err
 
     @staticmethod
     def _payload(workspace, tmp_path, patch):

@@ -68,7 +68,3 @@ class TestSplitTags:
 
     def test_default_split_is_all_test(self):
         assert (split_tags(None, GroupLabels([0, 1], 2)) == TEST).all()
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="split tags length differs from embedding rows"):
-            split_tags(np.asarray([TRAIN, TEST]), GroupLabels([0, 1, 0], 2))

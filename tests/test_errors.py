@@ -48,6 +48,23 @@ def test_only_the_families_are_raised_or_defined(path):
             assert call.func.id in FAMILIES, f"{path.name}:{node.lineno}: raise {raised}"
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SOURCE.glob("*.py") if p.name not in ("cli.py", "errors.py")),
+    ids=lambda p: p.name,
+)
+def test_only_cli_names_config_error(path):
+    """One config validation layer: cli raises every ConfigError, and no other module names it."""
+    for node in ast.walk(_parse(path)):
+        names = (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else []
+        )
+        assert "ConfigError" not in names, f"{path.name}:{node.lineno}: ConfigError"
+
+
 def _write_config(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path

@@ -64,10 +64,6 @@ class TestDdpClassification:
         assert result.arg_pair == (0, 2)
         assert result.per_group_rates.tolist() == [1.0, 0.5, 0.0]
 
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="length mismatch: 1 vs 2"):
-            ddp_classification(np.array([True]), GroupLabels([0, 1], 2))
-
 
 class TestDdpRetrieval:
     def test_proportional_selection(self):
@@ -78,14 +74,6 @@ class TestDdpRetrieval:
 
     def test_equal_selection_rates_give_zero(self):
         assert ddp_retrieval([2, 3], [4, 6]).value == 0.0
-
-    def test_empty_selection(self):
-        with pytest.raises(DataError, match="cannot score an empty selection"):
-            ddp_retrieval([0, 0], [5, 5])
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(DataError, match="selection must leave at least one item unselected"):
-            ddp_retrieval([5, 5], [5, 5])
 
 
 class TestDtpr:
@@ -129,10 +117,6 @@ class TestSkewAtK:
         assert math.isinf(result.value)
         assert result.value > 0
 
-    def test_empty_selection(self):
-        with pytest.raises(DataError, match="cannot score an empty selection"):
-            skew_at_k([0, 0])
-
 
 class TestDdpRep:
     def test_equal_representation(self):
@@ -146,10 +130,6 @@ class TestDdpRep:
         assert result.value == 1.0
         assert result.arg_pair == (0, 1)
 
-    def test_empty(self):
-        with pytest.raises(DataError, match="no retrieved positives to compare"):
-            ddp_rep((0, 0))
-
 
 class TestPerformanceMetrics:
     def test_accuracy_identical(self):
@@ -160,10 +140,6 @@ class TestPerformanceMetrics:
 
     def test_accuracy_three_of_four(self):
         assert accuracy(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 9])) == 0.75
-
-    def test_accuracy_mismatch(self):
-        with pytest.raises(DataError, match=r"length mismatch: \(2,\) vs \(3,\)"):
-            accuracy(np.array([0, 1]), np.array([0, 1, 2]))
 
     def test_precision_all_relevant(self):
         assert precision_at_k([3, 1, 2], {1, 2, 3}, 3) == 1.0

@@ -4,28 +4,9 @@ import numpy as np
 import pytest
 
 from flens.core import TEST, TRAIN, split_tags
-from flens.errors import ConfigError
 from flens.mitigation import estimate_mi_per_dimension
 from flens.probe import evaluate_probe, fit_probe
 from flens.synth import SynthSpec, generate
-
-
-class TestSpecValidation:
-    def test_too_small(self):
-        with pytest.raises(ConfigError, match=r"synth.n must be at least 2p = 6, got 5"):
-            SynthSpec(n=5, d=4, p=3)
-
-    def test_overlapping_dims(self):
-        with pytest.raises(ConfigError):
-            SynthSpec(n=100, d=8, p=2, bias_dims=(0, 1), concept_dims=(1, 2))
-
-    def test_dim_out_of_range(self):
-        with pytest.raises(ConfigError):
-            SynthSpec(n=100, d=8, p=2, bias_dims=(8,))
-
-    def test_negative_strength(self):
-        with pytest.raises(ConfigError):
-            SynthSpec(n=100, d=8, p=2, bias_strength=-1.0)
 
 
 class TestGenerate:
