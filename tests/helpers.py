@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from flens.core import row_norms
+from flens.cli import main
+from flens.core import EmbeddingMatrix, row_norms
+from flens.io import write_embeddings, write_label_table
 from flens.tasks import score_blocks
 
 
@@ -19,6 +21,29 @@ def train_rows(dataset):
     """A synthetic dataset's train-split embeddings and protected labels, as a fit takes them."""
     rows = np.flatnonzero(dataset.train_mask)
     return dataset.embeddings.values[rows], dataset.protected.take(rows)
+
+
+def run_debias_fit(directory, values, labels, method, params):
+    """Exit code of ``debias-fit`` with ``method``'s ``params`` over these train rows.
+
+    Every row of ``values`` is written as a train item whose protected group is
+    the matching entry of ``labels``.
+    """
+    directory = Path(directory)
+    write_embeddings(EmbeddingMatrix(np.asarray(values, dtype=float)), directory / "fit.femb")
+    write_label_table(
+        directory / "fit.csv",
+        {"group": [str(int(g)) for g in labels], "split": ["train"] * len(labels)},
+    )
+    cfg = directory / "fit.json"
+    cfg.write_text(json.dumps({
+        "data": {"embeddings": str(directory / "fit.femb"), "labels": str(directory / "fit.csv"),
+                 "attribute": "group"},
+        "method": method,
+        method: params,
+        "transform_out": str(directory / "fit.ftfm"),
+    }))
+    return main(["debias-fit", "--config", str(cfg)])
 
 
 def cosine_similarity_matrix(items, queries):

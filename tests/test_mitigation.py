@@ -22,7 +22,7 @@ from flens.mitigation import (
 )
 from flens.synth import SynthSpec, generate
 
-from .helpers import train_rows
+from .helpers import run_debias_fit, train_rows
 from .oracles import oracle_fit_fair_pca, oracle_mi_per_dimension
 
 
@@ -56,6 +56,16 @@ class TestMiEstimation:
         labels = np.tile([0, 1], 32)
         mi = estimate_mi_per_dimension(values, GroupLabels(labels, 2))
         assert mi[0] == 0.0
+
+    def test_invalid_bins(self, tmp_path, capsys):
+        values = np.random.default_rng(3).normal(size=(50, 2))
+        labels = np.tile([0, 1], 25)
+        for bins, message in [
+            (1, "miclip.bins must be at least 2, got 1"),
+            (51, "miclip.bins must be at most the item count 50, got 51"),
+        ]:
+            assert run_debias_fit(tmp_path, values, labels, "miclip", {"m": 1, "bins": bins}) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -165,6 +175,13 @@ class TestMiClip:
             kept_small = set(np.flatnonzero(masks[small]))
             kept_large = set(np.flatnonzero(masks[large]))
             assert kept_small <= kept_large
+
+    def test_invalid_m(self, tmp_path, capsys):
+        values, protected = train_rows(self._planted())
+        for m in (0, values.shape[1]):
+            assert run_debias_fit(tmp_path, values, protected.labels, "miclip", {"m": m}) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: miclip.m must be in [1, d) = [1, 16), got {m}\n"
 
     def test_apply_keeps_column_order(self):
         ds = self._planted()
@@ -287,6 +304,14 @@ class TestFairPca:
             expected[j] = 1.0
             assert np.allclose(out, expected, atol=1e-10)
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
+
+    def test_target_dim_too_large(self, tmp_path, capsys):
+        ds = generate(SynthSpec(n=300, d=8, p=3, bias_dims=(0,), bias_strength=4.0, seed=19))
+        values, protected = train_rows(ds)
+        code = run_debias_fit(tmp_path, values, protected.labels, "fairpca", {"target_dim": 7})
+        assert code == 2  # max feasible is d - (p-1) = 6
+        expected = "config error: fairpca.target_dim must be in [1, d-(p-1)] = [1, 6], got 7\n"
+        assert capsys.readouterr().err == expected
 
     def test_warns_when_n_not_above_d(self):
         rng = np.random.default_rng(20)

@@ -1,12 +1,49 @@
 """Synthetic generator tests: determinism, balance, planted-signal recovery."""
 
+import json
+
 import numpy as np
 import pytest
 
+from flens.cli import main
 from flens.core import TEST, TRAIN, split_tags
 from flens.mitigation import estimate_mi_per_dimension
 from flens.probe import evaluate_probe, fit_probe
 from flens.synth import SynthSpec, generate
+
+
+def run_synth(tmp_path, **spec):
+    """Exit code of the synth command on ``spec``."""
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({
+        "synth": spec,
+        "output": {"embeddings": str(tmp_path / "s.femb"), "labels": str(tmp_path / "s.csv")},
+    }))
+    return main(["synth", "--config", str(cfg)])
+
+
+class TestSpecValidation:
+    """The synth spec's ranges, which the synth command checks before it generates."""
+
+    def test_too_small(self, tmp_path, capsys):
+        assert run_synth(tmp_path, n=5, d=4, p=3) == 2
+        assert capsys.readouterr().err == "config error: synth.n must be at least 2p = 6, got 5\n"
+
+    def test_overlapping_dims(self, tmp_path, capsys):
+        assert run_synth(tmp_path, n=100, d=8, p=2, bias_dims=[0, 1], concept_dims=[1, 2]) == 2
+        expected = "config error: synth.concept_dims shares dimension 1 with synth.bias_dims\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "s.femb").exists()
+
+    def test_dim_out_of_range(self, tmp_path, capsys):
+        assert run_synth(tmp_path, n=100, d=8, p=2, bias_dims=[8]) == 2
+        expected = "config error: synth.bias_dims[0] must be in [0, 8), got 8\n"
+        assert capsys.readouterr().err == expected
+
+    def test_negative_strength(self, tmp_path, capsys):
+        assert run_synth(tmp_path, n=100, d=8, p=2, bias_strength=-1.0) == 2
+        expected = "config error: synth.bias_strength must be non-negative, got -1.0\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestGenerate:
