@@ -441,7 +441,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
         )
     extra = {
         "dataset": provenance,
-        "similarity_tests": {k: similarity_tests[k] for k in sorted(similarity_tests)},
+        "similarity_tests": similarity_tests,
     }
     return build_report("retrieve-audit", cfg, records, blocks, extra)
 
@@ -507,8 +507,8 @@ def cmd_debias_fit(cfg: dict) -> dict:
         raise DataError(f"fair PCA needs d > p-1 dimensions for p={p} groups, got d={d}")
     elif r is not None and not 1 <= r <= max_rank:
         raise ConfigError(f"fairpca.target_dim must be in [1, d-(p-1)] = [1, {max_rank}], got {r}")
-    transform = fit(train_items.view(_TrainRows), protected, **params)
-    details = {"train_items": len(train_items), **transform.details()}
+    transform, fit_details = fit(train_items.view(_TrainRows), protected, **params)
+    details = {"train_items": len(train_items), **fit_details}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.
     metadata = {"method": method, "attribute_source": source}
     metadata.update({key: details.get(key, value) for key, value in params.items()})

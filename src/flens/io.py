@@ -327,21 +327,11 @@ def decode_labels(
 
 
 def write_label_table(path: str | Path, columns: dict[str, list]) -> None:
-    """Write a label table; item_id is generated unless supplied (dense 0..n-1)."""
-    columns = dict(columns)
-    provided_ids = columns.pop("item_id", None)
-    names = list(columns)
-    lengths = {len(v) for v in columns.values()}
-    if len(lengths) != 1:
-        raise DataError("all label columns must have the same length")
-    n = lengths.pop()
-    if provided_ids is not None and [int(v) for v in provided_ids] != list(range(n)):
-        raise DataError("item_id must run densely 0..n-1")
+    """Write a label table: item_id 0..n-1, then the given equal-length columns."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["item_id"] + names)
-        for i in range(n):
-            writer.writerow([i] + [columns[name][i] for name in names])
+        writer.writerow(["item_id", *columns])
+        writer.writerows([i, *row] for i, row in enumerate(zip(*columns.values())))
 
 
 def serialize_transform(transform: Transform, metadata: dict[str, Any] | None = None) -> bytes:

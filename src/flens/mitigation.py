@@ -13,22 +13,22 @@ The fitted map is a single shared transform: apply it unchanged to both
 item and query embeddings. Transformed vectors are fed to cosine
 similarity directly; no renormalization step is needed because cosine
 normalizes per vector anyway. Each transform class applies itself and
-reads and writes its own body of a ``.ftfm`` container, under its KIND code.
+reads and writes its own body of a ``.ftfm`` container, under its KIND code,
+and holds only that body. Each fit returns ``(transform, details)``: the
+transform, and a dict of what the fit found that the body does not store
+(its diagnostics), which the debias-fit report prints.
 """
 
 from __future__ import annotations
 
-import logging
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BLOCK_ROWS, GroupLabels, lerp
 from .errors import DataError, NumericError
-
-log = logging.getLogger(__name__)
 
 # Relative singular-value cutoff for rank decisions, and the residual /
 # orthonormality tolerances the fitted projection must meet.
@@ -72,16 +72,8 @@ class MiClipTransform:
     def output_dims(self) -> int:
         return int(self.keep_mask.sum())
 
-    @property
-    def removed_dims(self) -> np.ndarray:
-        return np.flatnonzero(~self.keep_mask)
-
     def apply(self, embeddings: np.ndarray) -> np.ndarray:
         return apply_mi_clip(self, embeddings)
-
-    def details(self) -> dict:
-        """What a fit report says about the transform."""
-        return {"retained_dims": self.output_dims, "cut_dims": self.removed_dims.tolist()}
 
     def to_bytes(self) -> bytes:
         """Container body: d and m as <II, the keep mask as d bytes, then the d MI scores."""
@@ -112,21 +104,12 @@ class FairPcaTransform:
 
     mean: np.ndarray
     projection: np.ndarray
-    target_dim: int
-    # Max-abs train covariance with the demeaned group indicators, set by fit_fair_pca.
-    constraint_residual: float | None = field(default=None, init=False)
-    # (λ_r − λ_{r+1}) / λ_1: the feasible-subspace scatter's gap at r over the
-    # train scatter's largest eigenvalue, set by fit_fair_pca. None when r is
-    # the feasible dimension, so no eigenvalue follows λ_r.
-    eigengap: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
         proj = np.asarray(self.projection, dtype=np.float64)
         if mean.ndim != 1 or proj.ndim != 2 or proj.shape[0] != mean.size:
             raise DataError("mean must be length d and projection d x r")
-        if proj.shape[1] != self.target_dim:
-            raise DataError("projection column count must equal target_dim")
         mean.setflags(write=False)
         proj.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -146,23 +129,14 @@ class FairPcaTransform:
     def orthonormality_residual(self) -> float:
         """Max-abs deviation of the projection's Gram matrix from the identity."""
         gram = self.projection.T @ self.projection
-        return float(np.max(np.abs(gram - np.eye(self.target_dim))))
+        return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
     def apply(self, embeddings: np.ndarray) -> np.ndarray:
         return apply_fair_pca(self, embeddings)
 
-    def details(self) -> dict:
-        """What a fit report says about the transform."""
-        return {
-            "target_dim": self.target_dim,
-            "constraint_residual": self.constraint_residual,
-            "orthonormality_residual": self.orthonormality_residual,
-            "eigengap": self.eigengap,
-        }
-
     def to_bytes(self) -> bytes:
         """Container body: d and r as <II, the d-vector mean, then the d x r projection."""
-        head = struct.pack("<II", self.input_dims, self.target_dim)
+        head = struct.pack("<II", *self.projection.shape)
         return head + _le_f8(self.mean) + _le_f8(self.projection)
 
     @classmethod
@@ -175,7 +149,7 @@ class FairPcaTransform:
         proj = np.frombuffer(body, dtype="<f8", count=d * r, offset=8 + d * 8).reshape(d, r)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(proj))):
             raise DataError("fair-pca payload holds non-finite values")
-        return cls(mean=mean, projection=proj, target_dim=r)
+        return cls(mean=mean, projection=proj)
 
 
 Transform = MiClipTransform | FairPcaTransform
@@ -241,18 +215,20 @@ def estimate_mi_per_dimension(
 
 def fit_mi_clip(
     train: np.ndarray, groups: GroupLabels, m: int, bins: int = 32
-) -> MiClipTransform:
+) -> tuple[MiClipTransform, dict]:
     """Rank dimensions by MI on the train rows and cut the d-m most informative.
 
     Ties cut the lower dimension index first, which makes the family of
-    masks over different m nested. debias-fit checks m in [1, d).
+    masks over different m nested. debias-fit checks m in [1, d). The
+    details give m and the cut dimensions in ascending order.
     """
     d = train.shape[1]
     scores = estimate_mi_per_dimension(train, groups, bins=bins)
     cut_order = np.lexsort((np.arange(d), -scores))
     keep = np.ones(d, dtype=bool)
     keep[cut_order[: d - m]] = False
-    return MiClipTransform(keep_mask=keep, mi_scores=scores)
+    details = {"retained_dims": m, "cut_dims": np.flatnonzero(~keep).tolist()}
+    return MiClipTransform(keep_mask=keep, mi_scores=scores), details
 
 
 def apply_mi_clip(transform: MiClipTransform, embeddings: np.ndarray) -> np.ndarray:
@@ -271,7 +247,7 @@ def _demeaned_onehot(groups: GroupLabels) -> np.ndarray:
 
 def fit_fair_pca(
     train: np.ndarray, groups: GroupLabels, target_dim: int | None = None
-) -> FairPcaTransform:
+) -> tuple[FairPcaTransform, dict]:
     """Fit a group-uncorrelated PCA projection on the train rows.
 
     Steps: center the data, build the demeaned one-hot group matrix (rank
@@ -286,8 +262,10 @@ def fit_fair_pca(
     matrix, never a centred n x d copy.
 
     target_dim defaults to d - (p-1), the maximal feasible rank. Numerically
-    rank-deficient constraints are dropped (logged), never inflated.
-    ``groups`` labels the n rows; debias-fit checks target_dim in [1, d-(p-1)].
+    rank-deficient constraints are dropped, never inflated. ``groups``
+    labels the n rows; debias-fit checks target_dim in [1, d-(p-1)]. The
+    details give target_dim, the constraint and orthonormality residuals
+    and the eigengap.
     """
     n, d = train.shape
     p = groups.group_count
@@ -321,8 +299,6 @@ def fit_fair_pca(
         rank = 0
     else:
         rank = int(np.count_nonzero(sing > RANK_RTOL * sing[0]))
-    if rank < p - 1:
-        log.info("constraint matrix rank %d < p-1 = %d; dropping dependent constraints", rank, p - 1)
     basis = vt[rank:].T
     # PCA inside the feasible subspace from its d' x d' scatter. eigh returns
     # all d' eigenvectors, so with n - 1 < r the zero-variance directions pad
@@ -336,20 +312,28 @@ def fit_fair_pca(
     flips = np.sign(projection[np.argmax(np.abs(projection), axis=0), np.arange(r)])
     flips[flips == 0] = 1.0
     projection *= flips
-    transform = FairPcaTransform(mean=mean, projection=projection, target_dim=r)
+    transform = FairPcaTransform(mean=mean, projection=projection)
+    # Max-abs train covariance with the demeaned group indicators.
     residual = float(np.max(np.abs(constraints @ projection))) if constraints.size else 0.0
     if not residual <= CONSTRAINT_TOL * max(1.0, float(np.abs(constraints).max(initial=0.0))):
         raise NumericError(f"fair PCA constraint residual {residual:.3e} too large")
-    object.__setattr__(transform, "constraint_residual", residual)
+    # (λ_r − λ_{r+1}) / λ_1: the feasible-subspace scatter's gap at r over the
+    # train scatter's largest eigenvalue, the scale of the reduced scatter's
+    # round-off. None when r is the feasible dimension, so no eigenvalue
+    # follows λ_r. A scatter is positive semi-definite, so an eigenvalue below
+    # 0 is round-off too.
+    gap = None
     if r < eigvals.size:
-        # Relative to the full scatter's largest eigenvalue, the scale of the
-        # reduced scatter's round-off. A scatter is positive semi-definite, so
-        # an eigenvalue below 0 is round-off too.
         top = np.linalg.eigvalsh(scatter)[-1]
         at_r, after = np.maximum(eigvals[[r - 1, r]], 0.0)
-        gap = (at_r - after) / top if top > 0 else 0.0
-        object.__setattr__(transform, "eigengap", float(gap))
-    return transform
+        gap = float((at_r - after) / top) if top > 0 else 0.0
+    details = {
+        "target_dim": r,
+        "constraint_residual": residual,
+        "orthonormality_residual": transform.orthonormality_residual,
+        "eigengap": gap,
+    }
+    return transform, details
 
 
 def apply_fair_pca(transform: FairPcaTransform, embeddings: np.ndarray) -> np.ndarray:

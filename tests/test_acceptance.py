@@ -155,7 +155,7 @@ def test_fair_pca_constraint(p):
     ds = generate(
         SynthSpec(n=2000, d=64, p=p, bias_dims=(0, 1, 2), bias_strength=5.0, seed=31 + p)
     )
-    transform = fit_fair_pca(*train_rows(ds))
+    transform, _ = fit_fair_pca(*train_rows(ds))
     idx = np.flatnonzero(ds.train_mask)
     projected = apply_fair_pca(transform, ds.embeddings.values)[idx]
     onehot = np.zeros((idx.size, p))
@@ -166,7 +166,7 @@ def test_fair_pca_constraint(p):
     corr = proj_std.T @ ind_std / idx.size
     assert np.max(np.abs(corr)) < 1e-6
     gram = transform.projection.T @ transform.projection
-    assert np.max(np.abs(gram - np.eye(transform.target_dim))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(transform.projection.shape[1]))) < 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"fair PCA criterion took {elapsed:.1f}s"
     _pass(f"fair PCA constraint p={p} (max |corr|={np.max(np.abs(corr)):.2e}, {elapsed:.1f}s)")
@@ -184,7 +184,7 @@ def test_linear_probe_analog():
     )
     train = np.flatnonzero(ds.train_mask)
     test = np.flatnonzero(ds.test_mask)
-    transform = fit_fair_pca(*train_rows(ds))
+    transform, _ = fit_fair_pca(*train_rows(ds))
     projected = apply_fair_pca(transform, ds.embeddings.values)
 
     def probe_accuracy(features, labels):
@@ -219,8 +219,8 @@ def test_mi_clip_trend_analog():
         )
     )
     fit_rows = train_rows(ds)
-    transform = fit_mi_clip(*fit_rows, m=64 - 8)
-    assert sorted(transform.removed_dims.tolist()) == list(bias_dims)
+    transform, details = fit_mi_clip(*fit_rows, m=64 - 8)
+    assert details["cut_dims"] == list(bias_dims)
     clipped = apply_mi_clip(transform, ds.embeddings.values)
     train = np.flatnonzero(ds.train_mask)
     test = np.flatnonzero(ds.test_mask)
@@ -233,7 +233,7 @@ def test_mi_clip_trend_analog():
     assert concept_acc > 0.9
 
     m_grid = [4, 8, 16, 24, 32, 40, 48, 56, 63]
-    masks = {m: fit_mi_clip(*fit_rows, m=m).keep_mask for m in m_grid}
+    masks = {m: fit_mi_clip(*fit_rows, m=m)[0].keep_mask for m in m_grid}
     for small in m_grid:
         for large in m_grid:
             if small < large:
@@ -349,11 +349,13 @@ def test_io_round_trips(tmp_path):
     labels_a, labels_b = tmp_path / "a.csv", tmp_path / "b.csv"
     columns = {"group": ["x", "y", "x"], "split": ["train", "test", "test"]}
     write_label_table(labels_a, columns)
-    write_label_table(labels_b, read_label_table(labels_a))
+    table = read_label_table(labels_a)
+    del table["item_id"]
+    write_label_table(labels_b, table)
     assert labels_a.read_bytes() == labels_b.read_bytes()
 
     ds = generate(SynthSpec(n=300, d=10, p=2, bias_dims=(0,), bias_strength=4.0, seed=4))
-    for transform in (fit_fair_pca(*train_rows(ds)), fit_mi_clip(*train_rows(ds), m=6)):
+    for transform, _ in (fit_fair_pca(*train_rows(ds)), fit_mi_clip(*train_rows(ds), m=6)):
         blob = serialize_transform(transform, {"attribute_source": "groundTruth"})
         back, meta = deserialize_transform(blob)
         assert serialize_transform(back, meta) == blob
@@ -371,11 +373,11 @@ def test_io_round_trips(tmp_path):
     with pytest.raises(DataError, match="neither binary embeddings nor text"):
         read_embeddings(bad_path)
 
-    blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)))
+    blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)[0]))
     blob[0] ^= 0xFF
     with pytest.raises(DataError, match="bad transform magic"):
         deserialize_transform(bytes(blob))
-    blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)))
+    blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)[0]))
     blob[-1] ^= 0xFF
     with pytest.raises(DataError, match="transform container failed its checksum"):
         deserialize_transform(bytes(blob))

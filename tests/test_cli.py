@@ -30,7 +30,8 @@ from flens.io import (
     write_transform,
 )
 from flens.metrics import ddp_classification, ddp_retrieval
-from flens.mitigation import apply_mi_clip, fit_fair_pca
+from flens.errors import NumericError
+from flens.mitigation import FairPcaTransform, MiClipTransform, apply_mi_clip, fit_fair_pca
 from flens.probe import evaluate_probe, fit_probe
 from flens.report import sanitize
 from flens.stats import per_query_similarity_tests
@@ -1107,6 +1108,12 @@ class TestConfigShapes:
                  f"fairpca.target_dim must be in [1, d-(p-1)] = [1, 15], got {r}")
                 for r in (0, 16)
             ),
+            ("debias-fit", {"method": "pca"}, "method must be 'miclip' or 'fairpca', got 'pca'"),
+            (
+                "debias-fit",
+                {"method": "fairpca", "attribute_source": "guess"},
+                "attribute_source must be 'groundTruth' or 'inferred'",
+            ),
         ],
         ids=[
             "task-not-object",
@@ -1153,6 +1160,8 @@ class TestConfigShapes:
             "miclip-bins-beyond-items",
             "fairpca-target-dim-zero",
             "fairpca-target-dim-beyond-rank",
+            "method-unknown",
+            "attribute-source-unknown",
         ],
     )
     def test_wrong_shape_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
@@ -1195,6 +1204,21 @@ class TestConfigShapes:
         assert run([command, "--config", cfg, "--out", out]) == 2
         assert f"config error: {path} must be unique, got " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "list.json", [1])
+        assert run(["classify-audit", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: config {cfg} must hold a JSON object\n"
+
+    def test_balanced_rows_overrun(self, workspace, tmp_path, capsys):
+        """Four balanced rows serve two queries of p = 2 rows each; the third overruns."""
+        queries = [QUERY, {"name": "r", "row": 1}, {"name": "s", "row": 2}]
+        patch = {"retrieval": {"k": [5], "queries": queries},
+                 "balanced": {"embeddings": str(workspace["balanced"])}}
+        cfg = write_config(tmp_path / "overrun.json", self._payload(workspace, tmp_path, patch))
+        assert run(["retrieve-audit", "--config", cfg]) == 2
+        expected = "config error: balanced embeddings need 2 rows per query, query 's' overruns\n"
+        assert capsys.readouterr().err == expected
 
     def test_integer_literal_too_long_for_json(self, tmp_path):
         path = tmp_path / "long.json"
@@ -1285,6 +1309,144 @@ def test_stdout_report_matches_out_file(workspace, tmp_path, capsysbinary):
     capsysbinary.readouterr()
     assert run(["classify-audit", "--config", cfg]) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def _relabelled(workspace, name, change):
+    """The workspace's data block over a copy of its label table, with ``change`` applied."""
+    table = read_label_table(workspace["labels"])
+    del table["item_id"]
+    change(table)
+    path = workspace["dir"] / name
+    write_label_table(path, table)
+    return {**workspace["data"], "labels": str(path)}
+
+
+def _one_class_on_train(table):
+    table["solo"] = ["a" if tag == "train" else "b" for tag in table["split"]]
+
+
+def _all_train(table):
+    table["split"] = ["train"] * len(table["split"])
+
+
+def _truth_in_group_0_only(table):
+    table["truth"] = ["1" if g == "0" else "0" for g in table["group"]]
+
+
+def _one_test_item_in_group_1(table):
+    rows = [i for i, (g, tag) in enumerate(zip(table["group"], table["split"]))
+            if g == "1" and tag == "test"]
+    for i in rows[1:]:
+        table["split"][i] = "train"
+
+
+class TestDataErrorsThroughMain:
+    """A data fault that a command reaches exits 3 with its whole message on stderr."""
+
+    @pytest.fixture
+    def small(self, tmp_path):
+        """A 40-row, d = 16 workspace plus d = 8 queries and transforms and a one-row prompt file."""
+        workspace = make_workspace(tmp_path, 40)
+        d = workspace["dir"]
+        write_embeddings(EmbeddingMatrix(np.eye(2, 8)), d / "queries8.femb")
+        write_embeddings(EmbeddingMatrix(np.eye(1, 16)), d / "prompt.femb")
+        write_transform(MiClipTransform(np.arange(8) < 4, np.zeros(8)), d / "miclip.ftfm")
+        write_transform(FairPcaTransform(np.zeros(8), np.eye(8, 3)), d / "fairpca.ftfm")
+        return workspace
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (
+                "classify-audit",
+                lambda w: {"data": w["data"], "queries": str(w["dir"] / "queries8.femb"),
+                           "tasks": [TASK]},
+                "dimension mismatch: items d=16, queries d=8",
+            ),
+            *(
+                (
+                    "probe",
+                    lambda w, kind=kind: {"data": w["data"],
+                                          "transform": str(w["dir"] / f"{kind}.ftfm"),
+                                          "probe": {"attributes": ["group"]}},
+                    "transform expects d=8, got d=16",
+                )
+                for kind in ("miclip", "fairpca")
+            ),
+            *(
+                (
+                    "apply",
+                    lambda w, kind=kind: {"input": str(w["embeddings"]),
+                                          "transform": str(w["dir"] / f"{kind}.ftfm"),
+                                          "output": str(w["dir"] / "out.femb")},
+                    "transform expects d=8, got d=16",
+                )
+                for kind in ("miclip", "fairpca")
+            ),
+            (
+                "debias-fit",
+                lambda w: {"data": w["data"], "method": "fairpca", "attribute_source": "inferred",
+                           "prompts": str(w["dir"] / "prompt.femb"),
+                           "transform_out": str(w["dir"] / "t.ftfm")},
+                "need at least two attribute prompts",
+            ),
+            (
+                "probe",
+                lambda w: {"data": _relabelled(w, "solo.csv", _one_class_on_train),
+                           "probe": {"attributes": ["solo"]}},
+                "training labels contain fewer than two classes",
+            ),
+            (
+                "probe",
+                lambda w: {"data": _relabelled(w, "train.csv", _all_train),
+                           "probe": {"attributes": ["group"]}},
+                "probe audit needs non-empty train and test splits",
+            ),
+            (
+                "classify-audit",
+                lambda w: {"data": _relabelled(w, "truth.csv", _truth_in_group_0_only),
+                           "queries": str(w["queries"]),
+                           "tasks": [{**TASK, "ground_truth": "truth"}]},
+                "group 1 has no ground-truth positives",
+            ),
+            # Pins today's behaviour: a group with one test item fails the AG test.
+            (
+                "retrieve-audit",
+                lambda w: {"data": _relabelled(w, "single.csv", _one_test_item_in_group_1),
+                           "queries": str(w["queries"]),
+                           "retrieval": {"k": [2], "queries": [QUERY]}},
+                "group 1 has fewer than 2 observations",
+            ),
+        ],
+        ids=[
+            "classify-query-d",
+            "probe-miclip-d",
+            "probe-fairpca-d",
+            "apply-miclip-d",
+            "apply-fairpca-d",
+            "inferred-one-prompt",
+            "probe-one-train-class",
+            "probe-no-test-rows",
+            "classify-no-positives-in-group-1",
+            "retrieve-single-test-item-group",
+        ],
+    )
+    def test_data_error_exits_3(self, small, capsys, command, payload, message):
+        cfg = write_config(small["dir"] / "cfg.json", payload(small))
+        assert run([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+    def test_numeric_failure_exits_4(self, small, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise NumericError("fair PCA constraint residual 1.000e+00 too large")
+
+        monkeypatch.setattr("flens.cli.fit_fair_pca", failing)
+        payload = {"data": small["data"], "method": "fairpca",
+                   "transform_out": str(small["dir"] / "t.ftfm")}
+        cfg = write_config(small["dir"] / "cfg.json", payload)
+        assert run(["debias-fit", "--config", cfg]) == 4
+        expected = "numeric failure: fair PCA constraint residual 1.000e+00 too large\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestOneLabelParse:
@@ -1964,7 +2126,7 @@ class TestStreamedScoring:
     def test_fair_pca_transform_matches_the_whole_matrix_pass(self, streamed_set, tmp_path):
         train = ~streamed_set["test"]
         labels = GroupLabels(np.arange(train.size)[train] % 2, 2)
-        transform = fit_fair_pca(read_embeddings(streamed_set["embeddings"], train), labels)
+        transform, _ = fit_fair_pca(read_embeddings(streamed_set["embeddings"], train), labels)
         write_transform(transform, tmp_path / "t.ftfm")
         sims, items, queries = self._streamed(streamed_set, str(tmp_path / "t.ftfm"))
         expected = cosine_similarity_matrix(transform.apply(items), transform.apply(queries))
@@ -2198,7 +2360,8 @@ class TestBoundaryOwners:
             if row["group"] == str(group) and row["split"] == split:
                 row["split"] = other
         labels = tmp_path / f"no-{group}-in-{split}.csv"
-        write_label_table(labels, {key: [row[key] for row in rows] for key in rows[0]})
+        columns = [key for key in rows[0] if key != "item_id"]
+        write_label_table(labels, {key: [row[key] for row in rows] for key in columns})
         data = dict(workspace["data"], labels=str(labels))
         payload = {
             "classify-audit": {"queries": str(workspace["queries"]), "tasks": [TASK]},

@@ -457,7 +457,7 @@ class TestTransformContainers:
     def _fairpca(self):
         rng = np.random.default_rng(1)
         basis, _ = np.linalg.qr(rng.normal(size=(5, 3)))
-        return FairPcaTransform(mean=rng.normal(size=5), projection=basis, target_dim=3)
+        return FairPcaTransform(mean=rng.normal(size=5), projection=basis)
 
     def test_miclip_round_trip(self, tmp_path):
         transform = self._miclip()
@@ -477,7 +477,7 @@ class TestTransformContainers:
         matrix = np.random.default_rng(3).normal(size=(7, 5))
         assert np.array_equal(apply_fair_pca(back, matrix), apply_fair_pca(transform, matrix))
         gram = back.projection.T @ back.projection
-        assert np.max(np.abs(gram - np.eye(back.target_dim))) < 1e-10
+        assert np.max(np.abs(gram - np.eye(back.projection.shape[1]))) < 1e-10
         assert meta["method"] == "fairpca"
 
     def test_corrupted_byte_fails_checksum(self):

@@ -145,14 +145,14 @@ class TestMiClip:
 
     def test_removes_planted_dimensions(self):
         ds = self._planted()
-        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 2)
-        assert sorted(transform.removed_dims.tolist()) == [0, 1]
+        _, details = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 2)
+        assert details["cut_dims"] == [0, 1]
 
     def test_boundary_removes_single_highest(self):
         ds = self._planted()
-        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 1)
+        transform, details = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 1)
         scores = transform.mi_scores
-        assert transform.removed_dims.tolist() == [int(np.argmax(scores))]
+        assert details["cut_dims"] == [int(np.argmax(scores))]
 
     def test_paper_scale_mask_sizes(self):
         # d = 512 with m in {400, 256} cuts 112 and 256 dimensions
@@ -162,14 +162,14 @@ class TestMiClip:
         values = rng.normal(size=(n, d))
         train, groups = values, GroupLabels(labels, 2)
         for m, expected_cut in ((400, 112), (256, 256)):
-            transform = fit_mi_clip(train, groups, m=m)
+            transform, details = fit_mi_clip(train, groups, m=m)
             assert transform.output_dims == m
-            assert transform.removed_dims.size == expected_cut
+            assert len(details["cut_dims"]) == expected_cut
 
     def test_nested_masks(self):
         ds = self._planted()
         d = ds.embeddings.values.shape[1]
-        masks = {m: fit_mi_clip(*train_rows(ds), m=m).keep_mask for m in (2, 5, 9, 14, d - 1)}
+        masks = {m: fit_mi_clip(*train_rows(ds), m=m)[0].keep_mask for m in (2, 5, 9, 14, d - 1)}
         ms = sorted(masks)
         for small, large in zip(ms, ms[1:]):
             kept_small = set(np.flatnonzero(masks[small]))
@@ -185,21 +185,21 @@ class TestMiClip:
 
     def test_apply_keeps_column_order(self):
         ds = self._planted()
-        transform = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 2)
+        transform, _ = fit_mi_clip(*train_rows(ds), m=ds.embeddings.values.shape[1] - 2)
         clipped = apply_mi_clip(transform, ds.embeddings.values)
         kept = np.flatnonzero(transform.keep_mask)
         assert np.array_equal(clipped, ds.embeddings.values[:, kept])
 
     def test_apply_dimension_mismatch(self):
         ds = self._planted()
-        transform = fit_mi_clip(*train_rows(ds), m=8)
+        transform, _ = fit_mi_clip(*train_rows(ds), m=8)
         with pytest.raises(DataError, match="transform expects d=16, got d=5"):
             apply_mi_clip(transform, np.ones((3, 5)))
 
     def test_kept_mi_below_removed_mi(self):
         ds = self._planted()
         train, groups = train_rows(ds)
-        transform = fit_mi_clip(train, groups, m=10)
+        transform, _ = fit_mi_clip(train, groups, m=10)
         re_scores = estimate_mi_per_dimension(train, groups)
         kept = re_scores[transform.keep_mask]
         removed = re_scores[~transform.keep_mask]
@@ -221,7 +221,7 @@ class TestFairPca:
         labels = np.repeat([0, 1], 80)
         train, groups = values, GroupLabels(labels, 2)
         r = 3
-        transform = fit_fair_pca(train, groups, target_dim=r)
+        transform, _ = fit_fair_pca(train, groups, target_dim=r)
         centered = values - values.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         standard = vt[:r].T
@@ -236,7 +236,7 @@ class TestFairPca:
         values = rng.normal(size=(n, 2))
         values[:, 0] += np.where(labels == 0, -4.0, 4.0)
         train, groups = values, GroupLabels(labels, 2)
-        transform = fit_fair_pca(train, groups, target_dim=1)
+        transform, _ = fit_fair_pca(train, groups, target_dim=1)
         projected = apply_fair_pca(transform, train)
         mean_gap = abs(projected[labels == 0].mean() - projected[labels == 1].mean())
         assert mean_gap < 1e-10
@@ -244,7 +244,7 @@ class TestFairPca:
     @pytest.mark.parametrize("p", [2, 7])
     def test_uncorrelated_with_group_indicators(self, p):
         ds = generate(SynthSpec(n=2000, d=64, p=p, bias_dims=(0, 1, 2), bias_strength=4.0, seed=12))
-        transform = fit_fair_pca(*train_rows(ds))
+        transform, _ = fit_fair_pca(*train_rows(ds))
         idx = np.flatnonzero(ds.train_mask)
         projected = apply_fair_pca(transform, ds.embeddings.values)[idx]
         indicators = demeaned_onehot(ds.protected.labels[idx], p)
@@ -255,15 +255,15 @@ class TestFairPca:
 
     def test_orthonormality(self):
         ds = generate(SynthSpec(n=500, d=16, p=3, bias_dims=(0,), bias_strength=3.0, seed=13))
-        transform = fit_fair_pca(*train_rows(ds))
+        transform, _ = fit_fair_pca(*train_rows(ds))
         gram = transform.projection.T @ transform.projection
-        assert np.max(np.abs(gram - np.eye(transform.target_dim))) < 1e-10
+        assert np.max(np.abs(gram - np.eye(transform.projection.shape[1]))) < 1e-10
 
     def test_variance_optimality_among_feasible(self):
         rng = np.random.default_rng(14)
         ds = generate(SynthSpec(n=800, d=12, p=2, bias_dims=(0,), bias_strength=5.0, seed=15))
         r = 4
-        transform = fit_fair_pca(*train_rows(ds), target_dim=r)
+        transform, _ = fit_fair_pca(*train_rows(ds), target_dim=r)
         idx = np.flatnonzero(ds.train_mask)
         x = ds.embeddings.values[idx]
         centered = x - x.mean(axis=0)
@@ -282,25 +282,25 @@ class TestFairPca:
 
     def test_apply_is_deterministic_on_train(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=16))
-        transform = fit_fair_pca(*train_rows(ds))
+        transform, _ = fit_fair_pca(*train_rows(ds))
         a = apply_fair_pca(transform, ds.embeddings.values)
         b = apply_fair_pca(transform, ds.embeddings.values)
         assert np.array_equal(a, b)
 
     def test_zero_vector_shows_centering(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=17))
-        transform = fit_fair_pca(*train_rows(ds))
+        transform, _ = fit_fair_pca(*train_rows(ds))
         zero = np.zeros((1, 8))
         out = apply_fair_pca(transform, zero)[0]
         assert np.allclose(out, -transform.mean @ transform.projection, atol=1e-12)
 
     def test_projection_column_round_trip(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=18))
-        transform = fit_fair_pca(*train_rows(ds))
-        for j in (0, transform.target_dim - 1):
+        transform, details = fit_fair_pca(*train_rows(ds))
+        for j in (0, details["target_dim"] - 1):
             probe_vec = transform.mean + transform.projection[:, j]
             out = apply_fair_pca(transform, probe_vec[None, :])[0]
-            expected = np.zeros(transform.target_dim)
+            expected = np.zeros(details["target_dim"])
             expected[j] = 1.0
             assert np.allclose(out, expected, atol=1e-10)
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
@@ -328,11 +328,11 @@ class TestFairPca:
         values = rng.normal(size=(10, 30))
         train, groups = values, GroupLabels(np.tile([0, 1], 5), 2)
         with pytest.warns(UserWarning):
-            transform = fit_fair_pca(train, groups, target_dim=20)
+            transform, details = fit_fair_pca(train, groups, target_dim=20)
         projection = transform.projection
         assert projection.shape == (30, 20)
         np.testing.assert_allclose(projection.T @ projection, np.eye(20), atol=1e-10)
-        assert transform.constraint_residual < 1e-8
+        assert details["constraint_residual"] < 1e-8
 
     def test_large_n_fit_memory_is_linear_in_n(self):
         # A full-matrices SVD would build an n x n U here: 20 GB at n = 50 000. The
@@ -342,37 +342,36 @@ class TestFairPca:
         train, groups = rng.normal(size=(n, d)), GroupLabels(np.arange(n) % 3, 3)
         tracemalloc.start()
         try:
-            transform = fit_fair_pca(train, groups)
+            _, details = fit_fair_pca(train, groups)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert transform.target_dim == d - 2
+        assert details["target_dim"] == d - 2
         assert peak <= 1.25 * train.nbytes
 
     def test_eigengap_of_feasible_scatter(self):
         ds = generate(SynthSpec(n=800, d=12, p=2, bias_dims=(0,), bias_strength=5.0, seed=25))
         train, groups = train_rows(ds)
-        assert fit_fair_pca(train, groups).eigengap is None  # r = d - 1: the whole subspace
+        assert fit_fair_pca(train, groups)[1]["eigengap"] is None  # r = d - 1: the whole subspace
         r = 4
-        transform = fit_fair_pca(train, groups, target_dim=r)
+        _, details = fit_fair_pca(train, groups, target_dim=r)
         centered = train - train.mean(axis=0)
         constraints = demeaned_onehot(groups.labels, 2).T @ centered
         null_basis = np.linalg.svd(constraints, full_matrices=True)[2][1:].T
         sing = np.linalg.svd(centered @ null_basis, compute_uv=False)
         top = np.linalg.svd(centered, compute_uv=False)[0]
         expected = (sing[r - 1] ** 2 - sing[r] ** 2) / top**2
-        assert transform.eigengap == pytest.approx(expected, rel=1e-9)
-        assert transform.details()["eigengap"] == transform.eigengap
+        assert details["eigengap"] == pytest.approx(expected, rel=1e-9)
 
     def test_constant_rows_have_zero_eigengap(self):
         train = np.ones((40, 5))
-        transform = fit_fair_pca(train, GroupLabels(np.arange(40) % 2, 2), target_dim=2)
-        assert transform.eigengap == 0.0
+        transform, details = fit_fair_pca(train, GroupLabels(np.arange(40) % 2, 2), target_dim=2)
+        assert details["eigengap"] == 0.0
         np.testing.assert_allclose(apply_fair_pca(transform, train), 0.0, atol=1e-12)
 
     def test_apply_dimension_mismatch(self):
         ds = generate(SynthSpec(n=300, d=8, p=2, bias_dims=(0,), bias_strength=4.0, seed=21))
-        transform = fit_fair_pca(*train_rows(ds))
+        transform, _ = fit_fair_pca(*train_rows(ds))
         with pytest.raises(DataError, match="transform expects d=8, got d=9"):
             apply_fair_pca(transform, np.ones((2, 9)))
 
@@ -381,7 +380,7 @@ class TestFairPca:
         n, d = 20_000, 64
         train = rng.normal(size=(n, d)) + 5.0
         groups = GroupLabels(np.arange(n) % 2, 2)
-        transform = fit_fair_pca(train, groups)
+        transform, _ = fit_fair_pca(train, groups)
         tracemalloc.start()
         try:
             out = apply_fair_pca(transform, train)
@@ -399,11 +398,11 @@ class TestFairPca:
         # projection's own columns and so does not flip with it.
         ds = generate(SynthSpec(n=2000, d=32, p=3, bias_dims=(0, 1), bias_strength=3.0, seed=3))
         values, labels = ds.embeddings.values, ds.protected.labels
-        expected = fit_fair_pca(values, GroupLabels(labels, 3)).projection
+        expected = fit_fair_pca(values, GroupLabels(labels, 3))[0].projection
         rng = np.random.default_rng(27)
         for _ in range(3):
             order = rng.permutation(labels.size)
-            refit = fit_fair_pca(values[order], GroupLabels(labels[order], 3))
+            refit, _ = fit_fair_pca(values[order], GroupLabels(labels[order], 3))
             np.testing.assert_allclose(refit.projection, expected, rtol=0, atol=1e-9)
 
 
@@ -454,13 +453,13 @@ class TestFairPcaMatchesOracle:
     def _check_against_oracle(values, labels, p, r):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # n <= d
-            transform = fit_fair_pca(values, GroupLabels(labels, p), r)
+            transform, details = fit_fair_pca(values, GroupLabels(labels, p), r)
         projection = transform.projection
         assert np.max(np.abs(projection.T @ projection - np.eye(r))) <= 1e-10
         constraints = demeaned_onehot(labels, p).T @ (values - values.mean(axis=0))
         bound = 1e-8 * max(1.0, np.abs(constraints).max())
         assert np.max(np.abs(constraints @ projection)) <= bound
-        gap = transform.eigengap
+        gap = details["eigengap"]
         assert gap is None or 0.0 <= gap <= 1.0 + 1e-12
         if gap is None or gap >= 1e-6:
             mean, expected = oracle_fit_fair_pca(values, labels, p, r)

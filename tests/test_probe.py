@@ -170,7 +170,7 @@ class TestEvaluateProbe:
         ds = generate(SynthSpec(n=3000, d=32, p=2, bias_dims=(0, 1), bias_strength=6.0, seed=7))
         train = np.flatnonzero(ds.train_mask)
         test = np.flatnonzero(ds.test_mask)
-        transform = fit_fair_pca(ds.embeddings.values[train], ds.protected.take(train))
+        transform, _ = fit_fair_pca(ds.embeddings.values[train], ds.protected.take(train))
         projected = apply_fair_pca(transform, ds.embeddings.values)
         model = fit_probe(projected[train], ds.protected.take(train))
         acc = evaluate_probe(model, projected[test], ds.protected.take(test))
@@ -197,7 +197,7 @@ class TestFairPcaMonotonicity:
             test = np.flatnonzero(ds.test_mask)
             raw = fit_probe(ds.embeddings.values[train], ds.protected.take(train), max_iter=200)
             raw_acc = evaluate_probe(raw, ds.embeddings.values[test], ds.protected.take(test))
-            transform = fit_fair_pca(ds.embeddings.values[train], ds.protected.take(train))
+            transform, _ = fit_fair_pca(ds.embeddings.values[train], ds.protected.take(train))
             projected = apply_fair_pca(transform, ds.embeddings.values)
             fair = fit_probe(projected[train], ds.protected.take(train), max_iter=200)
             fair_acc = evaluate_probe(fair, projected[test], ds.protected.take(test))
@@ -224,7 +224,7 @@ class TestFairPcaProbeInvariant:
                 keep = np.random.default_rng(seed).random(train.size) >= 0.4
                 train = train[keep | (ds.protected.labels[train] != 0)]
             groups = ds.protected.take(train)
-            transform = fit_fair_pca(ds.embeddings.values[train], groups)
+            transform, _ = fit_fair_pca(ds.embeddings.values[train], groups)
             projected = apply_fair_pca(transform, ds.embeddings.values)
             model = fit_probe(projected[train], groups)
             assert np.max(np.abs(model.weights)) <= 1e-9, seed
