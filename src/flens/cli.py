@@ -26,7 +26,6 @@ from .core import TEST, TRAIN, GroupLabels, row_norms, split_tags
 from .errors import ConfigError, DataError, FlensError, NumericError
 from .io import (
     decode_labels,
-    open_embeddings,
     open_kept_rows,
     read_embeddings,
     read_label_table,
@@ -219,13 +218,18 @@ def _maybe_transform(path: str | None) -> tuple[Callable[[np.ndarray], np.ndarra
     return transform.apply, [_transform_block(path, transform, meta)]
 
 
-def _nonzero_norms(kind: str, path: str, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The row norms of ``values``; a zero norm raises DataError naming its row in its own file."""
+def _normed(
+    kind: str, path: str, values: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and their row norms, as score_blocks takes them.
+
+    A zero norm raises DataError naming its row in its own file.
+    """
     norms = row_norms(values)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm")
-    return norms
+    return values, norms
 
 
 def _query_similarities(
@@ -239,28 +243,23 @@ def _query_similarities(
     count). Each source is (kind, file path, query file, row numbers in that
     file). The transform at ``transform_path``, if any, is read once and
     applied to those query rows, which are checked for zero norms; only then
-    is the items file opened, with open_kept_rows. Each block of test items
-    is transformed, checked and handed to score_blocks with the query rows,
-    and it scores the block into one q x n_test matrix, so no copy of all
-    the test items exists. The similarity rows follow the sources in order.
-    A zero-norm row, query rows first, is reported by its kind and its row
+    is the items file opened, with open_kept_rows. Each file block of test
+    items is transformed, checked and handed to score_blocks with the query
+    rows, and it scores the block into one q x n_test matrix, so no copy of
+    all the test items exists. No name holds a transformed block while the
+    next one is made. The similarity rows follow the sources in order. A
+    zero-norm row, query rows first, is reported by its kind and its row
     number in its own file.
     """
     items_path, mask, n_test = items
     transform, transform_blocks = _maybe_transform(transform_path)
-    queries, norms = [], []
-    for kind, path, matrix, rows in sources:
-        queries.append(transform(matrix[rows]))
-        norms.append(_nonzero_norms(kind, path, queries[-1], rows))
-
-    def transformed_items(blocks):
-        for rows, values in blocks:
-            block = transform(values)
-            yield block, _nonzero_norms("item", items_path, block, rows)
-
-    query_side = (np.concatenate(queries), np.concatenate(norms))
+    sides = [
+        _normed(kind, path, transform(matrix[rows]), rows) for kind, path, matrix, rows in sources
+    ]
+    query_side = (np.concatenate([q for q, _ in sides]), np.concatenate([n for _, n in sides]))
     with open_kept_rows(items_path, mask) as blocks:
-        return score_blocks(query_side, transformed_items(blocks), n_test), transform_blocks
+        items = (_normed("item", items_path, transform(values), rows) for rows, values in blocks)
+        return score_blocks(query_side, items, n_test), transform_blocks
 
 
 def cmd_classify_audit(cfg: dict) -> dict:
@@ -483,9 +482,9 @@ def cmd_debias_fit(cfg: dict) -> dict:
     train_items = read_embeddings(cfg["data"]["embeddings"], mask)
     if prompts_path:
         prompts = read_embeddings(prompts_path)
-        prompt_norms = _nonzero_norms("prompt", prompts_path, prompts, np.arange(len(prompts)))
-        item_norms = _nonzero_norms("item", cfg["data"]["embeddings"], train_items, rows)
-        protected = infer_protected_attribute((train_items, item_norms), (prompts, prompt_norms))
+        prompt_side = _normed("prompt", prompts_path, prompts, np.arange(len(prompts)))
+        item_side = _normed("item", cfg["data"]["embeddings"], train_items, rows)
+        protected = infer_protected_attribute(item_side, prompt_side)
         empty = np.flatnonzero(protected.counts() == 0)
         if empty.size:
             raise DataError(
@@ -521,21 +520,29 @@ def cmd_debias_fit(cfg: dict) -> dict:
 def cmd_apply(cfg: dict) -> dict:
     """Apply a serialized transform to an embeddings file, one block of rows at a time.
 
-    Each block is read, checked, transformed and written before the next is
-    read, so the command never holds its whole input or output.
+    Each file block of BLOCK_ROWS rows is read in pieces, checked, widened,
+    transformed whole and written before the next is read, so the command
+    never holds its whole input or output.
     """
     transform_path = _field(cfg, "transform", str, "")
     out_path = _field(cfg, "output", str, "")
-    with open_embeddings(_field(cfg, "input", str, "")) as (rows, dims, blocks):
+    with open_kept_rows(_field(cfg, "input", str, "")) as blocks:
         transform, meta = read_transform(transform_path)
-        out_shape = write_embeddings(map(transform.apply, blocks), out_path)
-    shapes = {"input_shape": [rows, dims], "output_shape": list(out_shape)}
+        out_shape = write_embeddings((transform.apply(values) for _, values in blocks), out_path)
+    # apply checked every block's width against the transform's
+    shapes = {"input_shape": [out_shape[0], transform.input_dims], "output_shape": list(out_shape)}
     record = {"task_name": "apply", "details": shapes}
     return build_report("apply", cfg, [record], [_transform_block(transform_path, transform, meta)])
 
 
 def cmd_probe(cfg: dict) -> dict:
-    """Linear-probe audit: per-attribute accuracy, before and after a transform."""
+    """Linear-probe audit: per-attribute accuracy, before and after a transform.
+
+    The train rows and the test rows are each read from the file through
+    their split mask, a piece at a time, so the command holds no full n x d
+    matrix and no copy taken from one: at most the raw and the transformed
+    train and test rows. The probe fits on whole arrays.
+    """
     probe_cfg = _field(cfg, "probe", dict, "")
     attributes = _field(probe_cfg, "attributes", list[str], "probe")
     _unique(attributes, "probe.attributes[{}]")
@@ -548,17 +555,14 @@ def cmd_probe(cfg: dict) -> dict:
         if value < 0:
             raise ConfigError(f"probe.{key} must be non-negative, got {value}")
     transform_path = _field(cfg, "transform", str, "", None)
-    mask, _, split, _, columns, provenance = _load_labels(cfg, [(a, "group") for a in attributes])
-    embeddings = read_embeddings(cfg["data"]["embeddings"], mask)
-    train_idx = np.flatnonzero(split == TRAIN)
-    test_idx = np.flatnonzero(split == TEST)
+    _, _, split, _, columns, provenance = _load_labels(cfg, [(a, "group") for a in attributes])
+    # Each space's train and test rows serve every attribute, and the transform,
+    # if any, maps those rows only.
+    splits = (split == TRAIN, split == TEST)
+    rows = {"raw": tuple(read_embeddings(cfg["data"]["embeddings"], keep) for keep in splits)}
+    train_idx, test_idx = map(np.flatnonzero, splits)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError("probe audit needs non-empty train and test splits")
-    # Each space's train and test rows are taken once and serve every attribute.
-    # The full matrix is dropped once its rows are taken, and the transform,
-    # if any, maps those rows only.
-    rows = {"raw": (embeddings[train_idx], embeddings[test_idx])}
-    del embeddings
     transform, transform_blocks = _maybe_transform(transform_path)
     if transform_blocks:
         rows["transformed"] = tuple(map(transform, rows["raw"]))

@@ -16,9 +16,10 @@ from .errors import DataError
 
 TRAIN = "train"
 TEST = "test"
-# Rows per block wherever n x d work streams through fixed memory: reading,
-# checking and writing embeddings files, the fair-PCA scatter, and the items
-# of each similarity GEMM. Fixed, so no output depends on a memory setting.
+# Rows per block wherever n x d work is computed in fixed memory: the file
+# blocks that apply and the audits transform, the fair-PCA scatter, and the
+# items of each similarity GEMM. io reads and writes in smaller pieces that
+# divide it. Fixed, so no output depends on a memory setting.
 BLOCK_ROWS = 4096
 
 

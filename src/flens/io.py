@@ -1,10 +1,13 @@
 """Durable file formats: embeddings, label tables, transforms, reports.
 
 Embeddings travel as 32-bit little-endian floats behind a fixed header.
-They are read, checked and written in blocks of BLOCK_ROWS rows; the rows
-a command keeps are widened to float64 in memory, and statistics never run
-on float32. A comma-separated text twin is read too. Transforms live in a
-versioned, checksummed binary container. Reports are canonical JSON.
+They are read, checked and written in small pieces of PIECE_ROWS rows; the
+rows a command keeps are widened to float64 in memory, and statistics
+never run on float32. Commands compute on blocks of BLOCK_ROWS rows, not
+on pieces, because a GEMM's shape fixes its bits: open_kept_rows regroups
+the pieces into those blocks. A comma-separated text twin is read too.
+Transforms live in a versioned, checksummed binary container. Reports are
+canonical JSON.
 """
 
 from __future__ import annotations
@@ -33,21 +36,27 @@ _DTYPE_F32_LE = 1
 TRANSFORM_MAGIC = b"FLENSTFM"
 TRANSFORM_VERSION = 1
 
+# Rows per piece of a payload read or written: 512 KiB at d = 256. A divisor of
+# BLOCK_ROWS, so every file block is a whole number of pieces.
+PIECE_ROWS = BLOCK_ROWS // 8
+
 
 def write_embeddings(
     matrix: EmbeddingMatrix | Iterable[np.ndarray], path: str | Path
 ) -> tuple[int, int]:
     """Write the canonical binary layout; identical values give identical bytes.
 
-    ``matrix`` is a whole matrix or an iterable of 2-d row blocks of one
-    width, such as ``apply`` streams. Each block is rounded to float32,
-    checked and written before the next is taken, so the writer holds one
-    float32 block, never a copy of the whole payload. The bytes go to
+    ``matrix`` is a whole matrix, written a piece at a time, or an iterable
+    of 2-d row blocks of one width, such as ``apply`` streams. Each block is
+    rounded to float32, checked and written, and both it and its float32
+    copy are let go before the next block is taken. The writer so holds one
+    block and its float32 copy, never the previous block while the next is
+    made, nor a copy of the whole payload. The bytes go to
     ``<path>.partial`` and are renamed over ``path`` only once complete:
     on any error that file is removed and ``path`` is left as it was.
     Returns the (rows, dims) written.
     """
-    blocks = _row_blocks(matrix.values) if isinstance(matrix, EmbeddingMatrix) else matrix
+    blocks = _pieces(matrix.values) if isinstance(matrix, EmbeddingMatrix) else matrix
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     rows = dims = 0
@@ -61,6 +70,7 @@ def write_embeddings(
                     raise DataError("values overflow 32-bit floats")
                 fh.write(payload.data)  # the block's own buffer, not a bytes copy of it
                 rows, dims = rows + payload.shape[0], payload.shape[1]
+                del block, payload  # not held while the next block is made
             fh.seek(0)
             header = (EMBEDDING_MAGIC, EMBEDDING_VERSION, rows, dims, _DTYPE_F32_LE)
             fh.write(_EMBEDDING_HEADER.pack(*header))
@@ -76,39 +86,42 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> np.ndar
     One float64 array is allocated for the rows where the boolean mask
     ``keep`` is true (every row when it is None), after open_embeddings has
     sized the payload against the file and the mask's length is checked
-    against its rows. Each float32 block is checked for NaN/Inf, dropped
-    rows included, and its kept rows are widened into that array. The
-    command holds the kept rows plus one block; open_kept_rows reads the
-    same rows without holding them all.
+    against its rows. Each float32 piece of PIECE_ROWS rows is checked for
+    NaN/Inf, dropped rows included, and its kept rows are gathered and
+    widened into that array. The command holds the kept rows plus one piece
+    and its gathered rows; open_kept_rows reads the same rows without
+    holding them all.
     """
-    with open_embeddings(path) as (n, d, blocks):
+    with open_embeddings(path) as (n, d, pieces):
         values = np.empty((int(_kept_per_block(path, n, keep).sum()), d))
         start = filled = 0
-        for block in blocks:
-            rows = block if keep is None else block[keep[start : start + len(block)]]
+        for piece in pieces:
+            rows = piece if keep is None else piece[keep[start : start + len(piece)]]
             values[filled : filled + len(rows)] = rows
-            start, filled = start + len(block), filled + len(rows)
+            start, filled = start + len(piece), filled + len(rows)
     return values
 
 
 @contextmanager
 def open_kept_rows(
-    path: str | Path, keep: np.ndarray
+    path: str | Path, keep: np.ndarray | None = None
 ) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """An embeddings file's kept rows, block by block.
+    """An embeddings file's kept rows, one file block of BLOCK_ROWS rows at a time.
 
-    The rows kept are those where the boolean mask ``keep`` is true; its
-    length is checked against the header's n on opening. Every block of
-    open_embeddings is checked for NaN/Inf, dropped rows included. For each
-    block with a kept row come the kept rows' numbers in the file and their
-    values widened to float64, in one reused buffer sized for the block that
-    keeps the most rows, valid until the next block is taken. The command
-    so holds one float32 block and at most one float64 block, never all the
-    kept rows.
+    The rows kept are those where the boolean mask ``keep`` is true (every
+    row when it is None); its length is checked against the header's n on
+    opening. Every piece of open_embeddings is checked for NaN/Inf, dropped
+    rows included, and its kept rows are gathered and widened to float64
+    as it is read, into one reused buffer sized for the block that keeps
+    the most rows. For each block with a kept row come the kept rows'
+    numbers in the file and their values, valid until the next block is
+    taken. The command so holds one float32 piece and one float64 block,
+    never all the kept rows. Blocks, not pieces, are handed out because
+    the commands compute on them, and a GEMM's shape fixes its bits.
     """
-    with open_embeddings(path) as (n, d, blocks):
+    with open_embeddings(path) as (n, d, pieces):
         buffer = np.empty((int(_kept_per_block(path, n, keep).max()), d))
-        yield _widened_blocks(blocks, keep, buffer)
+        yield _widened_blocks(pieces, np.full(n, True) if keep is None else keep, buffer)
 
 
 def _kept_per_block(path: str | Path, n: int, keep: np.ndarray | None) -> np.ndarray:
@@ -126,41 +139,44 @@ def _kept_per_block(path: str | Path, n: int, keep: np.ndarray | None) -> np.nda
 
 
 def _widened_blocks(
-    blocks: Iterable[np.ndarray], keep: np.ndarray, buffer: np.ndarray
+    pieces: Iterable[np.ndarray], keep: np.ndarray, buffer: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per block with a kept row: those rows' numbers in the file, and the rows widened into ``buffer``.
+    """Per file block with a kept row: those rows' numbers in the file, and the rows widened into ``buffer``.
 
-    A block kept whole is widened as read, with no float32 copy; of other
-    blocks the kept rows are gathered first.
+    A piece kept whole is widened as read, with no float32 copy; of other
+    pieces the kept rows are gathered first. A block is handed out once its
+    last piece is in.
     """
-    start = 0
-    for block in blocks:
-        stop = start + len(block)
-        rows = start + np.flatnonzero(keep[start:stop])
-        if rows.size:
-            buffer[: rows.size] = block if rows.size == len(block) else block[rows - start]
-            yield rows, buffer[: rows.size]
-        start = stop
+    start = block_start = filled = 0
+    for piece in pieces:
+        stop = start + len(piece)
+        kept = np.flatnonzero(keep[start:stop])
+        buffer[filled : filled + kept.size] = piece if kept.size == len(piece) else piece[kept]
+        start, filled = stop, filled + kept.size
+        if stop % BLOCK_ROWS == 0 or stop == len(keep):  # the block's last piece
+            if filled:
+                yield block_start + np.flatnonzero(keep[block_start:stop]), buffer[:filled]
+            block_start, filled = stop, 0
 
 
 @contextmanager
 def open_embeddings(path: str | Path) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
-    """An embeddings file's row count, column count and float32 row blocks.
+    """An embeddings file's row count, column count and float32 row pieces.
 
     The binary header is checked first (version, dtype, and the payload size
-    against the file's, before anything is allocated). The blocks, of
-    BLOCK_ROWS rows, are read in turn into one reused buffer, so each is
+    against the file's, before anything is allocated). The pieces, of
+    PIECE_ROWS rows, are read in turn into one reused buffer, so each is
     valid until the next is taken; each is checked for NaN/Inf before it is
     handed out. A file that does not start with the binary magic is parsed
     as the text twin, through float32, so it decodes to exactly the matrix
-    of its binary twin; its blocks are slices of the parsed rows, checked
+    of its binary twin; its pieces are slices of the parsed rows, checked
     the same way.
     """
     with open(path, "rb") as fh:
         header = fh.read(_EMBEDDING_HEADER.size)
         if not header.startswith(EMBEDDING_MAGIC):
             values = _parse_embeddings_text(header + fh.read(), path)
-            yield *values.shape, _checked(_row_blocks(values), f"{path}: text payload")
+            yield *values.shape, _checked(_pieces(values), f"{path}: text payload")
             return
         if len(header) < _EMBEDDING_HEADER.size:
             raise DataError(f"{path}: header truncated")
@@ -177,28 +193,28 @@ def open_embeddings(path: str | Path) -> Iterator[tuple[int, int, Iterator[np.nd
             raise DataError(f"{path}: {size - expected} bytes of trailing data")
         if not (n and d):
             raise DataError(f"{path}: header gives {n} rows of {d} values")
-        yield n, d, _checked(_file_blocks(fh, path, n, d), f"{path}: payload")
+        yield n, d, _checked(_file_pieces(fh, path, n, d), f"{path}: payload")
 
 
-def _file_blocks(fh: BinaryIO, path: str | Path, n: int, d: int) -> Iterator[np.ndarray]:
-    buffer = np.empty((min(n, BLOCK_ROWS), d), dtype="<f4")
-    for start in range(0, n, BLOCK_ROWS):
-        block = buffer[: min(BLOCK_ROWS, n - start)]
-        got = fh.readinto(block)
-        if got < block.nbytes:  # the file shrank after it was sized
+def _file_pieces(fh: BinaryIO, path: str | Path, n: int, d: int) -> Iterator[np.ndarray]:
+    buffer = np.empty((min(n, PIECE_ROWS), d), dtype="<f4")
+    for start in range(0, n, PIECE_ROWS):
+        piece = buffer[: min(PIECE_ROWS, n - start)]
+        got = fh.readinto(piece)
+        if got < piece.nbytes:  # the file shrank after it was sized
             raise DataError(f"{path}: payload has {start * d * 4 + got} of {n * d * 4} bytes")
-        yield block
+        yield piece
 
 
-def _row_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
-    return (values[start : start + BLOCK_ROWS] for start in range(0, len(values), BLOCK_ROWS))
+def _pieces(values: np.ndarray) -> Iterator[np.ndarray]:
+    return (values[start : start + PIECE_ROWS] for start in range(0, len(values), PIECE_ROWS))
 
 
-def _checked(blocks: Iterable[np.ndarray], what: str) -> Iterator[np.ndarray]:
-    for block in blocks:
-        if not _finite(block):
+def _checked(pieces: Iterable[np.ndarray], what: str) -> Iterator[np.ndarray]:
+    for piece in pieces:
+        if not _finite(piece):
             raise DataError(f"{what} contains NaN or Inf")
-        yield block
+        yield piece
 
 
 def _finite(values: np.ndarray) -> bool:

@@ -39,8 +39,9 @@ def score_blocks(
     BLOCK_ROWS rows. Each full buffer, then the last partial one, is scored
     by one GEMM with the items on its N side, into its columns of the
     result. The GEMM calls so depend on n alone, not on how the items were
-    cut into blocks, and neither do the bits. Every norm must be non-zero:
-    the callers check each row where it is read.
+    cut into blocks, and neither do the bits. No block is held while
+    ``blocks`` makes the next. Every norm must be non-zero: the callers
+    check each row where it is read.
     """
     query_rows, query_norms = queries
     unit_queries = query_rows / query_norms[:, None]
@@ -58,6 +59,7 @@ def score_blocks(
             if filled == len(staged) or scored + filled == n:
                 np.matmul(unit_queries, staged[:filled].T, out=sims[:, scored : scored + filled])
                 scored, filled = scored + filled, 0
+        del values, norms  # the block is let go before the next one is made
     if scored != n:  # a short stream would leave columns unset
         raise DataError(f"expected {n} items, got {scored + filled}")
     return np.clip(sims, -1.0, 1.0, out=sims)

@@ -1950,7 +1950,7 @@ class TestInputFaultOrder:
 
 
 def test_test_split_read_memory(tmp_path):
-    """A split read holds the widened test rows and one float32 block, not the payload."""
+    """A split read holds the widened test rows and one float32 piece, not the payload."""
     paths = {"embeddings": str(tmp_path / "big.femb"), "labels": str(tmp_path / "big.csv")}
     synth = {"synth": {"n": 20_000, "d": 256, "p": 2, "seed": 5}, "output": paths}
     assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
@@ -1963,13 +1963,13 @@ def test_test_split_read_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(items) == rows.size == len(groups) == provenance["test_items"] == 6000
-    # 12.3 MB of widened test rows + a 4.2 MB float32 block + the mask and label table;
+    # 12.3 MB of widened test rows + a 0.5 MB float32 piece + the mask and label table;
     # holding the 20.5 MB float32 payload as well reads about 40 MB
     assert peak < 24e6
 
 
 def test_probe_drops_each_full_matrix_once_its_rows_are_taken(tmp_path):
-    """probe holds about two n x d float64 matrices: the full one and its rows, then two spaces'."""
+    """probe holds about two n x d float64 matrices: two spaces' train and test rows."""
     n, d = 8000, 64
     paths = {"embeddings": str(tmp_path / "big.femb"), "labels": str(tmp_path / "big.csv")}
     synth = {"synth": {"n": n, "d": d, "p": 2, "seed": 5}, "output": paths}
@@ -1991,6 +1991,25 @@ def test_probe_drops_each_full_matrix_once_its_rows_are_taken(tmp_path):
         tracemalloc.stop()
     # about 2.2 full matrices; transforming the full matrix before the takes is 3.1
     assert peak < 2.5 * n * d * 8
+
+
+def test_probe_reads_its_split_rows_straight_from_the_file(tmp_path):
+    """probe without a transform holds its float64 train and test rows once, with no full matrix."""
+    n, d = 8000, 64
+    paths = {"embeddings": str(tmp_path / "big.femb"), "labels": str(tmp_path / "big.csv")}
+    synth = {"synth": {"n": n, "d": d, "p": 2, "seed": 5}, "output": paths}
+    assert run(["synth", "--config", write_config(tmp_path / "synth.json", synth)]) == 0
+    probe = {"data": {**paths, "attribute": "group"},
+             "probe": {"attributes": ["group"], "max_iter": 3}}
+    cfg = write_config(tmp_path / "probe.json", probe)
+    tracemalloc.start()
+    try:
+        assert run(["probe", "--config", cfg, "--out", tmp_path / "probe.report.json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the full matrix beside the train and test rows taken from it is twice the rows
+    assert peak < 1.5 * n * d * 8
 
 
 @pytest.fixture

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from flens.core import BLOCK_ROWS, EmbeddingMatrix
 from flens.errors import DataError
 from flens.io import (
+    PIECE_ROWS,
     decode_labels,
     deserialize_transform,
     open_embeddings,
+    open_kept_rows,
     read_embeddings,
     read_label_table,
     read_transform,
@@ -141,6 +143,21 @@ class TestEmbeddingFormat:
         assert peak <= 1.25 * payload_bytes
         assert (tmp_path / "m.femb").stat().st_size == 23 + payload_bytes
 
+    def test_write_lets_go_of_each_block_before_the_next(self, tmp_path):
+        """Four fresh float64 blocks: the writer holds one and its float32 copy, not the last one."""
+        d = 64
+        block_bytes = 8 * BLOCK_ROWS * d
+        rng = np.random.default_rng(3)
+        blocks = (rng.normal(size=(BLOCK_ROWS, d)) for _ in range(4))
+        tracemalloc.start()
+        try:
+            assert write_embeddings(blocks, tmp_path / "m.femb") == (4 * BLOCK_ROWS, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block and its float32 copy are 1.5 blocks; the previous pair held as well is 2.5
+        assert peak < 2 * block_bytes
+
     def test_text_twin_parses_identically(self, tmp_path, matrix):
         binary = tmp_path / "m.femb"
         text = tmp_path / "m.csv"
@@ -163,7 +180,7 @@ def write_payload(path, payload):
 
 
 class TestEmbeddingRead:
-    """Sized before any allocation, then read and checked block by block, rows kept by mask."""
+    """Sized before any allocation, then read and checked piece by piece, rows kept by mask."""
 
     def test_header_claiming_huge_n_is_truncation(self, tmp_path):
         path = tmp_path / "huge.femb"
@@ -270,17 +287,38 @@ class TestEmbeddingRead:
         with pytest.raises(DataError, match="payload contains NaN or Inf"):
             read_embeddings(path, keep)
 
+    def test_kept_rows_hold_their_buffer_and_one_piece(self, tmp_path):
+        """About 30 % of four blocks kept: no float32 block and no block-sized gather copy."""
+        n, d = 4 * BLOCK_ROWS, 128
+        rng = np.random.default_rng(4)
+        path = write_payload(tmp_path / "m.femb", rng.normal(size=(n, d)).astype("<f4"))
+        keep = rng.random(n) < 0.3
+        buffer_bytes = 8 * d * max(keep[s : s + BLOCK_ROWS].sum() for s in range(0, n, BLOCK_ROWS))
+        piece_bytes = 4 * PIECE_ROWS * d
+        tracemalloc.start()
+        try:
+            with open_kept_rows(path, keep) as blocks:
+                kept = sum(len(rows) for rows, _ in blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept == keep.sum()
+        # the 1.3 MB buffer, a 0.26 MB piece, its gathered rows and their row numbers;
+        # a 2.1 MB float32 block and its 0.6 MB gather copy beside the buffer read 4 MB
+        assert peak < buffer_bytes + 2 * piece_bytes
+
     def test_file_shrinking_mid_read(self, tmp_path):
         payload = np.ones((2 * BLOCK_ROWS, 4), dtype="<f4")
         path = write_payload(tmp_path / "m.femb", payload)
         expected = payload.nbytes
-        with open_embeddings(path) as (rows, dims, blocks):
+        with open_embeddings(path) as (rows, dims, pieces):
             assert (rows, dims) == payload.shape
-            next(blocks)
-            with open(path, "r+b") as fh:  # cut the second block short by 8 bytes
+            next(pieces)
+            with open(path, "r+b") as fh:  # cut the last piece short by 8 bytes
                 fh.truncate(23 + expected - 8)
             with pytest.raises(DataError, match=f"payload has {expected - 8} of {expected} bytes"):
-                next(blocks)
+                for _ in pieces:
+                    pass
 
 
 def read_labels(path, attribute, kind="group"):
