@@ -329,7 +329,8 @@ def _retrieval_metrics(
     """Metric block for one query at one k, routed by fairness mode.
 
     ``retrieved`` holds k distinct item indices, as top_k and balanced_retrieval
-    return them; ``population`` is ``groups.counts()``.
+    return them; ``population`` is ``groups.counts()``. ``relevant``, when
+    given, is a boolean mask over the items, true for each relevant one.
     """
     selected = np.bincount(groups.labels[retrieved], minlength=groups.group_count)
     metrics: dict[str, MetricResult] = {}
@@ -339,7 +340,7 @@ def _retrieval_metrics(
     else:
         metrics["skew_at_k"] = skew_at_k(selected)
         if relevant is not None:
-            hits = retrieved[np.isin(retrieved, relevant)]
+            hits = retrieved[relevant[retrieved]]
             if hits.size:
                 per_group = np.bincount(groups.labels[hits], minlength=groups.group_count)
                 metrics["ddp_rep"] = ddp_rep(per_group)
@@ -387,9 +388,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     queries = []
     for i, (name, row, tags, relevant_column) in enumerate(query_specs):
         _check_row(row, f"retrieval.queries[{i}].row", len(query_file))
-        relevant = None
-        if relevant_column:
-            relevant = np.flatnonzero(columns[relevant_column, "binary"])
+        relevant = columns[relevant_column, "binary"] if relevant_column else None
         queries.append((name, tags, relevant))
     # The query rows, then p group-specific balanced rows per query in the order
     # queries are listed: one similarity pass scores them all.

@@ -39,8 +39,7 @@ def precision_at_k(ranked, relevant, k):
     marks[[int(i) for i in relevant]] = 1
     tags = TaxonomyTags(human_centric=True, subjective=False, fairness_mode=DIVERSITY)
     groups = GroupLabels(np.arange(10) % 2, 2)
-    relevant_rows = np.flatnonzero(marks == 1)
-    block = _retrieval_metrics(np.asarray(ranked[:k]), groups, groups.counts(), tags, relevant_rows, k)
+    block = _retrieval_metrics(np.asarray(ranked[:k]), groups, groups.counts(), tags, marks == 1, k)
     return block["performance"]["precision_at_k"]
 
 

@@ -189,6 +189,18 @@ class TestTopK:
             assert ranked.tolist() == full[:, :k].tolist()
             assert all(np.unique(row).size == k for row in ranked)  # no row repeats an item
 
+    @pytest.mark.parametrize("n", [257, 1000, 5000])
+    def test_ranked_prefix_at_vectorised_sort_sizes(self, n):
+        # numpy's unstable argsort takes its vectorised path at these sizes, so
+        # its order of equal values is not the index order the ranking keeps.
+        rng = np.random.default_rng(n)
+        levels = np.array([-0.5, -0.0, 0.0, 0.25, 0.5])
+        sims = np.vstack([levels[rng.integers(0, 5, n)], np.full(n, -0.0), rng.normal(size=n)])
+        sims[1, ::3] = 0.0
+        full = np.argsort(-sims, axis=1, kind="stable")
+        for k in (1, n // 2, n // 2 + 1, n - 1, n):
+            assert _ranked_prefix(sims, k).tolist() == full[:, :k].tolist()
+
 
 class TestBalancedRetrieval:
     def _clustered(self):
@@ -291,6 +303,18 @@ class TestBalancedRetrieval:
             assert result.tolist() == picked
             assert np.unique(result).size == k  # no item is picked twice
             assert sims[np.arange(k) % p, result].tolist() == values
+
+    @pytest.mark.parametrize("k", [8, 100, 999, 1001, 1999])
+    def test_matches_oracle_across_many_pick_windows(self, k):
+        # Nine levels over 2 000 items: the eight group queries contest most
+        # items, so each reads many windows that hold items claimed since.
+        rng = np.random.default_rng(k)
+        sims = rng.integers(-4, 5, size=(8, 2000)) / 4
+        result = balanced_retrieval(sims, k)
+        picked, values = oracle_balanced_retrieval(sims.tolist(), k)
+        assert result.tolist() == picked
+        assert np.unique(result).size == k
+        assert sims[np.arange(k) % 8, result].tolist() == values
 
 
 def _with_norms(rows):
