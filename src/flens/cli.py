@@ -537,8 +537,9 @@ def cmd_apply(cfg: dict) -> dict:
 def cmd_probe(cfg: dict) -> dict:
     """Linear-probe audit: per-attribute accuracy, before and after a transform.
 
-    The train rows and the test rows are each read from the file through
-    their split mask, a piece at a time, so the command holds no full n x d
+    The train rows and the test rows are read from the file in one pass,
+    a piece at a time, each piece's rows going to the array of their split
+    mask, so the command reads the payload once and holds no full n x d
     matrix and no copy taken from one: at most the raw and the transformed
     train and test rows. The probe fits on whole arrays.
     """
@@ -558,7 +559,7 @@ def cmd_probe(cfg: dict) -> dict:
     # Each space's train and test rows serve every attribute, and the transform,
     # if any, maps those rows only.
     splits = (split == TRAIN, split == TEST)
-    rows = {"raw": tuple(read_embeddings(cfg["data"]["embeddings"], keep) for keep in splits)}
+    rows = {"raw": read_embeddings(cfg["data"]["embeddings"], splits)}
     train_idx, test_idx = map(np.flatnonzero, splits)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError("probe audit needs non-empty train and test splits")

@@ -80,7 +80,9 @@ def write_embeddings(
     return rows, dims
 
 
-def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> np.ndarray:
+def read_embeddings(
+    path: str | Path, keep: np.ndarray | tuple[np.ndarray, ...] | None = None
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Read an embeddings file, binary or its comma-separated text twin.
 
     One float64 array is allocated for the rows where the boolean mask
@@ -90,16 +92,22 @@ def read_embeddings(path: str | Path, keep: np.ndarray | None = None) -> np.ndar
     NaN/Inf, dropped rows included, and its kept rows are gathered and
     widened into that array. The command holds the kept rows plus one piece
     and its gathered rows; open_kept_rows reads the same rows without
-    holding them all.
+    holding them all. ``keep`` may also be a tuple of masks: the payload is
+    then read and checked once, each piece filling every mask's array, and
+    the arrays come back in a tuple in the masks' order.
     """
+    masks = keep if isinstance(keep, tuple) else (keep,)
     with open_embeddings(path) as (n, d, pieces):
-        values = np.empty((int(_kept_per_block(path, n, keep).sum()), d))
-        start = filled = 0
+        arrays = tuple(np.empty((int(_kept_per_block(path, n, mask).sum()), d)) for mask in masks)
+        filled = [0] * len(masks)
+        start = 0
         for piece in pieces:
-            rows = piece if keep is None else piece[keep[start : start + len(piece)]]
-            values[filled : filled + len(rows)] = rows
-            start, filled = start + len(piece), filled + len(rows)
-    return values
+            for i, (mask, values) in enumerate(zip(masks, arrays)):
+                rows = piece if mask is None else piece[mask[start : start + len(piece)]]
+                values[filled[i] : filled[i] + len(rows)] = rows
+                filled[i] += len(rows)
+            start += len(piece)
+    return arrays if isinstance(keep, tuple) else arrays[0]
 
 
 @contextmanager

@@ -2012,6 +2012,21 @@ def test_probe_reads_its_split_rows_straight_from_the_file(tmp_path):
     assert peak < 1.5 * n * d * 8
 
 
+def test_probe_opens_its_items_file_once(workspace, tmp_path, monkeypatch):
+    """probe with no transform reads its train and test rows in one pass over the items file."""
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr("flens.io.open", counting_open, raising=False)
+    probe = {"data": workspace["data"], "probe": {"attributes": ["group"], "max_iter": 3}}
+    cfg = write_config(tmp_path / "probe.json", probe)
+    assert run(["probe", "--config", cfg, "--out", tmp_path / "probe.report.json"]) == 0
+    assert opened.count(Path(workspace["embeddings"])) == 1
+
+
 @pytest.fixture
 def block_workspace(tmp_path):
     """A synthetic dataset of 9 192 rows: two full read blocks and a partial third."""

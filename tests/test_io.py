@@ -277,6 +277,27 @@ class TestEmbeddingRead:
         assert kept.tobytes() == payload.astype(np.float64)[keep].tobytes()
         assert read_embeddings(path).tobytes() == payload.astype(np.float64).tobytes()
 
+    @pytest.mark.parametrize("text", [False, True])
+    def test_masks_read_in_one_pass_equal_one_read_each(self, tmp_path, text):
+        """A tuple of masks: one array per mask, each the bits of its own read."""
+        rng = np.random.default_rng(6)
+        payload = rng.normal(size=(BLOCK_ROWS + 3 * PIECE_ROWS + 7, 3)).astype("<f4")
+        path = tmp_path / ("m.csv" if text else "m.femb")
+        (write_embeddings_text if text else write_embeddings)(EmbeddingMatrix(payload), path)
+        split = rng.integers(0, 3, size=len(payload))
+        masks = (split == 0, split == 1, np.zeros(len(payload), dtype=bool))
+        arrays = read_embeddings(path, masks)
+        assert isinstance(arrays, tuple) and len(arrays) == 3
+        for mask, values in zip(masks, arrays):
+            assert values.tobytes() == read_embeddings(path, mask).tobytes()
+        assert arrays[2].shape == (0, 3)
+
+    def test_masks_read_in_one_pass_check_every_length(self, tmp_path, matrix):
+        path = tmp_path / "m.femb"
+        write_embeddings(matrix, path)
+        with pytest.raises(DataError, match="has 3 rows, but the label table has 2"):
+            read_embeddings(path, (np.ones(3, dtype=bool), np.ones(2, dtype=bool)))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_bad_value_in_a_dropped_row_of_the_last_partial_block(self, tmp_path, value):
         payload = np.ones((2 * BLOCK_ROWS + 5, 3), dtype="<f4")

@@ -6,7 +6,7 @@ import pytest
 from flens.core import GroupLabels
 from flens.errors import DataError
 from flens.mitigation import apply_fair_pca, fit_fair_pca
-from flens.probe import evaluate_probe, fit_probe, loss_and_gradient
+from flens.probe import LOSS_BLOCK_ROWS, evaluate_probe, fit_probe, loss_and_gradient
 from flens.synth import SynthSpec, generate
 
 from .oracles import oracle_probe_loss
@@ -125,10 +125,54 @@ class TestFitProbe:
         assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
 
 
+def whole_array_objective(w, b, x, y, classes, l2):
+    """The probe objective over all rows at once: (objective, data term, grad_w, grad_b)."""
+    n = x.shape[0]
+    logits = np.vstack([w @ x.T + b[:, None], np.zeros((1, n))])
+    log_probs = logits - logits.max(axis=0)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=0))
+    data_loss = -log_probs[y, np.arange(n)].mean()
+    residual = np.exp(log_probs)
+    residual[y, np.arange(n)] -= 1.0
+    grad_w = residual[: classes - 1] @ x / n + l2 * w
+    grad_b = residual[: classes - 1].sum(axis=1) / n
+    return data_loss + 0.5 * l2 * np.sum(w * w), data_loss, grad_w, grad_b
+
+
+B = LOSS_BLOCK_ROWS
+
+
 class TestGradient:
+    @pytest.mark.parametrize("classes", [2, 4, 8])
+    @pytest.mark.parametrize("n", [B - 1, B, 2 * B, 3 * B + 17])
+    def test_blocked_objective_matches_whole_array(self, n, classes):
+        """Every block counts, the last partial one too, and the data term is one mean over n."""
+        rng = np.random.default_rng(n * classes)
+        d = 7
+        x = rng.normal(size=(n, d))
+        # the data term of each block differs, so a per-block mean differs from the whole mean
+        x[: n // 3] *= 4.0
+        y = rng.integers(0, classes, size=n)
+        w = rng.normal(size=(classes - 1, d))
+        b = rng.normal(size=classes - 1)
+        got = loss_and_gradient(w, b, x, y, classes, 1e-3)
+        want = whole_array_objective(w, b, x, y, classes, 1e-3)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
+        for got_grad, want_grad in zip(got[2:], want[2:]):
+            assert got_grad.shape == want_grad.shape
+            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=0)
+
     def test_gradient_matches_central_differences(self):
+        self.check_central_differences(n=40)
+
+    def test_gradient_matches_central_differences_across_blocks(self):
+        self.check_central_differences(n=3 * B + 17)
+
+    @staticmethod
+    def check_central_differences(n):
         rng = np.random.default_rng(5)
-        n, d, classes = 40, 4, 3
+        d, classes = 4, 3
         x = rng.normal(size=(n, d))
         y = rng.integers(0, classes, size=n)
         for _ in range(5):
