@@ -143,9 +143,9 @@ def _tags(spec: dict, where: str, fairness_mode: str = INDEPENDENCE) -> Taxonomy
     )
 
 
-def _unique(names: list[str], path: str) -> None:
-    """Reject a repeated name; ``path`` is its JSON path with ``{}`` for the index."""
-    seen: set[str] = set()
+def _unique(names: list, path: str) -> None:
+    """Reject a repeated name or value; ``path`` is its JSON path with ``{}`` for the index."""
+    seen = set()
     for i, name in enumerate(names):
         if name in seen:
             raise ConfigError(f"{path.format(i)} must be unique, got {json.dumps(name)} again")
@@ -160,18 +160,19 @@ def _check_row(row: int, path: str, rows: int) -> None:
 
 def _load_labels(
     cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
-) -> tuple[np.ndarray | None, GroupLabels, np.ndarray, np.ndarray, dict, dict]:
+) -> tuple[np.ndarray, GroupLabels, dict, dict]:
     """Parse the label table exactly once and select the rows of split ``keep``.
 
     Besides the protected attribute and the split, each (column, kind) in
     ``label_columns`` is decoded, so the parsed string table is freed on
     return. Every label check, the split's included, runs here, on the full
-    table. Returns the boolean mask of the kept rows, one entry per label
-    row (all true when ``keep`` is None), and at the kept rows: protected
-    groups, split tags, their row numbers in the file and the decoded
-    columns; then the report's provenance block: attribute, groups, sizes.
-    The embeddings are read through the mask, so io checks its length, the
-    label table's row count, against the embeddings file's.
+    table. When ``keep`` names a split, returns the boolean mask of its
+    rows, one entry per label row, and the protected groups and decoded
+    columns at those rows; when ``keep`` is None, the split tags, protected
+    groups and decoded columns of every row. Then comes the report's
+    provenance block: attribute, groups, sizes. The embeddings are read
+    through a mask, so io checks its length, the label table's row count,
+    against the embeddings file's.
     """
     data = _field(cfg, "data", dict, "")
     _field(data, "embeddings", str, "data")  # checked here, read by the callers
@@ -192,14 +193,13 @@ def _load_labels(
         "test_items": int(np.count_nonzero(split == TEST)),
     }
     if keep is None:
-        every = np.full(len(split), True)
-        return every, protected, split, np.arange(len(split)), columns, provenance
+        return split, protected, columns, provenance
     mask = split == keep
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise DataError(_EMPTY_SPLIT[keep])
     columns = {key: labels.take(rows) for key, labels in columns.items()}
-    return mask, protected.take(rows), split[rows], rows, columns, provenance
+    return mask, protected.take(rows), columns, provenance
 
 
 def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
@@ -279,7 +279,7 @@ def cmd_classify_audit(cfg: dict) -> dict:
     _unique([name for name, *_ in tasks], "tasks[{}].name")
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
-    mask, groups, _, _, columns, provenance = _load_labels(
+    mask, groups, columns, provenance = _load_labels(
         cfg, [(t, "binary") for *_, t in tasks if t], keep=TEST
     )
     queries = read_embeddings(queries_path)
@@ -352,6 +352,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     """Top-k retrieval audit with per-query equal-means similarity tests."""
     retrieval = _field(cfg, "retrieval", dict, "")
     k_list = _field(retrieval, "k", list[int], "retrieval")
+    _unique(k_list, "retrieval.k[{}]")
     query_specs = []
     for i, spec in enumerate(_field(retrieval, "queries", list[dict], "retrieval")):
         where = f"retrieval.queries[{i}]"
@@ -372,7 +373,7 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
     transform_path = _field(cfg, "transform", str, "", None)
-    mask, groups, _, _, columns, provenance = _load_labels(
+    mask, groups, columns, provenance = _load_labels(
         cfg, [(c, "binary") for *_, c in query_specs if c], keep=TEST
     )
     n_test, p = len(groups), groups.group_count
@@ -477,12 +478,12 @@ def cmd_debias_fit(cfg: dict) -> dict:
     method_cfg = _field(cfg, method, dict, "", {})
     fit, defaults = methods[method]
     params = {key: _field(method_cfg, key, int, method, value) for key, value in defaults.items()}
-    mask, protected, _, rows, _, provenance = _load_labels(cfg, keep=TRAIN)
+    mask, protected, _, provenance = _load_labels(cfg, keep=TRAIN)
     train_items = read_embeddings(cfg["data"]["embeddings"], mask)
     if prompts_path:
         prompts = read_embeddings(prompts_path)
         prompt_side = _normed("prompt", prompts_path, prompts, np.arange(len(prompts)))
-        item_side = _normed("item", cfg["data"]["embeddings"], train_items, rows)
+        item_side = _normed("item", cfg["data"]["embeddings"], train_items, np.flatnonzero(mask))
         protected = infer_protected_attribute(item_side, prompt_side)
         empty = np.flatnonzero(protected.counts() == 0)
         if empty.size:
@@ -555,7 +556,7 @@ def cmd_probe(cfg: dict) -> dict:
         if value < 0:
             raise ConfigError(f"probe.{key} must be non-negative, got {value}")
     transform_path = _field(cfg, "transform", str, "", None)
-    _, _, split, _, columns, provenance = _load_labels(cfg, [(a, "group") for a in attributes])
+    split, _, columns, provenance = _load_labels(cfg, [(a, "group") for a in attributes])
     # Each space's train and test rows serve every attribute, and the transform,
     # if any, maps those rows only.
     splits = (split == TRAIN, split == TEST)

@@ -5,9 +5,8 @@ They are read, checked and written in small pieces of PIECE_ROWS rows; the
 rows a command keeps are widened to float64 in memory, and statistics
 never run on float32. Commands compute on blocks of BLOCK_ROWS rows, not
 on pieces, because a GEMM's shape fixes its bits: open_kept_rows regroups
-the pieces into those blocks. A comma-separated text twin is read too.
-Transforms live in a versioned, checksummed binary container. Reports are
-canonical JSON.
+the pieces into those blocks. Transforms live in a versioned, checksummed
+binary container. Reports are canonical JSON.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def write_embeddings(
 def read_embeddings(
     path: str | Path, keep: np.ndarray | tuple[np.ndarray, ...] | None = None
 ) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Read an embeddings file, binary or its comma-separated text twin.
+    """Read a .femb embeddings file.
 
     One float64 array is allocated for the rows where the boolean mask
     ``keep`` is true (every row when it is None), after open_embeddings has
@@ -171,21 +170,16 @@ def _widened_blocks(
 def open_embeddings(path: str | Path) -> Iterator[tuple[int, int, Iterator[np.ndarray]]]:
     """An embeddings file's row count, column count and float32 row pieces.
 
-    The binary header is checked first (version, dtype, and the payload size
+    The header is checked first (magic, version, dtype, and the payload size
     against the file's, before anything is allocated). The pieces, of
     PIECE_ROWS rows, are read in turn into one reused buffer, so each is
     valid until the next is taken; each is checked for NaN/Inf before it is
-    handed out. A file that does not start with the binary magic is parsed
-    as the text twin, through float32, so it decodes to exactly the matrix
-    of its binary twin; its pieces are slices of the parsed rows, checked
-    the same way.
+    handed out.
     """
     with open(path, "rb") as fh:
         header = fh.read(_EMBEDDING_HEADER.size)
         if not header.startswith(EMBEDDING_MAGIC):
-            values = _parse_embeddings_text(header + fh.read(), path)
-            yield *values.shape, _checked(_pieces(values), f"{path}: text payload")
-            return
+            raise DataError(f"{path}: not a .femb embeddings file")
         if len(header) < _EMBEDDING_HEADER.size:
             raise DataError(f"{path}: header truncated")
         _, version, n, d, dtype = _EMBEDDING_HEADER.unpack(header)
@@ -201,7 +195,7 @@ def open_embeddings(path: str | Path) -> Iterator[tuple[int, int, Iterator[np.nd
             raise DataError(f"{path}: {size - expected} bytes of trailing data")
         if not (n and d):
             raise DataError(f"{path}: header gives {n} rows of {d} values")
-        yield n, d, _checked(_file_pieces(fh, path, n, d), f"{path}: payload")
+        yield n, d, _file_pieces(fh, path, n, d)
 
 
 def _file_pieces(fh: BinaryIO, path: str | Path, n: int, d: int) -> Iterator[np.ndarray]:
@@ -211,6 +205,8 @@ def _file_pieces(fh: BinaryIO, path: str | Path, n: int, d: int) -> Iterator[np.
         got = fh.readinto(piece)
         if got < piece.nbytes:  # the file shrank after it was sized
             raise DataError(f"{path}: payload has {start * d * 4 + got} of {n * d * 4} bytes")
+        if not _finite(piece):
+            raise DataError(f"{path}: payload contains NaN or Inf")
         yield piece
 
 
@@ -218,40 +214,9 @@ def _pieces(values: np.ndarray) -> Iterator[np.ndarray]:
     return (values[start : start + PIECE_ROWS] for start in range(0, len(values), PIECE_ROWS))
 
 
-def _checked(pieces: Iterable[np.ndarray], what: str) -> Iterator[np.ndarray]:
-    for piece in pieces:
-        if not _finite(piece):
-            raise DataError(f"{what} contains NaN or Inf")
-        yield piece
-
-
 def _finite(values: np.ndarray) -> bool:
     """Whether every value is finite; min and max carry any NaN or Inf, with no mask."""
     return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
-
-
-def _parse_embeddings_text(data: bytes, path: str | Path) -> np.ndarray:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: neither binary embeddings nor text") from exc
-    rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [np.float32(cell) for cell in line.split(",")]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparsable value") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-        rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no rows")
-    return np.asarray(rows, dtype=np.float32)
 
 
 def read_label_table(path: str | Path) -> dict[str, list[str]]:

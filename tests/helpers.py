@@ -52,14 +52,3 @@ def cosine_similarity_matrix(items, queries):
     Scored by score_blocks, with the items as one block.
     """
     return score_blocks((queries, row_norms(queries)), [(items, row_norms(items))], len(items))
-
-
-def write_embeddings_text(matrix, path):
-    """Comma-separated twin of the binary format, one row per item.
-
-    Takes an EmbeddingMatrix, as write_embeddings does. Values are rendered
-    with enough digits to round-trip float32 exactly.
-    """
-    as_f32 = matrix.values.astype(np.float32)
-    lines = [",".join(format(float(v), ".9g") for v in row) for row in as_f32]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

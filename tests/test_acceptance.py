@@ -370,7 +370,7 @@ def test_io_round_trips(tmp_path):
     corrupted[0] = 0x00
     bad_path = tmp_path / "bad.femb"
     bad_path.write_bytes(bytes(corrupted))
-    with pytest.raises(DataError, match="neither binary embeddings nor text"):
+    with pytest.raises(DataError, match="not a .femb embeddings file"):
         read_embeddings(bad_path)
 
     blob = bytearray(serialize_transform(fit_mi_clip(*train_rows(ds), m=6)[0]))

@@ -37,7 +37,7 @@ from flens.report import sanitize
 from flens.stats import per_query_similarity_tests
 from flens.tasks import zero_shot_classify
 
-from .helpers import cosine_similarity_matrix, read_report, write_embeddings_text
+from .helpers import cosine_similarity_matrix, read_report
 
 
 def run(args):
@@ -922,38 +922,37 @@ def test_non_finite_transform_body_exits_3(
 
 @pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit", "debias-fit", "apply",
                                      "probe"])
-def test_text_embeddings_twin(workspace, fitted_transform, tmp_path, command):
-    """A command reads the comma-separated twin of a .femb as it reads the binary file."""
+def test_text_embeddings_twin(workspace, fitted_transform, tmp_path, capsys, command):
+    """A comma-separated items file is not read: one data error line, exit 3, no output file.
+
+    An empty file and other bytes without the magic take the same way.
+    """
     text_items = tmp_path / "items.txt"
-    write_embeddings_text(EmbeddingMatrix(read_embeddings(workspace["embeddings"])), text_items)
+    np.savetxt(text_items, read_embeddings(workspace["embeddings"]), fmt="%.9g", delimiter=",")
+    data = dict(workspace["data"], embeddings=str(text_items))
     queries = str(workspace["queries"])
-    outputs = {}
-
-    def report_for(items, tag):
-        data = dict(workspace["data"], embeddings=str(items))
-        outputs[tag] = tmp_path / f"{command}-{tag}.out.bin"
-        payload = {
-            "classify-audit": {"data": data, "queries": queries, "tasks": [TASK],
-                               "transform": str(fitted_transform)},
-            "retrieve-audit": {"data": data, "queries": queries,
-                               "retrieval": {"k": [10], "queries": [{"name": "q", "row": 0}]},
-                               "transform": str(fitted_transform)},
-            "debias-fit": {"data": data, "method": "fairpca", "transform_out": str(outputs[tag])},
-            "apply": {"input": str(items), "transform": str(fitted_transform),
-                      "output": str(outputs[tag])},
-            "probe": {"data": data, "transform": str(fitted_transform),
-                      "probe": {"attributes": ["group"], "max_iter": 50}},
-        }[command]
-        cfg = write_config(tmp_path / f"{command}-{tag}.json", payload)
-        out = tmp_path / f"{command}-{tag}.report.json"
-        assert run([command, "--config", cfg, "--out", out]) == 0
-        return read_report(out)
-
-    binary = report_for(workspace["embeddings"], "binary")
-    text = report_for(text_items, "text")
-    assert text["tasks"] == binary["tasks"]
-    if command in ("debias-fit", "apply"):
-        assert outputs["text"].read_bytes() == outputs["binary"].read_bytes()
+    output = tmp_path / f"{command}.out.bin"
+    payload = {
+        "classify-audit": {"data": data, "queries": queries, "tasks": [TASK],
+                           "transform": str(fitted_transform)},
+        "retrieve-audit": {"data": data, "queries": queries,
+                           "retrieval": {"k": [10], "queries": [{"name": "q", "row": 0}]},
+                           "transform": str(fitted_transform)},
+        "debias-fit": {"data": data, "method": "fairpca", "transform_out": str(output)},
+        "apply": {"input": str(text_items), "transform": str(fitted_transform),
+                  "output": str(output)},
+        "probe": {"data": data, "transform": str(fitted_transform),
+                  "probe": {"attributes": ["group"], "max_iter": 50}},
+    }[command]
+    cfg = write_config(tmp_path / f"{command}.json", payload)
+    out = tmp_path / f"{command}.report.json"
+    for content in (text_items.read_bytes(), b"", b"\x00\x01\xff not embeddings"):
+        text_items.write_bytes(content)
+        assert run([command, "--config", cfg, "--out", out]) == 3
+        expected = f"data error: {text_items}: not a .femb embeddings file\n"
+        assert capsys.readouterr().err == expected
+        written = [p.name for p in tmp_path.iterdir() if p.name.startswith(command)]
+        assert written == [f"{command}.json"]
 
 
 TASK ={"name": "t", "class_a": 0, "class_b": 1}
@@ -1194,8 +1193,9 @@ class TestConfigShapes:
                 "retrieval.queries[1].name",
             ),
             ("probe", {"probe": {"attributes": ["group", "concept", "group"]}}, "probe.attributes[2]"),
+            ("retrieve-audit", {"retrieval": {"k": [5, 5], "queries": [QUERY]}}, "retrieval.k[1]"),
         ],
-        ids=["task", "query", "probe-attribute"],
+        ids=["task", "query", "probe-attribute", "k"],
     )
     def test_repeated_name_is_config_error(self, workspace, tmp_path, capsys, command, patch, path):
         """A repeated name would write indistinguishable records, or overwrite one."""
@@ -1957,12 +1957,12 @@ def test_test_split_read_memory(tmp_path):
     cfg = {"data": {**paths, "attribute": "group"}}
     tracemalloc.start()
     try:
-        mask, groups, _, rows, _, provenance = _load_labels(cfg, keep="test")
+        mask, groups, _, provenance = _load_labels(cfg, keep="test")
         items = read_embeddings(paths["embeddings"], mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(items) == rows.size == len(groups) == provenance["test_items"] == 6000
+    assert len(items) == np.count_nonzero(mask) == len(groups) == provenance["test_items"] == 6000
     # 12.3 MB of widened test rows + a 0.5 MB float32 piece + the mask and label table;
     # holding the 20.5 MB float32 payload as well reads about 40 MB
     assert peak < 24e6

@@ -33,7 +33,7 @@ from flens.io import (
 from flens.mitigation import FairPcaTransform, MiClipTransform, apply_fair_pca, apply_mi_clip
 from flens.report import _quartiles, sanitize
 
-from .helpers import read_report, write_embeddings_text
+from .helpers import read_report
 from .oracles import OracleSchemaError, oracle_read_label_table
 
 
@@ -158,17 +158,11 @@ class TestEmbeddingFormat:
         # a block and its float32 copy are 1.5 blocks; the previous pair held as well is 2.5
         assert peak < 2 * block_bytes
 
-    def test_text_twin_parses_identically(self, tmp_path, matrix):
-        binary = tmp_path / "m.femb"
-        text = tmp_path / "m.csv"
-        write_embeddings(matrix, binary)
-        write_embeddings_text(matrix, text)
-        assert np.array_equal(read_embeddings(binary), read_embeddings(text))
-
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"\x00\x01\xff not embeddings")
-        with pytest.raises(DataError, match="neither binary embeddings nor text"):
+        expected = f"{path}: not a .femb embeddings file"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             read_embeddings(path)
 
 
@@ -200,7 +194,7 @@ class TestEmbeddingRead:
     def test_empty_file_has_no_rows(self, tmp_path):
         path = tmp_path / "empty.femb"
         path.write_bytes(b"")
-        with pytest.raises(DataError, match="no rows"):
+        with pytest.raises(DataError, match="not a .femb embeddings file"):
             read_embeddings(path)
 
     def test_file_shorter_than_header(self, tmp_path, matrix):
@@ -210,26 +204,19 @@ class TestEmbeddingRead:
         with pytest.raises(DataError, match="header truncated"):
             read_embeddings(path)
 
-    @pytest.mark.parametrize("writer", [write_embeddings, write_embeddings_text])
-    def test_nan_in_a_dropped_row_still_rejected(self, tmp_path, matrix, writer):
+    def test_nan_in_a_dropped_row_still_rejected(self, tmp_path, matrix):
         path = tmp_path / "m.femb"
-        writer(matrix, path)
-        if writer is write_embeddings:
-            data = bytearray(path.read_bytes())
-            data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last value of the last row
-            path.write_bytes(bytes(data))
-        else:
-            lines = path.read_text().splitlines()
-            lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
-            path.write_text("\n".join(lines) + "\n")
+        write_embeddings(matrix, path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last value of the last row
+        path.write_bytes(bytes(data))
         with pytest.raises(DataError, match="payload contains NaN or Inf"):
             read_embeddings(path, keep=np.array([True, False, False]))
 
-    @pytest.mark.parametrize("writer", [write_embeddings, write_embeddings_text])
     @pytest.mark.parametrize("rows", [2, 4])
-    def test_mask_of_wrong_length(self, tmp_path, matrix, writer, rows):
+    def test_mask_of_wrong_length(self, tmp_path, matrix, rows):
         path = tmp_path / "m.femb"
-        writer(matrix, path)
+        write_embeddings(matrix, path)
         expected = f"{path} has 3 rows, but the label table has {rows}"
         with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
             read_embeddings(path, keep=np.ones(rows, dtype=bool))
@@ -241,13 +228,12 @@ class TestEmbeddingRead:
         shape=st.tuples(st.integers(1, 12), st.integers(1, 5)),
         seed=st.integers(0, 2**32 - 1),
         fill=st.sampled_from([None, False, True]),
-        text=st.booleans(),
     )
-    def test_kept_rows_equal_rows_taken_after_a_full_read(self, tmp_path, shape, seed, fill, text):
+    def test_kept_rows_equal_rows_taken_after_a_full_read(self, tmp_path, shape, seed, fill):
         rng = np.random.default_rng(seed)
         matrix = EmbeddingMatrix(rng.normal(size=shape).astype(np.float32))
-        path = tmp_path / ("m.csv" if text else "m.femb")
-        (write_embeddings_text if text else write_embeddings)(matrix, path)
+        path = tmp_path / "m.femb"
+        write_embeddings(matrix, path)
         keep = rng.random(shape[0]) < 0.5 if fill is None else np.full(shape[0], fill)
         if not keep.any():
             assert read_embeddings(path, keep).shape == (0, shape[1])
@@ -277,13 +263,12 @@ class TestEmbeddingRead:
         assert kept.tobytes() == payload.astype(np.float64)[keep].tobytes()
         assert read_embeddings(path).tobytes() == payload.astype(np.float64).tobytes()
 
-    @pytest.mark.parametrize("text", [False, True])
-    def test_masks_read_in_one_pass_equal_one_read_each(self, tmp_path, text):
+    def test_masks_read_in_one_pass_equal_one_read_each(self, tmp_path):
         """A tuple of masks: one array per mask, each the bits of its own read."""
         rng = np.random.default_rng(6)
         payload = rng.normal(size=(BLOCK_ROWS + 3 * PIECE_ROWS + 7, 3)).astype("<f4")
-        path = tmp_path / ("m.csv" if text else "m.femb")
-        (write_embeddings_text if text else write_embeddings)(EmbeddingMatrix(payload), path)
+        path = tmp_path / "m.femb"
+        write_embeddings(EmbeddingMatrix(payload), path)
         split = rng.integers(0, 3, size=len(payload))
         masks = (split == 0, split == 1, np.zeros(len(payload), dtype=bool))
         arrays = read_embeddings(path, masks)
