@@ -143,7 +143,7 @@ def _tags(spec: dict, where: str, fairness_mode: str = INDEPENDENCE) -> Taxonomy
     )
 
 
-def _unique(names: list, path: str) -> None:
+def _unique(names: Sequence, path: str) -> None:
     """Reject a repeated name or value; ``path`` is its JSON path with ``{}`` for the index."""
     seen = set()
     for i, name in enumerate(names):
@@ -164,8 +164,8 @@ def _load_labels(
     """Parse the label table exactly once and select the rows of split ``keep``.
 
     Besides the protected attribute and the split, each (column, kind) in
-    ``label_columns`` is decoded, so the parsed string table is freed on
-    return. Every label check, the split's included, runs here, on the full
+    ``label_columns`` is decoded, so the parsed table is freed on return.
+    Every label check, the split's included, runs here, on the full
     table. When ``keep`` names a split, returns the boolean mask of its
     rows, one entry per label row, and the protected groups and decoded
     columns at those rows; when ``keep`` is None, the split tags, protected
@@ -182,7 +182,7 @@ def _load_labels(
     table = read_label_table(labels_path)
     protected = decode_labels(table, attribute, "group", labels_path)
     columns = {key: decode_labels(table, *key, labels_path) for key in dict.fromkeys(label_columns)}
-    split = split_tags(np.asarray(table[split_column]) if split_column in table else None, protected)
+    split = split_tags(table.get(split_column), protected)
     del table  # freed before the embeddings are read
     provenance = {
         "attribute": attribute,
@@ -620,6 +620,7 @@ def cmd_synth(cfg: dict) -> dict:
         for i, dim in enumerate(getattr(spec, key)):
             if not 0 <= dim < spec.d:
                 raise ConfigError(f"synth.{key}[{i}] must be in [0, {spec.d}), got {dim}")
+        _unique(getattr(spec, key), f"synth.{key}[{{}}]")
     shared = sorted(set(spec.bias_dims) & set(spec.concept_dims))
     if shared:
         raise ConfigError(f"synth.concept_dims shares dimension {shared[0]} with synth.bias_dims")

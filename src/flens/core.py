@@ -109,21 +109,26 @@ class GroupLabels:
         return GroupLabels(self.labels[np.asarray(indices)], self.group_count, self.group_names)
 
 
-def split_tags(split: np.ndarray | None, protected: GroupLabels) -> np.ndarray:
+def split_tags(
+    split: tuple[tuple[str, ...], np.ndarray] | None, protected: GroupLabels
+) -> np.ndarray:
     """Checked, read-only split tags, one per item that ``protected`` labels.
 
-    None tags every item as test data. Every tag must be train or test, and
-    a non-empty split must contain every protected group. cli._load_labels
-    takes ``split`` and ``protected`` from one table, so their lengths agree.
+    ``split`` is a label-table column: its distinct tags in first-appearance
+    order and one code per item indexing them. None tags every item as test
+    data. Every tag must be train or test, compared in full, and the first
+    unknown one named is the first in row order; a non-empty split must
+    contain every protected group. cli._load_labels takes ``split`` and
+    ``protected`` from one table, so their lengths agree.
     """
     if split is None:
         tags = np.full(len(protected), TEST, dtype="<U5")
     else:
-        tags = np.asarray(split, dtype=str)  # full width: "training" is not "train"
-        bad = ~np.isin(tags, (TRAIN, TEST))
-        if np.any(bad):
-            raise DataError(f"unknown split tag {str(tags[bad][0])!r}")
-        tags = tags.astype("<U5")
+        names, codes = split
+        for name in names:
+            if name not in (TRAIN, TEST):
+                raise DataError(f"unknown split tag {name!r}")
+        tags = np.array(names, dtype="<U5")[codes]
     for tag in (TRAIN, TEST):
         mask = tags == tag
         if not np.any(mask):

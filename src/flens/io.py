@@ -5,8 +5,11 @@ They are read, checked and written in small pieces of PIECE_ROWS rows; the
 rows a command keeps are widened to float64 in memory, and statistics
 never run on float32. Commands compute on blocks of BLOCK_ROWS rows, not
 on pieces, because a GEMM's shape fixes its bits: open_kept_rows regroups
-the pieces into those blocks. Transforms live in a versioned, checksummed
-binary container. Reports are canonical JSON.
+the pieces into those blocks. Label tables are CSV; each column comes out
+as its distinct cells and one integer code per row, split from the file's
+bytes in one numpy pass when the file has no quotes, and by csv otherwise.
+Transforms live in a versioned, checksummed binary container. Reports are
+canonical JSON.
 """
 
 from __future__ import annotations
@@ -219,14 +222,142 @@ def _finite(values: np.ndarray) -> bool:
     return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
-def read_label_table(path: str | Path) -> dict[str, list[str]]:
-    """Parse a label file into columns, enforcing the item_id schema.
+# Column of a label table: its distinct cells in first-appearance order, and
+# one int64 code per row indexing them.
+Column = tuple[tuple[str, ...], np.ndarray]
+
+
+def read_label_table(path: str | Path) -> dict[str, Column]:
+    """Parse a label file into coded columns, enforcing the item_id schema.
 
     item_id must be the first column and run densely 0..n-1 in order;
-    every cell must be non-empty. One csv pass gathers the cells row-major
-    into a flat list and checks only each row's width; the other checks run
-    over whole columns. An error names the first bad row, and within it the
-    first check it fails: width, missing value, integer item_id, dense order.
+    every cell must be non-empty. Each other column comes back as its
+    distinct cells in first-appearance order and one int64 code per row
+    indexing them; item_id itself is not returned. A file with no quote,
+    no NUL and no bare CR that decodes as UTF-8 is read once and split in
+    one numpy pass (_parse_plain); any file that pass does not accept,
+    every quoted file and every faulty one included, is read again by csv
+    (_parse_csv), which alone words the errors.
+    """
+    columns = _parse_plain(Path(path).read_bytes())
+    return _parse_csv(path) if columns is None else columns
+
+
+def _parse_plain(data: bytes) -> dict[str, Column] | None:
+    """The coded columns of a quote-free label file, or None to leave the file to csv.
+
+    Without quotes csv splits a line at every comma, so the cells are the
+    byte runs between commas and line ends. None comes back on anything
+    csv would read otherwise or reject: a quote, a NUL, a bare CR, text
+    that is not UTF-8, a bad header, a row of the wrong width, an empty
+    cell, a cell longer in bytes than csv.field_size_limit(), or an
+    item_id whose text is not its row number.
+    """
+    if b'"' in data or b"\0" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head = data[: data.index(b"\n")]
+    if b"\r" in head[:-1]:
+        return None
+    header = head.removesuffix(b"\r").decode("utf-8").split(",")
+    width, limit = len(header), csv.field_size_limit()
+    if header[0] != "item_id" or len(set(header)) != width or max(map(len, header)) > limit:
+        return None
+    body = np.frombuffer(data, np.uint8)[len(head) + 1 :]
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    ends = ends.astype(np.int32 if len(data) < 2**31 else np.int64)
+    line_ends = body[ends] == ord("\n")
+    n = int(np.count_nonzero(line_ends))
+    if n == 0 or len(ends) != n * width or not line_ends[width - 1 :: width].all():
+        return None
+    ends = ends.reshape(n, width)
+    crlf = body[ends[:, -1] - 1] == ord("\r")
+    if np.count_nonzero(body == ord("\r")) != np.count_nonzero(crlf):
+        return None  # a bare CR, which csv also takes for a line end
+    columns = {}
+    for j, name in enumerate(header):
+        if j:
+            starts = ends[:, j - 1] + 1
+        else:  # a row starts after the previous row's line end
+            starts = np.zeros(n, ends.dtype)
+            starts[1:] = ends[:-1, -1] + 1
+        lengths = ends[:, j] - starts
+        if j == width - 1:  # a CRLF line's last cell stops before the CR
+            lengths -= crlf
+        if lengths.min() < 1 or lengths.max() > limit:
+            return None
+        if j == 0:
+            if not _row_numbers(body, starts, lengths):
+                return None
+        else:
+            columns[name] = _coded_bytes(body, starts, lengths)
+    return columns
+
+
+def _row_numbers(body: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether each cell's bytes spell its row number, checked over the rows of each digit count."""
+    n = len(starts)
+    for digits in range(1, len(str(n - 1)) + 1):
+        lo, hi = (10 ** (digits - 1) if digits > 1 else 0), min(n, 10**digits)
+        if (lengths[lo:hi] != digits).any():
+            return False
+        value = np.zeros(hi - lo, np.int64)
+        for k in range(digits):
+            digit = body[starts[lo:hi] + k] - ord("0")  # a byte below "0" wraps past 9
+            if digit.max() > 9:
+                return False
+            value = value * 10 + digit
+        if not np.array_equal(value, np.arange(lo, hi)):
+            return False
+    return True
+
+
+def _coded_bytes(body: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Column:
+    """Distinct cells in first-appearance order and each row's code, from n-length gathers.
+
+    Each cell's bytes, zero-padded, form one sort key: an unsigned integer
+    of 1, 2, 4 or 8 bytes for cells of up to 8 bytes (numpy radix-sorts the
+    1- and 2-byte ones), an S<size> string above. No cell holds a NUL, so
+    the padding tells no two cells apart. A stable argsort groups equal keys
+    with their first row in front; np.unique is not used, since its first
+    call imports numpy.ma.
+    """
+    n, size = len(starts), int(lengths.max())
+    width = 1 << (size - 1).bit_length() if size <= 8 else size
+    padded = np.zeros((n, width), np.uint8)
+    for k in range(size):
+        padded[:, k] = body.take(starts + k, mode="clip") * (lengths > k)
+    cells = padded.view(f"S{width}")[:, 0]
+    keys = padded.view(f"<u{width}")[:, 0] if size <= 8 else cells
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.empty(n, bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    firsts = order[new]  # each distinct cell's first row, in key order
+    appearance = np.argsort(firsts)
+    names = tuple(cell.decode("utf-8") for cell in cells[firsts[appearance]].tolist())
+    del padded, cells, keys, ranked  # not held while the codes are made
+    code_of = np.empty(len(firsts), np.int64)
+    code_of[appearance] = np.arange(len(firsts))
+    codes = np.empty(n, np.int64)
+    codes[order] = np.repeat(code_of, np.diff(np.flatnonzero(new), append=n))
+    return names, codes
+
+
+def _parse_csv(path: str | Path) -> dict[str, Column]:
+    """Parse a label file with csv, or raise the error that names its first fault.
+
+    One csv pass gathers the cells row-major into a flat list and checks
+    only each row's width; the other checks run over whole columns. An
+    error names the first bad row, and within it the first check it fails:
+    width, missing value, integer item_id, dense order.
     """
     cells: list[str] = []
     stop = None  # the error that ended the pass early; an earlier bad row goes first
@@ -259,7 +390,13 @@ def read_label_table(path: str | Path) -> dict[str, list[str]]:
         raise DataError(stop)
     if not cells:
         raise DataError(f"{path}: no data rows")
-    return {name: cells[j::width] for j, name in enumerate(header)}
+    return {name: _coded(cells[j::width]) for j, name in enumerate(header) if j}
+
+
+def _coded(cells: list[str]) -> Column:
+    """A column's distinct cells in first-appearance order, and each row's code."""
+    order = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
+    return tuple(order), np.fromiter(map(order.__getitem__, cells), np.int64, len(cells))
 
 
 def _first_bad_row(cells: list[str], width: int) -> tuple[int, str] | None:
@@ -287,30 +424,31 @@ def _first_bad_row(cells: list[str], width: int) -> tuple[int, str] | None:
 
 
 def decode_labels(
-    columns: dict[str, list[str]], attribute: str, kind: str, path: str | Path
+    columns: dict[str, Column], attribute: str, kind: str, path: str | Path
 ) -> GroupLabels | np.ndarray:
     """Decode one "group" or "binary" column of a label table; path only names it in errors.
 
-    Group categories map to dense indices in first-appearance order and the
-    category names ride along on the result. Binary columns accept 0/1 or
-    -1/+1 and decode to a read-only boolean array, true at 1 and +1.
+    Group categories are the column's codes, dense in first-appearance
+    order, and the category names ride along on the result. Binary columns
+    accept 0/1 or -1/+1 and decode to a read-only boolean array, true at 1
+    and +1. The names are checked in first-appearance order, so a bad name
+    reported is the first bad cell in row order.
     """
     if attribute not in columns:
         raise DataError(f"{path}: no column named {attribute!r}")
-    raw = columns[attribute]
+    names, codes = columns[attribute]
     if kind == "group":
-        order = {cell: code for code, cell in enumerate(dict.fromkeys(raw))}
-        if len(order) < 2:
+        if len(names) < 2:
             raise DataError(f"{path}: column {attribute!r} has fewer than 2 categories")
-        labels = np.fromiter(map(order.__getitem__, raw), np.int64, len(raw))
-        return GroupLabels(labels, group_count=len(order), group_names=tuple(order))
+        return GroupLabels(codes, group_count=len(names), group_names=names)
     mapping = {"0": False, "1": True, "-1": False, "+1": True}
     try:
-        labels = np.fromiter(map(mapping.__getitem__, raw), bool, len(raw))
+        values = np.array([mapping[name] for name in names], bool)
     except KeyError as exc:
         raise DataError(
             f"{path}: column {attribute!r} has non-binary value {exc.args[0]!r}"
         ) from None
+    labels = values[codes]
     labels.setflags(write=False)
     return labels
 

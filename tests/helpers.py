@@ -17,6 +17,19 @@ def read_report(path):
         return json.load(fh)
 
 
+def label_cells(table):
+    """A coded label table (read_label_table's result) as lists of cells, one per column."""
+    return {
+        name: [names[code] for code in codes.tolist()] for name, (names, codes) in table.items()
+    }
+
+
+def coded_column(cells):
+    """Cells as a coded label-table column: the distinct cells by first appearance, and codes."""
+    names = tuple(dict.fromkeys(str(cell) for cell in cells))
+    return names, np.array([names.index(str(cell)) for cell in cells], dtype=np.int64)
+
+
 def train_rows(dataset):
     """A synthetic dataset's train-split embeddings and protected labels, as a fit takes them."""
     rows = np.flatnonzero(dataset.train_mask)

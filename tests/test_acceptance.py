@@ -43,7 +43,7 @@ from flens.stats import alexander_govern
 from flens.synth import SynthSpec, generate
 from flens.tasks import balanced_retrieval
 
-from .helpers import cosine_similarity_matrix, read_report, train_rows
+from .helpers import cosine_similarity_matrix, label_cells, read_report, train_rows
 from .oracles import (
     oracle_ddp_classification,
     oracle_ddp_rep,
@@ -349,9 +349,7 @@ def test_io_round_trips(tmp_path):
     labels_a, labels_b = tmp_path / "a.csv", tmp_path / "b.csv"
     columns = {"group": ["x", "y", "x"], "split": ["train", "test", "test"]}
     write_label_table(labels_a, columns)
-    table = read_label_table(labels_a)
-    del table["item_id"]
-    write_label_table(labels_b, table)
+    write_label_table(labels_b, label_cells(read_label_table(labels_a)))
     assert labels_a.read_bytes() == labels_b.read_bytes()
 
     ds = generate(SynthSpec(n=300, d=10, p=2, bias_dims=(0,), bias_strength=4.0, seed=4))

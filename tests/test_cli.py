@@ -37,7 +37,7 @@ from flens.report import sanitize
 from flens.stats import per_query_similarity_tests
 from flens.tasks import zero_shot_classify
 
-from .helpers import cosine_similarity_matrix, read_report
+from .helpers import cosine_similarity_matrix, label_cells, read_report
 
 
 def run(args):
@@ -1313,8 +1313,7 @@ def test_stdout_report_matches_out_file(workspace, tmp_path, capsysbinary):
 
 def _relabelled(workspace, name, change):
     """The workspace's data block over a copy of its label table, with ``change`` applied."""
-    table = read_label_table(workspace["labels"])
-    del table["item_id"]
+    table = label_cells(read_label_table(workspace["labels"]))
     change(table)
     path = workspace["dir"] / name
     write_label_table(path, table)
@@ -1435,6 +1434,19 @@ class TestDataErrorsThroughMain:
         cfg = write_config(small["dir"] / "cfg.json", payload(small))
         assert run([command, "--config", cfg]) == 3
         assert capsys.readouterr().err == f"data error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["probe", "debias-fit"])
+    def test_item_id_is_not_a_label_column(self, small, capsys, command):
+        """item_id numbers the rows: a config naming it as a label column exits 3."""
+        payload = {
+            "probe": {"data": small["data"], "probe": {"attributes": ["item_id"]}},
+            "debias-fit": {"data": {**small["data"], "attribute": "item_id"}, "method": "fairpca",
+                           "transform_out": str(small["dir"] / "t.ftfm")},
+        }[command]
+        cfg = write_config(small["dir"] / "cfg.json", payload)
+        assert run([command, "--config", cfg]) == 3
+        expected = f"data error: {small['data']['labels']}: no column named 'item_id'\n"
+        assert capsys.readouterr().err == expected
 
     def test_numeric_failure_exits_4(self, small, monkeypatch, capsys):
         def failing(*args, **kwargs):

@@ -12,6 +12,8 @@ from flens.core import (
 )
 from flens.errors import DataError
 
+from .helpers import coded_column
+
 
 class TestEmbeddingMatrix:
     def test_basic_shape(self):
@@ -53,18 +55,18 @@ class TestSplitTags:
     GROUPS = GroupLabels([0, 1, 0, 1, 0, 1], 2)
 
     def test_split_masks(self):
-        tags = split_tags(np.asarray([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TEST]), self.GROUPS)
+        tags = split_tags(coded_column([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TEST]), self.GROUPS)
         assert np.count_nonzero(tags == TRAIN) == 4
         assert np.count_nonzero(tags == TEST) == 2
         assert not tags.flags.writeable
 
     def test_group_absent_from_test_split_rejected(self):
         with pytest.raises(DataError, match="group 1 absent from the test split"):
-            split_tags(np.asarray([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TRAIN]), self.GROUPS)
+            split_tags(coded_column([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TRAIN]), self.GROUPS)
 
     def test_group_absent_from_train_split_rejected(self):
         with pytest.raises(DataError, match="group 0 absent from the train split"):
-            split_tags(np.asarray([TEST, TRAIN, TEST, TRAIN, TEST, TRAIN]), self.GROUPS)
+            split_tags(coded_column([TEST, TRAIN, TEST, TRAIN, TEST, TRAIN]), self.GROUPS)
 
     def test_default_split_is_all_test(self):
         assert (split_tags(None, GroupLabels([0, 1], 2)) == TEST).all()

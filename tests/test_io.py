@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flens.core import BLOCK_ROWS, EmbeddingMatrix
+from flens.core import BLOCK_ROWS, EmbeddingMatrix, split_tags
 from flens.errors import DataError
 from flens.io import (
     PIECE_ROWS,
@@ -33,7 +33,7 @@ from flens.io import (
 from flens.mitigation import FairPcaTransform, MiClipTransform, apply_fair_pca, apply_mi_clip
 from flens.report import _quartiles, sanitize
 
-from .helpers import read_report
+from .helpers import label_cells, read_report
 from .oracles import OracleSchemaError, oracle_read_label_table
 
 
@@ -388,20 +388,32 @@ class TestLabelFiles:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
         write_label_table(path, {"group": ["a", "b", "a"], "split": ["train", "test", "train"]})
-        table = read_label_table(path)
-        assert table["group"] == ["a", "b", "a"]
-        assert table["split"] == ["train", "test", "train"]
+        table = label_cells(read_label_table(path))
+        assert table == {"group": ["a", "b", "a"], "split": ["train", "test", "train"]}
 
 
 _CELLS = st.sampled_from(["a", "b7", 'q"r', "x,y", "l1\nl2", "c\rd", "", "z" * 20])
+# Cells csv reads alike quoted or not: over 8 bytes, non-ASCII, a space; "" and the
+# cell over the 16-character limit of small_field_limit send a file to csv.
+_PLAIN_CELLS = st.sampled_from(
+    ["a", "b7", "+1", "x y", "é", "naïve_øre", "z" * 16] * 3 + ["", "z" * 17]
+)
 
 
 @st.composite
 def label_csv(draw) -> bytes:
-    """Label CSV bytes mixing valid rows with every fault the parser reports."""
+    """Label CSV bytes mixing valid rows with every fault the parser reports.
+
+    About half the files are plain: no quotes, no cell holding a quote,
+    comma or line break, one line ending throughout and faults four times
+    rarer, so most of them take the numpy pass. The others quote 3 cells
+    in 4 and mix line endings, and csv parses them.
+    """
+    plain = draw(st.booleans())
+    rare = 4 if plain else 1
     width = draw(st.integers(1, 3))
     header = ["item_id", *(f"c{j}" for j in range(1, width))]
-    fault = draw(st.sampled_from([None] * 8 + ["duplicate", "first", "blank", "absent"]))
+    fault = draw(st.sampled_from([None] * 8 * rare + ["duplicate", "first", "blank", "absent"]))
     if fault == "duplicate":
         header.append(header[-1])
     elif fault == "first":
@@ -409,29 +421,32 @@ def label_csv(draw) -> bytes:
     elif fault == "blank":
         header = []
     rows = [] if fault == "absent" else [header]
+    cells = _PLAIN_CELLS if plain else _CELLS
     for i in range(draw(st.integers(0, 6))):
         faults = [f"00{i}", f"+{i}", f" {i}", str(i + 1), "x", ""]
-        item_id = draw(st.sampled_from([str(i)] * 12 + faults))
-        row = [item_id, *(draw(_CELLS) for _ in range(width - 1))]
-        spread = draw(st.sampled_from([0] * 8 + [1, -1]))
+        item_id = draw(st.sampled_from([str(i)] * 12 * rare + faults))
+        row = [item_id, *(draw(cells) for _ in range(width - 1))]
+        spread = draw(st.sampled_from([0] * 8 * rare + [1, -1]))
         if spread > 0:
-            row.append(draw(_CELLS))
+            row.append(draw(cells))
         elif spread < 0:
             row.pop()
         rows.append(row)
     lines = []
-    quote = st.sampled_from([True, True, True, False])
+    quote = st.just(False) if plain else st.sampled_from([True, True, True, False])
     for row in rows:
         # an unquoted cell may hold a comma, quote or line break: csv splits it its own way
         quoted = ('"' + cell.replace('"', '""') + '"' if draw(quote) else cell for cell in row)
         lines.append(",".join(quoted))
-        if draw(st.sampled_from([False] * 9 + [True])):
+        if draw(st.sampled_from([False] * 9 * rare + [True])):
             lines.append("")
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    endings = ["\n", "\r\n", "\r"]
+    ending = st.just(draw(st.sampled_from(endings))) if plain else st.sampled_from(endings)
+    text = "".join(line + draw(ending) for line in lines)
     if text and draw(st.booleans()):
         text = text[:-1]  # no line ending after the last line
     data = text.encode("utf-8")
-    if data and draw(st.sampled_from([False] * 9 + [True])):
+    if data and draw(st.sampled_from([False] * 9 * rare + [True])):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
     return data
@@ -447,7 +462,12 @@ def _assert_parses_like_oracle(path):
         assert type(raised.value) is DataError
         assert str(raised.value) == str(exc)
     else:
-        assert read_label_table(path) == expected
+        del expected["item_id"]
+        table = read_label_table(path)
+        assert label_cells(table) == expected
+        for name, (names, codes) in table.items():
+            assert names == tuple(dict.fromkeys(expected[name]))  # first-appearance order
+            assert codes.dtype == np.int64
 
 
 @pytest.fixture
@@ -474,6 +494,15 @@ class TestLabelParserOracle:
     @example(data=b"item_id,a,b\n")  # header only
     @example(data=b"item_id,a,a\n0,x,y\n")  # duplicate column names
     @example(data=b"")
+    @example(data="item_id,a,b\n0,x,naïve_øre\n1,é,b7\n2,x,b7\n".encode())  # plain LF
+    @example(data=b"item_id,a\r\n0,x\r\n1,y\r\n")  # plain CRLF
+    @example(data=b"item_id,a\n0,x\r\n1,y\n")  # plain, LF and CRLF mixed
+    @example(data=b"item_id,a\n0,x\n1,x\n2,x\n3,x\n4,x\n5,x\n6,x\n007,x\n")  # csv; accepted
+    @example(data=b"item_id,a\n0," + b"z" * 16 + b"\n1," + b"z" * 17 + b"\n")  # over the limit
+    @example(data=b"item_id\n0\n\n1\n")  # a blank line in a width-1 table
+    @example(data=b"item_id,a\n0,x\ry\n")  # a bare CR inside a plain line ends it
+    @example(data=b"item_id,a\n0,x\n1,x\0\n")  # a NUL: an error or a cell of its own
+    @example(data=b"item_id,a\n0,x\xff\n1,y\n")  # a plain file that is not UTF-8
     def test_matches_row_by_row_oracle(self, tmp_path, small_field_limit, data):
         path = tmp_path / "labels.csv"
         path.write_bytes(data)
@@ -490,6 +519,116 @@ class TestLabelParserOracle:
             read_label_table(path)
         expected = ":4: item_id 9 breaks the dense" if bad_row else ": label file is not UTF-8"
         assert expected in str(raised.value)
+
+
+def _write_both_ways(tmp_path, columns):
+    """The same label table written plain and with every cell quoted."""
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_label_table(plain, columns)
+    with open(quoted, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(["item_id", *columns])
+        writer.writerows([i, *row] for i, row in enumerate(zip(*columns.values())))
+    assert b'"' not in plain.read_bytes()
+    return plain, quoted
+
+
+class TestPlainPass:
+    """Quote-free files take the numpy pass and come out as csv reads them."""
+
+    @staticmethod
+    def _refused(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    @pytest.fixture
+    def no_csv(self, monkeypatch):
+        """csv.reader raises, so a table that parses never went through csv."""
+        monkeypatch.setattr(csv, "reader", self._refused)
+
+    def test_plain_file_skips_csv(self, tmp_path, no_csv):
+        path = tmp_path / "labels.csv"
+        path.write_bytes("item_id,group,split\r\n0,a,train\r\n1,ünï_cödé,test\r\n".encode())
+        table = read_label_table(path)
+        assert label_cells(table) == {"group": ["a", "ünï_cödé"], "split": ["train", "test"]}
+
+    @pytest.mark.parametrize("data", [b'item_id,a\n0,"x"\n', b"item_id,a\n0,x\n2,y\n"])
+    def test_quoted_or_faulty_file_reaches_csv(self, tmp_path, no_csv, data):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(data)
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            read_label_table(path)
+
+    def test_quoted_and_plain_decode_alike(self, tmp_path, monkeypatch):
+        """Both passes give the same names and codes to decode_labels and split_tags."""
+        rng = np.random.default_rng(5)
+        n = 1500  # item_ids of 1 to 4 digits
+        races = ["east_asian", "indian", "black", "white", "middle_eastern", "latino", "ñ"]
+        columns = {
+            "race": [races[i] for i in rng.integers(0, 7, n)],
+            "task": [["0", "1", "-1", "+1"][i] for i in rng.integers(0, 4, n)],
+            "split": ["train" if tag else "test" for tag in rng.random(n) < 0.7],
+        }
+        plain, quoted = _write_both_ways(tmp_path, columns)
+        with monkeypatch.context() as patch:
+            patch.setattr(csv, "reader", self._refused)
+            tables = [read_label_table(plain)]
+        tables.append(read_label_table(quoted))
+        assert label_cells(tables[0]) == columns
+        for column in columns:
+            (names, codes), (csv_names, csv_codes) = (table[column] for table in tables)
+            assert names == csv_names and np.array_equal(codes, csv_codes)
+        groups = [decode_labels(table, "race", "group", "x.csv") for table in tables]
+        first_seen = tuple(dict.fromkeys(columns["race"]))
+        assert groups[0].group_names == groups[1].group_names == first_seen
+        assert np.array_equal(groups[0].labels, groups[1].labels)
+        task = [decode_labels(table, "task", "binary", "x.csv") for table in tables]
+        assert np.array_equal(task[0], task[1]) and not task[0].flags.writeable
+        assert task[0].tolist() == [cell in ("1", "+1") for cell in columns["task"]]
+        split = [split_tags(table["split"], groups[0]) for table in tables]
+        assert np.array_equal(split[0], split[1]) and split[0].tolist() == columns["split"]
+
+    @pytest.mark.parametrize(
+        "column, kind, expected",
+        [
+            ("task", "binary", "x.csv: column 'task' has non-binary value 'yes'"),
+            ("split", None, "unknown split tag 'training'"),
+        ],
+    )
+    def test_first_bad_name_is_first_bad_cell(self, tmp_path, column, kind, expected):
+        columns = {
+            "group": ["a", "b", "a", "b", "a"],
+            "task": ["1", "0", "yes", "no", "+1"],
+            "split": ["train", "test", "training", "validation", "test"],
+        }
+        for path in _write_both_ways(tmp_path, columns):
+            table = read_label_table(path)
+            with pytest.raises(DataError) as raised:
+                if kind:
+                    decode_labels(table, column, kind, "x.csv")
+                else:
+                    split_tags(table[column], decode_labels(table, "group", "group", "x.csv"))
+            assert str(raised.value) == expected
+
+    @pytest.mark.parametrize(
+        "row, cell",
+        [(9, "09"), (10, "1O"), (10, "0:"), (99, "990"), (100, "+100"), (999, "99"),
+         (1000, "1000 "), (1200, "1e3"), (1234, "٣")],
+    )
+    def test_item_id_off_its_row_number_goes_to_csv(self, tmp_path, monkeypatch, row, cell):
+        """An item_id whose text is not its row number, at any digit count, is left to csv.
+
+        csv accepts "09", "+100" and "1000 " (read as 9, 100 and 1000) and
+        names the row of the others; "0:" would read as 10 if ":" counted as
+        the digit after 9.
+        """
+        ids = [str(i) for i in range(1500)]
+        ids[row] = cell
+        path = tmp_path / "labels.csv"
+        path.write_bytes(("item_id,a\n" + "".join(f"{i},x\n" for i in ids)).encode())
+        _assert_parses_like_oracle(path)
+        monkeypatch.setattr(csv, "reader", self._refused)
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            read_label_table(path)
 
 
 class TestTransformContainers:

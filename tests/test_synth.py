@@ -11,6 +11,8 @@ from flens.mitigation import estimate_mi_per_dimension
 from flens.probe import evaluate_probe, fit_probe
 from flens.synth import SynthSpec, generate
 
+from .helpers import coded_column
+
 
 def run_synth(tmp_path, **spec):
     """Exit code of the synth command on ``spec``."""
@@ -39,6 +41,14 @@ class TestSpecValidation:
         assert run_synth(tmp_path, n=100, d=8, p=2, bias_dims=[8]) == 2
         expected = "config error: synth.bias_dims[0] must be in [0, 8), got 8\n"
         assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("key", ["bias_dims", "concept_dims"])
+    def test_repeated_dim(self, tmp_path, capsys, key):
+        """A repeated dimension would get its offset once while the report listed it twice."""
+        assert run_synth(tmp_path, n=100, d=8, p=2, **{key: [3, 0, 3]}) == 2
+        expected = f"config error: synth.{key}[2] must be unique, got 3 again\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "s.femb").exists()
 
     def test_negative_strength(self, tmp_path, capsys):
         assert run_synth(tmp_path, n=100, d=8, p=2, bias_strength=-1.0) == 2
@@ -78,7 +88,7 @@ class TestGenerate:
     def test_split_is_valid_and_masks_partition_rows(self):
         ds = generate(SynthSpec(n=50, d=4, p=3, seed=3))
         assert np.array_equal(ds.train_mask, ~ds.test_mask)
-        assert np.array_equal(split_tags(ds.split, ds.protected), ds.split)
+        assert np.array_equal(split_tags(coded_column(ds.split), ds.protected), ds.split)
 
     def test_no_bias_probe_near_chance(self):
         ds = generate(SynthSpec(n=5000, d=16, p=2, bias_strength=0.0, seed=7))
