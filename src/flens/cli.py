@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .core import TEST, TRAIN, GroupLabels, row_norms, split_tags
+from .core import TEST, TRAIN, GroupLabels, row_norms, split_masks
 from .errors import ConfigError, DataError, FlensError, NumericError
 from .io import (
     decode_labels,
@@ -63,7 +63,8 @@ from .tasks import (
 
 GROUND_TRUTH = "groundTruth"
 INFERRED = "inferred"
-_EMPTY_SPLIT = {TEST: "no test items to evaluate", TRAIN: "train split is empty; nothing to fit on"}
+_EMPTY_SPLIT = {(TEST,): "no test items to evaluate", (TRAIN,): "train split is empty; nothing to fit on",
+                (TRAIN, TEST): "probe audit needs non-empty train and test splits"}
 
 REQUIRED = object()
 # Configs nest a few levels deep. The report echoes the config recursively, with at
@@ -159,17 +160,16 @@ def _check_row(row: int, path: str, rows: int) -> None:
 
 
 def _load_labels(
-    cfg: dict, label_columns: Iterable[tuple[str, str]] = (), keep: str | None = None
-) -> tuple[np.ndarray, GroupLabels, dict, dict]:
-    """Parse the label table exactly once and select the rows of split ``keep``.
+    cfg: dict, splits: tuple[str, ...], label_columns: Iterable[tuple[str, str]] = ()
+) -> tuple[list[tuple[np.ndarray, GroupLabels, dict]], dict]:
+    """Parse the label table exactly once and select the rows of each of ``splits``.
 
     Besides the protected attribute and the split, each (column, kind) in
     ``label_columns`` is decoded, so the parsed table is freed on return.
-    Every label check, the split's included, runs here, on the full
-    table. When ``keep`` names a split, returns the boolean mask of its
-    rows, one entry per label row, and the protected groups and decoded
-    columns at those rows; when ``keep`` is None, the split tags, protected
-    groups and decoded columns of every row. Then comes the report's
+    Every label check, the split's and the non-empty ``splits`` included,
+    runs here, on the full table. Returns one (mask, groups, columns) per
+    split: the boolean mask of its rows, one entry per label row, and the
+    protected groups and decoded columns at those rows; then the report's
     provenance block: attribute, groups, sizes. The embeddings are read
     through a mask, so io checks its length, the label table's row count,
     against the embeddings file's.
@@ -182,24 +182,25 @@ def _load_labels(
     table = read_label_table(labels_path)
     protected = decode_labels(table, attribute, "group", labels_path)
     columns = {key: decode_labels(table, *key, labels_path) for key in dict.fromkeys(label_columns)}
-    split = split_tags(table.get(split_column), protected)
+    train = split_masks(table.get(split_column), protected)
     del table  # freed before the embeddings are read
+    train_items = int(np.count_nonzero(train))
     provenance = {
         "attribute": attribute,
         "group_names": list(protected.group_names or []),
         "group_count": protected.group_count,
         "items": len(protected),
-        "train_items": int(np.count_nonzero(split == TRAIN)),
-        "test_items": int(np.count_nonzero(split == TEST)),
+        "train_items": train_items,
+        "test_items": len(protected) - train_items,
     }
-    if keep is None:
-        return split, protected, columns, provenance
-    mask = split == keep
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
-        raise DataError(_EMPTY_SPLIT[keep])
-    columns = {key: labels.take(rows) for key, labels in columns.items()}
-    return mask, protected.take(rows), columns, provenance
+    if not all(provenance[f"{name}_items"] for name in splits):
+        raise DataError(_EMPTY_SPLIT[splits])
+
+    def select(mask: np.ndarray) -> tuple[np.ndarray, GroupLabels, dict]:
+        rows = np.flatnonzero(mask)
+        return mask, protected.take(rows), {key: c.take(rows) for key, c in columns.items()}
+
+    return [select(train if name == TRAIN else ~train) for name in splits], provenance
 
 
 def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
@@ -279,8 +280,8 @@ def cmd_classify_audit(cfg: dict) -> dict:
     _unique([name for name, *_ in tasks], "tasks[{}].name")
     queries_path = _field(cfg, "queries", str, "")
     transform_path = _field(cfg, "transform", str, "", None)
-    mask, groups, columns, provenance = _load_labels(
-        cfg, [(t, "binary") for *_, t in tasks if t], keep=TEST
+    [(mask, groups, columns)], provenance = _load_labels(
+        cfg, (TEST,), [(t, "binary") for *_, t in tasks if t]
     )
     queries = read_embeddings(queries_path)
     for i, (_, a, b, *_) in enumerate(tasks):
@@ -373,8 +374,8 @@ def cmd_retrieve_audit(cfg: dict) -> dict:
     balanced = _field(cfg, "balanced", dict, "", None)
     balanced_path = _field(balanced, "embeddings", str, "balanced") if balanced else None
     transform_path = _field(cfg, "transform", str, "", None)
-    mask, groups, columns, provenance = _load_labels(
-        cfg, [(c, "binary") for *_, c in query_specs if c], keep=TEST
+    [(mask, groups, columns)], provenance = _load_labels(
+        cfg, (TEST,), [(c, "binary") for *_, c in query_specs if c]
     )
     n_test, p = len(groups), groups.group_count
     query_file = read_embeddings(queries_path)
@@ -478,7 +479,7 @@ def cmd_debias_fit(cfg: dict) -> dict:
     method_cfg = _field(cfg, method, dict, "", {})
     fit, defaults = methods[method]
     params = {key: _field(method_cfg, key, int, method, value) for key, value in defaults.items()}
-    mask, protected, _, provenance = _load_labels(cfg, keep=TRAIN)
+    [(mask, protected, _)], provenance = _load_labels(cfg, (TRAIN,))
     train_items = read_embeddings(cfg["data"]["embeddings"], mask)
     if prompts_path:
         prompts = read_embeddings(prompts_path)
@@ -542,7 +543,8 @@ def cmd_probe(cfg: dict) -> dict:
     a piece at a time, each piece's rows going to the array of their split
     mask, so the command reads the payload once and holds no full n x d
     matrix and no copy taken from one: at most the raw and the transformed
-    train and test rows. The probe fits on whole arrays.
+    train and test rows. The probe fits on whole arrays. Both splits are
+    checked non-empty, with every label check, before the file is read.
     """
     probe_cfg = _field(cfg, "probe", dict, "")
     attributes = _field(probe_cfg, "attributes", list[str], "probe")
@@ -556,22 +558,18 @@ def cmd_probe(cfg: dict) -> dict:
         if value < 0:
             raise ConfigError(f"probe.{key} must be non-negative, got {value}")
     transform_path = _field(cfg, "transform", str, "", None)
-    split, _, columns, provenance = _load_labels(cfg, [(a, "group") for a in attributes])
+    selections, provenance = _load_labels(cfg, (TRAIN, TEST), [(a, "group") for a in attributes])
+    (train_mask, _, train_columns), (test_mask, _, test_columns) = selections
     # Each space's train and test rows serve every attribute, and the transform,
     # if any, maps those rows only.
-    splits = (split == TRAIN, split == TEST)
-    rows = {"raw": read_embeddings(cfg["data"]["embeddings"], splits)}
-    train_idx, test_idx = map(np.flatnonzero, splits)
-    if train_idx.size == 0 or test_idx.size == 0:
-        raise DataError("probe audit needs non-empty train and test splits")
+    rows = {"raw": read_embeddings(cfg["data"]["embeddings"], (train_mask, test_mask))}
     transform, transform_blocks = _maybe_transform(transform_path)
     if transform_blocks:
         rows["transformed"] = tuple(map(transform, rows["raw"]))
 
     records = []
     for attribute in attributes:
-        labels = columns[attribute, "group"]
-        train_labels, test_labels = labels.take(train_idx), labels.take(test_idx)
+        train_labels, test_labels = (c[attribute, "group"] for c in (train_columns, test_columns))
         counts = test_labels.counts()
         performance = {"majority_rate": float(counts.max() / counts.sum())}
         details = {}

@@ -1,4 +1,4 @@
-"""Shared data model: embeddings, group labels and split tags.
+"""Shared data model: embeddings, group labels and the train mask.
 
 Every container here is immutable after construction: numpy buffers are
 marked read-only, so no holder can change the values another one reads.
@@ -75,7 +75,7 @@ class GroupLabels:
     The constructor allows a group index to be absent from ``labels``:
     an inferred labeling can leave a group empty, e.g. when two attribute
     prompts coincide. Every group present is checked where labels enter:
-    split_tags checks each split of a label table, and debias-fit checks
+    split_masks checks each split of a label table, and debias-fit checks
     an inferred labeling. The metrics, tests and fits assume it.
     """
 
@@ -109,32 +109,33 @@ class GroupLabels:
         return GroupLabels(self.labels[np.asarray(indices)], self.group_count, self.group_names)
 
 
-def split_tags(
+def split_masks(
     split: tuple[tuple[str, ...], np.ndarray] | None, protected: GroupLabels
 ) -> np.ndarray:
-    """Checked, read-only split tags, one per item that ``protected`` labels.
+    """Checked, read-only train mask, one entry per item that ``protected`` labels.
 
     ``split`` is a label-table column: its distinct tags in first-appearance
     order and one code per item indexing them. None tags every item as test
-    data. Every tag must be train or test, compared in full, and the first
-    unknown one named is the first in row order; a non-empty split must
-    contain every protected group. cli._load_labels takes ``split`` and
-    ``protected`` from one table, so their lengths agree.
+    data. Every tag must be train or test, compared in full, so the test
+    mask is the complement; the first unknown tag named is the first in row
+    order. A non-empty split must contain every protected group.
+    cli._load_labels takes ``split`` and ``protected`` from one table, so
+    their lengths agree.
     """
     if split is None:
-        tags = np.full(len(protected), TEST, dtype="<U5")
+        train = np.zeros(len(protected), dtype=bool)
     else:
         names, codes = split
         for name in names:
             if name not in (TRAIN, TEST):
                 raise DataError(f"unknown split tag {name!r}")
-        tags = np.array(names, dtype="<U5")[codes]
-    for tag in (TRAIN, TEST):
-        mask = tags == tag
-        if not np.any(mask):
-            continue
-        present = np.bincount(protected.labels[mask], minlength=protected.group_count)
-        if np.any(present == 0):
-            missing = int(np.flatnonzero(present == 0)[0])
+        train = np.array([name == TRAIN for name in names], dtype=bool)[codes]
+    p = protected.group_count
+    slots = train * p  # a row's bincount slot is p * in_train + group
+    slots += protected.labels  # in place: one n-long int64 temporary, not two
+    present = np.bincount(slots, minlength=2 * p).reshape(2, p)
+    for tag, counts in ((TRAIN, present[1]), (TEST, present[0])):
+        if counts.any() and not counts.all():
+            missing = int(np.flatnonzero(counts == 0)[0])
             raise DataError(f"group {missing} absent from the {tag} split")
-    return _freeze(tags)
+    return _freeze(train)

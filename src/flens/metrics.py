@@ -5,7 +5,7 @@ pairwise absolute difference and report which pair attains it. Rates are
 computed as exact integer tallies divided once at the end, so equal rates
 compare exactly equal in floating point. Binary predictions and ground
 truth are boolean arrays, true at the positive class, at the rows of the
-groups; split_tags checks every group is present and retrieve-audit checks
+groups; split_masks checks every group is present and retrieve-audit checks
 k, so a selection is non-empty and, for DDP, leaves an item unselected.
 """
 

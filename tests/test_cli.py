@@ -1532,14 +1532,14 @@ def test_split_tags_checked_once(workspace, tmp_path, monkeypatch, command, payl
     import flens.core
 
     calls = []
-    check = flens.core.split_tags
+    check = flens.core.split_masks
 
     def counting(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(flens.cli, "split_tags", counting)
-    monkeypatch.setattr(flens.core, "split_tags", counting)
+    monkeypatch.setattr(flens.cli, "split_masks", counting)
+    monkeypatch.setattr(flens.core, "split_masks", counting)
     payload = {"data": workspace["data"], "queries": str(workspace["queries"]),
                "transform_out": str(tmp_path / "t.ftfm"), **payload}
     cfg = write_config(tmp_path / f"{command}.json", payload)
@@ -1925,6 +1925,33 @@ class TestInputFaultOrder:
         assert run([command, "--config", cfg]) == 3
         assert "data error: unknown split tag 'training'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, tag, message",
+        [
+            ("classify-audit", "train", "no test items to evaluate"),
+            ("debias-fit", "test", "train split is empty; nothing to fit on"),
+            ("probe", "test", "probe audit needs non-empty train and test splits"),
+        ],
+        ids=["classify-audit", "debias-fit", "probe"],
+    )
+    def test_empty_split_reported_before_embeddings_fault(
+        self, workspace, tmp_path, capsys, command, tag, message
+    ):
+        """A split the command needs is checked non-empty before the embeddings are read."""
+        def one_split(table):
+            table["split"] = [tag] * len(table["split"])
+
+        data = _relabelled(workspace, f"all-{tag}.csv", one_split)
+        workspace["embeddings"].write_bytes(workspace["embeddings"].read_bytes()[:-1])
+        payload = {
+            "classify-audit": {"queries": str(workspace["queries"]), "tasks": [TASK]},
+            "debias-fit": {"method": "fairpca", "transform_out": str(tmp_path / "t.ftfm")},
+            "probe": {"probe": {"attributes": ["group"]}},
+        }[command]
+        cfg = write_config(tmp_path / "empty.json", {"data": data, **payload})
+        assert run([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
     @pytest.mark.parametrize("command", ["classify-audit", "retrieve-audit", "debias-fit", "probe"])
     def test_label_rows_differ_from_embedding_rows(self, workspace, tmp_path, capsys, command):
         """Every command reads through a mask over the label rows: one check, one message."""
@@ -1969,7 +1996,7 @@ def test_test_split_read_memory(tmp_path):
     cfg = {"data": {**paths, "attribute": "group"}}
     tracemalloc.start()
     try:
-        mask, groups, _, provenance = _load_labels(cfg, keep="test")
+        [(mask, groups, _)], provenance = _load_labels(cfg, ("test",))
         items = read_embeddings(paths["embeddings"], mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1978,6 +2005,33 @@ def test_test_split_read_memory(tmp_path):
     # 12.3 MB of widened test rows + a 0.5 MB float32 piece + the mask and label table;
     # holding the 20.5 MB float32 payload as well reads about 40 MB
     assert peak < 24e6
+
+
+def test_probe_labels_hold_no_strings(tmp_path):
+    """The split leaves _load_labels as masks: per row, only masks and codes stay allocated."""
+    n = 100_000
+    rng = np.random.default_rng(3)
+    labels = tmp_path / "labels.csv"
+    write_label_table(labels, {
+        "group": rng.integers(0, 3, n).astype(str).tolist(),
+        "race": rng.choice(["a", "b", "c", "d"], n).tolist(),
+        "split": np.where(rng.random(n) < 0.7, "train", "test").tolist(),
+    })
+    cfg = {"data": {"embeddings": "unread.femb", "labels": str(labels), "attribute": "group"}}
+    tracemalloc.start()
+    try:
+        selections, provenance = _load_labels(cfg, ("train", "test"), [("race", "group")])
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [array for mask, groups, columns in selections
+              for array in (mask, groups.labels, *(c.labels for c in columns.values()))]
+    assert len(arrays) == 6 and all(array.dtype.kind != "U" for array in arrays)
+    assert sum(len(mask) for mask, *_ in selections) == 2 * n
+    assert provenance["train_items"] + provenance["test_items"] == n
+    # two n-byte masks, and the int64 groups and column at each split's rows: 18 B a row;
+    # 20 B a row of split tags on top read 38 B a row
+    assert retained < 18 * n + 64 * 1024
 
 
 def test_probe_drops_each_full_matrix_once_its_rows_are_taken(tmp_path):
@@ -2332,7 +2386,7 @@ def test_fits_and_apply_hold_their_kept_rows_and_blocks(tmp_path):
 class TestBoundaryOwners:
     """Each input rule is checked where the input enters, for every command that reads it.
 
-    io checks every block of an embeddings file for NaN/Inf, split_tags checks
+    io checks every block of an embeddings file for NaN/Inf, split_masks checks
     that each split holds every group, and a fair-PCA transform checks its offset
     when it is read; the library behind them does not check again.
     """

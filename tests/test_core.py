@@ -8,7 +8,7 @@ from flens.core import (
     TRAIN,
     EmbeddingMatrix,
     GroupLabels,
-    split_tags,
+    split_masks,
 )
 from flens.errors import DataError
 
@@ -55,18 +55,38 @@ class TestSplitTags:
     GROUPS = GroupLabels([0, 1, 0, 1, 0, 1], 2)
 
     def test_split_masks(self):
-        tags = split_tags(coded_column([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TEST]), self.GROUPS)
-        assert np.count_nonzero(tags == TRAIN) == 4
-        assert np.count_nonzero(tags == TEST) == 2
-        assert not tags.flags.writeable
+        train = split_masks(coded_column([TRAIN, TRAIN, TEST, TEST, TRAIN, TRAIN]), self.GROUPS)
+        assert train.dtype == bool and train.tolist() == [True, True, False, False, True, True]
+        assert not train.flags.writeable
 
     def test_group_absent_from_test_split_rejected(self):
         with pytest.raises(DataError, match="group 1 absent from the test split"):
-            split_tags(coded_column([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TRAIN]), self.GROUPS)
+            split_masks(coded_column([TRAIN, TRAIN, TRAIN, TRAIN, TEST, TRAIN]), self.GROUPS)
 
     def test_group_absent_from_train_split_rejected(self):
         with pytest.raises(DataError, match="group 0 absent from the train split"):
-            split_tags(coded_column([TEST, TRAIN, TEST, TRAIN, TEST, TRAIN]), self.GROUPS)
+            split_masks(coded_column([TEST, TRAIN, TEST, TRAIN, TEST, TRAIN]), self.GROUPS)
+
+    def test_one_table_check_matches_a_check_per_split(self):
+        """The one bincount table names the group a check of each split in turn names."""
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n, p = int(rng.integers(1, 9)), int(rng.integers(2, 4))
+            groups = GroupLabels(rng.integers(0, p, n), p)
+            tags = [TRAIN if t else TEST for t in rng.random(n) < 0.5]
+            expected = None
+            for tag in (TRAIN, TEST):
+                rows = [g for g, t in zip(groups.labels.tolist(), tags) if t == tag]
+                missing = [g for g in range(p) if rows and g not in rows]
+                if missing and expected is None:
+                    expected = f"group {missing[0]} absent from the {tag} split"
+            if expected is None:
+                assert split_masks(coded_column(tags), groups).tolist() == [t == TRAIN for t in tags]
+            else:
+                with pytest.raises(DataError) as raised:
+                    split_masks(coded_column(tags), groups)
+                assert str(raised.value) == expected
 
     def test_default_split_is_all_test(self):
-        assert (split_tags(None, GroupLabels([0, 1], 2)) == TEST).all()
+        train = split_masks(None, GroupLabels([0, 1], 2))
+        assert train.tolist() == [False, False] and not train.flags.writeable

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flens.core import BLOCK_ROWS, EmbeddingMatrix, split_tags
+from flens.core import BLOCK_ROWS, EmbeddingMatrix, split_masks
 from flens.errors import DataError
 from flens.io import (
     PIECE_ROWS,
@@ -559,7 +559,7 @@ class TestPlainPass:
             read_label_table(path)
 
     def test_quoted_and_plain_decode_alike(self, tmp_path, monkeypatch):
-        """Both passes give the same names and codes to decode_labels and split_tags."""
+        """Both passes give the same names and codes to decode_labels and split_masks."""
         rng = np.random.default_rng(5)
         n = 1500  # item_ids of 1 to 4 digits
         races = ["east_asian", "indian", "black", "white", "middle_eastern", "latino", "ñ"]
@@ -584,8 +584,9 @@ class TestPlainPass:
         task = [decode_labels(table, "task", "binary", "x.csv") for table in tables]
         assert np.array_equal(task[0], task[1]) and not task[0].flags.writeable
         assert task[0].tolist() == [cell in ("1", "+1") for cell in columns["task"]]
-        split = [split_tags(table["split"], groups[0]) for table in tables]
-        assert np.array_equal(split[0], split[1]) and split[0].tolist() == columns["split"]
+        train = [split_masks(table["split"], groups[0]) for table in tables]
+        assert np.array_equal(train[0], train[1])
+        assert train[0].tolist() == [tag == "train" for tag in columns["split"]]
 
     @pytest.mark.parametrize(
         "column, kind, expected",
@@ -606,7 +607,7 @@ class TestPlainPass:
                 if kind:
                     decode_labels(table, column, kind, "x.csv")
                 else:
-                    split_tags(table[column], decode_labels(table, "group", "group", "x.csv"))
+                    split_masks(table[column], decode_labels(table, "group", "group", "x.csv"))
             assert str(raised.value) == expected
 
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flens.cli import main
-from flens.core import TEST, TRAIN, split_tags
+from flens.core import TEST, TRAIN, split_masks
 from flens.mitigation import estimate_mi_per_dimension
 from flens.probe import evaluate_probe, fit_probe
 from flens.synth import SynthSpec, generate
@@ -88,7 +88,7 @@ class TestGenerate:
     def test_split_is_valid_and_masks_partition_rows(self):
         ds = generate(SynthSpec(n=50, d=4, p=3, seed=3))
         assert np.array_equal(ds.train_mask, ~ds.test_mask)
-        assert np.array_equal(split_tags(coded_column(ds.split), ds.protected), ds.split)
+        assert np.array_equal(split_masks(coded_column(ds.split), ds.protected), ds.train_mask)
 
     def test_no_bias_probe_near_chance(self):
         ds = generate(SynthSpec(n=5000, d=16, p=2, bias_strength=0.0, seed=7))
