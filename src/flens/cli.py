@@ -243,20 +243,24 @@ def _query_similarities(
     ``items`` is (embeddings file path, mask of its test rows, test item
     count). Each source is (kind, file path, query file, row numbers in that
     file). The transform at ``transform_path``, if any, is read once and
-    applied to those query rows, which are checked for zero norms; only then
-    is the items file opened, with open_kept_rows. Each file block of test
-    items is transformed, checked and handed to score_blocks with the query
-    rows, and it scores the block into one q x n_test matrix, so no copy of
-    all the test items exists. No name holds a transformed block while the
-    next one is made. The similarity rows follow the sources in order. A
-    zero-norm row, query rows first, is reported by its kind and its row
-    number in its own file.
+    applied to those query rows, which are checked for zero norms and for
+    one width across the sources; only then is the items file opened, with
+    open_kept_rows. Each file block of test items is transformed, checked
+    and handed to score_blocks with the query rows, and it scores the block
+    into one q x n_test matrix, so no copy of all the test items exists. No
+    name holds a transformed block while the next one is made. The
+    similarity rows follow the sources in order. A zero-norm row, query
+    rows first, is reported by its kind and its row number in its own file.
     """
     items_path, mask, n_test = items
     transform, transform_blocks = _maybe_transform(transform_path)
     sides = [
         _normed(kind, path, transform(matrix[rows]), rows) for kind, path, matrix, rows in sources
     ]
+    width = sides[0][0].shape[1]
+    for (kind, *_), (values, _) in zip(sources[1:], sides[1:]):
+        if values.shape[1] != width:
+            raise DataError(f"dimension mismatch: queries d={width}, {kind} d={values.shape[1]}")
     query_side = (np.concatenate([q for q, _ in sides]), np.concatenate([n for _, n in sides]))
     with open_kept_rows(items_path, mask) as blocks:
         items = (_normed("item", items_path, transform(values), rows) for rows, values in blocks)
@@ -459,7 +463,11 @@ class _TrainRows(np.ndarray):
 
 
 def cmd_debias_fit(cfg: dict) -> dict:
-    """Fit a debiasing transform on the train split and serialize it."""
+    """Fit a debiasing transform on the train split and serialize it.
+
+    A fair-PCA fit on n <= d train rows prints one warning line to stderr,
+    as its constraints may overfit; the report is the same either way.
+    """
     # method -> its fit function and integer parameters with their defaults. Built
     # per call, so a rebound fit function (a tracer, a test double) is the one run.
     methods = {
@@ -507,6 +515,9 @@ def cmd_debias_fit(cfg: dict) -> dict:
         raise DataError(f"fair PCA needs d > p-1 dimensions for p={p} groups, got d={d}")
     elif r is not None and not 1 <= r <= max_rank:
         raise ConfigError(f"fairpca.target_dim must be in [1, d-(p-1)] = [1, {max_rank}], got {r}")
+    if method == "fairpca" and n <= d:
+        print(f"warning: fitting fair PCA with n={n} <= d={d}; constraints may overfit",
+              file=sys.stderr)
     transform, fit_details = fit(train_items.view(_TrainRows), protected, **params)
     details = {"train_items": len(train_items), **fit_details}
     # A fitted value stands in for a defaulted parameter: fair PCA's target_dim.

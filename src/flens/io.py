@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
 import struct
 import zlib
@@ -354,13 +353,13 @@ def _coded_bytes(body: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> C
 def _parse_csv(path: str | Path) -> dict[str, Column]:
     """Parse a label file with csv, or raise the error that names its first fault.
 
-    One csv pass gathers the cells row-major into a flat list and checks
-    only each row's width; the other checks run over whole columns. An
-    error names the first bad row, and within it the first check it fails:
-    width, missing value, integer item_id, dense order.
+    Each row is checked as csv yields it, in this order: width, no empty
+    cell, an integer item_id, and item_id equal to the row's index. Only an
+    item_id whose text differs from its row index, such as "007", goes
+    through int(). The pass stops at the first faulty row, and only then is
+    a message worded; the rows after it are never read.
     """
     cells: list[str] = []
-    stop = None  # the error that ended the pass early; an earlier bad row goes first
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -373,21 +372,25 @@ def _parse_csv(path: str | Path) -> dict[str, Column]:
             if len(set(header)) != len(header):
                 raise DataError(f"{path}: duplicate column names")
             width = len(header)
-            for row in reader:
+            for row_id, row in enumerate(reader):
                 if len(row) != width:
-                    stop = f"{path}:{len(cells) // width + 2}: expected {width} cells"
-                    break
-                cells.extend(row)
+                    raise DataError(f"{path}:{row_id + 2}: expected {width} cells")
+                if "" in row:
+                    raise DataError(f"{path}:{row_id + 2}: missing value")
+                if row[0] != str(row_id):
+                    try:
+                        item_id = int(row[0])
+                    except ValueError:
+                        fault = "item_id must be an integer"
+                        raise DataError(f"{path}:{row_id + 2}: {fault}") from None
+                    if item_id != row_id:
+                        fault = f"item_id {item_id} breaks the dense 0..n-1 order"
+                        raise DataError(f"{path}:{row_id + 2}: {fault}")
+                cells += row
         except UnicodeDecodeError:
-            stop = f"{path}: label file is not UTF-8 text"
+            raise DataError(f"{path}: label file is not UTF-8 text") from None
         except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            stop = f"{path}:{reader.line_num}: {exc}"
-    if cells:
-        bad = _first_bad_row(cells, width)
-        if bad is not None:
-            raise DataError(f"{path}:{bad[0] + 2}: {bad[1]}")
-    if stop is not None:
-        raise DataError(stop)
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not cells:
         raise DataError(f"{path}: no data rows")
     return {name: _coded(cells[j::width]) for j, name in enumerate(header) if j}
@@ -397,30 +400,6 @@ def _coded(cells: list[str]) -> Column:
     """A column's distinct cells in first-appearance order, and each row's code."""
     order = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
     return tuple(order), np.fromiter(map(order.__getitem__, cells), np.int64, len(cells))
-
-
-def _first_bad_row(cells: list[str], width: int) -> tuple[int, str] | None:
-    """Index and fault of the first full-width row that breaks the schema.
-
-    Only an item_id whose text differs from its row index, such as "007",
-    goes through int(); the scans for empty cells and for those ids run in C.
-    """
-    ids = cells[::width]
-    rows = cells.index("") // width if "" in cells else len(ids)
-    matches = list(map(operator.eq, ids[:rows], map(str, range(rows))))
-    row = -1
-    while True:
-        try:
-            row = matches.index(False, row + 1)
-        except ValueError:
-            break
-        try:
-            item_id = int(ids[row])
-        except ValueError:
-            return row, "item_id must be an integer"
-        if item_id != row:
-            return row, f"item_id {item_id} breaks the dense 0..n-1 order"
-    return (rows, "missing value") if rows < len(ids) else None
 
 
 def decode_labels(

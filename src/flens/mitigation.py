@@ -22,7 +22,6 @@ transform, and a dict of what the fit found that the body does not store
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,18 +262,14 @@ def fit_fair_pca(
 
     target_dim defaults to d - (p-1), the maximal feasible rank. Numerically
     rank-deficient constraints are dropped, never inflated. ``groups``
-    labels the n rows; debias-fit checks target_dim in [1, d-(p-1)]. The
+    labels the n rows; debias-fit checks target_dim in [1, d-(p-1)], and
+    warns that the constraints may overfit when n <= d. The
     details give target_dim, the constraint and orthonormality residuals
     and the eigengap.
     """
     n, d = train.shape
     p = groups.group_count
     r = d - (p - 1) if target_dim is None else target_dim
-    if n <= d:
-        warnings.warn(
-            f"fitting fair PCA with n={n} <= d={d}; constraints may overfit",
-            stacklevel=2,
-        )
     mean = train.mean(axis=0)
     demeaned = _demeaned_onehot(groups)
     # The centred scatter and constraints, summed over row blocks. Taken from

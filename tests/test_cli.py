@@ -1416,6 +1416,13 @@ class TestDataErrorsThroughMain:
                            "retrieval": {"k": [2], "queries": [QUERY]}},
                 "group 1 has fewer than 2 observations",
             ),
+            (
+                "retrieve-audit",
+                lambda w: {"data": w["data"], "queries": str(w["queries"]),
+                           "balanced": {"embeddings": str(w["dir"] / "queries8.femb")},
+                           "retrieval": {"k": [2], "queries": [QUERY]}},
+                "dimension mismatch: queries d=16, balanced d=8",
+            ),
         ],
         ids=[
             "classify-query-d",
@@ -1428,6 +1435,7 @@ class TestDataErrorsThroughMain:
             "probe-no-test-rows",
             "classify-no-positives-in-group-1",
             "retrieve-single-test-item-group",
+            "retrieve-balanced-d",
         ],
     )
     def test_data_error_exits_3(self, small, capsys, command, payload, message):

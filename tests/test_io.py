@@ -520,6 +520,27 @@ class TestLabelParserOracle:
         expected = ":4: item_id 9 breaks the dense" if bad_row else ": label file is not UTF-8"
         assert expected in str(raised.value)
 
+    def test_csv_stops_at_the_first_faulty_row(self, tmp_path, monkeypatch):
+        """No row past the first faulty one is read: here line 4 of a 2 001-line quoted table."""
+        path = tmp_path / "labels.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow(["item_id", "a"])
+            writer.writerows([9 if i == 2 else i, "x"] for i in range(2000))
+        yielded = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                yielded.append(row)
+                yield row
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        with pytest.raises(DataError) as raised:
+            read_label_table(path)
+        assert str(raised.value) == f"{path}:4: item_id 9 breaks the dense 0..n-1 order"
+        assert yielded == [["item_id", "a"], ["0", "x"], ["1", "x"], ["9", "x"]]
+
 
 def _write_both_ways(tmp_path, columns):
     """The same label table written plain and with every cell quoted."""

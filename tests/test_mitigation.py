@@ -313,13 +313,16 @@ class TestFairPca:
         expected = "config error: fairpca.target_dim must be in [1, d-(p-1)] = [1, 6], got 7\n"
         assert capsys.readouterr().err == expected
 
-    def test_warns_when_n_not_above_d(self):
+    def test_warns_when_n_not_above_d(self, tmp_path, capsys):
+        # debias-fit words the warning: one stderr line, no Python warning and no source line.
         rng = np.random.default_rng(20)
         values = rng.normal(size=(24, 30))
         labels = np.tile([0, 1], 12)
-        train, groups = values, GroupLabels(labels, 2)
-        with pytest.warns(UserWarning):
-            fit_fair_pca(train, groups, target_dim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_debias_fit(tmp_path, values, labels, "fairpca", {"target_dim": 2}) == 0
+        expected = "warning: fitting fair PCA with n=24 <= d=30; constraints may overfit\n"
+        assert capsys.readouterr().err == expected
 
     def test_fewer_rows_than_dims_pads_the_basis(self):
         # n - 1 < r: PCA inside the feasible subspace yields only n - 1
@@ -327,8 +330,7 @@ class TestFairPca:
         rng = np.random.default_rng(23)
         values = rng.normal(size=(10, 30))
         train, groups = values, GroupLabels(np.tile([0, 1], 5), 2)
-        with pytest.warns(UserWarning):
-            transform, details = fit_fair_pca(train, groups, target_dim=20)
+        transform, details = fit_fair_pca(train, groups, target_dim=20)
         projection = transform.projection
         assert projection.shape == (30, 20)
         np.testing.assert_allclose(projection.T @ projection, np.eye(20), atol=1e-10)
@@ -451,9 +453,7 @@ class TestFairPcaMatchesOracle:
 
     @staticmethod
     def _check_against_oracle(values, labels, p, r):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # n <= d
-            transform, details = fit_fair_pca(values, GroupLabels(labels, p), r)
+        transform, details = fit_fair_pca(values, GroupLabels(labels, p), r)
         projection = transform.projection
         assert np.max(np.abs(projection.T @ projection - np.eye(r))) <= 1e-10
         constraints = demeaned_onehot(labels, p).T @ (values - values.mean(axis=0))
