@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 
@@ -45,7 +46,7 @@ from .metrics import (
     dtpr,
     skew_at_k,
 )
-from .mitigation import Transform, fit_fair_pca, fit_mi_clip
+from .mitigation import Transform, fit_fair_pca, fit_mi_clip, transformed
 from .probe import DEFAULT_L2, DEFAULT_MAX_ITER, DEFAULT_TOL, evaluate_probe, fit_probe
 from .report import build_report, complete_records
 from .stats import per_query_similarity_tests
@@ -167,7 +168,9 @@ def _load_labels(
     Besides the protected attribute and the split, each (column, kind) in
     ``label_columns`` is decoded, so the parsed table is freed on return.
     Every label check, the split's and the non-empty ``splits`` included,
-    runs here, on the full table. Returns one (mask, groups, columns) per
+    runs here, on the full table. A split column the config names must be
+    in the table; with none named, a table with no "split" column holds
+    test rows only. Returns one (mask, groups, columns) per
     split: the boolean mask of its rows, one entry per label row, and the
     protected groups and decoded columns at those rows; then the report's
     provenance block: attribute, groups, sizes. The embeddings are read
@@ -178,11 +181,14 @@ def _load_labels(
     _field(data, "embeddings", str, "data")  # checked here, read by the callers
     labels_path = _field(data, "labels", str, "data")
     attribute = _field(data, "attribute", str, "data")
-    split_column = _field(data, "split_column", str, "data", "split")
+    split_column = _field(data, "split_column", str, "data", None)
     table = read_label_table(labels_path)
     protected = decode_labels(table, attribute, "group", labels_path)
     columns = {key: decode_labels(table, *key, labels_path) for key in dict.fromkeys(label_columns)}
-    train = split_masks(table.get(split_column), protected)
+    split = table.get("split" if split_column is None else split_column)
+    if split is None and split_column is not None:
+        raise DataError(f"{labels_path}: no column named {split_column!r}")
+    train = split_masks(split, protected)
     del table  # freed before the embeddings are read
     train_items = int(np.count_nonzero(train))
     provenance = {
@@ -208,25 +214,26 @@ def _transform_block(path: str, transform: Transform, meta: dict) -> dict:
     return {"path": path, "kind": type(transform).__name__, "metadata": meta}
 
 
-def _maybe_transform(path: str | None) -> tuple[Callable[[np.ndarray], np.ndarray], list[dict]]:
-    """The transform at path as a function on row arrays, and its report blocks (0 or 1).
+def _read_transform(path: str | None) -> tuple[Transform | None, list[dict]]:
+    """The transform at path, None with no path, and its report blocks (0 or 1).
 
-    With no path the function is the identity. The file is read once, here.
+    The file is read once, here.
     """
     if not path:
-        return (lambda matrix: matrix), []
+        return None, []
     transform, meta = read_transform(path)
-    return transform.apply, [_transform_block(path, transform, meta)]
+    return transform, [_transform_block(path, transform, meta)]
 
 
 def _normed(
-    kind: str, path: str, values: np.ndarray, rows: np.ndarray
+    kind: str, path: str, rows: np.ndarray, values: np.ndarray, norms: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` and their row norms, as score_blocks takes them.
+    """``values`` and their norms, as score_blocks takes them: by default their row norms.
 
-    A zero norm raises DataError naming its row in its own file.
+    A zero norm raises DataError naming its row, from ``rows``, in its own file.
     """
-    norms = row_norms(values)
+    if norms is None:
+        norms = row_norms(values)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"{kind} row {int(rows[zero[0]])} of {path} has zero norm")
@@ -242,20 +249,29 @@ def _query_similarities(
 
     ``items`` is (embeddings file path, mask of its test rows, test item
     count). Each source is (kind, file path, query file, row numbers in that
-    file). The transform at ``transform_path``, if any, is read once and
-    applied to those query rows, which are checked for zero norms and for
-    one width across the sources; only then is the items file opened, with
-    open_kept_rows. Each file block of test items is transformed, checked
-    and handed to score_blocks with the query rows, and it scores the block
-    into one q x n_test matrix, so no copy of all the test items exists. No
-    name holds a transformed block while the next one is made. The
-    similarity rows follow the sources in order. A zero-norm row, query
-    rows first, is reported by its kind and its row number in its own file.
+    file). The transform at ``transform_path``, if any, is read once, and its
+    scoring form for the total of query rows maps those query rows to
+    directions with the norms of their transformed rows, which are checked
+    for zero norms and for one width across the sources; only then is the
+    items file opened, with open_kept_rows. The scoring form maps each file
+    block of test items to rows and transformed norms, which are checked and
+    handed to score_blocks with the query directions, and it scores the
+    block into one q x n_test matrix, so no copy of all the test items
+    exists. A fair-PCA transform that folds so scores the items without
+    projecting them (mitigation.FairPcaTransform.fold_items). No name holds
+    a mapped block while the next one is made. The similarity rows follow
+    the sources in order. A zero-norm row, query rows first, is reported by
+    its kind and its row number in its own file.
     """
     items_path, mask, n_test = items
-    transform, transform_blocks = _maybe_transform(transform_path)
+    transform, transform_blocks = _read_transform(transform_path)
+    if transform is None:
+        map_queries = map_items = partial(transformed, None)
+    else:
+        map_queries, map_items = transform.scoring_form(sum(len(rows) for *_, rows in sources))
     sides = [
-        _normed(kind, path, transform(matrix[rows]), rows) for kind, path, matrix, rows in sources
+        _normed(kind, path, rows, *map_queries(matrix[rows]))
+        for kind, path, matrix, rows in sources
     ]
     width = sides[0][0].shape[1]
     for (kind, *_), (values, _) in zip(sources[1:], sides[1:]):
@@ -263,7 +279,7 @@ def _query_similarities(
             raise DataError(f"dimension mismatch: queries d={width}, {kind} d={values.shape[1]}")
     query_side = (np.concatenate([q for q, _ in sides]), np.concatenate([n for _, n in sides]))
     with open_kept_rows(items_path, mask) as blocks:
-        items = (_normed("item", items_path, transform(values), rows) for rows, values in blocks)
+        items = (_normed("item", items_path, rows, *map_items(values)) for rows, values in blocks)
         return score_blocks(query_side, items, n_test), transform_blocks
 
 
@@ -491,8 +507,8 @@ def cmd_debias_fit(cfg: dict) -> dict:
     train_items = read_embeddings(cfg["data"]["embeddings"], mask)
     if prompts_path:
         prompts = read_embeddings(prompts_path)
-        prompt_side = _normed("prompt", prompts_path, prompts, np.arange(len(prompts)))
-        item_side = _normed("item", cfg["data"]["embeddings"], train_items, np.flatnonzero(mask))
+        prompt_side = _normed("prompt", prompts_path, np.arange(len(prompts)), prompts)
+        item_side = _normed("item", cfg["data"]["embeddings"], np.flatnonzero(mask), train_items)
         protected = infer_protected_attribute(item_side, prompt_side)
         empty = np.flatnonzero(protected.counts() == 0)
         if empty.size:
@@ -574,9 +590,9 @@ def cmd_probe(cfg: dict) -> dict:
     # Each space's train and test rows serve every attribute, and the transform,
     # if any, maps those rows only.
     rows = {"raw": read_embeddings(cfg["data"]["embeddings"], (train_mask, test_mask))}
-    transform, transform_blocks = _maybe_transform(transform_path)
-    if transform_blocks:
-        rows["transformed"] = tuple(map(transform, rows["raw"]))
+    transform, transform_blocks = _read_transform(transform_path)
+    if transform is not None:
+        rows["transformed"] = tuple(map(transform.apply, rows["raw"]))
 
     records = []
     for attribute in attributes:

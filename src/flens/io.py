@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import zlib
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +38,10 @@ _DTYPE_F32_LE = 1
 
 TRANSFORM_MAGIC = b"FLENSTFM"
 TRANSFORM_VERSION = 1
+
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own string escaper
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 # Rows per piece of a payload read or written: 512 KiB at d = 256. A divisor of
 # BLOCK_ROWS, so every file block is a whole number of pieces.
@@ -486,11 +492,61 @@ def read_transform(path: str | Path) -> tuple[Transform, dict[str, Any]]:
     return deserialize_transform(Path(path).read_bytes())
 
 
-def render_json(payload: dict) -> bytes:
-    """Canonical JSON bytes: sorted keys, two-space indent, trailing newline."""
-    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode(
-        "utf-8"
-    )
+def render_json(payload: Any) -> bytes:
+    """Canonical JSON bytes: sorted keys, two-space indent, trailing newline.
+
+    One walk makes the payload JSON-safe and writes it. A dataclass becomes
+    its fields under their own names, a dict key its ``str``, a tuple or an
+    array a list, a numpy scalar its Python number, and a non-finite float
+    the string "inf", "-inf" or "nan", because strict JSON has no spelling
+    for them. The bytes are json.dumps(..., sort_keys=True, indent=2) of
+    that JSON-safe value, with strings escaped to ASCII by json's encoder.
+    """
+    chunks: list[str] = []
+    _render(payload, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks).encode("ascii")
+
+
+def _render(value: Any, newline: str, emit: Callable[[str], None]) -> None:
+    """Write one value whose line starts with ``newline``'s indent."""
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif value is None or value is True or value is False:
+        emit(_CONSTANTS[value])
+    elif isinstance(value, (int, np.integer)):
+        emit(int.__repr__(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
+        emit(float.__repr__(value) if math.isfinite(value) else _NON_FINITE[str(value)])
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if not value:
+            emit("[]")
+            return
+        inner, head = newline + "  ", "["
+        for item in value:
+            emit(head + inner)
+            _render(item, inner, emit)
+            head = ","
+        emit(newline + "]")
+    elif isinstance(value, dict) or is_dataclass(value):
+        if isinstance(value, dict):
+            pairs = {str(key): item for key, item in value.items()}
+        else:
+            pairs = {f.name: getattr(value, f.name) for f in fields(value)}
+        if not pairs:
+            emit("{}")
+            return
+        inner, head = newline + "  ", "{"
+        for key, item in sorted(pairs.items()):
+            emit(f"{head}{inner}{_quote(key)}: ")
+            _render(item, inner, emit)
+            head = ","
+        emit(newline + "}")
+    else:  # json.dumps raises its TypeError for what no branch takes
+        emit(json.dumps(value))
 
 
 def write_report(payload: dict, path: str | Path) -> None:

@@ -10,23 +10,31 @@ Two families:
   on the train split.
 
 The fitted map is a single shared transform: apply it unchanged to both
-item and query embeddings. Transformed vectors are fed to cosine
-similarity directly; no renormalization step is needed because cosine
-normalizes per vector anyway. Each transform class applies itself and
-reads and writes its own body of a ``.ftfm`` container, under its KIND code,
-and holds only that body. Each fit returns ``(transform, details)``: the
-transform, and a dict of what the fit found that the body does not store
-(its diagnostics), which the debias-fit report prints.
+item and query embeddings. The audits score cosines of transformed
+vectors; no renormalization step is needed because cosine normalizes per
+vector anyway. Each transform gives them its scoring form for a number of
+query rows: maps from query rows and item rows to rows as
+tasks.score_blocks takes them, each with the norm of its transformed row.
+Those are the transformed rows themselves, except where a fair-PCA
+transform folds (FairPcaTransform.folds): it then scores items without
+projecting them (see FairPcaTransform.fold_items).
+Each transform class applies itself and reads and writes its own body of
+a ``.ftfm`` container, under its KIND code, and holds only that body.
+Each fit returns ``(transform, details)``: the transform, and a dict of
+what the fit found that the body does not store (its diagnostics), which
+the debias-fit report prints.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
-from .core import BLOCK_ROWS, GroupLabels, lerp
+from .core import BLOCK_ROWS, GroupLabels, lerp, row_norms
 from .errors import DataError, NumericError
 
 # Relative singular-value cutoff for rank decisions, and the residual /
@@ -36,6 +44,19 @@ ORTHONORMALITY_TOL = 1e-10
 CONSTRAINT_TOL = 1e-8
 # Values per block of columns binned together by estimate_mi_per_dimension.
 _MI_BLOCK_ELEMENTS = 2**15
+# A fair PCA folds its projection when (d - r) (a d + b) + q d < r (d + q),
+# with (a, b) = FOLD_COST, for q query rows: per item, projecting costs r d
+# flops and the scoring GEMM q r; folding costs q d in the scoring GEMM and,
+# per dropped direction, a d + b flops' worth of GEMM time: the d x (d - r)
+# product with C runs slower per flop than the d x r one, and the d-wide
+# passes over each centred row come on top. Measured at one BLAS thread, at
+# d = 64, 256 and 768 with q = 2, 64 and 320 and no guard rows: both paths
+# cost the same within 9 % wherever the rule and the timings disagree.
+FOLD_COST = (1.5, 150)
+
+# Maps a block of rows to the rows tasks.score_blocks scores and the norms
+# it divides them by.
+RowMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _le_f8(arr: np.ndarray) -> bytes:
@@ -73,6 +94,14 @@ class MiClipTransform:
 
     def apply(self, embeddings: np.ndarray) -> np.ndarray:
         return apply_mi_clip(self, embeddings)
+
+    def scoring_form(self, queries: int) -> tuple[RowMap, RowMap]:
+        """The query and item maps for scoring: both are ``transformed``.
+
+        The kept columns are a copy, with no flops for a fold to save.
+        """
+        mapped = partial(transformed, self)
+        return mapped, mapped
 
     def to_bytes(self) -> bytes:
         """Container body: d and m as <II, the keep mask as d bytes, then the d MI scores."""
@@ -132,6 +161,61 @@ class FairPcaTransform:
 
     def apply(self, embeddings: np.ndarray) -> np.ndarray:
         return apply_fair_pca(self, embeddings)
+
+    def folds(self, queries: int) -> bool:
+        """Whether scoring against ``queries`` query rows folds the projection.
+
+        It folds when that costs less per item than projecting: see FOLD_COST.
+        """
+        d, r = self.projection.shape
+        return (d - r) * (FOLD_COST[0] * d + FOLD_COST[1]) + queries * d < r * (d + queries)
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """An orthonormal d x (d - r) basis C of the complement of the projection's span."""
+        return orthonormal_complement(self.projection)
+
+    def scoring_form(self, queries: int) -> tuple[RowMap, RowMap]:
+        """The query and item maps for scoring against ``queries`` query rows.
+
+        Unless the transform folds, both are ``transformed``. Folded, they are
+        fold_queries and fold_items.
+        """
+        if self.folds(queries):
+            return self.fold_queries, self.fold_items
+        mapped = partial(transformed, self)
+        return mapped, mapped
+
+    def fold_queries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Query directions for fold_items' rows, and the transformed rows' norms.
+
+        A transformed row q' becomes u = q' P^T, so that u . (x - mean) = q' . x'
+        for each item x; |u| = |q'| up to round-off.
+        """
+        out, norms = transformed(self, rows)
+        return out @ self.projection.T, norms
+
+    def fold_items(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Item rows for scoring against fold_queries' directions, and the transformed norms.
+
+        A row x becomes x - mean, with |x'|^2 = |x - mean|^2 - |C^T (x - mean)|^2,
+        so no item is projected. That difference cancels where most of x - mean
+        lies in span(C): each row with |C^T (x - mean)|^2 over half of
+        |x - mean|^2 is projected by apply and stands as x' P^T, with the norm
+        |x'|. A row equal to the mean so keeps norm 0.
+        """
+        _check_width(self, rows)
+        centred = rows - self.mean
+        squared = np.einsum("ij,ij->i", centred, centred)
+        off = centred @ self.complement
+        removed = np.einsum("ij,ij->i", off, off)
+        # a guard row's difference may fall below 0; its norm is replaced below
+        norms = np.sqrt(squared - np.minimum(removed, squared))
+        guard = np.flatnonzero(removed > 0.5 * squared)
+        if guard.size:
+            projected, norms[guard] = transformed(self, rows[guard])
+            centred[guard] = projected @ self.projection.T
+        return centred, norms
 
     def to_bytes(self) -> bytes:
         """Container body: d and r as <II, the d-vector mean, then the d x r projection."""
@@ -230,10 +314,22 @@ def fit_mi_clip(
     return MiClipTransform(keep_mask=keep, mi_scores=scores), details
 
 
-def apply_mi_clip(transform: MiClipTransform, embeddings: np.ndarray) -> np.ndarray:
-    """Keep the masked-in columns, preserving their original order."""
+def transformed(
+    transform: Transform | None, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` mapped by ``transform`` (unchanged with none), and the mapped rows' norms."""
+    out = rows if transform is None else transform.apply(rows)
+    return out, row_norms(out)
+
+
+def _check_width(transform: Transform, embeddings: np.ndarray) -> None:
     if embeddings.shape[1] != transform.input_dims:
         raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.shape[1]}")
+
+
+def apply_mi_clip(transform: MiClipTransform, embeddings: np.ndarray) -> np.ndarray:
+    """Keep the masked-in columns, preserving their original order."""
+    _check_width(transform, embeddings)
     # compress keeps rows contiguous, as [:, mask] would not; a GEMM's bits depend on layout
     return embeddings.compress(transform.keep_mask, axis=1)
 
@@ -337,8 +433,33 @@ def apply_fair_pca(transform: FairPcaTransform, embeddings: np.ndarray) -> np.nd
     Computed as X P - mean P, so it holds its n x r output and no centred
     n x d copy of X. The ``apply`` command passes one block of rows at a time.
     """
-    if embeddings.shape[1] != transform.input_dims:
-        raise DataError(f"transform expects d={transform.input_dims}, got d={embeddings.shape[1]}")
+    _check_width(transform, embeddings)
     out = embeddings @ transform.projection
     out -= transform.mean @ transform.projection
     return out
+
+
+def orthonormal_complement(projection: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the complement of the span of ``projection``'s orthonormal columns.
+
+    Pivoted Gram-Schmidt on I - P P^T: each new column starts from the unit
+    vector e_i at the largest diagonal entry of I - P P^T - C C^T, over the
+    columns C found so far, so its squared distance from span([P C]) is at
+    least 1/d. It has P and then C projected out, twice over, and is
+    normalised. That is d - r steps of d x r matrix-vector products, with
+    no d x d factorisation.
+    """
+    d, r = projection.shape
+    basis = np.empty((d, d - r))
+    left = 1.0 - np.einsum("ij,ij->i", projection, projection)
+    for j in range(d - r):
+        column = np.zeros(d)
+        column[np.argmax(left)] = 1.0
+        done = basis[:, :j]
+        for _ in range(2):
+            column -= projection @ (projection.T @ column)
+            column -= done @ (done.T @ column)
+        column /= np.linalg.norm(column)
+        basis[:, j] = column
+        left -= column * column
+    return basis

@@ -3,10 +3,8 @@
 Reports are plain dictionaries rendered to canonical JSON so identical
 inputs always produce identical bytes. Commands hand over records that hold
 result objects (metrics, tests, similarity comparisons, taxonomy tags), and
-build_report makes the whole report JSON-safe in one sanitize pass: a
-dataclass becomes its fields under their own names, an array a list, and a
-non-finite float the string "inf", "-inf" or "nan", because strict JSON has
-no spelling for them.
+build_report assembles them as they are: io.render_json makes the report
+JSON-safe as it writes it, in one walk.
 
 Category summaries are keyed by taxonomy cell. Exactly four cells are ever
 evaluated: human-centric tasks crossed with objective/subjective and
@@ -17,8 +15,6 @@ performance metrics only and appear in per-task records, not in a cell.
 
 from __future__ import annotations
 
-import math
-from dataclasses import fields, is_dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -43,29 +39,6 @@ def cell_key(tags: TaxonomyTags | None) -> str | None:
         return None
     consistency = "subjective" if tags.subjective else "objective"
     return f"human-centric/{consistency}/{tags.fairness_mode}"
-
-
-def sanitize(value: Any) -> Any:
-    """Make a value JSON-safe and deterministic; a dataclass maps its fields by name."""
-    if is_dataclass(value):
-        return {f.name: sanitize(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {str(k): sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [sanitize(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [sanitize(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    return value
 
 
 _QUARTILE_LEVELS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -137,9 +110,9 @@ def build_report(
     transform_blocks: list[dict] | None = None,
     extra: dict | None = None,
 ) -> dict:
-    """Assemble the full report, ordered by task name, and make it JSON-safe in one pass."""
+    """Assemble the full report, ordered by task name, for io.render_json to write."""
     tasks = complete_records(task_records)
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
@@ -149,4 +122,3 @@ def build_report(
         "category_summary": category_summary(tasks),
         **(extra or {}),
     }
-    return sanitize(report)

@@ -273,3 +273,37 @@ def oracle_fit_fair_pca(values, labels, p: int, r: int):
         if projection[np.argmax(np.abs(projection[:, j])), j] < 0:
             projection[:, j] = -projection[:, j]
     return mean, projection
+
+
+def oracle_render_json(value) -> bytes:
+    """Reference report bytes: json.dumps of the value made JSON-safe first, in its own walk.
+
+    A dataclass becomes a dict of its fields, a dict key its str, a tuple or
+    an array a list, a numpy scalar its Python number and a non-finite float
+    the string "inf", "-inf" or "nan". Then json.dumps writes it with sorted
+    keys, a two-space indent and no NaN, plus a trailing newline.
+    """
+    import dataclasses
+    import json
+
+    import numpy as np
+
+    def safe(v):
+        if dataclasses.is_dataclass(v):
+            return {f.name: safe(getattr(v, f.name)) for f in dataclasses.fields(v)}
+        if isinstance(v, dict):
+            return {str(k): safe(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [safe(x) for x in v]
+        if isinstance(v, np.ndarray):
+            return [safe(x) for x in v.tolist()]
+        if isinstance(v, np.integer):
+            return int(v)
+        if isinstance(v, np.floating):
+            v = float(v)
+        if isinstance(v, float) and not math.isfinite(v):
+            return "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
+        return v
+
+    text = json.dumps(safe(value), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,18 +31,23 @@ from flens.io import (
     write_transform,
 )
 from flens.metrics import ddp_classification, ddp_retrieval
-from flens.errors import NumericError
+from flens.errors import DataError, NumericError
 from flens.mitigation import FairPcaTransform, MiClipTransform, apply_mi_clip, fit_fair_pca
 from flens.probe import evaluate_probe, fit_probe
-from flens.report import sanitize
 from flens.stats import per_query_similarity_tests
 from flens.tasks import zero_shot_classify
 
 from .helpers import cosine_similarity_matrix, label_cells, read_report
+from .oracles import oracle_render_json
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _as_json(value):
+    """A result as a report holds it once written and read back."""
+    return json.loads(oracle_render_json(value))
 
 
 def write_config(path, payload):
@@ -796,6 +802,32 @@ class TestApplyAndProbe:
         assert run(["probe", "--config", cfg]) == 3
         assert f"data error: unknown split tag '{written}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["fold", "item_id"])
+    def test_named_split_column_must_be_in_the_table(self, workspace, tmp_path, capsys, column):
+        """A split column the config names but the table lacks exits 3: its rows are not
+        all read as test rows."""
+        payload = {"data": dict(workspace["data"], split_column=column),
+                   "queries": str(workspace["queries"]), "tasks": [TASK]}
+        assert run(["classify-audit", "--config", write_config(tmp_path / "a.json", payload)]) == 3
+        expected = f"data error: {workspace['labels']}: no column named {column!r}\n"
+        assert capsys.readouterr().err == expected
+
+    def test_unnamed_split_column_may_be_absent(self, workspace, tmp_path, capsys):
+        """A table with no "split" column is all test rows, unless the config names it."""
+        labels = tmp_path / "no-split.csv"
+        columns = label_cells(read_label_table(workspace["labels"]))
+        del columns["split"]
+        write_label_table(labels, columns)
+        payload = {"data": dict(workspace["data"], labels=str(labels)),
+                   "queries": str(workspace["queries"]), "tasks": [TASK]}
+        out = tmp_path / "a.out"
+        assert run(["classify-audit", "--config", write_config(tmp_path / "a.json", payload),
+                    "--out", out]) == 0
+        assert read_report(out)["dataset"]["test_items"] == len(columns["group"])
+        payload["data"]["split_column"] = "split"
+        assert run(["classify-audit", "--config", write_config(tmp_path / "b.json", payload)]) == 3
+        assert capsys.readouterr().err == f"data error: {labels}: no column named 'split'\n"
+
 
 @pytest.fixture
 def miclip_transform(workspace, tmp_path):
@@ -856,7 +888,7 @@ class TestMiClipTransform:
         classes = apply_mi_clip(transform, read_embeddings(workspace["queries"])[[2, 3]])
         sims = cosine_similarity_matrix(items, classes)
         expected = ddp_classification(zero_shot_classify(sims[0], sims[1]), groups)
-        assert report["tasks"][0]["metrics"]["ddp_classification"] == sanitize(expected)
+        assert report["tasks"][0]["metrics"]["ddp_classification"] == _as_json(expected)
 
     def test_retrieve_audit(self, workspace, miclip_transform, tmp_path):
         retrieval = {"k": [10, 40], "queries": [{"name": "q", "row": 2}]}
@@ -871,8 +903,8 @@ class TestMiClipTransform:
         for k in (10, 40):
             selected = np.bincount(groups.labels[order[:k]], minlength=groups.group_count)
             expected = ddp_retrieval(selected, groups.counts())
-            assert by_name[f"q @ k={k}"]["metrics"]["ddp_retrieval"] == sanitize(expected)
-        expected_test = sanitize(per_query_similarity_tests(sims, groups)[0])
+            assert by_name[f"q @ k={k}"]["metrics"]["ddp_retrieval"] == _as_json(expected)
+        expected_test = _as_json(per_query_similarity_tests(sims, groups)[0])
         assert report["similarity_tests"]["q"] == expected_test
 
     def test_probe(self, workspace, miclip_transform, tmp_path):
@@ -1615,8 +1647,8 @@ def test_report_keys_are_pinned(workspace, tmp_path):
 
 
 class TestOnePassAudit:
-    """An audit transforms, normalises and scores each test item once, a read block at
-    a time, takes each query file's rows once and ranks each row once, at max(k)."""
+    """An audit maps, normalises and scores each test item once, a read block at a
+    time, takes each query file's rows once and ranks each row once, at max(k)."""
 
     @pytest.fixture
     def workspace(self, tmp_path):
@@ -1627,6 +1659,7 @@ class TestOnePassAudit:
     def calls(self, monkeypatch):
         import flens.cli
         import flens.core
+        import flens.mitigation
 
         calls = {"normed": [], "scored": [], "top_k": 0, "balanced_retrieval": 0}
         norms, score = flens.core.row_norms, flens.cli.score_blocks
@@ -1644,7 +1677,7 @@ class TestOnePassAudit:
             return score(queries, seen(), n)
 
         # row_norms is counted in every module that binds it, so a second pass anywhere shows
-        for module in (flens.core, flens.cli):
+        for module in (flens.core, flens.cli, flens.mitigation):
             monkeypatch.setattr(module, "row_norms", counting_norms)
         monkeypatch.setattr(flens.cli, "score_blocks", counting_score)
         for name in ("top_k", "balanced_retrieval"):
@@ -1752,6 +1785,60 @@ class TestOnePassAudit:
     def test_transform_reads_test_and_named_rows_only(
         self, workspace, fitted_transform, tmp_path, monkeypatch
     ):
+        """Through a folding fair-PCA transform, apply sees the named query rows, then only
+        the test rows whose folded norm would cancel, and each block of test items is
+        scored once."""
+        import flens.cli
+        import flens.mitigation
+
+        applied, scored = [], []
+        apply, score = flens.mitigation.apply_fair_pca, flens.cli.score_blocks
+
+        def recording(transform, embeddings):
+            applied.append(embeddings.copy())
+            return apply(transform, embeddings)
+
+        def counting_score(queries, blocks, n):
+            return score(queries, (scored.append(len(block[0])) or block for block in blocks), n)
+
+        monkeypatch.setattr(flens.mitigation, "apply_fair_pca", recording)
+        monkeypatch.setattr(flens.cli, "score_blocks", counting_score)
+        transform, _ = read_transform(fitted_transform)
+        assert transform.folds(2) and transform.folds(3)
+        test = split_column(workspace["labels"]) == "test"
+        items = read_embeddings(workspace["embeddings"], test)
+        centred = items - transform.mean
+        off = centred @ transform.complement
+        removed = np.einsum("ij,ij->i", off, off)
+        guard = items[removed > 0.5 * np.einsum("ij,ij->i", centred, centred)]
+        assert 0 < len(guard) < len(items)
+
+        def check_guard_rows(calls):
+            assert all(len(rows) <= BLOCK_ROWS for rows in calls)
+            assert np.array_equal(np.concatenate(calls), guard)
+
+        tasks = [{"name": n, "class_a": a, "class_b": 4 - a} for n, a in (("t", 3), ("u", 1))]
+        payload = {"queries": str(workspace["queries"]), "transform": str(fitted_transform)}
+        n_test = self._run(workspace, tmp_path, "classify-audit", {**payload, "tasks": tasks})
+        assert n_test == len(items)
+        # the named query rows first, then guard rows only
+        assert len(applied[0]) == 2
+        check_guard_rows(applied[1:])
+        self._check_blocks(scored, n_test)
+        applied.clear()
+        scored.clear()
+        retrieval = {"k": [10], "queries": [{"name": "q", "row": 2}]}
+        balanced = {"embeddings": str(workspace["balanced"])}
+        self._run(workspace, tmp_path, "retrieve-audit",
+                  {**payload, "retrieval": retrieval, "balanced": balanced})
+        assert [len(rows) for rows in applied[:2]] == [1, 2]
+        check_guard_rows(applied[2:])
+        self._check_blocks(scored, n_test)
+
+    def test_projecting_transform_applies_each_item_block_once(
+        self, workspace, fitted_transform, tmp_path, monkeypatch
+    ):
+        """Through a fair-PCA transform made not to fold, as its rule decides at a smaller r."""
         import flens.mitigation
 
         rows = []
@@ -1762,6 +1849,7 @@ class TestOnePassAudit:
             return apply(transform, embeddings)
 
         monkeypatch.setattr(flens.mitigation, "apply_fair_pca", recording)
+        monkeypatch.setattr(FairPcaTransform, "folds", lambda self, queries: False)
         tasks = [{"name": n, "class_a": a, "class_b": 4 - a} for n, a in (("t", 3), ("u", 1))]
         payload = {"queries": str(workspace["queries"]), "transform": str(fitted_transform)}
         n_test = self._run(workspace, tmp_path, "classify-audit", {**payload, "tasks": tasks})
@@ -2239,6 +2327,66 @@ class TestStreamedScoring:
         sims, items, queries = self._streamed(streamed_set, str(tmp_path / "t.ftfm"))
         expected = cosine_similarity_matrix(transform.apply(items), transform.apply(queries))
         assert np.max(np.abs(sims - expected)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 24), data=st.data())
+    def test_folded_cosines_match_the_explicit_path(self, tmp_path, seed, d, data):
+        """Folded or not, cosines are within 1e-12 of projecting every row.
+
+        The transform folds as its rule decides or as the draw makes it. With
+        a fold, some rows lie within 1e-6 of mean + span(C), C the directions
+        the projection drops, and one may equal the mean, which exits naming its
+        row. Such a row's transformed row is tiny, so its cosine follows the last
+        bits of the product that projects it: the fold projects its guard rows in
+        one product, and the reference projects them in one product too.
+        """
+        r = data.draw(st.integers(1, d), label="r")
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        mean = rng.normal(size=d).astype(np.float32).astype(float)  # a row can equal it
+        transform = FairPcaTransform(mean, basis[:, :r])
+        made = data.draw(st.sampled_from([None, False, True]), label="made to fold")
+        folds = transform.folds(3) if made is None else made
+        near = data.draw(st.integers(0, 4), label="near") if folds and r < d else 0
+        items = mean + rng.normal(size=(20 + near, d))
+        items[20:] = (mean + rng.normal(size=(near, d - r)) @ basis[:, r:].T
+                      + 1e-6 * rng.normal(size=(near, r)) @ basis[:, :r].T)
+        at_mean = folds and data.draw(st.booleans(), label="a row at the mean")
+        if at_mean:
+            items[data.draw(st.integers(0, len(items) - 1), label="its row")] = mean
+        items = items.astype(np.float32).astype(float)
+        queries = rng.normal(size=(3, d)).astype(np.float32).astype(float)
+        paths = {name: tmp_path / f"{name}.femb" for name in ("items", "queries")}
+        write_embeddings(EmbeddingMatrix(items), paths["items"])
+        write_embeddings(EmbeddingMatrix(queries), paths["queries"])
+        write_transform(transform, tmp_path / "t.ftfm")
+        args = (str(tmp_path / "t.ftfm"),
+                (str(paths["items"]), np.ones(len(items), bool), len(items)),
+                [("query", str(paths["queries"]), queries, np.arange(3))])
+        at_mean_rows = np.flatnonzero((items == mean).all(axis=1))
+        with mock.patch.object(FairPcaTransform, "folds", lambda self, queries: folds):
+            if at_mean_rows.size:
+                with pytest.raises(DataError) as caught:
+                    _query_similarities(*args)
+                expected = f"item row {at_mean_rows[0]} of {paths['items']} has zero norm"
+                assert str(caught.value) == expected
+                return
+            sims, _ = _query_similarities(*args)
+        transform, _ = read_transform(tmp_path / "t.ftfm")  # C-ordered, as audits read it
+        projected = transform.apply(items)
+        if folds:
+            centred = items - mean
+            off = centred @ transform.complement
+            guard = np.einsum("ij,ij->i", off, off) > 0.5 * np.einsum("ij,ij->i", centred, centred)
+            if guard.any():
+                projected[guard] = transform.apply(items[guard])
+            assert guard[20:].all()
+        expected = cosine_similarity_matrix(projected, transform.apply(queries))
+        if folds:
+            assert np.max(np.abs(sims - expected)) <= 1e-12
+        else:  # the items are projected as one block, as the reference projects them
+            assert sims.tobytes() == expected.tobytes()
 
     @staticmethod
     def _classify(streamed_set, tmp_path):

@@ -6,6 +6,8 @@ import re
 import struct
 import tracemalloc
 import zlib
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import pytest
@@ -31,10 +33,10 @@ from flens.io import (
     write_transform,
 )
 from flens.mitigation import FairPcaTransform, MiClipTransform, apply_fair_pca, apply_mi_clip
-from flens.report import _quartiles, sanitize
+from flens.report import _quartiles
 
 from .helpers import label_cells, read_report
-from .oracles import OracleSchemaError, oracle_read_label_table
+from .oracles import OracleSchemaError, oracle_read_label_table, oracle_render_json
 
 
 @pytest.fixture
@@ -725,6 +727,14 @@ class TestTransformContainers:
             deserialize_transform(self._container(b"[1]", body))
 
 
+@dataclass
+class _Record:
+    """A result object as commands hand reports over: rendered as its fields."""
+
+    value: Any
+    detail: Any
+
+
 class TestReports:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(
@@ -741,10 +751,37 @@ class TestReports:
             assert _quartiles(values).tobytes() == expected.tobytes()
 
     def test_round_trip(self, tmp_path):
-        report = {"schema_version": 1, "value": 0.25, "skew": sanitize(float("inf"))}
+        report = {"schema_version": 1, "value": 0.25, "skew": float("inf")}
         path = tmp_path / "report.json"
         write_report(report, path)
         assert read_report(path) == {"schema_version": 1, "value": 0.25, "skew": "inf"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+            st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]),
+            st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+            st.integers(-2**63, 2**63 - 1).map(np.int64),
+            st.lists(st.floats(), max_size=4).map(np.array),
+            st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(
+                lambda v: np.array(v[: len(v) // 2 * 2]).reshape(2, -1)),
+        ),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans()),
+                            children, max_size=4),
+            st.builds(_Record, children, children),
+        ),
+        max_leaves=25,
+    ))
+    def test_one_walk_writes_the_sanitized_json_dumps_bytes(self, value):
+        assert render_json(value) == oracle_render_json(value)
+
+    def test_unknown_type_raises_like_json_dumps(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            render_json({"a": [np.bool_(True)]})
 
     def test_canonical_bytes_stable(self):
         a = render_json({"b": 1, "a": [1.5, 2.5]})

@@ -14,11 +14,13 @@ from flens import mitigation
 from flens.core import BLOCK_ROWS, GroupLabels
 from flens.errors import DataError
 from flens.mitigation import (
+    FairPcaTransform,
     apply_fair_pca,
     apply_mi_clip,
     estimate_mi_per_dimension,
     fit_fair_pca,
     fit_mi_clip,
+    orthonormal_complement,
 )
 from flens.synth import SynthSpec, generate
 
@@ -467,3 +469,41 @@ class TestFairPcaMatchesOracle:
             # Sine of the largest principal angle between the two column spans.
             sine = np.linalg.norm(expected - projection @ (projection.T @ expected), 2)
             assert sine <= 1e-9
+
+
+class TestFairPcaComplement:
+    """The basis that folded scoring takes for the directions a projection drops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), data=st.data())
+    def test_completes_an_orthonormal_basis(self, seed, d, data):
+        r = data.draw(st.integers(1, d), label="r")
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans(), label="axis-aligned"):  # rows of norm exactly 0 and 1
+            projection = np.eye(d)[:, rng.permutation(d)[:r]]
+        else:
+            projection = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :r]
+        complement = orthonormal_complement(projection)
+        assert complement.shape == (d, d - r)
+        full = np.hstack([projection, complement])
+        assert np.max(np.abs(full.T @ full - np.eye(d))) <= 1e-13
+
+    def test_fitted_projection_at_audit_width(self):
+        ds = generate(SynthSpec(n=4000, d=256, p=4, bias_dims=(0, 1), bias_strength=2.0, seed=1))
+        transform, _ = fit_fair_pca(ds.embeddings.values, ds.protected)
+        assert transform.projection.shape == (256, 253)
+        assert transform.folds(64) and transform.folds(320)
+        full = np.hstack([transform.projection, transform.complement])
+        assert np.max(np.abs(full.T @ full - np.eye(256))) <= 1e-13
+
+    # Shapes (d, r, query rows) timed at one BLAS thread where one path was faster by
+    # 10 % or more, and the small ones the command tests use.
+    @pytest.mark.parametrize("d, r, q, folds", [
+        (2, 1, 1, False), (2, 2, 1, True), (16, 13, 2, False), (16, 15, 3, True),
+        (64, 61, 2, True), (64, 40, 64, False), (256, 253, 2, True), (256, 253, 320, True),
+        (256, 192, 2, True), (256, 160, 64, False), (256, 129, 2, False), (256, 129, 320, False),
+        (768, 576, 320, True), (768, 448, 320, False),
+    ])
+    def test_folds_where_it_costs_less_than_projecting(self, d, r, q, folds):
+        transform = FairPcaTransform(np.zeros(d), np.eye(d)[:, :r])
+        assert transform.folds(q) is folds
